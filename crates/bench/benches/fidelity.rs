@@ -20,7 +20,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 use hdpm_core::{
     characterize_sharded, CharacterizationConfig, EngineOptions, Fidelity, PowerEngine,
-    ShardingConfig,
+    ShardingConfig, TraceCtx,
 };
 use hdpm_datamodel::HdDistribution;
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
@@ -56,7 +56,7 @@ fn bench_cold_tiers(c: &mut Criterion) {
     group.bench_function("tier_a_analytic", |b| {
         b.iter(|| {
             analytic
-                .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+                .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
                 .expect("analytic tier")
         })
     });
@@ -72,7 +72,7 @@ fn bench_cold_tiers(c: &mut Criterion) {
     group.bench_function("tier_b_regressed", |b| {
         b.iter(|| {
             let estimate = regressed
-                .estimate_with_floor(spec, &dist, Fidelity::Regressed)
+                .estimate_at(spec, &dist, Fidelity::Regressed, &mut TraceCtx::disabled())
                 .expect("regressed tier");
             assert_eq!(estimate.fidelity, Fidelity::Regressed);
             estimate

@@ -2,10 +2,11 @@
 //! [`PowerEngine`] on stdin/stdout.
 //!
 //! One request per stdin line, one reply per stdout line; stderr carries
-//! human-readable logs. The codec and the operations (`estimate`,
-//! `characterize`, `stats`) live in [`hdpm_server::protocol`], shared
-//! byte-for-byte with the networked `hdpm server` — both transports
-//! replay the `docs/engine.md` transcript identically. Malformed or
+//! human-readable logs. The loop is [`hdpm_server::protocol::serve_lines`]:
+//! the v1 JSON-lines codec around the same request core the networked
+//! `hdpm server` runs for both its protocols (`estimate`, `characterize`,
+//! `stats`), so both transports replay the `docs/engine.md` transcript
+//! identically. Per-request deadlines are ignored here. Malformed or
 //! non-UTF-8 lines produce structured `{"ok":false,"error":{...}}`
 //! replies and never tear the loop down.
 //!
@@ -63,7 +64,7 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     let _span = telemetry::span("cli.serve");
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
-    protocol::serve_lines_with_floor(&engine, floor, stdin.lock(), stdout.lock())?;
+    protocol::serve_lines(&engine, floor, stdin.lock(), stdout.lock())?;
     Ok(())
 }
 

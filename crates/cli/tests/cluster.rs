@@ -380,6 +380,49 @@ fn dead_owner_degrades_to_bounded_local_characterization() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// Fields resolve before cluster routing: an estimate the node will
+/// reject (unknown `data`, unknown `fidelity_floor`) for a key a peer
+/// owns answers `bad_request` without probing, fetching from or
+/// forwarding to that peer.
+#[test]
+fn rejected_requests_do_no_cluster_work() {
+    let root = temp_dir("rejected");
+    let ports = reserve_ports(1);
+    let node = spawn_node(
+        ports[0],
+        &root,
+        "live",
+        "dead=127.0.0.1:1",
+        &["--replicas", "0"],
+    );
+    let width = width_owned_by(&["live", "dead"], "dead");
+    for field in ["\"data\":\"bogus\"", "\"fidelity_floor\":\"fast\""] {
+        let reply = call(
+            &node.addr,
+            &format!(
+                "{{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":{width},{field}}}"
+            ),
+        );
+        assert!(reply.contains("\"kind\":\"bad_request\""), "{reply}");
+    }
+    let clusterz = http_get(&node.admin, "/clusterz");
+    for counter in [
+        "fetch_hits",
+        "fetch_misses",
+        "fetch_errors",
+        "forwards",
+        "forward_fallbacks",
+    ] {
+        assert!(
+            clusterz.contains(&format!("\"{counter}\":0")),
+            "{counter} moved for a rejected request: {clusterz}"
+        );
+    }
+
+    node.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A rogue fleet member serving corrupt bytes: the fetched payload
 /// fails envelope verification, is quarantined (never admitted, never
 /// served), and the client still gets a correct, locally characterized

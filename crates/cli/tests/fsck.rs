@@ -5,6 +5,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hdpm_core::{CharacterizationConfig, ModelLibrary};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
@@ -27,12 +28,18 @@ fn stderr(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
 
-/// A process-unique scratch root, removed on drop.
+/// A scratch root unique to this process and this guard (tests in one
+/// binary run concurrently), removed on drop.
 struct TempRoot(PathBuf);
 
 impl TempRoot {
     fn new() -> TempRoot {
-        let path = std::env::temp_dir().join(format!("hdpm_cli_fsck_{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "hdpm_cli_fsck_{}_{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir(&path).expect("fresh scratch root");
         TempRoot(path)

@@ -529,7 +529,7 @@ impl PowerEngine {
 
     /// Analytic power estimate of `spec` under an Hd distribution: the
     /// §6.3 expected charge plus the §6.2 average-Hd interpolation,
-    /// served from the cache.
+    /// served from the cache at full fidelity.
     ///
     /// # Errors
     ///
@@ -541,40 +541,16 @@ impl PowerEngine {
         spec: ModuleSpec,
         dist: &HdDistribution,
     ) -> Result<Estimate, ModelError> {
-        self.estimate_traced(spec, dist, &mut TraceCtx::disabled())
+        self.estimate_full(spec, dist, &mut TraceCtx::disabled())
     }
 
-    /// [`PowerEngine::estimate`] with per-stage timing recorded into
-    /// `trace`: the fetch stages (see [`PowerEngine::fetch_traced`]) plus
-    /// [`Stage::Estimate`] covering the distribution and interpolation
-    /// math.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PowerEngine::estimate`].
-    pub fn estimate_traced(
-        &self,
-        spec: ModuleSpec,
-        dist: &HdDistribution,
-        trace: &mut TraceCtx,
-    ) -> Result<Estimate, ModelError> {
-        let (characterization, source) = self.fetch_traced(spec, trace)?;
-        let model = &characterization.model;
-        trace.time(Stage::Estimate, || {
-            Ok(Estimate {
-                charge_per_cycle: model.estimate_distribution(dist)?,
-                via_average: model.estimate_interpolated(dist.mean()),
-                average_hd: dist.mean(),
-                source,
-                fidelity: Fidelity::Full,
-                confidence: 1.0,
-            })
-        })
-    }
-
-    /// [`PowerEngine::estimate`] under a fidelity floor: answer from the
-    /// **best tier instantly available** that is at least `floor`, and
-    /// upgrade toward full fidelity in the background.
+    /// [`PowerEngine::estimate`] under a fidelity floor, with per-stage
+    /// timing recorded into `trace` (the fetch stages, see
+    /// [`PowerEngine::fetch_traced`], plus [`Stage::Estimate`] covering
+    /// the distribution and interpolation math; pass
+    /// [`TraceCtx::disabled`] to skip it). Answers from the **best tier
+    /// instantly available** that is at least `floor`, and upgrades
+    /// toward full fidelity in the background:
     ///
     /// * A model already in memory or on disk answers at
     ///   [`Fidelity::Full`] exactly like [`PowerEngine::estimate`].
@@ -599,22 +575,7 @@ impl PowerEngine {
     ///
     /// As for [`PowerEngine::estimate`]; tier-A/B failures surface the
     /// same structured netlist/width errors the full path would.
-    pub fn estimate_with_floor(
-        self: &Arc<Self>,
-        spec: ModuleSpec,
-        dist: &HdDistribution,
-        floor: Fidelity,
-    ) -> Result<Estimate, ModelError> {
-        self.estimate_with_floor_traced(spec, dist, floor, &mut TraceCtx::disabled())
-    }
-
-    /// [`PowerEngine::estimate_with_floor`] with per-stage timing
-    /// recorded into `trace`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PowerEngine::estimate_with_floor`].
-    pub fn estimate_with_floor_traced(
+    pub fn estimate_at(
         self: &Arc<Self>,
         spec: ModuleSpec,
         dist: &HdDistribution,
@@ -622,7 +583,7 @@ impl PowerEngine {
         trace: &mut TraceCtx,
     ) -> Result<Estimate, ModelError> {
         if floor == Fidelity::Full {
-            return self.estimate_traced(spec, dist, trace);
+            return self.estimate_full(spec, dist, trace);
         }
         // Full fidelity already local? Serve it — better than any floor
         // and still instant (memory lookup / one artifact read).
@@ -634,25 +595,19 @@ impl PowerEngine {
         if let Some(c) = cached {
             telemetry::counter_add("engine.cache.hit", 1);
             return trace.time(Stage::Estimate, || {
-                full_estimate(&c.model, dist, CacheSource::Memory)
+                model_estimate(&c.model, dist, (CacheSource::Memory, Fidelity::Full, 1.0))
             });
         }
         if self.library.as_ref().is_some_and(|l| l.contains(spec)) {
-            return self.estimate_traced(spec, dist, trace);
+            return self.estimate_full(spec, dist, trace);
         }
         // Tier B: regression over characterized siblings, if the family
         // has enough of them.
         if let Some((family, confidence)) = self.family_fit(spec.kind) {
-            let estimate = trace.time(Stage::Estimate, || -> Result<Estimate, ModelError> {
+            let estimate = trace.time(Stage::Estimate, || {
                 let predicted = family.predict_model(spec.width);
-                Ok(Estimate {
-                    charge_per_cycle: predicted.estimate_distribution(dist)?,
-                    via_average: predicted.estimate_interpolated(dist.mean()),
-                    average_hd: dist.mean(),
-                    source: CacheSource::Regressed,
-                    fidelity: Fidelity::Regressed,
-                    confidence,
-                })
+                let tier = (CacheSource::Regressed, Fidelity::Regressed, confidence);
+                model_estimate(&predicted, dist, tier)
             })?;
             self.regressed_served.fetch_add(1, Ordering::Relaxed);
             telemetry::counter_add("engine.fidelity.regressed", 1);
@@ -662,16 +617,12 @@ impl PowerEngine {
         // Tier A: the closed-form structural estimate, floor permitting.
         if floor == Fidelity::Analytic {
             let model = self.analytic_model_for(spec)?;
-            let estimate = trace.time(Stage::Estimate, || -> Result<Estimate, ModelError> {
-                Ok(Estimate {
-                    charge_per_cycle: model.estimate_distribution(dist)?,
-                    via_average: model.estimate_interpolated(dist.mean()),
-                    average_hd: dist.mean(),
-                    source: CacheSource::Analytic,
-                    fidelity: Fidelity::Analytic,
-                    confidence: fidelity::ANALYTIC_CONFIDENCE,
-                })
-            })?;
+            let tier = (
+                CacheSource::Analytic,
+                Fidelity::Analytic,
+                fidelity::ANALYTIC_CONFIDENCE,
+            );
+            let estimate = trace.time(Stage::Estimate, || model_estimate(&model, dist, tier))?;
             self.analytic_served.fetch_add(1, Ordering::Relaxed);
             telemetry::counter_add("engine.fidelity.analytic", 1);
             self.enqueue_upgrade(spec);
@@ -679,7 +630,21 @@ impl PowerEngine {
         }
         // floor == Regressed with no family fit: the floor cannot be met
         // instantly, so pay the full characterization.
-        self.estimate_traced(spec, dist, trace)
+        self.estimate_full(spec, dist, trace)
+    }
+
+    /// The full-fidelity path: fetch (or characterize) the model, then
+    /// estimate.
+    fn estimate_full(
+        &self,
+        spec: ModuleSpec,
+        dist: &HdDistribution,
+        trace: &mut TraceCtx,
+    ) -> Result<Estimate, ModelError> {
+        let (characterization, source) = self.fetch_traced(spec, trace)?;
+        trace.time(Stage::Estimate, || {
+            model_estimate(&characterization.model, dist, (source, Fidelity::Full, 1.0))
+        })
     }
 
     /// The memoized tier-B fit of a family, refitted when a new
@@ -934,19 +899,20 @@ impl Drop for PowerEngine {
     }
 }
 
-/// A full-fidelity estimate from a characterized model.
-fn full_estimate(
+/// An estimate from one rung of the fidelity ladder, labeled with where
+/// it came from, its tier and its confidence.
+fn model_estimate(
     model: &HdModel,
     dist: &HdDistribution,
-    source: CacheSource,
+    (source, fidelity, confidence): (CacheSource, Fidelity, f64),
 ) -> Result<Estimate, ModelError> {
     Ok(Estimate {
         charge_per_cycle: model.estimate_distribution(dist)?,
         via_average: model.estimate_interpolated(dist.mean()),
         average_hd: dist.mean(),
         source,
-        fidelity: Fidelity::Full,
-        confidence: 1.0,
+        fidelity,
+        confidence,
     })
 }
 
@@ -1155,7 +1121,7 @@ mod tests {
 
     #[test]
     fn traced_fetch_attributes_stage_time() {
-        let engine = PowerEngine::new(quick_options());
+        let engine = Arc::new(PowerEngine::new(quick_options()));
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
 
         let mut cold = TraceCtx::new();
@@ -1179,7 +1145,9 @@ mod tests {
             h
         });
         let mut est = TraceCtx::new();
-        engine.estimate_traced(spec, &dist, &mut est).unwrap();
+        engine
+            .estimate_at(spec, &dist, Fidelity::Full, &mut est)
+            .unwrap();
         assert!(est.stage_ns(Stage::Estimate) > 0);
     }
 
@@ -1234,7 +1202,7 @@ mod tests {
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
         let dist = flat_dist(8);
         let cold = engine
-            .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+            .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
             .unwrap();
         assert_eq!(cold.fidelity, Fidelity::Analytic);
         assert_eq!(cold.source, CacheSource::Analytic);
@@ -1245,7 +1213,7 @@ mod tests {
         // request then serves at full fidelity from memory.
         await_upgrades(&engine, 1);
         let warm = engine
-            .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+            .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
             .unwrap();
         assert_eq!(warm.fidelity, Fidelity::Full);
         assert_eq!(warm.source, CacheSource::Memory);
@@ -1264,7 +1232,7 @@ mod tests {
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 5usize);
         let dist = flat_dist(10);
         let estimate = engine
-            .estimate_with_floor(spec, &dist, Fidelity::Regressed)
+            .estimate_at(spec, &dist, Fidelity::Regressed, &mut TraceCtx::disabled())
             .unwrap();
         assert_eq!(estimate.fidelity, Fidelity::Regressed);
         assert_eq!(estimate.source, CacheSource::Regressed);
@@ -1277,7 +1245,12 @@ mod tests {
         // Tier B is also the best instant tier under an analytic floor.
         let spec7 = ModuleSpec::new(ModuleKind::RippleAdder, 7usize);
         let best = engine
-            .estimate_with_floor(spec7, &flat_dist(14), Fidelity::Analytic)
+            .estimate_at(
+                spec7,
+                &flat_dist(14),
+                Fidelity::Analytic,
+                &mut TraceCtx::disabled(),
+            )
             .unwrap();
         assert_eq!(best.fidelity, Fidelity::Regressed);
         assert_eq!(engine.stats().regressed_served, 2);
@@ -1293,7 +1266,12 @@ mod tests {
         let engine = Arc::new(PowerEngine::new(quick_options()));
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
         let estimate = engine
-            .estimate_with_floor(spec, &flat_dist(8), Fidelity::Regressed)
+            .estimate_at(
+                spec,
+                &flat_dist(8),
+                Fidelity::Regressed,
+                &mut TraceCtx::disabled(),
+            )
             .unwrap();
         assert_eq!(estimate.fidelity, Fidelity::Full);
         assert_eq!(estimate.source, CacheSource::Fresh);
@@ -1330,7 +1308,7 @@ mod tests {
         let dist = flat_dist(8);
         for _ in 0..5 {
             engine
-                .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+                .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
                 .unwrap();
         }
         await_upgrades(&engine, 1);
@@ -1358,10 +1336,11 @@ mod tests {
         // artifacts alone.
         let engine = Arc::new(PowerEngine::new(options));
         let estimate = engine
-            .estimate_with_floor(
+            .estimate_at(
                 ModuleSpec::new(ModuleKind::RippleAdder, 5usize),
                 &flat_dist(10),
                 Fidelity::Regressed,
+                &mut TraceCtx::disabled(),
             )
             .unwrap();
         assert_eq!(estimate.fidelity, Fidelity::Regressed);

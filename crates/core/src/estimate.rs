@@ -163,20 +163,6 @@ pub fn predict_trace<E: Estimator + ?Sized>(
         .collect()
 }
 
-/// Per-cycle estimates of the enhanced model over a reference trace.
-///
-/// # Errors
-///
-/// Returns [`ModelError::WidthMismatch`] if the trace width differs from
-/// the model width.
-#[deprecated(note = "use the generic `predict_trace`; every model implements `Estimator`")]
-pub fn predict_trace_enhanced(
-    model: &EnhancedHdModel,
-    trace: &Trace,
-) -> Result<Vec<f64>, ModelError> {
-    predict_trace(model, trace)
-}
-
 /// Evaluate any [`Estimator`] against a reference trace (trace-based
 /// mode).
 ///
@@ -215,19 +201,6 @@ fn report_accuracy_telemetry(model_kind: &str, module: &str, report: &AccuracyRe
     );
 }
 
-/// Evaluate the enhanced model against a reference trace.
-///
-/// # Errors
-///
-/// Returns [`ModelError::WidthMismatch`] on width disagreement.
-#[deprecated(note = "use the generic `evaluate`; every model implements `Estimator`")]
-pub fn evaluate_enhanced(
-    model: &EnhancedHdModel,
-    trace: &Trace,
-) -> Result<AccuracyReport, ModelError> {
-    evaluate(model, trace)
-}
-
 /// Evaluate any [`Estimator`] against many reference traces on up to
 /// `threads` worker threads (0 = all available cores). Reports come back
 /// in input order and are identical to calling [`evaluate`] per trace —
@@ -247,22 +220,6 @@ pub fn evaluate_batch<E: Estimator + Sync + ?Sized>(
     })
     .into_iter()
     .collect()
-}
-
-/// Evaluate the enhanced model against many reference traces on up to
-/// `threads` worker threads (0 = all available cores); the parallel
-/// counterpart of [`evaluate`] over an [`EnhancedHdModel`].
-///
-/// # Errors
-///
-/// Returns the first per-trace error in input order.
-#[deprecated(note = "use the generic `evaluate_batch`; every model implements `Estimator`")]
-pub fn evaluate_enhanced_batch(
-    model: &EnhancedHdModel,
-    traces: &[Trace],
-    threads: usize,
-) -> Result<Vec<AccuracyReport>, ModelError> {
-    evaluate_batch(model, traces, threads)
 }
 
 /// Average-power estimate from an Hd distribution (the §6.3 estimator):
@@ -474,26 +431,6 @@ mod tests {
         assert_eq!(
             evaluate_batch(&enhanced, std::slice::from_ref(&trace), 1).unwrap()[0],
             via_enhanced
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_delegate_to_the_generic_functions() {
-        let model = linear_model(4);
-        let enhanced = enhanced_of(&model);
-        let trace = trace_of(&[1, 2, 3], &[11.0, 21.0, 31.0], 4);
-        assert_eq!(
-            predict_trace_enhanced(&enhanced, &trace).unwrap(),
-            predict_trace(&enhanced, &trace).unwrap()
-        );
-        assert_eq!(
-            evaluate_enhanced(&enhanced, &trace).unwrap(),
-            evaluate(&enhanced, &trace).unwrap()
-        );
-        assert_eq!(
-            evaluate_enhanced_batch(&enhanced, std::slice::from_ref(&trace), 2).unwrap(),
-            evaluate_batch(&enhanced, std::slice::from_ref(&trace), 2).unwrap()
         );
     }
 

@@ -78,9 +78,10 @@ pub use estimate::{
     accuracy, distribution_vs_average, evaluate, evaluate_batch, predict_trace, AccuracyReport,
     DistributionVsAverage, Estimator,
 };
-#[allow(deprecated)]
-pub use estimate::{evaluate_enhanced, evaluate_enhanced_batch, predict_trace_enhanced};
 pub use fidelity::{analytic_model, Fidelity, ANALYTIC_CONFIDENCE};
+/// The per-request trace [`PowerEngine::estimate_at`] and
+/// [`PowerEngine::fetch_traced`] record stage timings into.
+pub use hdpm_telemetry::TraceCtx;
 pub use library::{CorruptArtifactPolicy, LibrarySource, ModelLibrary, DEFAULT_LOCK_TIMEOUT};
 pub use model::{EnhancedHdModel, HdModel, ZeroClustering};
 pub use regress::{ParameterizableModel, Prototype, PrototypeSet};

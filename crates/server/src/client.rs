@@ -38,11 +38,11 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use hdpm_core::Fidelity;
-use hdpm_netlist::{ModuleSpec, ModuleWidth};
+use hdpm_core::{EngineStats, Fidelity};
+use hdpm_netlist::ModuleSpec;
 use hdpm_streams::DataType;
 
-use crate::wire;
+use crate::{protocol, wire};
 
 /// Which protocol to speak on a connection. Negotiated by the client:
 /// the server follows the first byte it receives ([`wire::MAGIC`]).
@@ -74,8 +74,9 @@ impl Proto {
     }
 }
 
-/// One request, protocol-agnostic. The client encodes it as a JSON line
-/// (v1) or a binary frame (v2).
+/// One request, protocol-agnostic — also the server's internal form: the
+/// v1 codec ([`protocol`]) and the v2 codec ([`wire`]) both decode into
+/// it and encode from it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Request {
     /// Analytic power estimate for a module under a named input
@@ -105,7 +106,8 @@ pub enum Request {
 }
 
 impl Request {
-    fn opcode(&self) -> wire::Opcode {
+    /// The v2 opcode of this request (its name is the v1 `op`).
+    pub(crate) fn opcode(&self) -> wire::Opcode {
         match self {
             Request::Estimate { .. } => wire::Opcode::Estimate,
             Request::Characterize { .. } => wire::Opcode::Characterize,
@@ -174,6 +176,48 @@ pub struct StatsAnswer {
     pub regressed_served: u64,
     /// Background fidelity upgrades completed.
     pub upgrades_done: u64,
+}
+
+impl StatsAnswer {
+    /// The answer from its fields in wire order (see
+    /// `protocol::stats_fields`).
+    pub(crate) fn from_fields(fields: [u64; 12]) -> StatsAnswer {
+        let [entries, capacity, hits, misses, evictions, disk_hits, characterizations, coalesced, inflight, analytic_served, regressed_served, upgrades_done] =
+            fields;
+        StatsAnswer {
+            entries,
+            capacity,
+            hits,
+            misses,
+            evictions,
+            disk_hits,
+            characterizations,
+            coalesced,
+            inflight,
+            analytic_served,
+            regressed_served,
+            upgrades_done,
+        }
+    }
+}
+
+impl From<EngineStats> for StatsAnswer {
+    fn from(stats: EngineStats) -> StatsAnswer {
+        StatsAnswer::from_fields([
+            stats.entries as u64,
+            stats.capacity as u64,
+            stats.hits,
+            stats.misses,
+            stats.evictions,
+            stats.disk_hits,
+            stats.characterizations,
+            stats.coalesced,
+            stats.inflight as u64,
+            stats.analytic_served,
+            stats.regressed_served,
+            stats.upgrades_done,
+        ])
+    }
 }
 
 /// One decoded reply body.
@@ -303,9 +347,9 @@ impl Client {
     /// send a window of requests and then drain replies with
     /// [`Client::recv`].
     ///
-    /// `deadline_ms` sets the per-request deadline (v2: in band,
-    /// covering decode → write on the server; v1: the `deadline_ms`
-    /// field, covering queue wait).
+    /// `deadline_ms` sets the per-request deadline (v2: in band; v1:
+    /// the `deadline_ms` field), counted on the server from the socket
+    /// read to the start of execution.
     ///
     /// # Errors
     ///
@@ -319,41 +363,15 @@ impl Client {
         self.next_id += 1;
         match self.proto {
             Proto::V1 => {
-                let line = encode_v1(request, deadline_ms)?;
+                let line = protocol::encode_request(request, deadline_ms.map(u64::from))
+                    .ok_or(ClientError::Unsupported("ping is v2-only"))?;
                 self.writer.write_all(line.as_bytes())?;
                 self.writer.write_all(b"\n")?;
                 self.fifo.push_back((id, request.opcode()));
             }
             Proto::V2 => {
                 let mut frame = Vec::with_capacity(wire::HEADER_LEN + wire::ESTIMATE_REQ_LEN);
-                let payload: Vec<u8> = match request {
-                    Request::Estimate {
-                        spec,
-                        data,
-                        cycles,
-                        seed,
-                        floor,
-                    } => wire::encode_estimate_request(&wire::EstimateParams {
-                        spec: *spec,
-                        data: *data,
-                        cycles: *cycles,
-                        seed: *seed,
-                        floor: *floor,
-                    })
-                    .to_vec(),
-                    Request::Characterize { spec } => {
-                        wire::encode_characterize_request(&wire::CharacterizeParams { spec: *spec })
-                            .to_vec()
-                    }
-                    Request::Stats | Request::Ping => Vec::new(),
-                };
-                wire::encode_frame(
-                    &mut frame,
-                    id,
-                    request.opcode() as u8,
-                    deadline_ms.unwrap_or(0),
-                    &payload,
-                );
+                wire::encode_request(&mut frame, id, request, deadline_ms.unwrap_or(0));
                 self.writer.write_all(&frame)?;
                 self.pending.insert(id, request.opcode());
             }
@@ -429,7 +447,7 @@ impl Client {
                 "server closed with replies outstanding",
             )));
         }
-        let response = decode_v1(line.trim_end())?;
+        let response = protocol::decode_reply(line.trim_end()).map_err(ClientError::Protocol)?;
         Ok(Reply {
             id,
             late: false,
@@ -446,7 +464,8 @@ impl Client {
         if first[0] == b'{' {
             let mut rest = String::new();
             self.reader.read_line(&mut rest)?;
-            let response = decode_v1(&format!("{{{}", rest.trim_end()))?;
+            let response = protocol::decode_reply(&format!("{{{}", rest.trim_end()))
+                .map_err(ClientError::Protocol)?;
             let id = *self.pending.keys().min().expect("outstanding checked");
             self.pending.remove(&id);
             return Ok(Reply {
@@ -474,351 +493,12 @@ impl Client {
                 header.id
             )));
         };
-        let late = header.extra & wire::FLAG_LATE != 0;
-        let response = if header.op == wire::STATUS_OK {
-            decode_v2_ok(op, &payload)?
-        } else {
-            let kind = wire::kind_of(header.op).map_or_else(
-                || format!("status_{}", header.op),
-                |k| k.as_str().to_string(),
-            );
-            Response::Error {
-                kind,
-                message: String::from_utf8_lossy(&payload).into_owned(),
-            }
-        };
+        let response =
+            wire::decode_reply(op, header.op, &payload).map_err(ClientError::Protocol)?;
         Ok(Reply {
             id: header.id,
-            late,
+            late: header.extra & wire::FLAG_LATE != 0,
             response,
         })
-    }
-}
-
-fn encode_v1(request: &Request, deadline_ms: Option<u32>) -> Result<String, ClientError> {
-    use std::fmt::Write as _;
-    let mut line = String::with_capacity(96);
-    match request {
-        Request::Estimate {
-            spec,
-            data,
-            cycles,
-            seed,
-            floor,
-        } => {
-            write!(
-                line,
-                "{{\"op\":\"estimate\",\"module\":\"{}\"{},\"data\":\"{}\",\"cycles\":{cycles},\"seed\":{seed}",
-                spec.kind,
-                width_fields(spec.width),
-                data.name(),
-            )
-            .expect("write to string");
-            if let Some(floor) = floor {
-                write!(line, ",\"fidelity_floor\":\"{floor}\"").expect("write to string");
-            }
-        }
-        Request::Characterize { spec } => {
-            write!(
-                line,
-                "{{\"op\":\"characterize\",\"module\":\"{}\"{}",
-                spec.kind,
-                width_fields(spec.width),
-            )
-            .expect("write to string");
-        }
-        Request::Stats => line.push_str("{\"op\":\"stats\""),
-        Request::Ping => return Err(ClientError::Unsupported("ping is v2-only")),
-    }
-    if let Some(ms) = deadline_ms {
-        write!(line, ",\"deadline_ms\":{ms}").expect("write to string");
-    }
-    line.push('}');
-    Ok(line)
-}
-
-fn width_fields(width: ModuleWidth) -> String {
-    match width {
-        ModuleWidth::Uniform(w) => format!(",\"width\":{w}"),
-        ModuleWidth::Rect(m1, m2) => format!(",\"width\":{m1},\"width2\":{m2}"),
-    }
-}
-
-fn decode_v1(line: &str) -> Result<Response, ClientError> {
-    let value: serde_json::Value = serde_json::from_str(line)
-        .map_err(|e| ClientError::Protocol(format!("bad v1 reply JSON: {e}")))?;
-    let ok = value
-        .get("ok")
-        .and_then(serde_json::Value::as_bool)
-        .ok_or_else(|| ClientError::Protocol("v1 reply without `ok`".into()))?;
-    if !ok {
-        let error = value
-            .get("error")
-            .cloned()
-            .unwrap_or(serde_json::Value::Null);
-        return Ok(Response::Error {
-            kind: str_field(&error, "kind").unwrap_or_else(|_| "unknown".into()),
-            message: str_field(&error, "message").unwrap_or_default(),
-        });
-    }
-    match value.get("op").and_then(serde_json::Value::as_str) {
-        Some("estimate") => {
-            let fidelity_str = str_field(&value, "fidelity")?;
-            Ok(Response::Estimate(EstimateAnswer {
-                charge_per_cycle: f64_field(&value, "charge_per_cycle")?,
-                via_average: f64_field(&value, "via_average")?,
-                average_hd: f64_field(&value, "average_hd")?,
-                source: str_field(&value, "source")?,
-                fidelity: Fidelity::parse(&fidelity_str).ok_or_else(|| {
-                    ClientError::Protocol(format!("unknown fidelity `{fidelity_str}`"))
-                })?,
-                confidence: f64_field(&value, "confidence")?,
-            }))
-        }
-        Some("characterize") => {
-            Ok(Response::Characterize(CharacterizeAnswer {
-                input_bits: u64_field(&value, "input_bits")? as u32,
-                transitions: u64_field(&value, "transitions")?,
-                converged_after: match value.get("converged_after") {
-                    None | Some(serde_json::Value::Null) => None,
-                    Some(v) => Some(v.as_u64().ok_or_else(|| {
-                        ClientError::Protocol("non-integer converged_after".into())
-                    })?),
-                },
-                source: str_field(&value, "source")?,
-            }))
-        }
-        Some("stats") => Ok(Response::Stats(StatsAnswer {
-            entries: u64_field(&value, "entries")?,
-            capacity: u64_field(&value, "capacity")?,
-            hits: u64_field(&value, "hits")?,
-            misses: u64_field(&value, "misses")?,
-            evictions: u64_field(&value, "evictions")?,
-            disk_hits: u64_field(&value, "disk_hits")?,
-            characterizations: u64_field(&value, "characterizations")?,
-            coalesced: u64_field(&value, "coalesced")?,
-            inflight: u64_field(&value, "inflight")?,
-            analytic_served: u64_field(&value, "analytic_served")?,
-            regressed_served: u64_field(&value, "regressed_served")?,
-            upgrades_done: u64_field(&value, "upgrades_done")?,
-        })),
-        other => Err(ClientError::Protocol(format!(
-            "v1 reply with unexpected op {other:?}"
-        ))),
-    }
-}
-
-fn decode_v2_ok(op: wire::Opcode, payload: &[u8]) -> Result<Response, ClientError> {
-    match op {
-        wire::Opcode::Estimate => {
-            let reply = wire::decode_estimate_reply(payload).map_err(ClientError::Protocol)?;
-            Ok(Response::Estimate(EstimateAnswer {
-                charge_per_cycle: reply.charge_per_cycle,
-                via_average: reply.via_average,
-                average_hd: reply.average_hd,
-                source: wire::source_str(reply.source)
-                    .ok_or_else(|| {
-                        ClientError::Protocol(format!("unknown source code {}", reply.source))
-                    })?
-                    .to_string(),
-                fidelity: reply.fidelity,
-                confidence: reply.confidence,
-            }))
-        }
-        wire::Opcode::Characterize => {
-            let reply = wire::decode_characterize_reply(payload).map_err(ClientError::Protocol)?;
-            Ok(Response::Characterize(CharacterizeAnswer {
-                input_bits: reply.input_bits,
-                transitions: reply.transitions,
-                converged_after: reply.converged_after,
-                source: wire::source_str(reply.source)
-                    .ok_or_else(|| {
-                        ClientError::Protocol(format!("unknown source code {}", reply.source))
-                    })?
-                    .to_string(),
-            }))
-        }
-        wire::Opcode::Stats => {
-            let reply = wire::decode_stats_reply(payload).map_err(ClientError::Protocol)?;
-            Ok(Response::Stats(StatsAnswer {
-                entries: reply.entries,
-                capacity: reply.capacity,
-                hits: reply.hits,
-                misses: reply.misses,
-                evictions: reply.evictions,
-                disk_hits: reply.disk_hits,
-                characterizations: reply.characterizations,
-                coalesced: reply.coalesced,
-                inflight: reply.inflight,
-                analytic_served: reply.analytic_served,
-                regressed_served: reply.regressed_served,
-                upgrades_done: reply.upgrades_done,
-            }))
-        }
-        wire::Opcode::Ping => {
-            if payload.is_empty() {
-                Ok(Response::Pong)
-            } else {
-                Err(ClientError::Protocol("non-empty pong payload".into()))
-            }
-        }
-        // The cluster ops are node-to-node; this client never sends
-        // them, so a reply under one of their ids is a peer bug.
-        wire::Opcode::FetchModel | wire::Opcode::HaveModel | wire::Opcode::WarmKeys => {
-            Err(ClientError::Protocol(format!(
-                "unexpected {} reply (cluster ops are not client ops)",
-                op.as_str()
-            )))
-        }
-    }
-}
-
-fn f64_field(value: &serde_json::Value, key: &str) -> Result<f64, ClientError> {
-    value
-        .get(key)
-        .and_then(serde_json::Value::as_f64)
-        .ok_or_else(|| ClientError::Protocol(format!("v1 reply missing number `{key}`")))
-}
-
-fn u64_field(value: &serde_json::Value, key: &str) -> Result<u64, ClientError> {
-    value
-        .get(key)
-        .and_then(serde_json::Value::as_u64)
-        .ok_or_else(|| ClientError::Protocol(format!("v1 reply missing integer `{key}`")))
-}
-
-fn str_field(value: &serde_json::Value, key: &str) -> Result<String, ClientError> {
-    value
-        .get(key)
-        .and_then(serde_json::Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ClientError::Protocol(format!("v1 reply missing string `{key}`")))
-}
-
-#[cfg(test)]
-mod tests {
-    use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
-
-    use super::*;
-
-    #[test]
-    fn v1_estimate_line_decodes_as_a_protocol_request() {
-        let line = encode_v1(
-            &Request::Estimate {
-                spec: ModuleSpec::new(ModuleKind::CsaMultiplier, ModuleWidth::Rect(6, 4)),
-                data: crate::protocol::data_type("speech").expect("known type"),
-                cycles: 1500,
-                seed: 11,
-                floor: Some(Fidelity::Analytic),
-            },
-            Some(250),
-        )
-        .expect("encodable");
-        let request = crate::protocol::decode(line.as_bytes())
-            .expect("decodes")
-            .expect("not blank");
-        assert_eq!(request.op, "estimate");
-        assert_eq!(request.module.as_deref(), Some("csa_multiplier"));
-        assert_eq!(request.width, Some(6));
-        assert_eq!(request.width2, Some(4));
-        assert_eq!(request.data.as_deref(), Some("speech"));
-        assert_eq!(request.cycles, Some(1500));
-        assert_eq!(request.seed, Some(11));
-        assert_eq!(request.deadline_ms, Some(250));
-        assert_eq!(request.fidelity_floor.as_deref(), Some("analytic"));
-
-        // No floor named → no field on the wire (server default applies).
-        let line = encode_v1(
-            &Request::Estimate {
-                spec: ModuleSpec::new(ModuleKind::RippleAdder, 8),
-                data: crate::protocol::data_type("random").expect("known type"),
-                cycles: 500,
-                seed: 1,
-                floor: None,
-            },
-            None,
-        )
-        .expect("encodable");
-        assert!(!line.contains("fidelity_floor"), "{line}");
-    }
-
-    #[test]
-    fn v1_characterize_and_stats_lines_decode() {
-        let line = encode_v1(
-            &Request::Characterize {
-                spec: ModuleSpec::new(ModuleKind::RippleAdder, 8),
-            },
-            None,
-        )
-        .expect("encodable");
-        let request = crate::protocol::decode(line.as_bytes())
-            .expect("decodes")
-            .expect("not blank");
-        assert_eq!(request.op, "characterize");
-        assert_eq!(request.width, Some(8));
-        assert_eq!(request.width2, None);
-
-        let line = encode_v1(&Request::Stats, None).expect("encodable");
-        let request = crate::protocol::decode(line.as_bytes())
-            .expect("decodes")
-            .expect("not blank");
-        assert_eq!(request.op, "stats");
-    }
-
-    #[test]
-    fn ping_is_rejected_on_v1() {
-        assert!(matches!(
-            encode_v1(&Request::Ping, None),
-            Err(ClientError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn v1_replies_decode_to_typed_responses() {
-        let estimate = decode_v1(
-            "{\"ok\":true,\"op\":\"estimate\",\"module\":\"ripple_adder_4\",\"data\":\"V (counter)\",\"charge_per_cycle\":67.77,\"via_average\":70.92,\"average_hd\":3.2,\"source\":\"memory\",\"fidelity\":\"full\",\"confidence\":1.0}",
-        )
-        .expect("decodes");
-        assert!(matches!(
-            estimate,
-            Response::Estimate(EstimateAnswer { ref source, fidelity: Fidelity::Full, .. })
-                if source == "memory"
-        ));
-
-        let tiered = decode_v1(
-            "{\"ok\":true,\"op\":\"estimate\",\"module\":\"ripple_adder_4\",\"data\":\"random\",\"charge_per_cycle\":60.0,\"via_average\":61.0,\"average_hd\":3.1,\"source\":\"analytic\",\"fidelity\":\"analytic\",\"confidence\":0.25}",
-        )
-        .expect("decodes");
-        assert!(matches!(
-            tiered,
-            Response::Estimate(EstimateAnswer { fidelity: Fidelity::Analytic, confidence, .. })
-                if confidence == 0.25
-        ));
-
-        let characterize = decode_v1(
-            "{\"ok\":true,\"op\":\"characterize\",\"module\":\"ripple_adder_4\",\"input_bits\":8,\"transitions\":1496,\"converged_after\":null,\"source\":\"fresh\"}",
-        )
-        .expect("decodes");
-        assert_eq!(
-            characterize,
-            Response::Characterize(CharacterizeAnswer {
-                input_bits: 8,
-                transitions: 1496,
-                converged_after: None,
-                source: "fresh".into(),
-            })
-        );
-
-        let error = decode_v1(
-            "{\"ok\":false,\"error\":{\"kind\":\"timeout\",\"message\":\"deadline exceeded\"}}",
-        )
-        .expect("decodes");
-        assert_eq!(
-            error,
-            Response::Error {
-                kind: "timeout".into(),
-                message: "deadline exceeded".into(),
-            }
-        );
     }
 }

@@ -83,20 +83,19 @@ impl EnsureGate {
 // --- blocking peer client ----------------------------------------------
 
 /// One blocking v2 exchange with a peer: connect, preamble, one request
-/// frame, one reply frame. `timeout` bounds the connect and each
-/// read/write syscall.
+/// frame, one reply frame; the ok payload comes back. `timeout` bounds
+/// the connect and each read/write syscall.
 ///
 /// # Errors
 ///
-/// A human-readable description of the transport failure; protocol-level
-/// error replies are returned as `Ok((status, message))` for the callers
-/// to classify.
+/// A human-readable description of the transport failure or the peer's
+/// error reply, as the health table shows it.
 fn call_peer(
     addr: SocketAddr,
     op: wire::Opcode,
     payload: &[u8],
     timeout: Duration,
-) -> Result<(u8, Vec<u8>), String> {
+) -> Result<Vec<u8>, String> {
     let mut stream =
         TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
     let _ = stream.set_nodelay(true);
@@ -128,15 +127,12 @@ fn call_peer(
     stream
         .read_exact(&mut reply)
         .map_err(|e| format!("read from {addr}: {e}"))?;
-    Ok((header.op, reply))
-}
-
-/// Render a non-ok reply status into the error string the health table
-/// shows.
-fn status_err(op: &str, status: u8, payload: &[u8]) -> String {
-    let kind = wire::kind_of(status).map_or("unknown", |k| k.as_str());
-    let message = String::from_utf8_lossy(payload);
-    format!("{op} refused ({kind}): {message}")
+    if header.op != wire::STATUS_OK {
+        let kind = wire::kind_of(header.op).map_or("unknown", |k| k.as_str());
+        let message = String::from_utf8_lossy(&reply);
+        return Err(format!("{} refused ({kind}): {message}", op.as_str()));
+    }
+    Ok(reply)
 }
 
 /// Probe whether a peer holds a model (memory or disk).
@@ -150,10 +146,7 @@ fn have_model(
     timeout: Duration,
 ) -> Result<wire::HaveModelReply, String> {
     let payload = wire::encode_spec_request(spec);
-    let (status, reply) = call_peer(addr, wire::Opcode::HaveModel, &payload, timeout)?;
-    if status != wire::STATUS_OK {
-        return Err(status_err("have-model", status, &reply));
-    }
+    let reply = call_peer(addr, wire::Opcode::HaveModel, &payload, timeout)?;
     wire::decode_have_model_reply(&reply)
 }
 
@@ -170,10 +163,7 @@ fn fetch_model(
     timeout: Duration,
 ) -> Result<Option<Vec<u8>>, String> {
     let payload = wire::encode_spec_request(spec);
-    let (status, reply) = call_peer(addr, wire::Opcode::FetchModel, &payload, timeout)?;
-    if status != wire::STATUS_OK {
-        return Err(status_err("fetch-model", status, &reply));
-    }
+    let reply = call_peer(addr, wire::Opcode::FetchModel, &payload, timeout)?;
     Ok((!reply.is_empty()).then_some(reply))
 }
 
@@ -189,12 +179,8 @@ fn forward_characterize(
     spec: ModuleSpec,
     timeout: Duration,
 ) -> Result<(), String> {
-    let payload = wire::encode_characterize_request(&wire::CharacterizeParams { spec });
-    let (status, reply) = call_peer(addr, wire::Opcode::Characterize, &payload, timeout)?;
-    if status != wire::STATUS_OK {
-        return Err(status_err("characterize", status, &reply));
-    }
-    Ok(())
+    let payload = wire::encode_spec_request(spec);
+    call_peer(addr, wire::Opcode::Characterize, &payload, timeout).map(drop)
 }
 
 /// One warm-key gossip exchange: advertise `ours`, learn the peer's
@@ -208,11 +194,12 @@ fn exchange_warm_keys(
     ours: &[ModuleSpec],
     timeout: Duration,
 ) -> Result<Vec<ModuleSpec>, String> {
-    let payload = wire::encode_warm_keys(ours);
-    let (status, reply) = call_peer(addr, wire::Opcode::WarmKeys, &payload, timeout)?;
-    if status != wire::STATUS_OK {
-        return Err(status_err("warm-keys", status, &reply));
-    }
+    let reply = call_peer(
+        addr,
+        wire::Opcode::WarmKeys,
+        &wire::encode_warm_keys(ours),
+        timeout,
+    )?;
     wire::decode_warm_keys(&reply)
 }
 

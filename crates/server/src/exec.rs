@@ -1,0 +1,362 @@
+//! The request core: one executor behind both codecs and every
+//! transport.
+//!
+//! The v1 worker, the v2 batch loop and the `hdpm serve` stdio loop all
+//! decode into the typed [`Request`] and hand it to
+//! [`ExecCtx::execute`], which owns every request-level policy: the
+//! deadline (one limit rule, one message), the default fidelity floor,
+//! cluster routing after every field has resolved, the
+//! ok/error/timeout totals and counters, and the per-stage trace. Only
+//! the framing around it differs: the codecs turn bytes into requests
+//! and responses back into bytes.
+//!
+//! Error precedence, the same on both protocols: `malformed` /
+//! `invalid_utf8` (v1 framing) first, then `timeout`, then
+//! `bad_request`, then `engine`.
+
+use std::path::Path;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use hdpm_core::{Fidelity, PowerEngine};
+use hdpm_netlist::ModuleSpec;
+use hdpm_telemetry as telemetry;
+use hdpm_telemetry::{Stage, TraceCtx};
+
+use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
+use crate::cluster::{self, ClusterRuntime};
+use crate::protocol::{self, ErrorKind, RequestError};
+use crate::server::Totals;
+
+/// What one request runs against: the engine and the transport's
+/// policy, plus the request's arrival time and trace.
+pub(crate) struct ExecCtx<'a> {
+    pub(crate) engine: &'a Arc<PowerEngine>,
+    /// Floor for estimates that name none.
+    pub(crate) default_floor: Fidelity,
+    /// Server-wide deadline; a request's own deadline can only tighten
+    /// it.
+    pub(crate) deadline: Option<Duration>,
+    /// When the request was read off the transport; deadlines count from
+    /// here.
+    pub(crate) arrived: Instant,
+    /// Cluster mode: the runtime and this node's store root.
+    pub(crate) cluster: Option<(&'a ClusterRuntime, &'a Path)>,
+    /// Server totals; `None` on stdio, which counts nothing.
+    pub(crate) totals: Option<&'a Totals>,
+    pub(crate) trace: &'a mut TraceCtx,
+}
+
+/// The outcome of one request.
+pub(crate) struct Executed {
+    /// The answer, or the structured error.
+    pub(crate) response: Response,
+    /// The deadline expired while the request ran: this is the full,
+    /// late answer (v2 labels it [`crate::wire::FLAG_LATE`]).
+    pub(crate) late: bool,
+}
+
+impl Executed {
+    /// `ok`, or the error kind: the trace record's status.
+    pub(crate) fn status(&self) -> &str {
+        match &self.response {
+            Response::Error { kind, .. } => kind,
+            _ => "ok",
+        }
+    }
+}
+
+impl<'a> ExecCtx<'a> {
+    /// The stdio transport's context: no deadline, no cluster, no
+    /// counters.
+    pub(crate) fn stdio(
+        engine: &'a Arc<PowerEngine>,
+        default_floor: Fidelity,
+        trace: &'a mut TraceCtx,
+    ) -> ExecCtx<'a> {
+        ExecCtx {
+            engine,
+            default_floor,
+            deadline: None,
+            arrived: Instant::now(),
+            cluster: None,
+            totals: None,
+            trace,
+        }
+    }
+
+    /// Execute one decoded request. `request` is the codec's outcome:
+    /// the typed request or the error its bytes earned.
+    pub(crate) fn execute(
+        &mut self,
+        request: Result<&Request, &RequestError>,
+        deadline_ms: Option<u64>,
+    ) -> Executed {
+        let (result, late) = match request {
+            // A line that is not JSON has no deadline to honour.
+            Err((kind @ (ErrorKind::Malformed | ErrorKind::InvalidUtf8), message)) => {
+                self.count(false);
+                (Err((*kind, message.clone())), false)
+            }
+            Err(e) => self.guarded(deadline_ms, |_| Err(e.clone())),
+            Ok(request) => self.guarded(deadline_ms, |ctx| ctx.answer(request)),
+        };
+        Executed {
+            response: result.unwrap_or_else(|(kind, message)| Response::Error {
+                kind: kind.as_str().to_string(),
+                message,
+            }),
+            late,
+        }
+    }
+
+    /// Run `body` under the request's deadline and count its outcome.
+    /// A request already past its limit answers `timeout` without
+    /// running; one whose limit expires while it runs returns its full
+    /// result, flagged late. The v2 loop runs its reply-memo hits and
+    /// cluster peer ops through here too.
+    pub(crate) fn guarded<T>(
+        &mut self,
+        deadline_ms: Option<u64>,
+        body: impl FnOnce(&mut Self) -> Result<T, RequestError>,
+    ) -> (Result<T, RequestError>, bool) {
+        let limit = match (self.deadline, deadline_ms.map(Duration::from_millis)) {
+            (Some(server), Some(request)) => Some(server.min(request)),
+            (server, request) => server.or(request),
+        };
+        if let Some(limit) = limit {
+            let waited = self.arrived.elapsed();
+            if waited > limit {
+                if let Some(totals) = self.totals {
+                    totals.timeouts.fetch_add(1, Ordering::Relaxed);
+                    telemetry::counter_add("server.queue.timeout", 1);
+                }
+                let message = format!(
+                    "deadline exceeded: {} ms since arrival, limit {} ms",
+                    waited.as_millis(),
+                    limit.as_millis()
+                );
+                return (Err((ErrorKind::Timeout, message)), false);
+            }
+        }
+        let result = body(self);
+        self.count(result.is_ok());
+        let late = limit.is_some_and(|limit| self.arrived.elapsed() > limit);
+        (result, late)
+    }
+
+    fn count(&self, ok: bool) {
+        let Some(totals) = self.totals else { return };
+        if ok {
+            totals.ok.fetch_add(1, Ordering::Relaxed);
+            telemetry::counter_add("server.request.ok", 1);
+        } else {
+            totals.errors.fetch_add(1, Ordering::Relaxed);
+            telemetry::counter_add("server.request.error", 1);
+        }
+    }
+
+    /// Run a resolved request against the engine.
+    fn answer(&mut self, request: &Request) -> Result<Response, RequestError> {
+        let engine_error = |e: hdpm_core::ModelError| (ErrorKind::Engine, e.to_string());
+        match *request {
+            Request::Estimate {
+                spec,
+                data,
+                cycles,
+                seed,
+                floor,
+            } => {
+                let floor = floor.unwrap_or(self.default_floor);
+                // Below-full floors answer from the local ladder at once;
+                // the upgrade hook routes cluster ownership afterwards.
+                if floor == Fidelity::Full {
+                    self.ensure(spec);
+                }
+                let (m1, _) = spec.width.operand_widths();
+                // The distribution fit is estimation math, so its time
+                // (≈100 µs on a per-thread memo miss) lands in the
+                // estimate stage.
+                let dist = self.trace.time(Stage::Estimate, || {
+                    protocol::input_distribution(
+                        data,
+                        spec.kind.operand_count(),
+                        m1,
+                        cycles as usize,
+                        seed,
+                    )
+                });
+                let estimate = self
+                    .engine
+                    .estimate_at(spec, &dist, floor, self.trace)
+                    .map_err(engine_error)?;
+                Ok(Response::Estimate(EstimateAnswer {
+                    charge_per_cycle: estimate.charge_per_cycle,
+                    via_average: estimate.via_average,
+                    average_hd: estimate.average_hd,
+                    source: estimate.source.as_str().to_string(),
+                    fidelity: estimate.fidelity,
+                    confidence: estimate.confidence,
+                }))
+            }
+            Request::Characterize { spec } => {
+                self.ensure(spec);
+                let (characterization, source) = self
+                    .engine
+                    .fetch_traced(spec, self.trace)
+                    .map_err(engine_error)?;
+                Ok(Response::Characterize(CharacterizeAnswer {
+                    input_bits: characterization.model.input_bits() as u32,
+                    transitions: characterization.transitions as u64,
+                    converged_after: characterization.converged_after.map(|p| p as u64),
+                    source: source.as_str().to_string(),
+                }))
+            }
+            Request::Stats => Ok(Response::Stats(StatsAnswer::from(self.engine.stats()))),
+            Request::Ping => Ok(Response::Pong),
+        }
+    }
+
+    /// Cluster mode: make the model local through its owner before the
+    /// engine would characterize it here.
+    fn ensure(&self, spec: ModuleSpec) {
+        if let Some((rt, root)) = self.cluster {
+            cluster::ensure_model(rt, self.engine, root, spec);
+        }
+    }
+}
+
+/// A request's op name and `module/width` detail, for trace records and
+/// the slow-request log.
+pub(crate) fn describe(request: Option<&Request>) -> (String, String) {
+    let Some(request) = request else {
+        return (String::new(), String::new());
+    };
+    let detail = match request {
+        Request::Estimate { spec, .. } | Request::Characterize { spec } => {
+            format!("{}/{}", spec.kind, spec.width)
+        }
+        Request::Stats | Request::Ping => String::new(),
+    };
+    (request.opcode().as_str().to_string(), detail)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire;
+    use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
+
+    fn quick_engine() -> Arc<PowerEngine> {
+        Arc::new(PowerEngine::new(EngineOptions {
+            config: CharacterizationConfig::builder()
+                .max_patterns(1500)
+                .build()
+                .unwrap(),
+            sharding: Some(ShardingConfig {
+                shards: 4,
+                threads: 1,
+            }),
+            disk_root: None,
+            capacity: 8,
+        }))
+    }
+
+    /// Run one decoded request through a server-shaped context whose
+    /// request arrived `ago` before execution, under `deadline_ms`.
+    fn run(
+        engine: &Arc<PowerEngine>,
+        request: Result<&Request, &RequestError>,
+        deadline_ms: Option<u64>,
+        ago: Duration,
+    ) -> String {
+        let totals = Totals::default();
+        let mut trace = TraceCtx::disabled();
+        let mut ctx = ExecCtx {
+            engine,
+            default_floor: Fidelity::Full,
+            deadline: None,
+            arrived: Instant::now() - ago,
+            cluster: None,
+            totals: Some(&totals),
+            trace: &mut trace,
+        };
+        ctx.execute(request, deadline_ms).status().to_string()
+    }
+
+    /// Error precedence is one rule in one place: framing, then
+    /// timeout, then bad request, then engine — and a request decoded
+    /// from v1 bytes meets the same rule as one decoded from v2 bytes.
+    #[test]
+    fn error_precedence_is_the_same_on_both_protocols() {
+        let engine = quick_engine();
+        let late = Duration::from_millis(50);
+        let v1 = |line: &str| protocol::decode_line(line.as_bytes()).expect("not blank");
+        let v2 = |op: u8, payload: &[u8]| wire::decode_request(op, payload);
+        // A width-1 csa_multiplier is well formed but fails netlist
+        // construction inside the engine.
+        let failing = ModuleSpec::new(hdpm_netlist::ModuleKind::CsaMultiplier, 1);
+        let failing_v2 = wire::encode_spec_request(failing);
+
+        // v1 framing errors come first, even past the deadline.
+        for raw in [&b"not json"[..], &[0xFF, 0xFE][..]] {
+            let decoded = protocol::decode_line(raw).expect("not blank");
+            let status = run(&engine, decoded.request.as_ref(), Some(1), late);
+            assert!(
+                status == "malformed" || status == "invalid_utf8",
+                "{status}"
+            );
+        }
+
+        // Timeout beats bad_request and engine, on both protocols.
+        let bad_v1 = v1("{\"op\":\"estimate\",\"module\":\"warp_core\",\"width\":4}");
+        let bad_v2 = v2(wire::Opcode::Characterize as u8, &[0u8; 2]);
+        let engine_v1 = v1("{\"op\":\"characterize\",\"module\":\"csa_multiplier\",\"width\":1}");
+        let engine_v2 = v2(wire::Opcode::Characterize as u8, &failing_v2);
+        for request in [&bad_v1.request, &bad_v2, &engine_v1.request, &engine_v2] {
+            assert_eq!(run(&engine, request.as_ref(), Some(1), late), "timeout");
+        }
+
+        // Within the deadline: bad_request, then engine.
+        for request in [&bad_v1.request, &bad_v2] {
+            assert_eq!(
+                run(&engine, request.as_ref(), Some(60_000), late),
+                "bad_request"
+            );
+        }
+        assert_eq!(
+            engine_v1.request,
+            Ok(Request::Characterize { spec: failing })
+        );
+        for request in [&engine_v1.request, &engine_v2] {
+            assert_eq!(run(&engine, request.as_ref(), None, late), "engine");
+        }
+    }
+
+    #[test]
+    fn timeouts_and_late_answers_are_counted_once() {
+        let engine = quick_engine();
+        let totals = Totals::default();
+        let mut trace = TraceCtx::disabled();
+        let mut ctx = ExecCtx {
+            engine: &engine,
+            default_floor: Fidelity::Full,
+            deadline: Some(Duration::from_millis(5)),
+            arrived: Instant::now(),
+            cluster: None,
+            totals: Some(&totals),
+            trace: &mut trace,
+        };
+        let done = ctx.guarded(None, |_| {
+            std::thread::sleep(Duration::from_millis(10));
+            Ok(())
+        });
+        assert_eq!(done, (Ok(()), true), "finished past the limit: late");
+        let timed_out = ctx.execute(Ok(&Request::Stats), None);
+        assert_eq!(timed_out.status(), "timeout");
+        assert!(!timed_out.late);
+        let report = totals.report();
+        assert_eq!((report.ok, report.errors, report.timeouts), (1, 0, 1));
+    }
+}

@@ -12,6 +12,10 @@
 //!   compatible with its transcripts ([`protocol`] is the single source
 //!   of truth for both transports), replies in request order.
 //!
+//! Both codecs decode into the typed [`client::Request`] and encode from
+//! the typed [`client::Response`]; one request core executes every
+//! request, whichever protocol (or `hdpm serve` on stdio) carried it.
+//!
 //! The [`Server`] is built for sustained load:
 //!
 //! * a **fixed reactor pool** multiplexes every connection over epoll
@@ -23,9 +27,9 @@
 //!   characterization);
 //! * **load shedding**: a full queue answers `overloaded` immediately
 //!   instead of growing an unbounded backlog;
-//! * **deadlines**: v1 requests that out-wait their limit in the queue
-//!   earn a structured `timeout` reply; v2 deadlines are in-band per
-//!   frame and cover decode → write, with late completions labeled
+//! * **deadlines**: a request that out-waits its limit before execution
+//!   earns a structured `timeout` reply (the limit rides in-band per v2
+//!   frame, in a field on v1); late v2 completions are labeled
 //!   ([`wire::FLAG_LATE`]) instead of discarded;
 //! * **connection hygiene**: idle reaping, write timeouts that
 //!   disconnect slow readers, and malformed input that never tears the
@@ -67,6 +71,7 @@ mod admin;
 pub mod client;
 mod cluster;
 mod config;
+mod exec;
 pub mod protocol;
 mod queue;
 mod reactor;

@@ -1,5 +1,5 @@
-//! The JSON-lines request/reply codec shared by `hdpm serve` (stdin) and
-//! `hdpm server` (TCP) — one source of truth for the wire format.
+//! Protocol v1: the JSON-lines codec, shared by `hdpm serve` (stdin),
+//! `hdpm server` (TCP) and the typed [`crate::client`].
 //!
 //! One request per line, one reply per line. Three operations:
 //!
@@ -9,6 +9,9 @@
 //!   into the cache and report where it came from;
 //! * `{"op":"stats"}` — the engine's counter snapshot.
 //!
+//! Lines decode into the typed [`Request`] and replies encode from the
+//! typed [`Response`]; execution is the server's one request core
+//! (`exec.rs`), which the v2 codec ([`crate::wire`]) feeds as well.
 //! Every failure produces a structured reply
 //! `{"ok":false,"error":{"kind":"<kind>","message":"<detail>"}}` and never
 //! tears the transport down; [`ErrorKind`] enumerates the kinds. Blank
@@ -16,18 +19,19 @@
 //! fixture: both transports must replay it byte-identically
 //! (`crates/server/tests/golden.rs`).
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use hdpm_core::{Fidelity, PowerEngine};
 use hdpm_datamodel::{region_model, HdDistribution, WordModel};
-use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_streams::{DataType, ALL_DATA_TYPES};
-use hdpm_telemetry::{Stage, TraceCtx};
+use hdpm_telemetry::TraceCtx;
 use serde::{Deserialize, Value};
 
-/// Every module kind the protocol accepts, in `hdpm list` order.
-pub const ALL_MODULE_KINDS: [ModuleKind; 14] = ModuleKind::ALL;
+use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
+use crate::exec::ExecCtx;
 
 /// Resolve a module kind by its wire id.
 ///
@@ -51,74 +55,40 @@ pub fn data_type(name: &str) -> Result<DataType, String> {
         .ok_or_else(|| format!("unknown data type `{name}`"))
 }
 
-/// One parsed request line. Unknown keys are ignored; absent optional
-/// keys fall back to the same defaults as the batch subcommands.
-#[derive(Debug, Deserialize)]
-pub struct Request {
-    /// Operation: `estimate`, `characterize` or `stats`.
-    pub op: String,
-    /// Module kind id (required by `estimate`/`characterize`).
-    pub module: Option<String>,
-    /// First operand width (required by `estimate`/`characterize`).
-    pub width: Option<usize>,
-    /// Second operand width for rectangular modules.
-    pub width2: Option<usize>,
-    /// Data type of the operand streams (default `random`).
-    pub data: Option<String>,
-    /// Stream length in cycles (default 2000).
-    pub cycles: Option<usize>,
-    /// Stream generator seed (default 7).
-    pub seed: Option<u64>,
-    /// Per-request deadline in milliseconds, honoured by the TCP server
-    /// (capped by the server's own deadline); ignored on stdin.
-    pub deadline_ms: Option<u64>,
-    /// Minimum acceptable fidelity tier for `estimate` (`analytic`,
-    /// `regressed` or `full`); absent = the transport's default floor
-    /// (`full` on stdin, the `--fidelity-floor` flag on the TCP server).
-    pub fidelity_floor: Option<String>,
-}
-
-/// Resolve a request's effective fidelity floor against the transport
-/// default.
-///
-/// # Errors
-///
-/// [`ErrorKind::BadRequest`] naming an unknown floor spelling.
-pub fn effective_floor(request: &Request, default: Fidelity) -> Result<Fidelity, RequestError> {
-    match request.fidelity_floor.as_deref() {
-        None => Ok(default),
-        Some(text) => Fidelity::parse(text).ok_or_else(|| {
-            (
-                ErrorKind::BadRequest,
-                format!("unknown fidelity floor `{text}` (expected analytic, regressed or full)"),
-            )
-        }),
-    }
-}
-
 /// Classification of a failed request, carried on the wire as
-/// `error.kind`. The full failure-semantics table is in `docs/server.md`.
+/// `error.kind` (v1) or as the reply status byte, the discriminant (v2).
+/// The full failure-semantics table is in `docs/server.md`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrorKind {
     /// The line was not valid JSON.
-    Malformed,
+    Malformed = 1,
     /// The line was not valid UTF-8.
-    InvalidUtf8,
+    InvalidUtf8 = 2,
     /// Valid JSON that is not a valid request (unknown op, missing or
     /// unresolvable fields).
-    BadRequest,
+    BadRequest = 3,
     /// The engine failed to serve the request (netlist construction,
     /// characterization, width mismatch, corrupt artifact ...).
-    Engine,
+    Engine = 4,
     /// The server shed the request: queue full, connection limit, or
     /// draining. Never emitted by the stdin transport.
-    Overloaded,
+    Overloaded = 5,
     /// The request's deadline expired before a worker reached it. Never
     /// emitted by the stdin transport.
-    Timeout,
+    Timeout = 6,
 }
 
 impl ErrorKind {
+    pub(crate) const ALL: [ErrorKind; 6] = [
+        ErrorKind::Malformed,
+        ErrorKind::InvalidUtf8,
+        ErrorKind::BadRequest,
+        ErrorKind::Engine,
+        ErrorKind::Overloaded,
+        ErrorKind::Timeout,
+    ];
+
     /// The lower-case wire name.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -130,19 +100,24 @@ impl ErrorKind {
             ErrorKind::Timeout => "timeout",
         }
     }
+
+    /// Inverse of [`ErrorKind::as_str`].
+    pub fn parse(text: &str) -> Option<ErrorKind> {
+        ErrorKind::ALL.into_iter().find(|k| k.as_str() == text)
+    }
 }
 
 /// A failed request: kind plus human-readable detail.
 pub type RequestError = (ErrorKind, String);
 
-/// Build the structured error reply value for a failed request.
-pub fn error_value(kind: ErrorKind, message: &str) -> Value {
+/// The structured error reply object: `{"ok":false,"error":{...}}`.
+fn error_object(kind: &str, message: &str) -> Value {
     Value::Object(vec![
         ("ok".into(), Value::Bool(false)),
         (
             "error".into(),
             Value::Object(vec![
-                ("kind".into(), Value::Str(kind.as_str().into())),
+                ("kind".into(), Value::Str(kind.into())),
                 ("message".into(), Value::Str(message.into())),
             ]),
         ),
@@ -154,36 +129,17 @@ pub fn render(reply: &Value) -> String {
     serde_json::to_string(reply).expect("reply values always serialize")
 }
 
-/// [`error_value`] pre-rendered to its wire line.
+/// The structured error reply for a failed request, rendered to its
+/// wire line.
 pub fn error_line(kind: ErrorKind, message: &str) -> String {
-    render(&error_value(kind, message))
+    render(&error_object(kind.as_str(), message))
 }
 
-/// Append the trace id to a reply value (`"trace":"t…"`), so clients can
-/// join a reply against the server's flight recorder and slow-request
-/// log. The TCP server attaches this to every reply when tracing is on;
-/// the stdin transport never does (its golden transcript is id-free).
-pub fn attach_trace(reply: &mut Value, trace_id: &str) {
-    if let Value::Object(fields) = reply {
-        fields.push(("trace".into(), Value::Str(trace_id.into())));
-    }
-}
-
-/// [`attach_trace`] applied to an already-rendered reply line: splices
-/// `,"trace":"t…"` in before the closing brace. Byte-identical to
-/// attaching before rendering (trace ids never need escaping), without
-/// re-walking the value — the server's warm path uses this.
-pub fn append_trace(line: &mut String, trace_id: &str) {
-    debug_assert!(line.ends_with('}'), "replies are JSON objects: {line}");
-    line.truncate(line.len() - 1);
-    line.reserve(trace_id.len() + 12);
-    line.push_str(",\"trace\":\"");
-    line.push_str(trace_id);
-    line.push_str("\"}");
-}
-
-/// [`append_trace`] from the raw 64-bit id: renders the `t…` form
-/// straight into the line, skipping the intermediate id string.
+/// Append the trace id to a rendered reply line: splices
+/// `,"trace":"t…"` in before the closing brace, so clients can join a
+/// reply against the server's flight recorder and slow-request log. The
+/// TCP server does this for every reply when tracing is on; the stdin
+/// transport never does (its golden transcript is id-free).
 pub fn append_trace_id(line: &mut String, id: u64) {
     debug_assert!(line.ends_with('}'), "replies are JSON objects: {line}");
     line.truncate(line.len() - 1);
@@ -193,14 +149,43 @@ pub fn append_trace_id(line: &mut String, id: u64) {
     line.push_str("\"}");
 }
 
-/// Decode one raw line into a [`Request`], classifying failures. Returns
-/// `Ok(None)` for blank lines (no reply is owed).
+/// The JSON shape of a request line. Unknown keys are ignored; absent
+/// optional keys fall back to the same defaults as the batch
+/// subcommands.
+#[derive(Debug, Deserialize)]
+struct Line {
+    op: String,
+    module: Option<String>,
+    width: Option<usize>,
+    width2: Option<usize>,
+    data: Option<String>,
+    cycles: Option<usize>,
+    seed: Option<u64>,
+    deadline_ms: Option<u64>,
+    fidelity_floor: Option<String>,
+}
+
+/// One decoded request line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decoded {
+    /// The typed request, or the `bad_request` its fields earn (unknown
+    /// op, missing or unresolvable fields). Kept apart from the framing
+    /// errors of [`decode`] so a request past its deadline answers
+    /// `timeout` before its field errors, as on v2.
+    pub request: Result<Request, RequestError>,
+    /// Per-request deadline in milliseconds, honoured by the TCP server
+    /// (capped by the server's own deadline); ignored on stdin.
+    pub deadline_ms: Option<u64>,
+}
+
+/// Decode one raw line, classifying failures. Returns `Ok(None)` for
+/// blank lines (no reply is owed).
 ///
 /// # Errors
 ///
 /// [`ErrorKind::InvalidUtf8`] for non-UTF-8 bytes, [`ErrorKind::Malformed`]
 /// for invalid JSON or a shape mismatch.
-pub fn decode(raw: &[u8]) -> Result<Option<Request>, RequestError> {
+pub fn decode(raw: &[u8]) -> Result<Option<Decoded>, RequestError> {
     let text = std::str::from_utf8(raw).map_err(|_| {
         (
             ErrorKind::InvalidUtf8,
@@ -210,147 +195,330 @@ pub fn decode(raw: &[u8]) -> Result<Option<Request>, RequestError> {
     if text.trim().is_empty() {
         return Ok(None);
     }
-    serde_json::from_str::<Request>(text)
-        .map(Some)
-        .map_err(|e| (ErrorKind::Malformed, format!("malformed request: {e}")))
+    let line: Line = serde_json::from_str(text)
+        .map_err(|e| (ErrorKind::Malformed, format!("malformed request: {e}")))?;
+    Ok(Some(Decoded {
+        request: line.resolve(),
+        deadline_ms: line.deadline_ms,
+    }))
 }
 
-/// Execute a decoded request against the engine.
-///
-/// # Errors
-///
-/// [`ErrorKind::BadRequest`] for unresolvable request fields,
-/// [`ErrorKind::Engine`] for engine failures.
-pub fn handle(engine: &Arc<PowerEngine>, request: &Request) -> Result<Value, RequestError> {
-    handle_traced(engine, request, &mut TraceCtx::disabled())
+/// [`decode`] with its framing errors folded into the [`Decoded`]
+/// request, the form the request core takes. `None` for blank lines.
+pub(crate) fn decode_line(raw: &[u8]) -> Option<Decoded> {
+    decode(raw).unwrap_or_else(|e| {
+        Some(Decoded {
+            request: Err(e),
+            deadline_ms: None,
+        })
+    })
 }
 
-/// [`handle`] with per-stage timing recorded into `trace`: the engine
-/// stages (see `PowerEngine::fetch_traced`) plus the input-distribution
-/// fit, attributed to [`Stage::Estimate`].
-///
-/// # Errors
-///
-/// As for [`handle`].
-pub fn handle_traced(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    handle_traced_with_floor(engine, request, Fidelity::Full, trace)
-}
+impl Line {
+    fn resolve(&self) -> Result<Request, RequestError> {
+        let bad = |message: String| (ErrorKind::BadRequest, message);
+        match self.op.as_str() {
+            "estimate" => {
+                let spec = self.spec()?;
+                let floor = match self.fidelity_floor.as_deref() {
+                    None => None,
+                    Some(text) => Some(Fidelity::parse(text).ok_or_else(|| {
+                        bad(format!(
+                            "unknown fidelity floor `{text}` (expected analytic, regressed or full)"
+                        ))
+                    })?),
+                };
+                let data = data_type(self.data.as_deref().unwrap_or("random")).map_err(bad)?;
+                let cycles = self.cycles.unwrap_or(2000);
+                let cycles = u32::try_from(cycles)
+                    .map_err(|_| bad(format!("cycles {cycles} out of range")))?;
+                Ok(Request::Estimate {
+                    spec,
+                    data,
+                    cycles,
+                    seed: self.seed.unwrap_or(7),
+                    floor,
+                })
+            }
+            "characterize" => Ok(Request::Characterize { spec: self.spec()? }),
+            "stats" => Ok(Request::Stats),
+            other => Err(bad(format!(
+                "unknown op `{other}` (expected estimate, characterize or stats)"
+            ))),
+        }
+    }
 
-/// [`handle_traced`] under a transport-level default fidelity floor
-/// (overridable per request via `fidelity_floor`). The TCP server passes
-/// its `--fidelity-floor`; the stdin transport always defaults to
-/// `full`, keeping its golden transcript semantics.
-///
-/// # Errors
-///
-/// As for [`handle`].
-pub fn handle_traced_with_floor(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    default_floor: Fidelity,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    match request.op.as_str() {
-        "estimate" => op_estimate(engine, request, default_floor, trace),
-        "characterize" => op_characterize(engine, request, trace),
-        "stats" => Ok(op_stats(engine)),
-        other => Err((
-            ErrorKind::BadRequest,
-            format!("unknown op `{other}` (expected estimate, characterize or stats)"),
-        )),
+    fn spec(&self) -> Result<ModuleSpec, RequestError> {
+        let bad = |message: String| (ErrorKind::BadRequest, message);
+        let name = self
+            .module
+            .as_deref()
+            .ok_or_else(|| bad("missing field `module`".into()))?;
+        let kind = module_kind(name).map_err(bad)?;
+        let width = self
+            .width
+            .ok_or_else(|| bad("missing field `width`".into()))?;
+        let width = match self.width2 {
+            Some(w2) => ModuleWidth::Rect(width, w2),
+            None => ModuleWidth::Uniform(width),
+        };
+        Ok(ModuleSpec::new(kind, width))
     }
 }
 
-/// A short human-readable handle on what a request asked for, used in
-/// trace records and the slow-request log: `module/width` (or
-/// `module/w1xw2`) when present, empty otherwise.
-pub fn request_detail(request: &Request) -> String {
-    let Some(module) = request.module.as_deref() else {
-        return String::new();
-    };
-    match (request.width, request.width2) {
-        (Some(w1), Some(w2)) => format!("{module}/{w1}x{w2}"),
-        (Some(w1), None) => format!("{module}/{w1}"),
-        _ => module.to_string(),
-    }
-}
-
-/// Decode and execute one raw line, rendering the reply. Returns `None`
-/// for blank lines. This is the single entry point both transports call.
-pub fn handle_line(engine: &Arc<PowerEngine>, raw: &[u8]) -> Option<String> {
-    handle_line_with_floor(engine, raw, Fidelity::Full)
-}
-
-/// [`handle_line`] under a transport-level default fidelity floor.
-pub fn handle_line_with_floor(
-    engine: &Arc<PowerEngine>,
-    raw: &[u8],
-    default_floor: Fidelity,
-) -> Option<String> {
-    let reply = match decode(raw) {
-        Ok(None) => return None,
-        Ok(Some(request)) => {
-            match handle_traced_with_floor(
-                engine,
-                &request,
-                default_floor,
-                &mut TraceCtx::disabled(),
-            ) {
-                Ok(reply) => reply,
-                Err((kind, message)) => error_value(kind, &message),
+/// Encode a request as its JSON line (without the newline), the inverse
+/// of [`decode`]. `None` for [`Request::Ping`], which v1 cannot express.
+pub fn encode_request(request: &Request, deadline_ms: Option<u64>) -> Option<String> {
+    let mut line = String::with_capacity(96);
+    match request {
+        Request::Estimate {
+            spec,
+            data,
+            cycles,
+            seed,
+            floor,
+        } => {
+            write!(
+                line,
+                "{{\"op\":\"estimate\",\"module\":\"{}\"{},\"data\":\"{}\",\"cycles\":{cycles},\"seed\":{seed}",
+                spec.kind,
+                width_fields(spec.width),
+                data.name(),
+            )
+            .expect("write to string");
+            if let Some(floor) = floor {
+                write!(line, ",\"fidelity_floor\":\"{floor}\"").expect("write to string");
             }
         }
-        Err((kind, message)) => error_value(kind, &message),
-    };
-    Some(render(&reply))
+        Request::Characterize { spec } => {
+            write!(
+                line,
+                "{{\"op\":\"characterize\",\"module\":\"{}\"{}",
+                spec.kind,
+                width_fields(spec.width),
+            )
+            .expect("write to string");
+        }
+        Request::Stats => line.push_str("{\"op\":\"stats\""),
+        Request::Ping => return None,
+    }
+    if let Some(ms) = deadline_ms {
+        write!(line, ",\"deadline_ms\":{ms}").expect("write to string");
+    }
+    line.push('}');
+    Some(line)
+}
+
+fn width_fields(width: ModuleWidth) -> String {
+    match width {
+        ModuleWidth::Uniform(w) => format!(",\"width\":{w}"),
+        ModuleWidth::Rect(m1, m2) => format!(",\"width\":{m1},\"width2\":{m2}"),
+    }
+}
+
+/// The reply object answering `request` with `response`. Estimate and
+/// characterize replies echo the request's module (and data type);
+/// error replies ignore the request, which is `None` when it never
+/// decoded.
+pub fn reply_value(request: Option<&Request>, response: &Response) -> Value {
+    match (response, request) {
+        (Response::Estimate(a), Some(Request::Estimate { spec, data, .. })) => ok_object(
+            "estimate",
+            [
+                ("module", Value::Str(spec.to_string())),
+                ("data", Value::Str(data.to_string())),
+                ("charge_per_cycle", Value::Float(a.charge_per_cycle)),
+                ("via_average", Value::Float(a.via_average)),
+                ("average_hd", Value::Float(a.average_hd)),
+                ("source", Value::Str(a.source.clone())),
+                ("fidelity", Value::Str(a.fidelity.as_str().into())),
+                ("confidence", Value::Float(a.confidence)),
+            ],
+        ),
+        (Response::Characterize(c), Some(Request::Characterize { spec })) => ok_object(
+            "characterize",
+            [
+                ("module", Value::Str(spec.to_string())),
+                ("input_bits", Value::Int(i64::from(c.input_bits))),
+                ("transitions", Value::Int(c.transitions as i64)),
+                (
+                    "converged_after",
+                    c.converged_after
+                        .map_or(Value::Null, |p| Value::Int(p as i64)),
+                ),
+                ("source", Value::Str(c.source.clone())),
+                ("fidelity", Value::Str(Fidelity::Full.as_str().into())),
+            ],
+        ),
+        (Response::Stats(s), _) => ok_object(
+            "stats",
+            stats_fields(s).map(|(name, v)| (name, Value::Int(v as i64))),
+        ),
+        (Response::Pong, _) => ok_object("ping", []),
+        (Response::Error { kind, message }, _) => error_object(kind, message),
+        (answer, _) => unreachable!("{answer:?} does not answer {request:?}"),
+    }
+}
+
+fn ok_object<const N: usize>(op: &str, fields: [(&str, Value); N]) -> Value {
+    let mut object = Vec::with_capacity(N + 2);
+    object.push(("ok".into(), Value::Bool(true)));
+    object.push(("op".into(), Value::Str(op.into())));
+    object.extend(fields.map(|(key, value)| (key.to_string(), value)));
+    Value::Object(object)
+}
+
+/// A stats answer's fields in wire order (v1 key names; v2 takes the
+/// same order).
+pub(crate) fn stats_fields(s: &StatsAnswer) -> [(&'static str, u64); 12] {
+    [
+        ("entries", s.entries),
+        ("capacity", s.capacity),
+        ("hits", s.hits),
+        ("misses", s.misses),
+        ("evictions", s.evictions),
+        ("disk_hits", s.disk_hits),
+        ("characterizations", s.characterizations),
+        ("coalesced", s.coalesced),
+        ("inflight", s.inflight),
+        ("analytic_served", s.analytic_served),
+        ("regressed_served", s.regressed_served),
+        ("upgrades_done", s.upgrades_done),
+    ]
+}
+
+/// Decode a reply line into a [`Response`], the inverse of
+/// [`reply_value`] + [`render`]. The module and data echoes are not part
+/// of the typed answer and are not checked.
+///
+/// # Errors
+///
+/// A message naming what is wrong with the line (bad JSON, missing or
+/// mistyped field, unknown op or fidelity).
+pub fn decode_reply(line: &str) -> Result<Response, String> {
+    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad v1 reply JSON: {e}"))?;
+    let ok = value
+        .get("ok")
+        .and_then(Value::as_bool)
+        .ok_or("v1 reply without `ok`")?;
+    if !ok {
+        let error = value.get("error").cloned().unwrap_or(Value::Null);
+        return Ok(Response::Error {
+            kind: str_field(&error, "kind").unwrap_or_else(|_| "unknown".into()),
+            message: str_field(&error, "message").unwrap_or_default(),
+        });
+    }
+    match value.get("op").and_then(Value::as_str) {
+        Some("estimate") => {
+            let fidelity = str_field(&value, "fidelity")?;
+            Ok(Response::Estimate(EstimateAnswer {
+                charge_per_cycle: f64_field(&value, "charge_per_cycle")?,
+                via_average: f64_field(&value, "via_average")?,
+                average_hd: f64_field(&value, "average_hd")?,
+                source: str_field(&value, "source")?,
+                fidelity: Fidelity::parse(&fidelity)
+                    .ok_or_else(|| format!("unknown fidelity `{fidelity}`"))?,
+                confidence: f64_field(&value, "confidence")?,
+            }))
+        }
+        Some("characterize") => Ok(Response::Characterize(CharacterizeAnswer {
+            input_bits: u32::try_from(u64_field(&value, "input_bits")?)
+                .map_err(|_| "input_bits out of range".to_string())?,
+            transitions: u64_field(&value, "transitions")?,
+            converged_after: match value.get("converged_after") {
+                None | Some(Value::Null) => None,
+                Some(v) => Some(v.as_u64().ok_or("non-integer converged_after")?),
+            },
+            source: str_field(&value, "source")?,
+        })),
+        Some("stats") => {
+            let mut fields = [0u64; 12];
+            for (slot, (name, _)) in fields.iter_mut().zip(stats_fields(&StatsAnswer::default())) {
+                *slot = u64_field(&value, name)?;
+            }
+            Ok(Response::Stats(StatsAnswer::from_fields(fields)))
+        }
+        Some("ping") => Ok(Response::Pong),
+        other => Err(format!("v1 reply with unexpected op {other:?}")),
+    }
+}
+
+fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
+    value
+        .get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("v1 reply missing number `{key}`"))
+}
+
+fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
+    value
+        .get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("v1 reply missing integer `{key}`"))
+}
+
+fn str_field(value: &Value, key: &str) -> Result<String, String> {
+    value
+        .get(key)
+        .and_then(Value::as_str)
+        .map(str::to_string)
+        .ok_or_else(|| format!("v1 reply missing string `{key}`"))
+}
+
+/// Execute a decoded line with the stdin transport's defaults (floor
+/// `full`, no deadline, no cluster) and build its reply value.
+///
+/// # Errors
+///
+/// The request's `bad_request`, or [`ErrorKind::Engine`] for engine
+/// failures.
+pub fn handle(engine: &Arc<PowerEngine>, decoded: &Decoded) -> Result<Value, RequestError> {
+    let request = decoded.request.as_ref().map_err(Clone::clone)?;
+    let mut trace = TraceCtx::disabled();
+    let done = ExecCtx::stdio(engine, Fidelity::Full, &mut trace).execute(Ok(request), None);
+    match done.response {
+        Response::Error { kind, message } => Err((
+            ErrorKind::parse(&kind).expect("the request core emits known kinds"),
+            message,
+        )),
+        response => Ok(reply_value(Some(request), &response)),
+    }
 }
 
 /// The request/reply loop over byte streams: `hdpm serve`'s engine room,
 /// also driven in-memory by tests and the golden-transcript replay.
 /// Reads raw bytes (not [`BufRead::lines`]) so invalid UTF-8 yields a
 /// structured reply instead of an `io::Error` that would end the loop.
-/// The default fidelity floor is `full`, preserving the golden
-/// transcript; [`serve_lines_with_floor`] lowers it.
+/// `floor` is the default fidelity floor for estimates that name none
+/// (`full` preserves the golden transcript); per-request deadlines are
+/// ignored.
 ///
 /// # Errors
 ///
 /// Only transport failures (reading input, writing output) end the loop.
 pub fn serve_lines<R: BufRead, W: Write>(
     engine: &Arc<PowerEngine>,
-    input: R,
-    output: W,
-) -> std::io::Result<()> {
-    serve_lines_with_floor(engine, Fidelity::Full, input, output)
-}
-
-/// [`serve_lines`] with a transport-level default fidelity floor — the
-/// engine room of `hdpm serve --fidelity-floor`.
-///
-/// # Errors
-///
-/// Only transport failures (reading input, writing output) end the loop.
-pub fn serve_lines_with_floor<R: BufRead, W: Write>(
-    engine: &Arc<PowerEngine>,
-    default_floor: Fidelity,
+    floor: Fidelity,
     mut input: R,
     mut output: W,
 ) -> std::io::Result<()> {
     let _span = hdpm_telemetry::span("serve.loop");
+    let mut trace = TraceCtx::disabled();
     let mut raw = Vec::new();
     loop {
         raw.clear();
         if input.read_until(b'\n', &mut raw)? == 0 {
             return Ok(());
         }
-        if let Some(reply) = handle_line_with_floor(engine, trim_line(&raw), default_floor) {
-            output.write_all(reply.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-        }
+        let Some(decoded) = decode_line(trim_line(&raw)) else {
+            continue;
+        };
+        let request = decoded.request.as_ref();
+        let done = ExecCtx::stdio(engine, floor, &mut trace).execute(request, None);
+        let reply = render(&reply_value(request.ok(), &done.response));
+        output.write_all(reply.as_bytes())?;
+        output.write_all(b"\n")?;
+        output.flush()?;
     }
 }
 
@@ -358,38 +526,6 @@ pub fn serve_lines_with_floor<R: BufRead, W: Write>(
 pub fn trim_line(raw: &[u8]) -> &[u8] {
     let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
     raw.strip_suffix(b"\r").unwrap_or(raw)
-}
-
-/// The module spec a request addresses, when its op has one and the
-/// fields resolve — the cluster ensure-model hook keys on this before
-/// the request reaches the engine. Unresolvable requests return `None`
-/// and fail later with their usual structured error.
-pub(crate) fn request_spec(request: &Request) -> Option<ModuleSpec> {
-    match request.op.as_str() {
-        "estimate" | "characterize" => spec_of(request).ok(),
-        _ => None,
-    }
-}
-
-fn spec_of(request: &Request) -> Result<ModuleSpec, RequestError> {
-    let bad = |message: String| (ErrorKind::BadRequest, message);
-    let name = request
-        .module
-        .as_deref()
-        .ok_or_else(|| bad("missing field `module`".into()))?;
-    let kind = module_kind(name).map_err(bad)?;
-    let width = request
-        .width
-        .ok_or_else(|| bad("missing field `width`".into()))?;
-    let width = match request.width2 {
-        Some(w2) => hdpm_netlist::ModuleWidth::Rect(width, w2),
-        None => hdpm_netlist::ModuleWidth::Uniform(width),
-    };
-    Ok(ModuleSpec::new(kind, width))
-}
-
-fn engine_error(e: impl std::fmt::Display) -> RequestError {
-    (ErrorKind::Engine, e.to_string())
 }
 
 /// The analytic §6.3 input distribution: generate the named operand
@@ -454,138 +590,11 @@ pub(crate) fn input_distribution(
     })
 }
 
-fn op_estimate(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    default_floor: Fidelity,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    let spec = spec_of(request)?;
-    let floor = effective_floor(request, default_floor)?;
-    let dt = data_type(request.data.as_deref().unwrap_or("random"))
-        .map_err(|m| (ErrorKind::BadRequest, m))?;
-    let cycles = request.cycles.unwrap_or(2000);
-    let seed = request.seed.unwrap_or(7);
-
-    let (m1, _) = spec.width.operand_widths();
-    // The distribution fit is estimation math, so its time (≈100 µs on a
-    // per-thread memo miss) lands in the estimate stage.
-    let dist = trace.time(Stage::Estimate, || {
-        input_distribution(dt, spec.kind.operand_count(), m1, cycles, seed)
-    });
-
-    let estimate = engine
-        .estimate_with_floor_traced(spec, &dist, floor, trace)
-        .map_err(engine_error)?;
-    Ok(Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::Str("estimate".into())),
-        ("module".into(), Value::Str(spec.to_string())),
-        ("data".into(), Value::Str(dt.to_string())),
-        (
-            "charge_per_cycle".into(),
-            Value::Float(estimate.charge_per_cycle),
-        ),
-        ("via_average".into(), Value::Float(estimate.via_average)),
-        ("average_hd".into(), Value::Float(estimate.average_hd)),
-        ("source".into(), Value::Str(estimate.source.as_str().into())),
-        (
-            "fidelity".into(),
-            Value::Str(estimate.fidelity.as_str().into()),
-        ),
-        ("confidence".into(), Value::Float(estimate.confidence)),
-    ]))
-}
-
-fn op_characterize(
-    engine: &Arc<PowerEngine>,
-    request: &Request,
-    trace: &mut TraceCtx,
-) -> Result<Value, RequestError> {
-    let spec = spec_of(request)?;
-    let (characterization, source) = engine.fetch_traced(spec, trace).map_err(engine_error)?;
-    Ok(Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::Str("characterize".into())),
-        ("module".into(), Value::Str(spec.to_string())),
-        (
-            "input_bits".into(),
-            Value::Int(characterization.model.input_bits() as i64),
-        ),
-        (
-            "transitions".into(),
-            Value::Int(characterization.transitions as i64),
-        ),
-        (
-            "converged_after".into(),
-            match characterization.converged_after {
-                Some(patterns) => Value::Int(patterns as i64),
-                None => Value::Null,
-            },
-        ),
-        ("source".into(), Value::Str(source.as_str().into())),
-        (
-            "fidelity".into(),
-            Value::Str(Fidelity::Full.as_str().into()),
-        ),
-    ]))
-}
-
-fn op_stats(engine: &Arc<PowerEngine>) -> Value {
-    let stats = engine.stats();
-    Value::Object(vec![
-        ("ok".into(), Value::Bool(true)),
-        ("op".into(), Value::Str("stats".into())),
-        ("entries".into(), Value::Int(stats.entries as i64)),
-        ("capacity".into(), Value::Int(stats.capacity as i64)),
-        ("hits".into(), Value::Int(stats.hits as i64)),
-        ("misses".into(), Value::Int(stats.misses as i64)),
-        ("evictions".into(), Value::Int(stats.evictions as i64)),
-        ("disk_hits".into(), Value::Int(stats.disk_hits as i64)),
-        (
-            "characterizations".into(),
-            Value::Int(stats.characterizations as i64),
-        ),
-        ("coalesced".into(), Value::Int(stats.coalesced as i64)),
-        ("inflight".into(), Value::Int(stats.inflight as i64)),
-        (
-            "analytic_served".into(),
-            Value::Int(stats.analytic_served as i64),
-        ),
-        (
-            "regressed_served".into(),
-            Value::Int(stats.regressed_served as i64),
-        ),
-        (
-            "upgrades_done".into(),
-            Value::Int(stats.upgrades_done as i64),
-        ),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
-
-    #[test]
-    fn append_trace_matches_attach_then_render() {
-        let id = "t00c0ffee00c0ffee";
-        for value in [
-            error_value(ErrorKind::Timeout, "deadline exceeded: queued 9 ms"),
-            Value::Object(vec![
-                ("ok".into(), Value::Bool(true)),
-                ("op".into(), Value::Str("stats".into())),
-                ("entries".into(), Value::UInt(3)),
-            ]),
-        ] {
-            let mut attached = value.clone();
-            attach_trace(&mut attached, id);
-            let mut spliced = render(&value);
-            append_trace(&mut spliced, id);
-            assert_eq!(spliced, render(&attached));
-        }
-    }
+    use hdpm_netlist::ModuleKind;
 
     fn quick_engine() -> Arc<PowerEngine> {
         Arc::new(PowerEngine::new(EngineOptions {
@@ -604,7 +613,7 @@ mod tests {
 
     fn run(engine: &Arc<PowerEngine>, script: &[u8]) -> Vec<String> {
         let mut out = Vec::new();
-        serve_lines(engine, script, &mut out).unwrap();
+        serve_lines(engine, Fidelity::Full, script, &mut out).unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()
@@ -769,5 +778,130 @@ mod tests {
         for field in ["analytic_served", "regressed_served", "upgrades_done"] {
             assert!(replies[0].contains(field), "{}", replies[0]);
         }
+    }
+
+    #[test]
+    fn v1_estimate_line_decodes_as_a_protocol_request() {
+        let request = Request::Estimate {
+            spec: ModuleSpec::new(ModuleKind::CsaMultiplier, ModuleWidth::Rect(6, 4)),
+            data: data_type("speech").expect("known type"),
+            cycles: 1500,
+            seed: 11,
+            floor: Some(Fidelity::Analytic),
+        };
+        let line = encode_request(&request, Some(250)).expect("encodable");
+        assert_eq!(
+            line,
+            "{\"op\":\"estimate\",\"module\":\"csa_multiplier\",\"width\":6,\"width2\":4,\"data\":\"speech\",\"cycles\":1500,\"seed\":11,\"fidelity_floor\":\"analytic\",\"deadline_ms\":250}"
+        );
+        assert_eq!(
+            decode(line.as_bytes()).expect("decodes"),
+            Some(Decoded {
+                request: Ok(request),
+                deadline_ms: Some(250),
+            })
+        );
+
+        // No floor named → no field on the wire (server default applies).
+        let line = encode_request(
+            &Request::Estimate {
+                spec: ModuleSpec::new(ModuleKind::RippleAdder, 8),
+                data: data_type("random").expect("known type"),
+                cycles: 500,
+                seed: 1,
+                floor: None,
+            },
+            None,
+        )
+        .expect("encodable");
+        assert!(!line.contains("fidelity_floor"), "{line}");
+    }
+
+    #[test]
+    fn v1_characterize_and_stats_lines_decode() {
+        for request in [
+            Request::Characterize {
+                spec: ModuleSpec::new(ModuleKind::RippleAdder, 8),
+            },
+            Request::Stats,
+        ] {
+            let line = encode_request(&request, None).expect("encodable");
+            let decoded = decode(line.as_bytes())
+                .expect("decodes")
+                .expect("not blank");
+            assert_eq!(decoded.request, Ok(request));
+            assert_eq!(decoded.deadline_ms, None);
+        }
+    }
+
+    #[test]
+    fn ping_is_rejected_on_v1() {
+        assert_eq!(encode_request(&Request::Ping, None), None);
+    }
+
+    #[test]
+    fn defaults_fill_absent_estimate_fields() {
+        let decoded = decode(b"{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":4}")
+            .expect("decodes")
+            .expect("not blank");
+        assert_eq!(
+            decoded.request,
+            Ok(Request::Estimate {
+                spec: ModuleSpec::new(ModuleKind::RippleAdder, 4),
+                data: data_type("random").expect("known type"),
+                cycles: 2000,
+                seed: 7,
+                floor: None,
+            })
+        );
+    }
+
+    #[test]
+    fn v1_replies_decode_to_typed_responses() {
+        let estimate = decode_reply(
+            "{\"ok\":true,\"op\":\"estimate\",\"module\":\"ripple_adder_4\",\"data\":\"V (counter)\",\"charge_per_cycle\":67.77,\"via_average\":70.92,\"average_hd\":3.2,\"source\":\"memory\",\"fidelity\":\"full\",\"confidence\":1.0}",
+        )
+        .expect("decodes");
+        assert!(matches!(
+            estimate,
+            Response::Estimate(EstimateAnswer { ref source, fidelity: Fidelity::Full, .. })
+                if source == "memory"
+        ));
+
+        let tiered = decode_reply(
+            "{\"ok\":true,\"op\":\"estimate\",\"module\":\"ripple_adder_4\",\"data\":\"random\",\"charge_per_cycle\":60.0,\"via_average\":61.0,\"average_hd\":3.1,\"source\":\"analytic\",\"fidelity\":\"analytic\",\"confidence\":0.25}",
+        )
+        .expect("decodes");
+        assert!(matches!(
+            tiered,
+            Response::Estimate(EstimateAnswer { fidelity: Fidelity::Analytic, confidence, .. })
+                if confidence == 0.25
+        ));
+
+        let characterize = decode_reply(
+            "{\"ok\":true,\"op\":\"characterize\",\"module\":\"ripple_adder_4\",\"input_bits\":8,\"transitions\":1496,\"converged_after\":null,\"source\":\"fresh\"}",
+        )
+        .expect("decodes");
+        assert_eq!(
+            characterize,
+            Response::Characterize(CharacterizeAnswer {
+                input_bits: 8,
+                transitions: 1496,
+                converged_after: None,
+                source: "fresh".into(),
+            })
+        );
+
+        let error = decode_reply(
+            "{\"ok\":false,\"error\":{\"kind\":\"timeout\",\"message\":\"deadline exceeded\"}}",
+        )
+        .expect("decodes");
+        assert_eq!(
+            error,
+            Response::Error {
+                kind: "timeout".into(),
+                message: "deadline exceeded".into(),
+            }
+        );
     }
 }

@@ -13,9 +13,11 @@
 //!   binary frames), framing into the bounded queue, write-side
 //!   drainage, idle reaping and write timeouts. An idle connection
 //!   costs one registered fd, not a thread;
-//! * a **fixed worker pool** drains the queue and executes requests
-//!   against the shared engine, so concurrent misses on one model still
-//!   coalesce through the engine's single-flight path.
+//! * a **fixed worker pool** drains the queue, decodes each request with
+//!   its protocol's codec and runs it through the request core
+//!   ([`crate::exec`]) against the shared engine, so concurrent misses
+//!   on one model still coalesce through the engine's single-flight
+//!   path.
 //!
 //! v1 replies on one connection are written in request order even
 //! though workers complete out of order (the per-connection sequencer
@@ -23,8 +25,8 @@
 //! and complete **out of order** — one slow characterization no longer
 //! stalls the pipelined requests behind it.
 //!
-//! Robustness: per-request deadlines (v1: queue wait; v2: in-band,
-//! covering decode → write, with late completions labeled
+//! Robustness: per-request deadlines counted from the socket read (one
+//! rule for both protocols; v2 labels late completions
 //! [`crate::wire::FLAG_LATE`]), idle reaping, write timeouts that cut
 //! slow readers instead of blocking a worker, and tolerance of
 //! malformed input. [`Server::shutdown`] drains gracefully: stop
@@ -64,9 +66,11 @@ use poller::Poller;
 use serde::{Serialize, Value};
 
 use crate::admin::AdminServer;
+use crate::client::Response;
 use crate::cluster::{self, ClusterRuntime};
 use crate::config::ServerConfig;
-use crate::protocol::{self, ErrorKind};
+use crate::exec::{self, ExecCtx};
+use crate::protocol::{self, ErrorKind, RequestError};
 use crate::queue::{Bounded, PushError};
 use crate::reactor::{self, ConnOut, Mail, ReactorHandle};
 use crate::wire;
@@ -90,17 +94,19 @@ pub struct DrainReport {
     pub timeouts: u64,
 }
 
+/// Live counters behind [`DrainReport`]; the request core
+/// ([`crate::exec`]) keeps ok/errors/timeouts, the transport the rest.
 #[derive(Default)]
-struct Totals {
-    connections: AtomicU64,
-    ok: AtomicU64,
-    errors: AtomicU64,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
+pub(crate) struct Totals {
+    pub(crate) connections: AtomicU64,
+    pub(crate) ok: AtomicU64,
+    pub(crate) errors: AtomicU64,
+    pub(crate) shed: AtomicU64,
+    pub(crate) timeouts: AtomicU64,
 }
 
 impl Totals {
-    fn report(&self) -> DrainReport {
+    pub(crate) fn report(&self) -> DrainReport {
         DrainReport {
             connections: self.connections.load(Ordering::Relaxed),
             ok: self.ok.load(Ordering::Relaxed),
@@ -123,30 +129,26 @@ pub(crate) struct FrameRef {
     pub(crate) payload: (usize, usize),
 }
 
-/// One framed v1 request line awaiting a worker.
-pub(crate) struct V1Job {
-    seq: u64,
-    raw: Vec<u8>,
+/// A unit of queued work: one v1 line or one v2 read burst, with the
+/// connection it answers on, its arrival time and its trace.
+pub(crate) struct Job {
     out: Arc<ConnOut>,
     enqueued: Instant,
     trace: TraceCtx,
+    work: Work,
 }
 
-/// One read burst of v2 frames awaiting a worker. Batching amortizes
-/// the queue handoff and the reply write across every frame the socket
-/// delivered together — the main lever behind the v2 throughput bar.
-pub(crate) struct V2Batch {
-    data: Vec<u8>,
-    frames: Vec<FrameRef>,
-    out: Arc<ConnOut>,
-    enqueued: Instant,
-    trace: TraceCtx,
-}
-
-/// A unit of queued work.
-pub(crate) enum Job {
-    V1(V1Job),
-    V2(V2Batch),
+enum Work {
+    /// One framed v1 request line and its place in the connection's
+    /// reply sequence.
+    V1 { seq: u64, raw: Vec<u8> },
+    /// One read burst of v2 frames. Batching amortizes the queue
+    /// handoff and the reply write across every frame the socket
+    /// delivered together — the main lever behind the v2 throughput bar.
+    V2 {
+        data: Vec<u8>,
+        frames: Vec<FrameRef>,
+    },
 }
 
 /// Everything needed to close out a request's trace once its reply is
@@ -222,14 +224,6 @@ pub(crate) struct Reply {
     pub(crate) finish: Option<Box<TraceFinish>>,
 }
 
-/// Outcome of processing one v1 job, before the reply reaches the wire.
-struct Outcome {
-    line: String,
-    op: String,
-    detail: String,
-    status: String,
-}
-
 pub(crate) struct Shared {
     engine: Arc<PowerEngine>,
     /// Fidelity floor applied to estimate requests that don't name one
@@ -290,38 +284,43 @@ impl Shared {
         }
     }
 
-    /// Attach the trace id to a pre-rendered error line and build its
-    /// [`Reply`] (with trace bookkeeping when tracing is on).
-    fn error_reply(
+    /// The trace bookkeeping owed once a reply is written (`None` when
+    /// tracing is off).
+    fn trace_finish(
         &self,
-        trace: TraceCtx,
-        kind: ErrorKind,
-        message: &str,
+        trace: &TraceCtx,
+        op: String,
         detail: String,
-    ) -> Reply {
-        let mut value = protocol::error_value(kind, message);
-        let finish = if trace.is_enabled() {
-            protocol::attach_trace(&mut value, &trace.id_string());
-            Some(Box::new(TraceFinish {
-                trace,
-                op: String::new(),
+        status: &str,
+    ) -> Option<Box<TraceFinish>> {
+        trace.is_enabled().then(|| {
+            Box::new(TraceFinish {
+                trace: trace.clone(),
+                op,
                 detail,
-                status: kind.as_str().to_string(),
+                status: status.to_string(),
                 slow_threshold: self.slow_threshold,
                 submitted_ns: telemetry::clock::now_ns(),
-            }))
-        } else {
-            None
-        };
-        Reply {
-            line: protocol::render(&value),
-            finish,
+            })
+        })
+    }
+
+    /// The request core's context for a request that arrived at
+    /// `arrived`, under this server's policy.
+    fn exec_ctx<'a>(&'a self, arrived: Instant, trace: &'a mut TraceCtx) -> ExecCtx<'a> {
+        ExecCtx {
+            engine: &self.engine,
+            default_floor: self.default_floor,
+            deadline: self.deadline,
+            arrived,
+            cluster: self.cluster.as_ref().zip(self.store_root.as_deref()),
+            totals: Some(&self.totals),
+            trace,
         }
     }
 
-    /// Frame one raw v1 line into the queue, shedding with a structured
-    /// reply when the queue refuses it. Blank lines are skipped without
-    /// consuming a sequence number (no reply is owed for them).
+    /// Frame one raw v1 line into the queue. Blank lines are skipped
+    /// without consuming a sequence number (no reply is owed for them).
     pub(crate) fn enqueue_v1(&self, out: &Arc<ConnOut>, next_seq: &mut u64, raw: Vec<u8>) {
         if protocol::trim_line(&raw)
             .iter()
@@ -331,218 +330,103 @@ impl Shared {
         }
         let seq = *next_seq;
         *next_seq += 1;
-        out.begin_job();
-        let job = V1Job {
-            seq,
-            raw,
-            out: Arc::clone(out),
-            enqueued: Instant::now(),
-            trace: self.new_trace(),
-        };
-        match self.queue.try_push(Job::V1(job)) {
-            Ok(depth) => telemetry::gauge_set("server.queue.depth", depth as f64),
-            Err(PushError::Full(Job::V1(job))) => {
-                self.totals.shed.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.queue.shed_full", 1);
-                let reply = self.error_reply(
-                    job.trace,
-                    ErrorKind::Overloaded,
-                    &format!(
-                        "queue full ({} requests queued): request shed",
-                        self.queue.capacity()
-                    ),
-                    String::new(),
-                );
-                job.out.submit_v1(job.seq, Some(reply));
-                job.out.finish_job();
-            }
-            Err(PushError::Closed(Job::V1(job))) => {
-                self.totals.shed.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.queue.shed_draining", 1);
-                let reply = self.error_reply(
-                    job.trace,
-                    ErrorKind::Overloaded,
-                    "server draining: request shed",
-                    String::new(),
-                );
-                job.out.submit_v1(job.seq, Some(reply));
-                job.out.finish_job();
-            }
-            Err(_) => unreachable!("push errors return the pushed job"),
-        }
+        self.enqueue(out, Work::V1 { seq, raw });
     }
 
-    /// Frame one batch of v2 frames into the queue, answering every
-    /// frame with an `overloaded` error frame when the queue refuses
-    /// the batch.
+    /// Frame one batch of v2 frames into the queue.
     pub(crate) fn enqueue_v2(&self, out: &Arc<ConnOut>, data: Vec<u8>, frames: Vec<FrameRef>) {
+        self.enqueue(out, Work::V2 { data, frames });
+    }
+
+    /// Queue `work`, or answer every request in it with `overloaded`
+    /// when the queue refuses it.
+    fn enqueue(&self, out: &Arc<ConnOut>, work: Work) {
         out.begin_job();
-        let batch = V2Batch {
-            data,
-            frames,
+        let job = Job {
             out: Arc::clone(out),
             enqueued: Instant::now(),
             trace: self.new_trace(),
+            work,
         };
-        match self.queue.try_push(Job::V2(batch)) {
-            Ok(depth) => telemetry::gauge_set("server.queue.depth", depth as f64),
-            Err(PushError::Full(Job::V2(batch))) => {
+        let (job, message) = match self.queue.try_push(job) {
+            Ok(depth) => {
+                telemetry::gauge_set("server.queue.depth", depth as f64);
+                return;
+            }
+            Err(PushError::Full(job)) => {
                 telemetry::counter_add("server.queue.shed_full", 1);
-                self.shed_batch(
-                    &batch,
-                    &format!(
-                        "queue full ({} batches queued): request shed",
-                        self.queue.capacity()
-                    ),
-                );
-            }
-            Err(PushError::Closed(Job::V2(batch))) => {
-                telemetry::counter_add("server.queue.shed_draining", 1);
-                self.shed_batch(&batch, "server draining: request shed");
-            }
-            Err(_) => unreachable!("push errors return the pushed job"),
-        }
-    }
-
-    fn shed_batch(&self, batch: &V2Batch, message: &str) {
-        self.totals
-            .shed
-            .fetch_add(batch.frames.len() as u64, Ordering::Relaxed);
-        let mut replies =
-            Vec::with_capacity(batch.frames.len() * (wire::HEADER_LEN + message.len()));
-        for frame in &batch.frames {
-            wire::encode_frame(
-                &mut replies,
-                frame.id,
-                wire::status_of(ErrorKind::Overloaded),
-                0,
-                message.as_bytes(),
-            );
-        }
-        batch.out.send(&replies);
-        batch.out.finish_job();
-    }
-
-    /// Execute one v1 job: decode, enforce the deadline, run the op,
-    /// render the reply (trace id attached when tracing). Returns `None`
-    /// when no output is owed (blank line). Per-stage timings accumulate
-    /// into the job's trace; `server.request_ns` keeps measuring
-    /// processing time only (decode → render), as before.
-    fn process_v1(&self, job: &mut V1Job, waited: Duration) -> Option<Outcome> {
-        let started = Instant::now();
-        let trace = &mut job.trace;
-        let decoded = trace.time(Stage::Decode, || {
-            protocol::decode(protocol::trim_line(&job.raw))
-        });
-        let request = match decoded {
-            Ok(Some(request)) => request,
-            Ok(None) => return None,
-            Err((kind, message)) => {
-                self.totals.errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.request.error", 1);
-                return Some(self.render_error(trace, started, kind, &message, String::new()));
-            }
-        };
-        let op = request.op.clone();
-        let detail = protocol::request_detail(&request);
-        let requested = request.deadline_ms.map(Duration::from_millis);
-        let limit = match (self.deadline, requested) {
-            (Some(server), Some(request)) => Some(server.min(request)),
-            (Some(server), None) => Some(server),
-            (None, request) => request,
-        };
-        if let Some(limit) = limit {
-            if waited > limit {
-                self.totals.timeouts.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.queue.timeout", 1);
-                let message = format!(
-                    "deadline exceeded: queued {} ms, limit {} ms",
-                    waited.as_millis(),
-                    limit.as_millis()
-                );
-                let mut outcome =
-                    self.render_error(trace, started, ErrorKind::Timeout, &message, detail);
-                outcome.op = op;
-                return Some(outcome);
-            }
-        }
-        // Below-full estimate floors are served instantly from the
-        // local fidelity ladder even on non-owner nodes — the background
-        // upgrade hook routes ownership afterwards. Full-fidelity
-        // estimates and every other spec-bearing op still block on
-        // cluster ensure as before.
-        let floor =
-            protocol::effective_floor(&request, self.default_floor).unwrap_or(Fidelity::Full);
-        if let (Some(rt), Some(root)) = (&self.cluster, &self.store_root) {
-            if let Some(spec) = protocol::request_spec(&request) {
-                if request.op != "estimate" || floor == Fidelity::Full {
-                    cluster::ensure_model(rt, &self.engine, root, spec);
-                }
-            }
-        }
-        let (value, status) = match protocol::handle_traced_with_floor(
-            &self.engine,
-            &request,
-            self.default_floor,
-            trace,
-        ) {
-            Ok(reply) => {
-                self.totals.ok.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.request.ok", 1);
-                (reply, "ok".to_string())
-            }
-            Err((kind, message)) => {
-                self.totals.errors.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("server.request.error", 1);
+                let unit = match job.work {
+                    Work::V1 { .. } => "requests",
+                    Work::V2 { .. } => "batches",
+                };
+                let capacity = self.queue.capacity();
                 (
-                    protocol::error_value(kind, &message),
-                    kind.as_str().to_string(),
+                    job,
+                    format!("queue full ({capacity} {unit} queued): request shed"),
                 )
             }
-        };
-        let trace_id = trace.is_enabled().then(|| trace.id());
-        let line = trace.time(Stage::Serialize, || {
-            let mut line = protocol::render(&value);
-            if let Some(id) = trace_id {
-                protocol::append_trace_id(&mut line, id);
+            Err(PushError::Closed(job)) => {
+                telemetry::counter_add("server.queue.shed_draining", 1);
+                (job, "server draining: request shed".to_string())
             }
-            line
-        });
-        telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-        Some(Outcome {
-            line,
-            op,
-            detail,
-            status,
-        })
+        };
+        match job.work {
+            Work::V1 { seq, .. } => {
+                self.totals.shed.fetch_add(1, Ordering::Relaxed);
+                let mut line = protocol::error_line(ErrorKind::Overloaded, &message);
+                if job.trace.is_enabled() {
+                    protocol::append_trace_id(&mut line, job.trace.id());
+                }
+                let finish = self.trace_finish(
+                    &job.trace,
+                    String::new(),
+                    String::new(),
+                    ErrorKind::Overloaded.as_str(),
+                );
+                job.out.submit_v1(seq, Some(Reply { line, finish }));
+            }
+            Work::V2 { frames, .. } => {
+                self.totals
+                    .shed
+                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
+                let status = wire::status_of(ErrorKind::Overloaded);
+                let mut replies = Vec::new();
+                for frame in &frames {
+                    wire::encode_frame(&mut replies, frame.id, status, 0, message.as_bytes());
+                }
+                job.out.send(&replies);
+            }
+        }
+        job.out.finish_job();
     }
 
-    /// Render a structured v1 error outcome (trace id attached when
-    /// tracing), accounting its render time to the serialize stage and
-    /// closing out `server.request_ns`.
-    fn render_error(
-        &self,
-        trace: &mut TraceCtx,
-        started: Instant,
-        kind: ErrorKind,
-        message: &str,
-        detail: String,
-    ) -> Outcome {
+    /// Execute one v1 job: decode, run it through the request core,
+    /// render the reply (trace id attached when tracing). Returns `None`
+    /// when no output is owed (blank line). `server.request_ns` measures
+    /// processing time only (decode → render).
+    fn run_v1(&self, raw: &[u8], enqueued: Instant, trace: &mut TraceCtx) -> Option<Reply> {
+        let started = Instant::now();
+        let decoded = trace.time(Stage::Decode, || {
+            protocol::decode_line(protocol::trim_line(raw))
+        })?;
+        let request = decoded.request.as_ref();
+        let done = self
+            .exec_ctx(enqueued, trace)
+            .execute(request, decoded.deadline_ms);
         let trace_id = trace.is_enabled().then(|| trace.id());
         let line = trace.time(Stage::Serialize, || {
-            let mut line = protocol::error_line(kind, message);
+            let mut line = protocol::render(&protocol::reply_value(request.ok(), &done.response));
             if let Some(id) = trace_id {
                 protocol::append_trace_id(&mut line, id);
             }
             line
         });
         telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-        Outcome {
+        let (op, detail) = exec::describe(request.ok());
+        Some(Reply {
             line,
-            op: String::new(),
-            detail,
-            status: kind.as_str().to_string(),
-        }
+            finish: self.trace_finish(trace, op, detail, done.status()),
+        })
     }
 
     // --- admin-plane probes (crate::admin) ------------------------------
@@ -996,52 +880,37 @@ fn run_accept(shared: &Arc<Shared>, listener: &TcpListener, reactors: &[Arc<Reac
 fn run_worker(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         telemetry::gauge_set("server.queue.depth", shared.queue.len() as f64);
-        match job {
-            Job::V1(mut job) => {
-                let waited = job.enqueued.elapsed();
-                let waited_ns = waited.as_nanos() as u64;
-                telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
-                job.trace.add(Stage::QueueWait, waited_ns);
-                if job.out.is_alive() {
-                    let outcome = shared.process_v1(&mut job, waited);
-                    let reply = outcome.map(|outcome| Reply {
-                        finish: job.trace.is_enabled().then(|| {
-                            Box::new(TraceFinish {
-                                trace: job.trace.clone(),
-                                op: outcome.op,
-                                detail: outcome.detail,
-                                status: outcome.status,
-                                slow_threshold: shared.slow_threshold,
-                                submitted_ns: telemetry::clock::now_ns(),
-                            })
-                        }),
-                        line: outcome.line,
-                    });
-                    job.out.submit_v1(job.seq, reply);
+        let Job {
+            out,
+            enqueued,
+            mut trace,
+            work,
+        } = job;
+        let waited_ns = enqueued.elapsed().as_nanos() as u64;
+        telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
+        trace.add(Stage::QueueWait, waited_ns);
+        match work {
+            Work::V1 { seq, raw } => {
+                // A dead connection gets no reply, but its sequencer
+                // still advances and the flight recorder still sees the
+                // drop.
+                let reply = if out.is_alive() {
+                    shared.run_v1(&raw, enqueued, &mut trace)
                 } else {
-                    // Dead connection: advance the sequencer, write
-                    // nothing, but still file the trace so the flight
-                    // recorder sees the drop.
-                    if job.trace.is_enabled() {
-                        TraceFinish {
-                            trace: job.trace.clone(),
-                            op: String::new(),
-                            detail: String::new(),
-                            status: "dropped".to_string(),
-                            slow_threshold: shared.slow_threshold,
-                            submitted_ns: telemetry::clock::now_ns(),
-                        }
-                        .complete(false);
+                    if let Some(finish) =
+                        shared.trace_finish(&trace, String::new(), String::new(), "dropped")
+                    {
+                        finish.complete(false);
                     }
-                    job.out.submit_v1(job.seq, None);
-                }
-                job.out.finish_job();
+                    None
+                };
+                out.submit_v1(seq, reply);
             }
-            Job::V2(mut batch) => {
-                run_batch(shared, &mut batch);
-                batch.out.finish_job();
+            Work::V2 { data, frames } => {
+                run_batch(shared, &out, enqueued, &mut trace, &data, &frames);
             }
         }
+        out.finish_job();
     }
 }
 
@@ -1049,158 +918,115 @@ fn run_worker(shared: &Arc<Shared>) {
 /// into one buffer and written with one send. Frames across batches
 /// (and connections) complete out of order; the ids sort it out client
 /// side.
-fn run_batch(shared: &Arc<Shared>, batch: &mut V2Batch) {
-    let waited = batch.enqueued.elapsed();
-    let waited_ns = waited.as_nanos() as u64;
-    telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
-    batch.trace.add(Stage::QueueWait, waited_ns);
-    if !batch.out.is_alive() {
-        if batch.trace.is_enabled() {
-            TraceFinish {
-                trace: batch.trace.clone(),
-                op: "batch".to_string(),
-                detail: format!("frames/{}", batch.frames.len()),
-                status: "dropped".to_string(),
-                slow_threshold: shared.slow_threshold,
-                submitted_ns: telemetry::clock::now_ns(),
-            }
-            .complete(false);
+fn run_batch(
+    shared: &Shared,
+    out: &ConnOut,
+    enqueued: Instant,
+    trace: &mut TraceCtx,
+    data: &[u8],
+    frames: &[FrameRef],
+) {
+    let (op, detail) = ("batch".to_string(), format!("frames/{}", frames.len()));
+    if !out.is_alive() {
+        if let Some(finish) = shared.trace_finish(trace, op, detail, "dropped") {
+            finish.complete(false);
         }
         return;
     }
     let started = Instant::now();
     let mut replies: Vec<u8> =
-        Vec::with_capacity(batch.frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
-    for frame in &batch.frames {
-        execute_frame(
-            shared,
-            frame,
-            &batch.data,
-            batch.enqueued,
-            &mut batch.trace,
-            &mut replies,
-        );
+        Vec::with_capacity(frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
+    let mut ctx = shared.exec_ctx(enqueued, trace);
+    for frame in frames {
+        let payload = &data[frame.payload.0..frame.payload.1];
+        execute_frame(shared, &mut ctx, frame, payload, &mut replies);
     }
     telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-    let submitted_ns = telemetry::clock::now_ns();
-    batch.out.send(&replies);
-    if batch.trace.is_enabled() {
-        TraceFinish {
-            trace: batch.trace.clone(),
-            op: "batch".to_string(),
-            detail: format!("frames/{}", batch.frames.len()),
-            status: "ok".to_string(),
-            slow_threshold: shared.slow_threshold,
-            submitted_ns,
-        }
-        .complete(true);
+    let finish = shared.trace_finish(trace, op, detail, "ok");
+    out.send(&replies);
+    if let Some(finish) = finish {
+        finish.complete(true);
     }
 }
 
-/// Execute one v2 frame and append its reply frame to `replies`.
-///
-/// Deadline semantics (documented in docs/protocol.md): the effective
-/// limit is the tighter of the in-band `deadline_ms` and the server
-/// deadline, measured from the moment the frame was read off the
-/// socket. A frame already past its limit is answered with a `timeout`
-/// status without executing; a frame whose limit expires **during**
-/// execution is still answered in full, late-but-labeled with
-/// [`wire::FLAG_LATE`] — the work is done, discarding it helps nobody,
-/// and the flag lets the client decide.
+/// Execute one v2 frame through the request core and append its reply
+/// frame to `replies`. Deadline semantics (docs/protocol.md) are the
+/// core's: the tighter of the frame's `deadline_ms` and the server
+/// deadline, counted from the moment the batch was read off the socket;
+/// a frame past it answers `timeout` without running, one that expires
+/// while running is answered in full with [`wire::FLAG_LATE`].
 fn execute_frame(
-    shared: &Arc<Shared>,
+    shared: &Shared,
+    ctx: &mut ExecCtx<'_>,
     frame: &FrameRef,
-    data: &[u8],
-    enqueued: Instant,
-    trace: &mut TraceCtx,
+    payload: &[u8],
     replies: &mut Vec<u8>,
 ) {
-    let payload = &data[frame.payload.0..frame.payload.1];
-    let requested =
-        (frame.deadline_ms > 0).then(|| Duration::from_millis(u64::from(frame.deadline_ms)));
-    let limit = match (shared.deadline, requested) {
-        (Some(server), Some(frame)) => Some(server.min(frame)),
-        (Some(server), None) => Some(server),
-        (None, frame) => frame,
-    };
-    if let Some(limit) = limit {
-        let waited = enqueued.elapsed();
-        if waited > limit {
-            shared.totals.timeouts.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("server.queue.timeout", 1);
-            let message = format!(
-                "deadline exceeded: {} ms since arrival, limit {} ms",
-                waited.as_millis(),
-                limit.as_millis()
-            );
-            wire::encode_frame(
-                replies,
-                frame.id,
-                wire::status_of(ErrorKind::Timeout),
-                0,
-                message.as_bytes(),
-            );
-            return;
-        }
+    let deadline_ms = (frame.deadline_ms > 0).then_some(u64::from(frame.deadline_ms));
+    if let Some(peer_op) = wire::Opcode::from_u8(frame.op).and_then(peer_op) {
+        let (result, late) = ctx.guarded(deadline_ms, |_| peer_op(shared, payload));
+        encode_result(replies, frame.id, late, result.as_deref());
+        return;
     }
-    let result = match wire::Opcode::from_u8(frame.op) {
-        Some(wire::Opcode::Estimate) => exec_estimate(shared, payload, trace),
-        Some(wire::Opcode::Characterize) => exec_characterize(shared, payload, trace),
-        Some(wire::Opcode::Stats) => Ok(wire::encode_stats_reply(&shared.engine.stats()).to_vec()),
-        Some(wire::Opcode::Ping) => Ok(Vec::new()),
-        Some(wire::Opcode::FetchModel) => exec_fetch_model(shared, payload),
-        Some(wire::Opcode::HaveModel) => exec_have_model(shared, payload),
-        Some(wire::Opcode::WarmKeys) => exec_warm_keys(shared, payload),
-        None => Err((
-            ErrorKind::BadRequest,
-            format!("unknown opcode {}", frame.op),
-        )),
-    };
-    // Late-but-labeled: re-check the limit after execution and set the
-    // flag instead of discarding finished work.
-    let flags = match limit {
-        Some(limit) if enqueued.elapsed() > limit => wire::FLAG_LATE,
-        _ => 0,
-    };
-    match result {
-        Ok(payload) => {
-            shared.totals.ok.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("server.request.ok", 1);
-            wire::encode_frame(replies, frame.id, wire::STATUS_OK, flags, &payload);
-        }
-        Err((kind, message)) => {
-            shared.totals.errors.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("server.request.error", 1);
-            wire::encode_frame(
-                replies,
-                frame.id,
-                wire::status_of(kind),
-                flags,
-                message.as_bytes(),
-            );
-        }
-    }
-}
-
-fn exec_estimate(
-    shared: &Arc<Shared>,
-    payload: &[u8],
-    trace: &mut TraceCtx,
-) -> Result<Vec<u8>, (ErrorKind, String)> {
     // Per-thread reply memo: a warm v2 estimate is dominated by
     // re-rendering an identical answer, so identical request payloads
     // (the monitoring / design-sweep steady state) short-circuit to the
     // cached reply bytes with the source rewritten to `memo`. Safe
     // because estimates are pure functions of the request payload —
     // characterization is deterministic, so even a re-characterized
-    // model yields the same numbers.
-    thread_local! {
-        static MEMO: RefCell<HashMap<[u8; wire::ESTIMATE_REQ_LEN], [u8; wire::ESTIMATE_REPLY_LEN]>> =
-            RefCell::new(HashMap::new());
+    // model yields the same numbers. Checked before decode.
+    let key = memo_key(frame.op, payload);
+    if let Some(hit) = key.and_then(|key| MEMO.with(|memo| memo.borrow().get(&key).copied())) {
+        let (result, late) = ctx.guarded(deadline_ms, |_| {
+            telemetry::counter_add("server.memo.hit", 1);
+            Ok(())
+        });
+        encode_result(replies, frame.id, late, result.as_ref().map(|()| &hit[..]));
+        return;
     }
-    // Legacy 18-byte payloads key as their 19-byte form with floor 0
-    // ("server default") — the memo must not fork on encoding.
-    let key: Option<[u8; wire::ESTIMATE_REQ_LEN]> = match payload.len() {
+    let request = wire::decode_request(frame.op, payload);
+    let done = ctx.execute(request.as_ref(), deadline_ms);
+    let start = replies.len();
+    wire::encode_reply(replies, frame.id, done.late, &done.response);
+    let (Some(key), Response::Estimate(answer)) = (key, &done.response) else {
+        return;
+    };
+    telemetry::counter_add("server.memo.miss", 1);
+    // Only full-fidelity replies are memoizable: a tier-A/B answer for
+    // this key is expected to improve once the background upgrade
+    // lands, and a memo hit would pin the stale tier forever.
+    if answer.fidelity == Fidelity::Full {
+        let mut memoized = [0u8; wire::ESTIMATE_REPLY_LEN];
+        memoized.copy_from_slice(&replies[start + wire::HEADER_LEN..]);
+        memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
+        MEMO.with(|memo| {
+            let mut memo = memo.borrow_mut();
+            // Blunt bound, like the distribution memo: distinct estimate
+            // payloads are rare (catalogue × widths × data types).
+            if memo.len() >= 4096 {
+                memo.clear();
+            }
+            memo.insert(key, memoized);
+        });
+    }
+}
+
+type MemoKey = [u8; wire::ESTIMATE_REQ_LEN];
+
+thread_local! {
+    /// The per-worker v2 estimate-reply memo, keyed on raw payload bytes.
+    static MEMO: RefCell<HashMap<MemoKey, [u8; wire::ESTIMATE_REPLY_LEN]>> =
+        RefCell::new(HashMap::new());
+}
+
+/// The memo key of an estimate frame's payload. Legacy 18-byte payloads
+/// key as their 19-byte form with floor 0 ("server default") — the memo
+/// must not fork on encoding.
+fn memo_key(op: u8, payload: &[u8]) -> Option<MemoKey> {
+    if op != wire::Opcode::Estimate as u8 {
+        return None;
+    }
+    match payload.len() {
         wire::ESTIMATE_REQ_LEN => payload.try_into().ok(),
         wire::LEGACY_ESTIMATE_REQ_LEN => {
             let mut padded = [0u8; wire::ESTIMATE_REQ_LEN];
@@ -1208,87 +1034,43 @@ fn exec_estimate(
             Some(padded)
         }
         _ => None,
-    };
-    if let Some(key) = key {
-        if let Some(hit) = MEMO.with(|memo| memo.borrow().get(&key).copied()) {
-            telemetry::counter_add("server.memo.hit", 1);
-            return Ok(hit.to_vec());
-        }
     }
-    let params = wire::decode_estimate_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let floor = params.floor.unwrap_or(shared.default_floor);
-    // Below-full floors answer from the local ladder immediately; the
-    // upgrade hook routes cluster ownership in the background.
-    if floor == Fidelity::Full {
-        if let (Some(rt), Some(root)) = (&shared.cluster, &shared.store_root) {
-            cluster::ensure_model(rt, &shared.engine, root, params.spec);
-        }
-    }
-    let (m1, _) = params.spec.width.operand_widths();
-    let dist = trace.time(Stage::Estimate, || {
-        protocol::input_distribution(
-            params.data,
-            params.spec.kind.operand_count(),
-            m1,
-            params.cycles as usize,
-            params.seed,
-        )
-    });
-    let estimate = shared
-        .engine
-        .estimate_with_floor_traced(params.spec, &dist, floor, trace)
-        .map_err(|e| (ErrorKind::Engine, e.to_string()))?;
-    let reply = wire::encode_estimate_reply(&estimate, wire::source_code(estimate.source));
-    telemetry::counter_add("server.memo.miss", 1);
-    // Only full-fidelity replies are memoizable: a tier-A/B answer for
-    // this key is expected to improve once the background upgrade
-    // lands, and a memo hit would pin the stale tier forever.
-    if estimate.fidelity == Fidelity::Full {
-        if let Some(key) = key {
-            MEMO.with(|memo| {
-                let mut memo = memo.borrow_mut();
-                // Blunt bound, like the distribution memo: distinct estimate
-                // payloads are rare (catalogue × widths × data types).
-                if memo.len() >= 4096 {
-                    memo.clear();
-                }
-                let mut memoized = reply;
-                memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
-                memo.insert(key, memoized);
-            });
-        }
-    }
-    Ok(reply.to_vec())
 }
 
-fn exec_characterize(
-    shared: &Arc<Shared>,
-    payload: &[u8],
-    trace: &mut TraceCtx,
-) -> Result<Vec<u8>, (ErrorKind, String)> {
-    let params =
-        wire::decode_characterize_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    if let (Some(rt), Some(root)) = (&shared.cluster, &shared.store_root) {
-        cluster::ensure_model(rt, &shared.engine, root, params.spec);
+/// Append an ok frame carrying `result`'s payload, or its error frame.
+fn encode_result(replies: &mut Vec<u8>, id: u64, late: bool, result: Result<&[u8], &RequestError>) {
+    let flags = if late { wire::FLAG_LATE } else { 0 };
+    match result {
+        Ok(payload) => wire::encode_frame(replies, id, wire::STATUS_OK, flags, payload),
+        Err((kind, message)) => {
+            wire::encode_frame(
+                replies,
+                id,
+                wire::status_of(*kind),
+                flags,
+                message.as_bytes(),
+            );
+        }
     }
-    let (characterization, source) = shared
-        .engine
-        .fetch_traced(params.spec, trace)
-        .map_err(|e| (ErrorKind::Engine, e.to_string()))?;
-    let reply = wire::CharacterizeReply {
-        input_bits: characterization.model.input_bits() as u32,
-        transitions: characterization.transitions as u64,
-        converged_after: characterization.converged_after.map(|p| p as u64),
-        source: wire::source_code(source),
-    };
-    Ok(wire::encode_characterize_reply(&reply).to_vec())
+}
+
+type PeerOp = fn(&Shared, &[u8]) -> Result<Vec<u8>, RequestError>;
+
+/// The handler of a cluster peer op (v2 only, never a client request).
+fn peer_op(op: wire::Opcode) -> Option<PeerOp> {
+    match op {
+        wire::Opcode::FetchModel => Some(exec_fetch_model),
+        wire::Opcode::HaveModel => Some(exec_have_model),
+        wire::Opcode::WarmKeys => Some(exec_warm_keys),
+        _ => None,
+    }
 }
 
 /// Serve a peer's fetch-model request: stream the stored artifact's
 /// envelope bytes verbatim, so the peer can re-verify the checksum
 /// independently. An empty ok payload means "not on disk" — envelope
 /// files are never empty, so the encoding is unambiguous.
-fn exec_fetch_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (ErrorKind, String)> {
+fn exec_fetch_model(shared: &Shared, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
     let spec = wire::decode_spec_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
     let Some(root) = &shared.store_root else {
         return Err((
@@ -1321,7 +1103,7 @@ fn exec_fetch_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (Er
 
 /// Serve a peer's have-model probe: one byte, present in either tier or
 /// absent.
-fn exec_have_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (ErrorKind, String)> {
+fn exec_have_model(shared: &Shared, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
     let spec = wire::decode_spec_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
     let reply = if shared.engine.has_model(spec) {
         wire::HaveModelReply::Present
@@ -1334,7 +1116,7 @@ fn exec_have_model(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (Err
 /// Serve a peer's warm-keys exchange: validate the advertised list (the
 /// sender's side of the gossip does the learning), reply with this
 /// node's hottest keys.
-fn exec_warm_keys(shared: &Arc<Shared>, payload: &[u8]) -> Result<Vec<u8>, (ErrorKind, String)> {
+fn exec_warm_keys(shared: &Shared, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
     let _theirs = wire::decode_warm_keys(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
     let specs: Vec<hdpm_netlist::ModuleSpec> = shared
         .engine

@@ -35,12 +35,18 @@
 //! decodes by remembering which op it sent under that id; error-reply
 //! payloads are the UTF-8 error message, with the [`ErrorKind`] carried
 //! as the status byte. Full field tables: `docs/protocol.md`.
+//!
+//! [`encode_request`]/[`decode_request`] and [`encode_reply`]/
+//! [`decode_reply`] map frames to and from the typed
+//! [`crate::client::Request`] and [`crate::client::Response`], the form
+//! the server's request core and the client share with the v1 codec.
 
-use hdpm_core::{CacheSource, EngineStats, Estimate, Fidelity};
+use hdpm_core::{CacheSource, Estimate, Fidelity};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_streams::{DataType, ALL_DATA_TYPES};
 
-use crate::protocol::ErrorKind;
+use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
+use crate::protocol::{self, ErrorKind, RequestError};
 
 /// The v2 preamble a client writes immediately after connecting. First
 /// byte NUL: unambiguous against any v1 JSON-lines opener.
@@ -67,7 +73,7 @@ pub const STATUS_OK: u8 = 0;
 pub enum Opcode {
     /// Analytic power estimate (payload: [`EstimateParams`]).
     Estimate = 1,
-    /// Force a model into the cache (payload: [`CharacterizeParams`]).
+    /// Force a model into the cache (payload: 5-byte spec).
     Characterize = 2,
     /// Engine counter snapshot (empty payload).
     Stats = 3,
@@ -86,18 +92,19 @@ pub enum Opcode {
 }
 
 impl Opcode {
+    const ALL: [Opcode; 7] = [
+        Opcode::Estimate,
+        Opcode::Characterize,
+        Opcode::Stats,
+        Opcode::Ping,
+        Opcode::FetchModel,
+        Opcode::HaveModel,
+        Opcode::WarmKeys,
+    ];
+
     /// Decode a wire opcode byte.
     pub fn from_u8(op: u8) -> Option<Opcode> {
-        match op {
-            1 => Some(Opcode::Estimate),
-            2 => Some(Opcode::Characterize),
-            3 => Some(Opcode::Stats),
-            4 => Some(Opcode::Ping),
-            5 => Some(Opcode::FetchModel),
-            6 => Some(Opcode::HaveModel),
-            7 => Some(Opcode::WarmKeys),
-            _ => None,
-        }
+        Opcode::ALL.into_iter().find(|o| *o as u8 == op)
     }
 
     /// The v1 `op` string this opcode corresponds to (trace records and
@@ -115,29 +122,14 @@ impl Opcode {
     }
 }
 
-/// Map an [`ErrorKind`] to its reply status byte.
+/// Map an [`ErrorKind`] to its reply status byte (its discriminant).
 pub fn status_of(kind: ErrorKind) -> u8 {
-    match kind {
-        ErrorKind::Malformed => 1,
-        ErrorKind::InvalidUtf8 => 2,
-        ErrorKind::BadRequest => 3,
-        ErrorKind::Engine => 4,
-        ErrorKind::Overloaded => 5,
-        ErrorKind::Timeout => 6,
-    }
+    kind as u8
 }
 
 /// The [`ErrorKind`] behind a non-ok reply status byte.
 pub fn kind_of(status: u8) -> Option<ErrorKind> {
-    match status {
-        1 => Some(ErrorKind::Malformed),
-        2 => Some(ErrorKind::InvalidUtf8),
-        3 => Some(ErrorKind::BadRequest),
-        4 => Some(ErrorKind::Engine),
-        5 => Some(ErrorKind::Overloaded),
-        6 => Some(ErrorKind::Timeout),
-        _ => None,
-    }
+    ErrorKind::ALL.into_iter().find(|k| status_of(*k) == status)
 }
 
 /// Wire code of a model source (reply payloads). `5` marks a reply
@@ -158,18 +150,29 @@ pub fn source_code(source: CacheSource) -> u8 {
 /// Source code of a reply served from the per-thread reply memo.
 pub const SOURCE_MEMO: u8 = 5;
 
+/// The v1 source strings, at their reply source code minus one.
+const SOURCES: [&str; 7] = [
+    "memory",
+    "disk",
+    "fresh",
+    "coalesced",
+    "memo",
+    "analytic",
+    "regressed",
+];
+
+/// The reply source code behind a v1 source string (`0`, never
+/// assigned, for an unknown one).
+fn source_code_of(source: &str) -> u8 {
+    SOURCES
+        .iter()
+        .position(|s| *s == source)
+        .map_or(0, |i| i as u8 + 1)
+}
+
 /// The v1 source string behind a reply source code.
 pub fn source_str(code: u8) -> Option<&'static str> {
-    match code {
-        1 => Some("memory"),
-        2 => Some("disk"),
-        3 => Some("fresh"),
-        4 => Some("coalesced"),
-        5 => Some("memo"),
-        6 => Some("analytic"),
-        7 => Some("regressed"),
-        _ => None,
-    }
+    SOURCES.get(usize::from(code).checked_sub(1)?).copied()
 }
 
 /// One decoded frame header.
@@ -339,140 +342,212 @@ pub const ESTIMATE_REPLY_SOURCE_OFFSET: usize = 24;
 /// ([`source_code`] or [`SOURCE_MEMO`]); fidelity and confidence come
 /// from the estimate itself.
 pub fn encode_estimate_reply(estimate: &Estimate, source: u8) -> [u8; ESTIMATE_REPLY_LEN] {
+    estimate_reply(
+        [
+            estimate.charge_per_cycle,
+            estimate.via_average,
+            estimate.average_hd,
+        ],
+        source,
+        estimate.fidelity,
+        estimate.confidence,
+    )
+}
+
+fn estimate_reply(
+    charges: [f64; 3],
+    source: u8,
+    fidelity: Fidelity,
+    confidence: f64,
+) -> [u8; ESTIMATE_REPLY_LEN] {
     let mut out = [0u8; ESTIMATE_REPLY_LEN];
-    out[0..8].copy_from_slice(&estimate.charge_per_cycle.to_le_bytes());
-    out[8..16].copy_from_slice(&estimate.via_average.to_le_bytes());
-    out[16..24].copy_from_slice(&estimate.average_hd.to_le_bytes());
+    for (slot, value) in out[..24].chunks_exact_mut(8).zip(charges) {
+        slot.copy_from_slice(&value.to_le_bytes());
+    }
     out[24] = source;
-    out[25] = estimate.fidelity.code();
-    out[26..34].copy_from_slice(&estimate.confidence.to_le_bytes());
+    out[25] = fidelity.code();
+    out[26..34].copy_from_slice(&confidence.to_le_bytes());
     out
 }
 
-/// A decoded estimate ok reply.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EstimateReply {
-    /// Expected charge per cycle under the full Hd distribution.
-    pub charge_per_cycle: f64,
-    /// Charge interpolated at the average Hd only.
-    pub via_average: f64,
-    /// The average Hd of the queried distribution.
-    pub average_hd: f64,
-    /// Wire source code (see [`source_str`]).
-    pub source: u8,
-    /// Fidelity tier of the answer.
-    pub fidelity: Fidelity,
-    /// Confidence in `[0, 1]` (1.0 for full fidelity).
-    pub confidence: f64,
-}
-
-/// Decode an estimate ok-reply payload.
-///
-/// # Errors
-///
-/// Wrong payload length or an unassigned fidelity code.
-pub fn decode_estimate_reply(payload: &[u8]) -> Result<EstimateReply, String> {
-    if payload.len() != ESTIMATE_REPLY_LEN {
-        return Err(format!(
-            "estimate reply must be {ESTIMATE_REPLY_LEN} bytes, got {}",
-            payload.len()
-        ));
-    }
-    let fidelity = Fidelity::from_code(payload[25])
-        .ok_or_else(|| format!("unknown fidelity code {}", payload[25]))?;
-    Ok(EstimateReply {
-        charge_per_cycle: f64::from_le_bytes(payload[0..8].try_into().expect("8 bytes")),
-        via_average: f64::from_le_bytes(payload[8..16].try_into().expect("8 bytes")),
-        average_hd: f64::from_le_bytes(payload[16..24].try_into().expect("8 bytes")),
-        source: payload[24],
-        fidelity,
-        confidence: f64::from_le_bytes(payload[26..34].try_into().expect("8 bytes")),
-    })
-}
-
-// --- characterize ------------------------------------------------------
-
-/// Decoded payload of an [`Opcode::Characterize`] request (5 bytes:
-/// module `u8`, m1 `u16`, m2 `u16`, 0 = uniform).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CharacterizeParams {
-    /// Module to characterize into the cache.
-    pub spec: ModuleSpec,
-}
-
-/// Wire size of a characterize request payload.
-pub const CHARACTERIZE_REQ_LEN: usize = 5;
-
-/// Render a characterize request payload.
-pub fn encode_characterize_request(params: &CharacterizeParams) -> [u8; CHARACTERIZE_REQ_LEN] {
-    spec_bytes(params.spec)
-}
-
-/// Decode a characterize request payload.
-///
-/// # Errors
-///
-/// A message naming the malformed field.
-pub fn decode_characterize_request(payload: &[u8]) -> Result<CharacterizeParams, String> {
-    if payload.len() != CHARACTERIZE_REQ_LEN {
-        return Err(format!(
-            "characterize payload must be {CHARACTERIZE_REQ_LEN} bytes, got {}",
-            payload.len()
-        ));
-    }
-    Ok(CharacterizeParams {
-        spec: spec_from_bytes(payload)?,
-    })
-}
-
-/// A decoded characterize ok reply (21 bytes: input_bits `u32`,
+/// Wire size of a characterize ok-reply payload (input_bits `u32`,
 /// transitions `u64`, converged_after `u64` with `u64::MAX` = never,
 /// source `u8`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CharacterizeReply {
-    /// Input bit count of the characterized model.
-    pub input_bits: u32,
-    /// Transitions simulated during characterization.
-    pub transitions: u64,
-    /// Patterns until convergence, `None` when the pattern budget ran
-    /// out first.
-    pub converged_after: Option<u64>,
-    /// Wire source code (see [`source_str`]).
-    pub source: u8,
-}
-
-/// Wire size of a characterize ok-reply payload.
 pub const CHARACTERIZE_REPLY_LEN: usize = 21;
 
-/// Render a characterize ok-reply payload.
-pub fn encode_characterize_reply(reply: &CharacterizeReply) -> [u8; CHARACTERIZE_REPLY_LEN] {
-    let mut out = [0u8; CHARACTERIZE_REPLY_LEN];
-    out[0..4].copy_from_slice(&reply.input_bits.to_le_bytes());
-    out[4..12].copy_from_slice(&reply.transitions.to_le_bytes());
-    out[12..20].copy_from_slice(&reply.converged_after.unwrap_or(u64::MAX).to_le_bytes());
-    out[20] = reply.source;
-    out
+/// Wire size of a stats ok-reply payload (12 × u64 in
+/// [`hdpm_core::EngineStats`] field order).
+pub const STATS_REPLY_LEN: usize = 96;
+
+// --- typed requests and replies ----------------------------------------
+
+/// Append the frame carrying `request` under `id` to `out`, the inverse
+/// of [`decode_request`]. `deadline_ms` 0 means none.
+pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &Request, deadline_ms: u32) {
+    let op = request.opcode() as u8;
+    match *request {
+        Request::Estimate {
+            spec,
+            data,
+            cycles,
+            seed,
+            floor,
+        } => {
+            let params = EstimateParams {
+                spec,
+                data,
+                cycles,
+                seed,
+                floor,
+            };
+            encode_frame(out, id, op, deadline_ms, &encode_estimate_request(&params));
+        }
+        Request::Characterize { spec } => {
+            encode_frame(out, id, op, deadline_ms, &spec_bytes(spec));
+        }
+        Request::Stats | Request::Ping => encode_frame(out, id, op, deadline_ms, &[]),
+    }
 }
 
-/// Decode a characterize ok-reply payload.
+/// Decode a request frame's opcode and payload into a [`Request`].
 ///
 /// # Errors
 ///
-/// Wrong payload length.
-pub fn decode_characterize_reply(payload: &[u8]) -> Result<CharacterizeReply, String> {
-    if payload.len() != CHARACTERIZE_REPLY_LEN {
-        return Err(format!(
-            "characterize reply must be {CHARACTERIZE_REPLY_LEN} bytes, got {}",
-            payload.len()
-        ));
+/// [`ErrorKind::BadRequest`] naming an unknown opcode, a cluster peer
+/// opcode (served before decode, never a client request), or the
+/// malformed payload field.
+pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, RequestError> {
+    let bad = |message: String| (ErrorKind::BadRequest, message);
+    match Opcode::from_u8(op) {
+        Some(Opcode::Estimate) => {
+            let p = decode_estimate_request(payload).map_err(bad)?;
+            Ok(Request::Estimate {
+                spec: p.spec,
+                data: p.data,
+                cycles: p.cycles,
+                seed: p.seed,
+                floor: p.floor,
+            })
+        }
+        Some(Opcode::Characterize) => Ok(Request::Characterize {
+            spec: spec_payload(payload, "characterize").map_err(bad)?,
+        }),
+        Some(Opcode::Stats) => Ok(Request::Stats),
+        Some(Opcode::Ping) => Ok(Request::Ping),
+        Some(peer) => Err(bad(format!("{} is a cluster peer op", peer.as_str()))),
+        None => Err(bad(format!("unknown opcode {op}"))),
     }
-    let converged = u64::from_le_bytes(payload[12..20].try_into().expect("8 bytes"));
-    Ok(CharacterizeReply {
-        input_bits: u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")),
-        transitions: u64::from_le_bytes(payload[4..12].try_into().expect("8 bytes")),
-        converged_after: (converged != u64::MAX).then_some(converged),
-        source: payload[20],
-    })
+}
+
+/// Append the reply frame carrying `response` under `id` to `out`;
+/// `late` sets [`FLAG_LATE`].
+pub fn encode_reply(out: &mut Vec<u8>, id: u64, late: bool, response: &Response) {
+    let flags = if late { FLAG_LATE } else { 0 };
+    match response {
+        Response::Estimate(a) => {
+            let payload = estimate_reply(
+                [a.charge_per_cycle, a.via_average, a.average_hd],
+                source_code_of(&a.source),
+                a.fidelity,
+                a.confidence,
+            );
+            encode_frame(out, id, STATUS_OK, flags, &payload);
+        }
+        Response::Characterize(c) => {
+            let mut payload = [0u8; CHARACTERIZE_REPLY_LEN];
+            payload[0..4].copy_from_slice(&c.input_bits.to_le_bytes());
+            payload[4..12].copy_from_slice(&c.transitions.to_le_bytes());
+            payload[12..20].copy_from_slice(&c.converged_after.unwrap_or(u64::MAX).to_le_bytes());
+            payload[20] = source_code_of(&c.source);
+            encode_frame(out, id, STATUS_OK, flags, &payload);
+        }
+        Response::Stats(s) => {
+            let mut payload = [0u8; STATS_REPLY_LEN];
+            for (slot, (_, value)) in payload.chunks_exact_mut(8).zip(protocol::stats_fields(s)) {
+                slot.copy_from_slice(&value.to_le_bytes());
+            }
+            encode_frame(out, id, STATUS_OK, flags, &payload);
+        }
+        Response::Pong => encode_frame(out, id, STATUS_OK, flags, &[]),
+        Response::Error { kind, message } => {
+            let status = ErrorKind::parse(kind).map_or(status_of(ErrorKind::Engine), status_of);
+            encode_frame(out, id, status, flags, message.as_bytes());
+        }
+    }
+}
+
+/// Decode a reply frame's status and payload into a [`Response`], given
+/// the opcode of the request it answers (ok payloads are op-specific).
+/// Error statuses decode to [`Response::Error`], unknown ones as kind
+/// `status_<n>`.
+///
+/// # Errors
+///
+/// A message naming what violates the protocol: wrong payload length,
+/// unassigned fidelity or source code, a reply to a cluster peer op.
+pub fn decode_reply(op: Opcode, status: u8, payload: &[u8]) -> Result<Response, String> {
+    if status != STATUS_OK {
+        return Ok(Response::Error {
+            kind: kind_of(status).map_or_else(|| format!("status_{status}"), |k| k.as_str().into()),
+            message: String::from_utf8_lossy(payload).into_owned(),
+        });
+    }
+    let expect_len = |len: usize| {
+        if payload.len() == len {
+            Ok(())
+        } else {
+            Err(format!(
+                "{} reply must be {len} bytes, got {}",
+                op.as_str(),
+                payload.len()
+            ))
+        }
+    };
+    let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().expect("8 bytes"));
+    let f64_at = |at: usize| f64::from_bits(u64_at(at));
+    let source = |code: u8| {
+        source_str(code)
+            .map(str::to_string)
+            .ok_or_else(|| format!("unknown source code {code}"))
+    };
+    match op {
+        Opcode::Estimate => {
+            expect_len(ESTIMATE_REPLY_LEN)?;
+            Ok(Response::Estimate(EstimateAnswer {
+                charge_per_cycle: f64_at(0),
+                via_average: f64_at(8),
+                average_hd: f64_at(16),
+                source: source(payload[24])?,
+                fidelity: Fidelity::from_code(payload[25])
+                    .ok_or_else(|| format!("unknown fidelity code {}", payload[25]))?,
+                confidence: f64_at(26),
+            }))
+        }
+        Opcode::Characterize => {
+            expect_len(CHARACTERIZE_REPLY_LEN)?;
+            let converged = u64_at(12);
+            Ok(Response::Characterize(CharacterizeAnswer {
+                input_bits: u32::from_le_bytes(payload[0..4].try_into().expect("4 bytes")),
+                transitions: u64_at(4),
+                converged_after: (converged != u64::MAX).then_some(converged),
+                source: source(payload[20])?,
+            }))
+        }
+        Opcode::Stats => {
+            expect_len(STATS_REPLY_LEN)?;
+            let mut fields = [0u64; 12];
+            for (i, field) in fields.iter_mut().enumerate() {
+                *field = u64_at(8 * i);
+            }
+            Ok(Response::Stats(StatsAnswer::from_fields(fields)))
+        }
+        Opcode::Ping if payload.is_empty() => Ok(Response::Pong),
+        Opcode::Ping => Err("non-empty pong payload".into()),
+        Opcode::FetchModel | Opcode::HaveModel | Opcode::WarmKeys => Err(format!(
+            "unexpected {} reply (cluster ops are not client ops)",
+            op.as_str()
+        )),
+    }
 }
 
 // --- cluster: fetch-model / have-model / warm-keys ---------------------
@@ -492,9 +567,13 @@ pub fn encode_spec_request(spec: ModuleSpec) -> [u8; SPEC_REQ_LEN] {
 ///
 /// A message naming the malformed field.
 pub fn decode_spec_request(payload: &[u8]) -> Result<ModuleSpec, String> {
+    spec_payload(payload, "spec")
+}
+
+fn spec_payload(payload: &[u8], what: &str) -> Result<ModuleSpec, String> {
     if payload.len() != SPEC_REQ_LEN {
         return Err(format!(
-            "spec payload must be {SPEC_REQ_LEN} bytes, got {}",
+            "{what} payload must be {SPEC_REQ_LEN} bytes, got {}",
             payload.len()
         ));
     }
@@ -583,96 +662,6 @@ pub fn decode_warm_keys(payload: &[u8]) -> Result<Vec<ModuleSpec>, String> {
         .collect()
 }
 
-// --- stats -------------------------------------------------------------
-
-/// Wire size of a stats ok-reply payload (12 × u64 in [`EngineStats`]
-/// field order).
-pub const STATS_REPLY_LEN: usize = 96;
-
-/// Render a stats ok-reply payload.
-pub fn encode_stats_reply(stats: &EngineStats) -> [u8; STATS_REPLY_LEN] {
-    let fields: [u64; 12] = [
-        stats.entries as u64,
-        stats.capacity as u64,
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-        stats.disk_hits,
-        stats.characterizations,
-        stats.coalesced,
-        stats.inflight as u64,
-        stats.analytic_served,
-        stats.regressed_served,
-        stats.upgrades_done,
-    ];
-    let mut out = [0u8; STATS_REPLY_LEN];
-    for (slot, field) in out.chunks_exact_mut(8).zip(fields) {
-        slot.copy_from_slice(&field.to_le_bytes());
-    }
-    out
-}
-
-/// A decoded stats ok reply, mirroring [`EngineStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsReply {
-    /// Live entries in the memory tier.
-    pub entries: u64,
-    /// Capacity bound of the memory tier.
-    pub capacity: u64,
-    /// Memory-tier hits.
-    pub hits: u64,
-    /// Memory-tier misses.
-    pub misses: u64,
-    /// Memory-tier evictions.
-    pub evictions: u64,
-    /// Misses served from disk.
-    pub disk_hits: u64,
-    /// Characterizations executed.
-    pub characterizations: u64,
-    /// Requests coalesced onto in-flight characterizations.
-    pub coalesced: u64,
-    /// Characterizations currently in flight.
-    pub inflight: u64,
-    /// Estimates answered by the tier-A analytic model.
-    pub analytic_served: u64,
-    /// Estimates answered by a tier-B sibling regression.
-    pub regressed_served: u64,
-    /// Background fidelity upgrades completed.
-    pub upgrades_done: u64,
-}
-
-/// Decode a stats ok-reply payload.
-///
-/// # Errors
-///
-/// Wrong payload length.
-pub fn decode_stats_reply(payload: &[u8]) -> Result<StatsReply, String> {
-    if payload.len() != STATS_REPLY_LEN {
-        return Err(format!(
-            "stats reply must be {STATS_REPLY_LEN} bytes, got {}",
-            payload.len()
-        ));
-    }
-    let mut fields = [0u64; 12];
-    for (field, slot) in fields.iter_mut().zip(payload.chunks_exact(8)) {
-        *field = u64::from_le_bytes(slot.try_into().expect("8 bytes"));
-    }
-    Ok(StatsReply {
-        entries: fields[0],
-        capacity: fields[1],
-        hits: fields[2],
-        misses: fields[3],
-        evictions: fields[4],
-        disk_hits: fields[5],
-        characterizations: fields[6],
-        coalesced: fields[7],
-        inflight: fields[8],
-        analytic_served: fields[9],
-        regressed_served: fields[10],
-        upgrades_done: fields[11],
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,6 +731,15 @@ mod tests {
             .contains("unknown fidelity code 9"));
     }
 
+    /// Encode `response` as the reply to `op` and read it back.
+    fn reply_round_trip(op: Opcode, response: &Response) -> Response {
+        let mut frame = Vec::new();
+        encode_reply(&mut frame, 9, false, response);
+        let header = decode_header(frame[..HEADER_LEN].try_into().unwrap());
+        assert_eq!(header.len as usize, frame.len() - HEADER_LEN);
+        decode_reply(op, header.op, &frame[HEADER_LEN..]).unwrap()
+    }
+
     #[test]
     fn estimate_reply_round_trips() {
         let estimate = Estimate {
@@ -757,13 +755,19 @@ mod tests {
             wire[ESTIMATE_REPLY_SOURCE_OFFSET],
             source_code(CacheSource::Fresh)
         );
-        let decoded = decode_estimate_reply(&wire).unwrap();
-        assert_eq!(decoded.charge_per_cycle, estimate.charge_per_cycle);
-        assert_eq!(decoded.via_average, estimate.via_average);
-        assert_eq!(decoded.average_hd, estimate.average_hd);
-        assert_eq!(source_str(decoded.source), Some("fresh"));
-        assert_eq!(decoded.fidelity, Fidelity::Full);
-        assert_eq!(decoded.confidence, 1.0);
+        let expected = Response::Estimate(EstimateAnswer {
+            charge_per_cycle: estimate.charge_per_cycle,
+            via_average: estimate.via_average,
+            average_hd: estimate.average_hd,
+            source: "fresh".into(),
+            fidelity: Fidelity::Full,
+            confidence: 1.0,
+        });
+        assert_eq!(
+            decode_reply(Opcode::Estimate, STATUS_OK, &wire),
+            Ok(expected.clone())
+        );
+        assert_eq!(reply_round_trip(Opcode::Estimate, &expected), expected);
     }
 
     #[test]
@@ -777,8 +781,11 @@ mod tests {
             confidence: 0.25,
         };
         let wire = encode_estimate_reply(&estimate, source_code(estimate.source));
-        let decoded = decode_estimate_reply(&wire).unwrap();
-        assert_eq!(source_str(decoded.source), Some("analytic"));
+        let Ok(Response::Estimate(decoded)) = decode_reply(Opcode::Estimate, STATUS_OK, &wire)
+        else {
+            panic!("estimate reply");
+        };
+        assert_eq!(decoded.source, "analytic");
         assert_eq!(decoded.fidelity, Fidelity::Analytic);
         assert_eq!(decoded.confidence, 0.25);
         assert_eq!(
@@ -787,55 +794,64 @@ mod tests {
         );
         let mut bad = wire;
         bad[25] = 0;
-        assert!(decode_estimate_reply(&bad)
+        assert!(decode_reply(Opcode::Estimate, STATUS_OK, &bad)
             .unwrap_err()
             .contains("unknown fidelity code 0"));
     }
 
     #[test]
     fn characterize_round_trips_including_unconverged() {
-        let params = CharacterizeParams {
+        let request = Request::Characterize {
             spec: ModuleSpec::new(ModuleKind::Mac, ModuleWidth::Uniform(8)),
         };
-        let wire = encode_characterize_request(&params);
-        assert_eq!(decode_characterize_request(&wire).unwrap(), params);
+        let mut frame = Vec::new();
+        encode_request(&mut frame, 3, &request, 0);
+        assert_eq!(frame.len(), HEADER_LEN + SPEC_REQ_LEN);
+        assert_eq!(decode_request(frame[12], &frame[HEADER_LEN..]), Ok(request));
         for converged_after in [Some(1500u64), None] {
-            let reply = CharacterizeReply {
+            let reply = Response::Characterize(CharacterizeAnswer {
                 input_bits: 24,
                 transitions: 987_654,
                 converged_after,
-                source: source_code(CacheSource::Disk),
-            };
-            let wire = encode_characterize_reply(&reply);
-            assert_eq!(decode_characterize_reply(&wire).unwrap(), reply);
+                source: "disk".into(),
+            });
+            assert_eq!(reply_round_trip(Opcode::Characterize, &reply), reply);
         }
     }
 
     #[test]
     fn stats_reply_round_trips() {
-        let stats = EngineStats {
-            entries: 3,
-            capacity: 64,
-            hits: 100,
-            misses: 4,
-            evictions: 1,
-            disk_hits: 2,
-            characterizations: 2,
-            coalesced: 9,
-            inflight: 1,
-            analytic_served: 5,
-            regressed_served: 6,
-            upgrades_done: 4,
+        let stats = Response::Stats(StatsAnswer::from_fields([
+            3, 64, 100, 4, 1, 2, 2, 9, 1, 5, 6, 4,
+        ]));
+        let mut frame = Vec::new();
+        encode_reply(&mut frame, 1, false, &stats);
+        assert_eq!(frame.len(), HEADER_LEN + STATS_REPLY_LEN);
+        assert_eq!(reply_round_trip(Opcode::Stats, &stats), stats);
+    }
+
+    #[test]
+    fn error_replies_keep_kind_message_and_late_flag() {
+        let error = Response::Error {
+            kind: "timeout".into(),
+            message: "deadline exceeded".into(),
         };
-        let decoded = decode_stats_reply(&encode_stats_reply(&stats)).unwrap();
-        assert_eq!(decoded.entries, 3);
-        assert_eq!(decoded.capacity, 64);
-        assert_eq!(decoded.hits, 100);
-        assert_eq!(decoded.coalesced, 9);
-        assert_eq!(decoded.inflight, 1);
-        assert_eq!(decoded.analytic_served, 5);
-        assert_eq!(decoded.regressed_served, 6);
-        assert_eq!(decoded.upgrades_done, 4);
+        let mut frame = Vec::new();
+        encode_reply(&mut frame, 4, true, &error);
+        let header = decode_header(frame[..HEADER_LEN].try_into().unwrap());
+        assert_eq!(header.op, status_of(ErrorKind::Timeout));
+        assert_eq!(header.extra, FLAG_LATE);
+        assert_eq!(
+            decode_reply(Opcode::Stats, header.op, &frame[HEADER_LEN..]),
+            Ok(error)
+        );
+        assert_eq!(
+            decode_reply(Opcode::Stats, 99, b"?"),
+            Ok(Response::Error {
+                kind: "status_99".into(),
+                message: "?".into(),
+            })
+        );
     }
 
     #[test]
@@ -865,6 +881,17 @@ mod tests {
         assert!(decode_estimate_request(&bad_data)
             .unwrap_err()
             .contains("unknown data code 99"));
+        assert_eq!(
+            decode_request(Opcode::Characterize as u8, &[0u8; 2]),
+            Err((
+                ErrorKind::BadRequest,
+                "characterize payload must be 5 bytes, got 2".into()
+            ))
+        );
+        assert_eq!(
+            decode_request(42, &[]),
+            Err((ErrorKind::BadRequest, "unknown opcode 42".into()))
+        );
     }
 
     #[test]
@@ -929,6 +956,46 @@ mod tests {
             assert_eq!(kind_of(status), Some(kind));
         }
         assert_eq!(kind_of(STATUS_OK), None);
+        // Status, opcode and source bytes are wire format: pinned.
+        assert_eq!(kinds.map(status_of), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(
+            (0..=8).map(Opcode::from_u8).collect::<Vec<_>>(),
+            [
+                None,
+                Some(Opcode::Estimate),
+                Some(Opcode::Characterize),
+                Some(Opcode::Stats),
+                Some(Opcode::Ping),
+                Some(Opcode::FetchModel),
+                Some(Opcode::HaveModel),
+                Some(Opcode::WarmKeys),
+                None,
+            ]
+        );
+        assert_eq!(
+            (0..=8).map(source_str).collect::<Vec<_>>(),
+            [
+                None,
+                Some("memory"),
+                Some("disk"),
+                Some("fresh"),
+                Some("coalesced"),
+                Some("memo"),
+                Some("analytic"),
+                Some("regressed"),
+                None,
+            ]
+        );
+        for source in [
+            CacheSource::Memory,
+            CacheSource::Disk,
+            CacheSource::Fresh,
+            CacheSource::Coalesced,
+            CacheSource::Analytic,
+            CacheSource::Regressed,
+        ] {
+            assert_eq!(source_code_of(source.as_str()), source_code(source));
+        }
     }
 
     #[test]

@@ -1,0 +1,347 @@
+//! The two codecs around the one request core: every typed request
+//! survives both encodings unchanged, one response reads back the same
+//! through either protocol, and no byte string makes a decoder panic.
+
+use hdpm_core::Fidelity;
+use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
+use hdpm_server::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
+use hdpm_server::protocol::{self, Decoded};
+use hdpm_server::wire;
+use hdpm_streams::ALL_DATA_TYPES;
+use proptest::prelude::*;
+
+/// Raw material for one generated value: a fixed number of random words,
+/// consumed in order.
+fn words() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(any::<u64>(), 32)
+}
+
+struct Words(std::vec::IntoIter<u64>);
+
+impl Words {
+    fn next(&mut self) -> u64 {
+        self.0.next().expect("enough words")
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn spec(&mut self) -> ModuleSpec {
+        let kind = ModuleKind::ALL[self.below(ModuleKind::ALL.len() as u64) as usize];
+        let m1 = 1 + self.below(64) as usize;
+        let width = if self.below(2) == 0 {
+            ModuleWidth::Uniform(m1)
+        } else {
+            ModuleWidth::Rect(m1, 1 + self.below(64) as usize)
+        };
+        ModuleSpec::new(kind, width)
+    }
+
+    fn floor(&mut self) -> Option<Fidelity> {
+        [
+            None,
+            Some(Fidelity::Analytic),
+            Some(Fidelity::Regressed),
+            Some(Fidelity::Full),
+        ][self.below(4) as usize]
+    }
+
+    /// A finite float of any magnitude (JSON carries no NaN or ∞).
+    fn float(&mut self) -> f64 {
+        let f = f64::from_bits(self.next());
+        if f.is_finite() {
+            f
+        } else {
+            0.5
+        }
+    }
+
+    /// A count as the server produces them (JSON integers are i64).
+    fn count(&mut self) -> u64 {
+        self.next() >> 1
+    }
+
+    fn source(&mut self) -> String {
+        [
+            "memory",
+            "disk",
+            "fresh",
+            "coalesced",
+            "analytic",
+            "regressed",
+        ][self.below(6) as usize]
+            .to_string()
+    }
+
+    fn message(&mut self) -> String {
+        let alphabet = [
+            'a', 'Z', ' ', '"', '\\', '\n', '\t', 'é', '😀', '{', '}', '\u{1}',
+        ];
+        (0..self.below(24))
+            .map(|_| alphabet[self.below(alphabet.len() as u64) as usize])
+            .collect()
+    }
+}
+
+fn request_from(raw: Vec<u64>) -> (Request, Option<u32>) {
+    let mut w = Words(raw.into_iter());
+    let request = match w.below(4) {
+        0 => Request::Estimate {
+            spec: w.spec(),
+            data: ALL_DATA_TYPES[w.below(ALL_DATA_TYPES.len() as u64) as usize],
+            cycles: w.next() as u32,
+            seed: w.next(),
+            floor: w.floor(),
+        },
+        1 => Request::Characterize { spec: w.spec() },
+        2 => Request::Stats,
+        _ => Request::Ping,
+    };
+    // v2 spells "no deadline" as 0, so generated deadlines start at 1.
+    let deadline = (w.below(2) == 0).then(|| 1 + w.below(u64::from(u32::MAX)) as u32);
+    (request, deadline)
+}
+
+/// A response together with a request it can answer (v1 estimate and
+/// characterize replies echo the request's module and data).
+fn response_from(raw: Vec<u64>) -> (Request, Response) {
+    let mut w = Words(raw.into_iter());
+    let spec = w.spec();
+    let estimate = Request::Estimate {
+        spec,
+        data: ALL_DATA_TYPES[0],
+        cycles: 512,
+        seed: 7,
+        floor: None,
+    };
+    match w.below(5) {
+        0 => (
+            estimate,
+            Response::Estimate(EstimateAnswer {
+                charge_per_cycle: w.float(),
+                via_average: w.float(),
+                average_hd: w.float(),
+                source: w.source(),
+                fidelity: w.floor().unwrap_or(Fidelity::Full),
+                confidence: w.float(),
+            }),
+        ),
+        1 => (
+            Request::Characterize { spec },
+            Response::Characterize(CharacterizeAnswer {
+                input_bits: w.next() as u32,
+                transitions: w.count(),
+                converged_after: (w.below(2) == 0).then(|| w.count()),
+                source: w.source(),
+            }),
+        ),
+        2 => {
+            let answer = StatsAnswer {
+                entries: w.count(),
+                capacity: w.count(),
+                hits: w.count(),
+                misses: w.count(),
+                evictions: w.count(),
+                disk_hits: w.count(),
+                characterizations: w.count(),
+                coalesced: w.count(),
+                inflight: w.count(),
+                analytic_served: w.count(),
+                regressed_served: w.count(),
+                upgrades_done: w.count(),
+            };
+            (Request::Stats, Response::Stats(answer))
+        }
+        3 => (Request::Ping, Response::Pong),
+        _ => {
+            let kinds = [
+                "malformed",
+                "invalid_utf8",
+                "bad_request",
+                "engine",
+                "overloaded",
+                "timeout",
+            ];
+            let kind = kinds[w.below(kinds.len() as u64) as usize].to_string();
+            (
+                estimate,
+                Response::Error {
+                    kind,
+                    message: w.message(),
+                },
+            )
+        }
+    }
+}
+
+fn opcode_of(request: &Request) -> wire::Opcode {
+    match request {
+        Request::Estimate { .. } => wire::Opcode::Estimate,
+        Request::Characterize { .. } => wire::Opcode::Characterize,
+        Request::Stats => wire::Opcode::Stats,
+        Request::Ping => wire::Opcode::Ping,
+    }
+}
+
+fn v1_reply(request: &Request, response: &Response) -> Response {
+    let line = protocol::render(&protocol::reply_value(Some(request), response));
+    assert!(!line.contains('\n'), "one reply per line: {line}");
+    protocol::decode_reply(&line).unwrap_or_else(|e| panic!("{e}: {line}"))
+}
+
+fn v2_reply(request: &Request, response: &Response, late: bool) -> (Vec<u8>, Response) {
+    let mut frame = Vec::new();
+    wire::encode_reply(&mut frame, 77, late, response);
+    let header = wire::decode_header(frame[..wire::HEADER_LEN].try_into().unwrap());
+    assert_eq!(header.id, 77);
+    assert_eq!(header.len as usize, frame.len() - wire::HEADER_LEN);
+    assert_eq!(header.extra & wire::FLAG_LATE != 0, late);
+    let decoded = wire::decode_reply(opcode_of(request), header.op, &frame[wire::HEADER_LEN..])
+        .expect("v2 reply decodes");
+    (frame, decoded)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Client encode → server decode is the identity on both
+    /// protocols, deadline included; only ping has no v1 spelling.
+    #[test]
+    fn every_request_round_trips_through_both_codecs(raw in words()) {
+        let (request, deadline) = request_from(raw);
+
+        match protocol::encode_request(&request, deadline.map(u64::from)) {
+            None => prop_assert_eq!(request, Request::Ping),
+            Some(line) => {
+                let decoded = protocol::decode(line.as_bytes()).expect("decodes");
+                prop_assert_eq!(
+                    decoded,
+                    Some(Decoded {
+                        request: Ok(request),
+                        deadline_ms: deadline.map(u64::from),
+                    })
+                );
+            }
+        }
+
+        let mut frame = Vec::new();
+        wire::encode_request(&mut frame, 41, &request, deadline.unwrap_or(0));
+        let header = wire::decode_header(frame[..wire::HEADER_LEN].try_into().unwrap());
+        prop_assert_eq!(header.id, 41);
+        prop_assert_eq!(header.len as usize, frame.len() - wire::HEADER_LEN);
+        prop_assert_eq!(header.extra, deadline.unwrap_or(0));
+        prop_assert_eq!(
+            wire::decode_request(header.op, &frame[wire::HEADER_LEN..]),
+            Ok(request)
+        );
+    }
+
+    /// One response reads back identically through the v1 and the
+    /// v2 codec; the v2 reply memo's source label is the only permitted
+    /// difference.
+    #[test]
+    fn one_response_reads_back_the_same_on_both_protocols(raw in words(), late in any::<bool>()) {
+        let (request, response) = response_from(raw);
+        prop_assert_eq!(&v1_reply(&request, &response), &response);
+        let (mut frame, v2) = v2_reply(&request, &response, late);
+        prop_assert_eq!(&v2, &response);
+
+        if let Response::Estimate(answer) = &response {
+            frame[wire::HEADER_LEN + wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
+            let memo = wire::decode_reply(wire::Opcode::Estimate, wire::STATUS_OK, &frame[wire::HEADER_LEN..])
+                .expect("memo reply decodes");
+            prop_assert_eq!(
+                memo,
+                Response::Estimate(EstimateAnswer { source: "memo".into(), ..answer.clone() })
+            );
+        }
+    }
+
+    /// Arbitrary bytes give every decoder a value or a typed error,
+    /// never a panic.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(
+        bytes in prop::collection::vec(any::<u8>(), 0..48),
+        op in any::<u8>(),
+        status in 0u8..8,
+    ) {
+        let _ = protocol::decode(&bytes);
+        let _ = protocol::decode_reply(&String::from_utf8_lossy(&bytes));
+        let _ = wire::decode_request(op, &bytes);
+        let _ = wire::decode_estimate_request(&bytes);
+        let _ = wire::decode_spec_request(&bytes);
+        let _ = wire::decode_warm_keys(&bytes);
+        let _ = wire::decode_have_model_reply(&bytes);
+        if let Some(op) = wire::Opcode::from_u8(op) {
+            let _ = wire::decode_reply(op, status, &bytes);
+        }
+        if bytes.len() >= wire::HEADER_LEN {
+            let _ = wire::decode_header(bytes[..wire::HEADER_LEN].try_into().unwrap());
+        }
+    }
+
+    /// Valid request lines and frames with bytes flipped or cut off
+    /// reach the decoders' deeper branches; they too answer with a value
+    /// or a typed error.
+    #[test]
+    fn damaged_requests_never_panic_a_decoder(raw in words(), cut in any::<u64>(), flip in any::<u64>()) {
+        let (request, deadline) = request_from(raw);
+        let mut samples: Vec<Vec<u8>> = Vec::new();
+        if let Some(line) = protocol::encode_request(&request, deadline.map(u64::from)) {
+            samples.push(line.into_bytes());
+        }
+        let mut frame = Vec::new();
+        wire::encode_request(&mut frame, 1, &request, 0);
+        samples.push(frame[wire::HEADER_LEN..].to_vec());
+        for mut sample in samples {
+            if !sample.is_empty() {
+                let at = (flip % sample.len() as u64) as usize;
+                sample[at] ^= (flip >> 32) as u8 | 1;
+                let end = (cut % (sample.len() as u64 + 1)) as usize;
+                let _ = protocol::decode(&sample);
+                let _ = protocol::decode(&sample[..end]);
+                for op in 0..=8 {
+                    let _ = wire::decode_request(op, &sample);
+                    let _ = wire::decode_request(op, &sample[..end]);
+                }
+            }
+        }
+    }
+}
+
+/// The decoders' typed errors for the malformed shapes the property
+/// tests only sample.
+#[test]
+fn decoders_name_what_is_wrong() {
+    let (kind, message) = protocol::decode(b"{\"op\":").unwrap_err();
+    assert_eq!(kind, protocol::ErrorKind::Malformed, "{message}");
+    let (kind, _) = protocol::decode(&[0xC3, 0x28]).unwrap_err();
+    assert_eq!(kind, protocol::ErrorKind::InvalidUtf8);
+    assert_eq!(protocol::decode(b"  \t").unwrap(), None, "blank line");
+    let decoded = protocol::decode(
+        b"{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":4,\"cycles\":99999999999}",
+    )
+    .unwrap()
+    .unwrap();
+    assert_eq!(
+        decoded.request,
+        Err((
+            protocol::ErrorKind::BadRequest,
+            "cycles 99999999999 out of range".into()
+        ))
+    );
+    assert!(protocol::decode_reply("{\"ok\":true,\"op\":\"estimate\"}")
+        .unwrap_err()
+        .contains("v1 reply missing"));
+    assert!(
+        wire::decode_reply(wire::Opcode::Stats, wire::STATUS_OK, &[0; 3])
+            .unwrap_err()
+            .contains("96 bytes")
+    );
+    assert!(
+        wire::decode_reply(wire::Opcode::WarmKeys, wire::STATUS_OK, &[])
+            .unwrap_err()
+            .contains("cluster ops")
+    );
+}

@@ -9,7 +9,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use hdpm_core::{CharacterizationConfig, EngineOptions, PowerEngine, ShardingConfig};
+use hdpm_core::{CharacterizationConfig, EngineOptions, Fidelity, PowerEngine, ShardingConfig};
 use hdpm_server::{protocol, Server, ServerConfig};
 
 /// The engine the golden files were generated with:
@@ -59,7 +59,8 @@ fn replay_stdio(requests: &[String]) -> Vec<String> {
     let engine = std::sync::Arc::new(PowerEngine::new(golden_engine_options()));
     let script = requests.join("\n") + "\n";
     let mut out = Vec::new();
-    protocol::serve_lines(&engine, script.as_bytes(), &mut out).expect("serve_lines");
+    protocol::serve_lines(&engine, Fidelity::Full, script.as_bytes(), &mut out)
+        .expect("serve_lines");
     String::from_utf8(out)
         .expect("utf-8 replies")
         .lines()

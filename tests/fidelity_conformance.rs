@@ -24,7 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hdpm_core::prelude::*;
-use hdpm_core::{analytic_model, CacheSource, Fidelity, ShardingConfig, ANALYTIC_CONFIDENCE};
+use hdpm_core::{
+    analytic_model, CacheSource, Fidelity, ShardingConfig, TraceCtx, ANALYTIC_CONFIDENCE,
+};
 use hdpm_datamodel::HdDistribution;
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 
@@ -73,7 +75,12 @@ fn every_family_answers_instantly_at_tier_a() {
         let engine = quick_engine();
         let spec = ModuleSpec::new(kind, 6usize);
         let estimate = engine
-            .estimate_with_floor(spec, &flat_dist(spec), Fidelity::Analytic)
+            .estimate_at(
+                spec,
+                &flat_dist(spec),
+                Fidelity::Analytic,
+                &mut TraceCtx::disabled(),
+            )
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(estimate.fidelity, Fidelity::Analytic, "{kind:?}");
         assert_eq!(estimate.source, CacheSource::Analytic, "{kind:?}");
@@ -105,7 +112,7 @@ fn tier_a_and_b_track_the_oracle_within_documented_bounds() {
         // Tier B must be served *before* the oracle characterizes width 6,
         // or the memory tier would answer at full fidelity.
         let tier_b = engine
-            .estimate_with_floor(spec, &dist, Fidelity::Regressed)
+            .estimate_at(spec, &dist, Fidelity::Regressed, &mut TraceCtx::disabled())
             .unwrap_or_else(|e| panic!("{kind:?}: tier B: {e}"));
         assert_eq!(tier_b.fidelity, Fidelity::Regressed, "{kind:?}");
         assert_eq!(tier_b.source, CacheSource::Regressed, "{kind:?}");
@@ -162,13 +169,13 @@ fn background_upgrade_flips_the_label_without_a_second_characterization() {
     let dist = flat_dist(spec);
 
     let first = engine
-        .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+        .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
         .unwrap();
     assert_eq!(first.fidelity, Fidelity::Analytic);
 
     await_upgrades(&engine, 1);
     let second = engine
-        .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+        .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
         .unwrap();
     assert_eq!(second.fidelity, Fidelity::Full);
     assert_eq!(second.source, CacheSource::Memory);
@@ -194,7 +201,7 @@ fn cold_estimate_answers_under_a_millisecond() {
         let dist = flat_dist(spec);
         let start = Instant::now();
         let estimate = engine
-            .estimate_with_floor(spec, &dist, Fidelity::Analytic)
+            .estimate_at(spec, &dist, Fidelity::Analytic, &mut TraceCtx::disabled())
             .unwrap();
         let elapsed = start.elapsed();
         assert_ne!(estimate.fidelity, Fidelity::Full, "width {width}");
