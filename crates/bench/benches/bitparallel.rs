@@ -6,7 +6,7 @@
 //! is the speedup factor recorded in BENCH_sim.json.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdpm_core::{characterize_with_backend, CharacterizationConfig, SimBackend};
+use hdpm_core::{characterize_with_backend, CharacterizationConfig, ShardingConfig, SimBackend};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 
 fn bench_bitparallel(c: &mut Criterion) {
@@ -36,8 +36,13 @@ fn bench_bitparallel(c: &mut Criterion) {
                 &netlist,
                 |b, netlist| {
                     b.iter(|| {
-                        characterize_with_backend(netlist, &config, backend)
-                            .expect("non-empty budget")
+                        characterize_with_backend(
+                            netlist,
+                            &config,
+                            &ShardingConfig::SEQUENTIAL,
+                            backend,
+                        )
+                        .expect("non-empty budget")
                     })
                 },
             );

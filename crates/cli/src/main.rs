@@ -22,8 +22,8 @@ use std::process::ExitCode;
 
 use args::ParsedArgs;
 use hdpm_core::{
-    characterize_sharded_with_backend, characterize_with_backend, evaluate, persist,
-    threads_from_env, CharacterizationConfig, HdModel, ShardingConfig, SimBackend, StimulusKind,
+    characterize_with_backend, evaluate, persist, threads_from_env, CharacterizationConfig,
+    HdModel, ShardingConfig, SimBackend, StimulusKind,
 };
 use hdpm_datamodel::{breakpoints, region_model, HdDistribution, WordModel};
 use hdpm_netlist::{emit_verilog, ModuleKind, ModuleSpec, ModuleWidth, NetlistStats};
@@ -316,14 +316,12 @@ fn cmd_characterize(args: &ParsedArgs) -> CliResult {
         netlist.netlist().gate_count(),
         netlist.netlist().input_bit_count()
     );
-    // --shards 0 requests the sequential reference path; otherwise the
-    // sharded driver runs (bit-identical for every thread count).
-    let result = if shards == 0 {
-        characterize_with_backend(&netlist, &config, backend)?
-    } else {
-        let sharding = ShardingConfig { shards, threads };
-        characterize_sharded_with_backend(&netlist, &config, &sharding, backend)?
-    };
+    let result = characterize_with_backend(
+        &netlist,
+        &config,
+        &ShardingConfig { shards, threads },
+        backend,
+    )?;
     // In JSON telemetry mode stdout is reserved for JSON-lines; the same
     // coefficient data is emitted there as `characterize.class_samples`.
     if telemetry::mode() != telemetry::Mode::Json {

@@ -78,11 +78,9 @@ pub(crate) fn engine_from(args: &ParsedArgs) -> Result<PowerEngine, Box<dyn std:
         .build()?;
     let shards = args.get_or("shards", 8usize)?;
     let threads = args.get_or("threads", 0usize)?;
-    // --shards 0 requests the sequential reference path, as elsewhere.
-    let sharding = (shards > 0).then_some(ShardingConfig { shards, threads });
     Ok(PowerEngine::new(EngineOptions {
         config,
-        sharding,
+        sharding: Some(ShardingConfig { shards, threads }),
         disk_root: args.option("models").map(Into::into),
         capacity: args.get_or("capacity", 64usize)?,
     }))

@@ -207,16 +207,21 @@ fn characterize_is_thread_count_invariant() {
 
 #[test]
 fn characterize_shards_zero_runs_sequential_path() {
+    // `--shards 0` must reach the sequential stream the golden fixture
+    // pins, not a sharded run.
+    let path = temp_path("sh0_model.json");
     let out = hdpm(&[
         "characterize",
         "--module",
         "ripple_adder",
         "--width",
-        "4",
+        "8",
         "--patterns",
-        "800",
+        "3000",
         "--shards",
         "0",
+        "--out",
+        path.to_str().expect("utf8 temp path"),
     ]);
     assert!(
         out.status.success(),
@@ -224,6 +229,14 @@ fn characterize_shards_zero_runs_sequential_path() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout(&out).contains("p_i"));
+    let written: hdpm_core::Characterization =
+        hdpm_core::persist::load(&path).expect("artifact loads");
+    let _ = std::fs::remove_file(&path);
+    let golden: hdpm_core::Characterization = serde_json::from_str(include_str!(
+        "../../../tests/fixtures/ripple_adder_8_seq.json"
+    ))
+    .expect("fixture parses as a Characterization");
+    assert_eq!(written, golden);
 }
 
 #[test]

@@ -6,17 +6,20 @@
 //! deviation `ε_i` of eq. 5. Characterization stops early once the
 //! coefficients have converged.
 //!
-//! Two drivers share the same stimulus and accumulation machinery:
+//! One driver, [`characterize_with_backend`], runs every characterization.
+//! Its [`ShardingConfig`] describes the run's shape:
 //!
-//! * [`characterize`] — the sequential reference: one seeded pattern
-//!   stream, convergence-checked every `check_interval` patterns;
-//! * [`characterize_sharded`] — the pattern budget split into `S`
-//!   deterministic shards with RNG streams derived by
-//!   [`crate::shard_seed`], simulated on scoped worker threads and merged
-//!   in ascending shard index. The coefficient tables are bit-identical
+//! * `shards: 0` — the sequential reference stream ([`characterize`]):
+//!   one pattern stream seeded by `config.seed`, convergence-checked
+//!   every `check_interval` patterns, stopping early once converged;
+//! * `shards: S ≥ 1` — the pattern budget split into `S` deterministic
+//!   shards with RNG streams derived by [`crate::shard_seed`], simulated
+//!   on scoped worker threads and merged in ascending shard index,
+//!   checkpointed at shard boundaries and never stopping early
+//!   ([`characterize_sharded`]). The coefficient tables are bit-identical
 //!   for every thread count (see `docs/parallelism.md`).
 //!
-//! Both drivers run on either reference-simulator backend (see
+//! Both shapes run on either reference-simulator backend (see
 //! [`SimBackend`] and `docs/simulation.md`): the event-driven oracle or
 //! the bit-parallel engine, which packs 64 transitions of the stimulus
 //! stream into one block and is **bit-identical** to the oracle — the
@@ -30,6 +33,7 @@ use hdpm_telemetry as telemetry;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 use telemetry::Level;
 
 use crate::error::ModelError;
@@ -276,9 +280,9 @@ const SWEEP_LEVELS: [f64; 7] = [0.5, 0.15, 0.85, 0.3, 0.7, 0.05, 0.95];
 const SWEEP_BLOCK: usize = 200;
 
 /// One deterministic characterization pattern stream: an RNG, the
-/// stimulus law and the previous pattern. The sequential driver owns one
-/// stream; every shard of a sharded run owns an independent stream seeded
-/// via [`shard_seed`].
+/// stimulus law and the previous pattern. A sequential run owns one
+/// stream seeded by the configuration seed; every shard of a sharded run
+/// owns an independent stream seeded via [`shard_seed`].
 struct StimulusStream {
     rng: StdRng,
     stimulus: StimulusKind,
@@ -444,11 +448,54 @@ fn max_relative_change(new: &[f64], old: &[f64]) -> f64 {
     max_change
 }
 
-/// Characterize a module prototype with random patterns (§4.1).
-///
-/// This is the sequential reference implementation; see
-/// [`characterize_sharded`] for the thread-count-invariant parallel
-/// driver.
+/// Convergence bookkeeping of one run: the last coefficient snapshot, the
+/// trajectory, and the first checkpoint that met the tolerance.
+#[derive(Default)]
+struct Checkpoints {
+    last: Option<Vec<f64>>,
+    history: Vec<ConvergencePoint>,
+    converged_after: Option<usize>,
+}
+
+impl Checkpoints {
+    /// Checkpoint `acc` after `patterns` patterns. Returns `true` when this
+    /// is the first checkpoint whose largest relative coefficient move is
+    /// under `config.convergence_tol`.
+    fn check(
+        &mut self,
+        config: &CharacterizationConfig,
+        acc: &ClassAccumulator,
+        patterns: usize,
+    ) -> bool {
+        let snapshot = convergence_snapshot(acc, config.min_class_samples);
+        let change = self
+            .last
+            .as_ref()
+            .map(|last| max_relative_change(&snapshot, last));
+        self.last = Some(snapshot);
+        let mut fields = vec![("patterns", patterns.into())];
+        if let Some(max_change) = change {
+            self.history.push(ConvergencePoint {
+                patterns,
+                max_relative_change: max_change,
+            });
+            fields.push(("max_relative_change", max_change.into()));
+        }
+        // The first checkpoint is the baseline: no snapshot to diff against.
+        fields.push(("baseline", change.is_none().into()));
+        telemetry::event(Level::Info, "characterize.checkpoint", &fields);
+        let converged = self.converged_after.is_none()
+            && change.is_some_and(|max_change| max_change < config.convergence_tol);
+        if converged {
+            self.converged_after = Some(patterns);
+        }
+        converged
+    }
+}
+
+/// Characterize a module prototype with random patterns (§4.1): the
+/// sequential reference stream (`shards: 0`, see [`characterize_sharded`]
+/// for the other shapes).
 ///
 /// # Errors
 ///
@@ -478,155 +525,32 @@ pub fn characterize(
     netlist: &ValidatedNetlist,
     config: &CharacterizationConfig,
 ) -> Result<Characterization, ModelError> {
-    characterize_with_backend(netlist, config, SimBackend::resolve(None))
+    characterize_sharded(netlist, config, &ShardingConfig::SEQUENTIAL)
 }
 
-/// [`characterize`] with an explicit simulator backend instead of the
-/// [`SimBackend::resolve`]d default. The backend never changes a bit of
-/// the result (that contract is enforced by `tests/sim_conformance.rs`);
-/// passing [`SimBackend::Event`] forces the slower oracle, which is what
-/// the differential harness and `--sim-backend event` do.
-pub fn characterize_with_backend(
-    netlist: &ValidatedNetlist,
-    config: &CharacterizationConfig,
-    backend: SimBackend,
-) -> Result<Characterization, ModelError> {
-    let m = netlist.netlist().input_bit_count();
-
-    let _span = telemetry::span("characterize");
-    telemetry::event(
-        Level::Info,
-        "characterize.start",
-        &[
-            ("module", netlist.netlist().name().into()),
-            ("input_bits", m.into()),
-            ("stimulus", format!("{:?}", config.stimulus).into()),
-            ("max_patterns", config.max_patterns.into()),
-            ("seed", config.seed.into()),
-            ("backend", backend.id().into()),
-        ],
-    );
-
-    // Per-sample records for the deviation pass.
-    let mut records: Vec<(u16, u16, f64)> = Vec::with_capacity(config.max_patterns);
-
-    // Running per-class accumulator for the convergence check.
-    let mut acc = ClassAccumulator::empty(m);
-    let mut last_snapshot: Option<Vec<f64>> = None;
-    let mut history = Vec::new();
-    let mut converged_after = None;
-    let mut applied = 0usize;
-
-    let mut stream = StimulusStream::new(m, config.stimulus, config.seed);
-    drive_stream(
-        netlist,
-        config,
-        backend,
-        &mut stream,
-        config.max_patterns,
-        |transition, charge| {
-            if let Some((hd, zeros)) = transition {
-                records.push((hd as u16, zeros as u16, charge));
-                acc.record(hd, charge);
-            }
-            applied += 1;
-
-            if applied.is_multiple_of(config.check_interval) || applied == config.max_patterns {
-                let snapshot = convergence_snapshot(&acc, config.min_class_samples);
-                if let Some(last) = &last_snapshot {
-                    let max_change = max_relative_change(&snapshot, last);
-                    history.push(ConvergencePoint {
-                        patterns: applied,
-                        max_relative_change: max_change,
-                    });
-                    telemetry::event(
-                        Level::Info,
-                        "characterize.checkpoint",
-                        &[
-                            ("patterns", applied.into()),
-                            ("max_relative_change", max_change.into()),
-                            ("baseline", false.into()),
-                        ],
-                    );
-                    if converged_after.is_none() && max_change < config.convergence_tol {
-                        converged_after = Some(applied);
-                        last_snapshot = Some(snapshot);
-                        return true;
-                    }
-                } else {
-                    // Baseline checkpoint: first coefficient snapshot, no
-                    // previous state to diff against.
-                    telemetry::event(
-                        Level::Info,
-                        "characterize.checkpoint",
-                        &[("patterns", applied.into()), ("baseline", true.into())],
-                    );
-                }
-                last_snapshot = Some(snapshot);
-            }
-            false
-        },
-    );
-
-    telemetry::event(
-        Level::Info,
-        "characterize.stop",
-        &[
-            ("patterns", applied.into()),
-            ("transitions", records.len().into()),
-            (
-                "reason",
-                if converged_after.is_some() {
-                    "converged"
-                } else {
-                    "max_patterns"
-                }
-                .into(),
-            ),
-        ],
-    );
-
-    let result = build_characterization(
-        netlist.netlist().name(),
-        m,
-        &records,
-        config.clustering,
-        converged_after,
-        history,
-    )?;
-    emit_class_telemetry(config, &result);
-    Ok(result)
-}
-
-/// Characterize a module prototype with the pattern budget split into
-/// deterministic shards running on scoped worker threads.
+/// Characterize a module prototype in the run shape `sharding` describes,
+/// on the [`SimBackend::resolve`]d default backend. `shards: 0` is the
+/// sequential stream of [`characterize`].
 ///
-/// Each shard owns an independent RNG stream seeded by
-/// [`shard_seed`]`(config.seed, shard_index)` and an independent previous
-/// pattern, so shard streams never depend on scheduling. Per-shard
-/// accumulators and sample records are merged in **ascending shard
-/// index**, which makes the resulting coefficient tables (`p_i`, `ε_i`)
-/// bit-identical for every `sharding.threads` value, including 1. The
-/// shard *count* is part of the result's identity: changing
-/// `sharding.shards` selects different pattern streams (statistically
-/// equivalent, numerically different).
-///
-/// Unlike [`characterize`], the sharded driver never stops early: every
-/// shard consumes its full budget and the convergence trajectory —
-/// checkpointed at shard boundaries over merged prefixes — is advisory.
-/// A shard's first pattern initializes its simulator and produces no
-/// transition, so a run observes `max_patterns − S` transitions when all
-/// budgets are non-zero.
+/// With `shards: S ≥ 1`, every shard owns an RNG stream seeded by
+/// [`shard_seed`]`(config.seed, shard_index)` and its own previous
+/// pattern, and shards merge in **ascending shard index**, so the
+/// coefficient tables (`p_i`, `ε_i`) are bit-identical for every
+/// `sharding.threads` value, including 1. The shard *count* selects the
+/// pattern streams and so is part of the result's identity. Shards never
+/// stop early (their convergence trajectory is advisory), and a shard's
+/// first pattern only initializes its simulator, so a run observes
+/// `max_patterns − S` transitions when all budgets are non-zero.
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::EmptyCharacterization`] when no shard produced a
-/// transition in any Hd class.
+/// Returns [`ModelError::EmptyCharacterization`] when no stream produced
+/// a transition in any Hd class.
 ///
 /// # Examples
 ///
 /// ```
-/// use hdpm_core::{characterize_sharded, CharacterizationConfig, ShardingConfig};
+/// use hdpm_core::{characterize, characterize_sharded, CharacterizationConfig, ShardingConfig};
 /// use hdpm_netlist::modules;
 ///
 /// # fn main() -> Result<(), hdpm_core::ModelError> {
@@ -644,6 +568,9 @@ pub fn characterize_with_backend(
 /// )?;
 /// // Thread count never changes a bit of the coefficient tables.
 /// assert_eq!(parallel.model, single.model);
+/// // `shards: 0` is the sequential stream.
+/// let sequential = characterize_sharded(&adder, &config, &ShardingConfig::SEQUENTIAL)?;
+/// assert_eq!(sequential, characterize(&adder, &config)?);
 /// # Ok(())
 /// # }
 /// ```
@@ -652,24 +579,42 @@ pub fn characterize_sharded(
     config: &CharacterizationConfig,
     sharding: &ShardingConfig,
 ) -> Result<Characterization, ModelError> {
-    characterize_sharded_with_backend(netlist, config, sharding, SimBackend::resolve(None))
+    characterize_with_backend(netlist, config, sharding, SimBackend::resolve(None))
 }
 
-/// [`characterize_sharded`] with an explicit simulator backend. Lane
-/// packing composes with the per-shard RNG streams: each shard packs its
-/// *own* stream into 64-lane blocks, so sharded bit-plane runs stay
-/// bit-identical to the event-driven oracle at every thread count.
-pub fn characterize_sharded_with_backend(
+/// [`characterize_sharded`] with an explicit simulator backend instead of
+/// the [`SimBackend::resolve`]d default. The backend never changes a bit
+/// of the result (that contract is enforced by `tests/sim_conformance.rs`);
+/// passing [`SimBackend::Event`] forces the slower oracle, which is what
+/// the differential harness and `--sim-backend event` do. Lane packing
+/// composes with the per-shard RNG streams: each stream is packed into
+/// 64-lane blocks of its *own*, so bit-plane runs stay bit-identical to
+/// the oracle in either shape and at every thread count.
+///
+/// # Errors
+///
+/// As for [`characterize_sharded`].
+pub fn characterize_with_backend(
     netlist: &ValidatedNetlist,
     config: &CharacterizationConfig,
     sharding: &ShardingConfig,
     backend: SimBackend,
 ) -> Result<Characterization, ModelError> {
     let m = netlist.netlist().input_bit_count();
-    let budgets = shard_budgets(config.max_patterns, sharding.shards);
+    let sequential = sharding.shards == 0;
+    // (seed, budget) of every pattern stream, in merge order.
+    let streams: Vec<(u64, usize)> = if sequential {
+        vec![(config.seed, config.max_patterns)]
+    } else {
+        shard_budgets(config.max_patterns, sharding.shards)
+            .into_iter()
+            .enumerate()
+            .map(|(index, budget)| (shard_seed(config.seed, index as u64), budget))
+            .collect()
+    };
     let threads = sharding.effective_threads();
 
-    let _span = telemetry::span("characterize.sharded");
+    let _span = telemetry::span("characterize");
     telemetry::event(
         Level::Info,
         "characterize.start",
@@ -685,16 +630,22 @@ pub fn characterize_sharded_with_backend(
         ],
     );
 
-    struct ShardRun {
+    struct StreamRun {
         records: Vec<(u16, u16, f64)>,
         acc: ClassAccumulator,
+        applied: usize,
     }
 
-    let runs: Vec<ShardRun> = parallel_map_ordered(&budgets, threads, |index, &budget| {
-        let mut stream =
-            StimulusStream::new(m, config.stimulus, shard_seed(config.seed, index as u64));
-        let mut records = Vec::with_capacity(budget.saturating_sub(1));
-        let mut acc = ClassAccumulator::empty(m);
+    // Only the sequential stream checkpoints as it goes, and it may stop
+    // there; it is the run's only stream, so the lock is never contended.
+    let checkpoints = Mutex::new(Checkpoints::default());
+    let runs: Vec<StreamRun> = parallel_map_ordered(&streams, threads, |_, &(seed, budget)| {
+        let mut stream = StimulusStream::new(m, config.stimulus, seed);
+        let mut run = StreamRun {
+            records: Vec::with_capacity(budget),
+            acc: ClassAccumulator::empty(m),
+            applied: 0,
+        };
         drive_stream(
             netlist,
             config,
@@ -703,82 +654,59 @@ pub fn characterize_sharded_with_backend(
             budget,
             |transition, charge| {
                 if let Some((hd, zeros)) = transition {
-                    records.push((hd as u16, zeros as u16, charge));
-                    acc.record(hd, charge);
+                    run.records.push((hd as u16, zeros as u16, charge));
+                    run.acc.record(hd, charge);
                 }
-                false // shards never stop early
+                run.applied += 1;
+                sequential
+                    && (run.applied.is_multiple_of(config.check_interval) || run.applied == budget)
+                    && checkpoints.lock().expect("checkpoint lock").check(
+                        config,
+                        &run.acc,
+                        run.applied,
+                    )
             },
         );
-        ShardRun { records, acc }
+        run
     });
+    let mut checkpoints = checkpoints.into_inner().expect("checkpoint lock");
 
-    // Merge in ascending shard index — this fixed order, not float
+    // Merge in ascending stream index — this fixed order, not float
     // algebra, is what makes the result independent of the schedule. The
-    // merged prefixes double as convergence checkpoints at shard
-    // boundaries; the sharded driver never stops early, so the
-    // trajectory (and `converged_after`) is advisory.
+    // merged prefixes double as the shards' convergence checkpoints;
+    // shards never stop early, so their trajectory (and
+    // `converged_after`) is advisory.
     let mut merged = ClassAccumulator::empty(m);
-    let mut history = Vec::new();
-    let mut converged_after = None;
-    let mut last_snapshot: Option<Vec<f64>> = None;
-    let mut cumulative = 0usize;
+    let mut applied = 0usize;
     for (index, run) in runs.iter().enumerate() {
-        if telemetry::enabled() {
-            telemetry::gauge_set(
-                &format!("characterize.shard.{index}.samples"),
-                run.records.len() as f64,
-            );
-        }
         merged.merge(&run.acc);
-        cumulative += budgets[index];
-        let snapshot = convergence_snapshot(&merged, config.min_class_samples);
-        if let Some(last) = &last_snapshot {
-            let max_change = max_relative_change(&snapshot, last);
-            history.push(ConvergencePoint {
-                patterns: cumulative,
-                max_relative_change: max_change,
-            });
-            telemetry::event(
-                Level::Info,
-                "characterize.checkpoint",
-                &[
-                    ("patterns", cumulative.into()),
-                    ("max_relative_change", max_change.into()),
-                    ("baseline", false.into()),
-                ],
-            );
-            if converged_after.is_none() && max_change < config.convergence_tol {
-                converged_after = Some(cumulative);
+        applied += run.applied;
+        if !sequential {
+            if telemetry::enabled() {
+                telemetry::gauge_set(
+                    &format!("characterize.shard.{index}.samples"),
+                    run.records.len() as f64,
+                );
             }
-        } else {
-            telemetry::event(
-                Level::Info,
-                "characterize.checkpoint",
-                &[("patterns", cumulative.into()), ("baseline", true.into())],
-            );
+            checkpoints.check(config, &merged, applied);
         }
-        last_snapshot = Some(snapshot);
     }
-
     let mut records = Vec::with_capacity(merged.total_samples() as usize);
-    for run in runs {
-        records.extend(run.records);
-    }
+    records.extend(runs.into_iter().flat_map(|run| run.records));
+
     telemetry::event(
         Level::Info,
         "characterize.stop",
         &[
-            ("patterns", config.max_patterns.into()),
+            ("patterns", applied.into()),
             ("transitions", records.len().into()),
             ("shards", sharding.shards.into()),
             (
                 "reason",
-                if converged_after.is_some() {
-                    "converged"
-                } else {
-                    "max_patterns"
-                }
-                .into(),
+                checkpoints
+                    .converged_after
+                    .map_or("max_patterns", |_| "converged")
+                    .into(),
             ),
         ],
     );
@@ -788,15 +716,15 @@ pub fn characterize_sharded_with_backend(
         m,
         &records,
         config.clustering,
-        converged_after,
-        history,
+        checkpoints.converged_after,
+        checkpoints.history,
     )?;
     emit_class_telemetry(config, &result);
     Ok(result)
 }
 
-/// Per-class coefficient events plus starvation warnings, shared by both
-/// characterization drivers. No-op when telemetry is disabled.
+/// Per-class coefficient events plus starvation warnings. No-op when
+/// telemetry is disabled.
 fn emit_class_telemetry(config: &CharacterizationConfig, result: &Characterization) {
     if !telemetry::enabled() {
         return;
@@ -1256,8 +1184,20 @@ mod tests {
         let mut config = quick_config();
         config.check_interval = 300; // not lane-aligned: stops mid-block
         config.convergence_tol = 0.08;
-        let event = characterize_with_backend(&adder, &config, SimBackend::Event).unwrap();
-        let bitplane = characterize_with_backend(&adder, &config, SimBackend::Bitplane).unwrap();
+        let event = characterize_with_backend(
+            &adder,
+            &config,
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Event,
+        )
+        .unwrap();
+        let bitplane = characterize_with_backend(
+            &adder,
+            &config,
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Bitplane,
+        )
+        .unwrap();
         assert_eq!(event, bitplane);
     }
 
@@ -1272,11 +1212,9 @@ mod tests {
             shards: 4,
             threads: 2,
         };
-        let event =
-            characterize_sharded_with_backend(&mul, &config, &sharding, SimBackend::Event).unwrap();
+        let event = characterize_with_backend(&mul, &config, &sharding, SimBackend::Event).unwrap();
         let bitplane =
-            characterize_sharded_with_backend(&mul, &config, &sharding, SimBackend::Bitplane)
-                .unwrap();
+            characterize_with_backend(&mul, &config, &sharding, SimBackend::Bitplane).unwrap();
         assert_eq!(event, bitplane);
     }
 
@@ -1290,8 +1228,20 @@ mod tests {
             max_patterns: 1200,
             ..quick_config()
         };
-        let event = characterize_with_backend(&mac, &config, SimBackend::Event).unwrap();
-        let bitplane = characterize_with_backend(&mac, &config, SimBackend::Bitplane).unwrap();
+        let event = characterize_with_backend(
+            &mac,
+            &config,
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Event,
+        )
+        .unwrap();
+        let bitplane = characterize_with_backend(
+            &mac,
+            &config,
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Bitplane,
+        )
+        .unwrap();
         assert_eq!(event, bitplane);
     }
 
@@ -1299,8 +1249,13 @@ mod tests {
     fn default_backend_resolution_matches_explicit_bitplane() {
         let adder = modules::ripple_adder(4).unwrap().validate().unwrap();
         let via_default = characterize(&adder, &quick_config()).unwrap();
-        let via_explicit =
-            characterize_with_backend(&adder, &quick_config(), SimBackend::Bitplane).unwrap();
+        let via_explicit = characterize_with_backend(
+            &adder,
+            &quick_config(),
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Bitplane,
+        )
+        .unwrap();
         assert_eq!(via_default, via_explicit);
     }
 

@@ -35,7 +35,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, Weak};
 
 use hdpm_datamodel::HdDistribution;
 use hdpm_netlist::{ModuleKind, ModuleSpec};
@@ -44,9 +44,7 @@ use hdpm_telemetry::{Stage, TraceCtx};
 use serde::Serialize;
 
 use crate::cache::{LruCache, ModelKey};
-use crate::characterize::{
-    characterize, characterize_sharded, Characterization, CharacterizationConfig,
-};
+use crate::characterize::{characterize_sharded, Characterization, CharacterizationConfig};
 use crate::error::ModelError;
 use crate::fidelity::{self, Fidelity};
 use crate::library::{CorruptArtifactPolicy, LibrarySource, ModelLibrary};
@@ -59,9 +57,10 @@ use crate::shard::{parallel_map_ordered, resolve_threads, ShardingConfig};
 pub struct EngineOptions {
     /// Characterization configuration applied to every cache miss.
     pub config: CharacterizationConfig,
-    /// Sharded-parallel characterization shape; `None` runs the
-    /// sequential reference driver. The shard count is part of the cache
-    /// key, the thread count is not (it never changes a result bit).
+    /// Characterization run shape; `None` is the same as
+    /// [`ShardingConfig::SEQUENTIAL`] (`shards: 0`, the sequential
+    /// reference stream). The shard count is part of the cache key, the
+    /// thread count is not (it never changes a result bit).
     pub sharding: Option<ShardingConfig>,
     /// Root directory of the on-disk tier; `None` keeps the engine
     /// memory-only.
@@ -206,9 +205,10 @@ impl Flight {
         }
     }
 
-    /// Publish the leader's outcome and wake every waiter.
+    /// Publish the leader's outcome and wake every waiter. Never panics,
+    /// so a [`LeaderGuard`] can call it while unwinding.
     fn resolve(&self, outcome: Result<Arc<Characterization>, String>) {
-        let mut state = self.state.lock().expect("flight lock");
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         *state = match outcome {
             Ok(c) => FlightState::Ready(c),
             Err(detail) => FlightState::Failed(detail),
@@ -228,6 +228,35 @@ impl Flight {
                 FlightState::Failed(detail) => return Err(detail.clone()),
             }
         }
+    }
+}
+
+/// A leader's registration in the in-flight registry. Dropped before the
+/// leader published (its characterization panicked), it unregisters the
+/// key and fails the flight, so waiters return
+/// [`ModelError::SingleFlight`] and the next request leads afresh instead
+/// of blocking forever.
+struct LeaderGuard<'a> {
+    inner: &'a Mutex<EngineInner>,
+    key: ModelKey,
+    flight: Arc<Flight>,
+    published: bool,
+}
+
+impl Drop for LeaderGuard<'_> {
+    fn drop(&mut self) {
+        if self.published {
+            return;
+        }
+        // No panics in drop: a lock poisoned by the unwinding leader is
+        // still consistent enough to unregister one key.
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .inflight
+            .remove(&self.key);
+        self.flight
+            .resolve(Err("the characterization leader panicked".to_string()));
     }
 }
 
@@ -294,6 +323,8 @@ type UpgradeHook = Arc<dyn Fn(&PowerEngine, ModuleSpec) + Send + Sync>;
 /// miss handling. See the [module docs](self) for the full contract.
 pub struct PowerEngine {
     options: EngineOptions,
+    /// `options.sharding` with `None` resolved to the sequential shape.
+    sharding: ShardingConfig,
     library: Option<ModelLibrary>,
     inner: Mutex<EngineInner>,
     disk_hits: AtomicU64,
@@ -329,19 +360,16 @@ impl PowerEngine {
     /// tier is a [`ModelLibrary`] keyed identically (configuration and
     /// shard count in the artifact names).
     pub fn new(options: EngineOptions) -> Self {
+        let sharding = options.sharding.unwrap_or(ShardingConfig::SEQUENTIAL);
         let library = options.disk_root.as_ref().map(|root| {
-            match options.sharding {
-                Some(sharding) => {
-                    ModelLibrary::with_sharding(root.clone(), options.config, sharding)
-                }
-                None => ModelLibrary::new(root.clone(), options.config),
-            }
             // Serving must survive a dirty store: corrupt artifacts
             // are quarantined and re-characterized, never fatal.
-            .with_corrupt_policy(CorruptArtifactPolicy::Quarantine)
+            ModelLibrary::with_sharding(root.clone(), options.config, sharding)
+                .with_corrupt_policy(CorruptArtifactPolicy::Quarantine)
         });
         let capacity = options.capacity.max(1);
         PowerEngine {
+            sharding,
             library,
             inner: Mutex::new(EngineInner {
                 cache: LruCache::new(capacity),
@@ -383,8 +411,7 @@ impl PowerEngine {
 
     /// The cache key a spec maps to under this engine's configuration.
     pub fn key_for(&self, spec: ModuleSpec) -> ModelKey {
-        let shards = self.options.sharding.map_or(0, |s| s.shards);
-        ModelKey::new(spec, &self.options.config, shards)
+        ModelKey::new(spec, &self.options.config, self.sharding.shards)
     }
 
     /// Fetch the characterization of `spec`, reporting which tier served
@@ -456,6 +483,12 @@ impl PowerEngine {
                     })
             }
             Role::Leader(flight) => {
+                let mut leader = LeaderGuard {
+                    inner: &self.inner,
+                    key,
+                    flight,
+                    published: false,
+                };
                 telemetry::counter_add("engine.cache.miss", 1);
                 let _span = telemetry::span("engine.miss");
                 let outcome = trace.time(Stage::Characterize, || self.load_or_characterize(spec));
@@ -474,10 +507,11 @@ impl PowerEngine {
                         // A new characterized sibling landed: any tier-B
                         // family fit memoized for this kind is stale.
                         self.sibling_epochs[kind_index(spec.kind)].fetch_add(1, Ordering::Release);
-                        flight.resolve(Ok(Arc::clone(c)));
+                        leader.flight.resolve(Ok(Arc::clone(c)));
                     }
-                    Err(e) => flight.resolve(Err(e.to_string())),
+                    Err(e) => leader.flight.resolve(Err(e.to_string())),
                 }
+                leader.published = true;
                 outcome
             }
         }
@@ -518,10 +552,7 @@ impl PowerEngine {
             };
         }
         let netlist = spec.build()?.validate()?;
-        let result = match &self.options.sharding {
-            Some(sharding) => characterize_sharded(&netlist, &self.options.config, sharding)?,
-            None => characterize(&netlist, &self.options.config)?,
-        };
+        let result = characterize_sharded(&netlist, &self.options.config, &self.sharding)?;
         self.characterizations.fetch_add(1, Ordering::Relaxed);
         telemetry::counter_add("engine.characterize", 1);
         Ok((Arc::new(result), CacheSource::Fresh))
@@ -1357,5 +1388,70 @@ mod tests {
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
         assert_ne!(sharded.key_for(spec), sequential.key_for(spec));
         assert_eq!(sequential.key_for(spec).shards, 0);
+    }
+
+    #[test]
+    fn zero_shards_engine_runs_the_sequential_stream() {
+        // Regression: `Some(shards: 0)` got the sequential key but then
+        // panicked in the sharded driver on its first fetch.
+        let sequential = PowerEngine::new(EngineOptions {
+            sharding: None,
+            ..quick_options()
+        });
+        let zero = PowerEngine::new(EngineOptions {
+            sharding: Some(ShardingConfig {
+                shards: 0,
+                threads: 2,
+            }),
+            ..quick_options()
+        });
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        assert_eq!(zero.key_for(spec), sequential.key_for(spec));
+        let (expected, _) = sequential.fetch(spec).unwrap();
+        let (got, source) = zero.fetch(spec).unwrap();
+        assert_eq!(source, CacheSource::Fresh);
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn dropped_leader_fails_waiters_and_frees_the_key() {
+        let engine = Arc::new(PowerEngine::new(quick_options()));
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let key = engine.key_for(spec);
+        // Register a leader by hand, as fetch_traced does, and let it
+        // unwind without publishing.
+        let flight = Arc::new(Flight::new());
+        engine
+            .inner
+            .lock()
+            .unwrap()
+            .inflight
+            .insert(key, Arc::clone(&flight));
+        let leader = LeaderGuard {
+            inner: &engine.inner,
+            key,
+            flight,
+            published: false,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || tx.send(engine.fetch(spec)).unwrap());
+        }
+        // The waiter holds the flight once it has counted itself
+        // coalesced.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while engine.stats().coalesced == 0 {
+            assert!(std::time::Instant::now() < deadline, "waiter never joined");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(leader);
+        let waited = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the waiter is released, not wedged");
+        assert!(matches!(waited, Err(ModelError::SingleFlight { .. })));
+        assert_eq!(engine.stats().inflight, 0, "the key is unregistered");
+        let (_, source) = engine.fetch(spec).unwrap();
+        assert_eq!(source, CacheSource::Fresh, "the next fetch leads afresh");
     }
 }

@@ -7,9 +7,11 @@
 //! * the **basic model** (eq. 2) and the **enhanced model** split by
 //!   stable-zero counts (eq. 3): [`HdModel`], [`EnhancedHdModel`];
 //! * **characterization** from random patterns against the gate-level
-//!   reference simulator, with convergence detection (eq. 4/5):
-//!   [`characterize`], and its thread-count-invariant sharded-parallel
-//!   driver [`characterize_sharded`];
+//!   reference simulator, with convergence detection (eq. 4/5): one
+//!   driver, [`characterize_with_backend`], whose [`ShardingConfig`]
+//!   picks the sequential reference stream (`shards: 0`, shorthand
+//!   [`characterize`]) or a thread-count-invariant sharded-parallel run
+//!   ([`characterize_sharded`]);
 //! * **bit-width parameterization** by complexity-feature regression
 //!   (eq. 6–10): [`ParameterizableModel`];
 //! * **estimation** in trace, distribution and average-Hd modes behind the
@@ -68,9 +70,9 @@ pub use adapt::AdaptiveHdModel;
 pub use bitwise::BitwiseModel;
 pub use cache::{config_fingerprint, LruCache, ModelKey};
 pub use characterize::{
-    characterize, characterize_sharded, characterize_sharded_with_backend, characterize_trace,
-    characterize_with_backend, Characterization, CharacterizationConfig,
-    CharacterizationConfigBuilder, ConvergencePoint, StimulusKind,
+    characterize, characterize_sharded, characterize_trace, characterize_with_backend,
+    Characterization, CharacterizationConfig, CharacterizationConfigBuilder, ConvergencePoint,
+    StimulusKind,
 };
 pub use engine::{CacheSource, EngineOptions, EngineStats, Estimate, PowerEngine, WarmReport};
 pub use error::{ArtifactFaultKind, ModelError};
@@ -93,7 +95,7 @@ pub use store::{
     fsck, FsckEntry, FsckOptions, FsckReport, FsckStatus, RepairAction, META_DIR, QUARANTINE_DIR,
 };
 // The backend selector is defined next to the simulators in `hdpm-sim`;
-// re-exported here because `characterize*_with_backend` take it.
+// re-exported here because `characterize_with_backend` takes it.
 pub use hdpm_sim::SimBackend;
 
 pub mod prelude {

@@ -10,9 +10,7 @@ use hdpm_netlist::ModuleSpec;
 use hdpm_telemetry as telemetry;
 
 use crate::cache::ModelKey;
-use crate::characterize::{
-    characterize, characterize_sharded, Characterization, CharacterizationConfig,
-};
+use crate::characterize::{characterize_sharded, Characterization, CharacterizationConfig};
 use crate::error::ModelError;
 use crate::persist::{self, EnvelopeMeta, EnvelopeStatus};
 use crate::shard::{parallel_map_ordered, ShardingConfig};
@@ -84,36 +82,35 @@ pub enum LibrarySource {
 pub struct ModelLibrary {
     root: PathBuf,
     config: CharacterizationConfig,
-    sharding: Option<ShardingConfig>,
+    sharding: ShardingConfig,
     policy: CorruptArtifactPolicy,
     lock_timeout: Duration,
 }
 
 impl ModelLibrary {
-    /// Create a library rooted at `root` (created on first store).
+    /// Create a library rooted at `root` (created on first store) whose
+    /// uncached characterizations run the sequential reference stream
+    /// ([`ShardingConfig::SEQUENTIAL`], artifacts named `_sh0`).
     pub fn new(root: impl Into<PathBuf>, config: CharacterizationConfig) -> Self {
-        ModelLibrary {
-            root: root.into(),
-            config,
-            sharding: None,
-            policy: CorruptArtifactPolicy::default(),
-            lock_timeout: DEFAULT_LOCK_TIMEOUT,
-        }
+        ModelLibrary::with_sharding(root, config, ShardingConfig::SEQUENTIAL)
     }
 
     /// Create a library whose uncached characterizations run through
-    /// [`characterize_sharded`]. Artifacts carry an `_sh{S}` name suffix
-    /// because the shard count selects different pattern streams than the
-    /// sequential driver (`_sh0`); the thread count never changes a
-    /// result bit and is kept out of the key.
+    /// [`characterize_sharded`] in the given shape. Artifacts carry an
+    /// `_sh{S}` name suffix because the shard count selects the pattern
+    /// streams (`_sh0` is the sequential stream); the thread count never
+    /// changes a result bit and is kept out of the key.
     pub fn with_sharding(
         root: impl Into<PathBuf>,
         config: CharacterizationConfig,
         sharding: ShardingConfig,
     ) -> Self {
         ModelLibrary {
-            sharding: Some(sharding),
-            ..ModelLibrary::new(root, config)
+            root: root.into(),
+            config,
+            sharding,
+            policy: CorruptArtifactPolicy::default(),
+            lock_timeout: DEFAULT_LOCK_TIMEOUT,
         }
     }
 
@@ -138,8 +135,7 @@ impl ModelLibrary {
     /// The cache key a spec maps to: identical to the one
     /// [`crate::PowerEngine`] computes for the same options.
     pub fn key_for(&self, spec: ModuleSpec) -> ModelKey {
-        let shards = self.sharding.as_ref().map_or(0, |s| s.shards);
-        ModelKey::new(spec, &self.config, shards)
+        ModelKey::new(spec, &self.config, self.sharding.shards)
     }
 
     /// The artifact path a spec maps to: the [`ModelKey`] file name under
@@ -243,10 +239,7 @@ impl ModelLibrary {
         // fingerprint so `hdpm fsck --repair` can rebuild this artifact.
         store::write_config_sidecar(&self.root, &self.config)?;
         let netlist = spec.build()?.validate()?;
-        let result = match &self.sharding {
-            Some(sharding) => characterize_sharded(&netlist, &self.config, sharding)?,
-            None => characterize(&netlist, &self.config)?,
-        };
+        let result = characterize_sharded(&netlist, &self.config, &self.sharding)?;
         persist::save_with_meta(&result, &expected, &path)?;
         let source = if recovered {
             LibrarySource::Recovered
@@ -295,8 +288,7 @@ impl ModelLibrary {
             return Vec::new();
         };
         let fingerprint = crate::cache::config_fingerprint(&self.config);
-        let shards = self.sharding.as_ref().map_or(0, |s| s.shards);
-        let suffix = format!("_cfg{fingerprint:016x}_sh{shards}.json");
+        let suffix = format!("_cfg{fingerprint:016x}_sh{}.json", self.sharding.shards);
         let mut specs: Vec<ModuleSpec> = entries
             .flatten()
             .filter_map(|entry| {
@@ -519,6 +511,29 @@ mod tests {
         );
         let serial = single_threaded.get(spec).unwrap();
         assert_eq!(first.model, serial.model);
+    }
+
+    #[test]
+    fn zero_shards_library_is_the_sequential_library() {
+        let dir = TempDir::new("library_sh0");
+        let lib = temp_library(&dir);
+        let zero = ModelLibrary::with_sharding(
+            dir.path(),
+            *lib.config(),
+            crate::shard::ShardingConfig {
+                shards: 0,
+                threads: 2,
+            },
+        );
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        assert_eq!(zero.path_for(spec), lib.path_for(spec));
+        assert!(zero.path_for(spec).to_string_lossy().ends_with("_sh0.json"));
+        let (written, source) = zero.get_traced(spec).unwrap();
+        assert_eq!(source, LibrarySource::Characterized);
+        let (read, source) = lib.get_traced(spec).unwrap();
+        assert_eq!(source, LibrarySource::DiskValid);
+        assert_eq!(written, read);
+        assert_eq!(zero.stored_specs(), vec![spec]);
     }
 
     #[test]

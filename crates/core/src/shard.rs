@@ -68,12 +68,15 @@ pub fn threads_from_env() -> usize {
     resolve_threads(requested)
 }
 
-/// Execution shape of a sharded run. `shards` determines the *result*
-/// (it fixes the pattern streams); `threads` only determines the
-/// *schedule* and never changes a single output bit.
+/// Execution shape of a characterization run. `shards` determines the
+/// *result* (it fixes the pattern streams); `threads` only determines the
+/// *schedule* and never changes a single output bit. `shards: 0` is the
+/// sequential reference stream ([`ShardingConfig::SEQUENTIAL`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardingConfig {
-    /// Number of deterministic pattern shards (≥ 1).
+    /// Number of deterministic pattern shards; `0` runs the sequential
+    /// stream, which alone checkpoints every `check_interval` patterns
+    /// and stops early once converged.
     pub shards: usize,
     /// Worker threads; `0` means all available cores.
     pub threads: usize,
@@ -89,6 +92,13 @@ impl Default for ShardingConfig {
 }
 
 impl ShardingConfig {
+    /// The sequential reference stream: one pattern stream seeded by the
+    /// configuration seed, on one thread.
+    pub const SEQUENTIAL: ShardingConfig = ShardingConfig {
+        shards: 0,
+        threads: 1,
+    };
+
     /// The worker count this configuration will actually run with.
     pub fn effective_threads(&self) -> usize {
         resolve_threads(self.threads)

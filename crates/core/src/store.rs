@@ -580,12 +580,7 @@ fn recharacterize(root: &Path, file_name: &str) -> Result<bool, ModelError> {
         Ok(config) if config_fingerprint(&config) == fingerprint => config,
         _ => return Ok(false),
     };
-    let library = if shards == 0 {
-        ModelLibrary::new(root, config)
-    } else {
-        ModelLibrary::with_sharding(root, config, ShardingConfig { shards, threads: 0 })
-    };
-    library.get(spec)?;
+    ModelLibrary::with_sharding(root, config, ShardingConfig { shards, threads: 0 }).get(spec)?;
     Ok(true)
 }
 

@@ -14,9 +14,9 @@ use std::collections::HashSet;
 
 use hdpm_suite::core::test_support::{build_module as build, quick_config, ALL_FAMILIES};
 use hdpm_suite::core::{
-    characterize, characterize_sharded, characterize_trace, shard_budgets, shard_seed,
-    threads_from_env, Characterization, CharacterizationConfig, ClassAccumulator, ShardingConfig,
-    StimulusKind, ZeroClustering,
+    characterize, characterize_sharded, characterize_trace, characterize_with_backend,
+    shard_budgets, shard_seed, threads_from_env, Characterization, CharacterizationConfig,
+    ClassAccumulator, ShardingConfig, SimBackend, StimulusKind, ZeroClustering,
 };
 use hdpm_suite::netlist::ModuleKind;
 use hdpm_suite::sim::{random_patterns, run_patterns, DelayModel};
@@ -280,6 +280,35 @@ fn assert_matches_fixture(kind: ModuleKind, width: usize, patterns: usize, fixtu
     assert_eq!(
         golden, fresh,
         "{kind} width {width}: sequential path drifted from its pinned fixture"
+    );
+
+    // `shards: 0` is the same stream through the one driver, at any thread
+    // count and on the event-driven oracle too.
+    let config = CharacterizationConfig {
+        max_patterns: patterns,
+        ..CharacterizationConfig::default()
+    };
+    for threads in [1, 4] {
+        let sharding = ShardingConfig { shards: 0, threads };
+        let via_sharded = characterize_sharded(&netlist, &config, &sharding).unwrap();
+        assert_eq!(
+            golden, via_sharded,
+            "{kind} width {width}: shards 0 at {threads} threads drifted from the fixture"
+        );
+    }
+    let via_event = characterize_with_backend(
+        &netlist,
+        &config,
+        &ShardingConfig {
+            shards: 0,
+            threads: 1,
+        },
+        SimBackend::Event,
+    )
+    .unwrap();
+    assert_eq!(
+        golden, via_event,
+        "{kind} width {width}: shards 0 on the event backend drifted from the fixture"
     );
 
     // The sharded path at the fixture's budget must agree with itself

@@ -21,8 +21,8 @@
 
 use hdpm_suite::core::test_support::{build_module, quick_config, ALL_FAMILIES, PROPERTY_FAMILIES};
 use hdpm_suite::core::{
-    characterize_sharded_with_backend, characterize_with_backend, Characterization,
-    CharacterizationConfig, ShardingConfig, SimBackend, StimulusKind,
+    characterize_with_backend, Characterization, CharacterizationConfig, ShardingConfig,
+    SimBackend, StimulusKind,
 };
 use hdpm_suite::netlist::ModuleKind;
 use hdpm_suite::sim::{assert_backends_agree, random_patterns, BitPattern, DelayModel, Simulator};
@@ -130,8 +130,8 @@ proptest! {
             seed,
             ..quick_config(budget)
         };
-        let event = characterize_with_backend(&netlist, &config, SimBackend::Event);
-        let bitplane = characterize_with_backend(&netlist, &config, SimBackend::Bitplane);
+        let event = characterize_with_backend(&netlist, &config, &ShardingConfig::SEQUENTIAL, SimBackend::Event);
+        let bitplane = characterize_with_backend(&netlist, &config, &ShardingConfig::SEQUENTIAL, SimBackend::Bitplane);
         // Tiny budgets can be structured errors — but then both backends
         // must fail identically too.
         match (event, bitplane) {
@@ -156,10 +156,10 @@ proptest! {
         };
         let sharding = ShardingConfig { shards, threads: 2 };
         let event =
-            characterize_sharded_with_backend(&netlist, &config, &sharding, SimBackend::Event)
+            characterize_with_backend(&netlist, &config, &sharding, SimBackend::Event)
                 .unwrap();
         let bitplane =
-            characterize_sharded_with_backend(&netlist, &config, &sharding, SimBackend::Bitplane)
+            characterize_with_backend(&netlist, &config, &sharding, SimBackend::Bitplane)
                 .unwrap();
         prop_assert_eq!(event, bitplane);
     }
@@ -180,9 +180,9 @@ proptest! {
                 stimulus,
                 ..quick_config(500)
             };
-            let event = characterize_with_backend(&netlist, &config, SimBackend::Event).unwrap();
+            let event = characterize_with_backend(&netlist, &config, &ShardingConfig::SEQUENTIAL, SimBackend::Event).unwrap();
             let bitplane =
-                characterize_with_backend(&netlist, &config, SimBackend::Bitplane).unwrap();
+                characterize_with_backend(&netlist, &config, &ShardingConfig::SEQUENTIAL, SimBackend::Bitplane).unwrap();
             prop_assert_eq!(event, bitplane, "{:?}", stimulus);
         }
     }
@@ -195,10 +195,20 @@ fn every_family_agrees_across_backends_and_thread_counts() {
     for kind in ALL_FAMILIES {
         let netlist = build_module(kind, 4);
         let config = quick_config(640);
-        let sequential_event =
-            characterize_with_backend(&netlist, &config, SimBackend::Event).unwrap();
-        let sequential_bitplane =
-            characterize_with_backend(&netlist, &config, SimBackend::Bitplane).unwrap();
+        let sequential_event = characterize_with_backend(
+            &netlist,
+            &config,
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Event,
+        )
+        .unwrap();
+        let sequential_bitplane = characterize_with_backend(
+            &netlist,
+            &config,
+            &ShardingConfig::SEQUENTIAL,
+            SimBackend::Bitplane,
+        )
+        .unwrap();
         assert_eq!(
             sequential_event, sequential_bitplane,
             "{kind} diverges sequentially"
@@ -206,15 +216,10 @@ fn every_family_agrees_across_backends_and_thread_counts() {
         for threads in [1usize, 2, 4, 8] {
             let sharding = ShardingConfig { shards: 4, threads };
             let event =
-                characterize_sharded_with_backend(&netlist, &config, &sharding, SimBackend::Event)
+                characterize_with_backend(&netlist, &config, &sharding, SimBackend::Event).unwrap();
+            let bitplane =
+                characterize_with_backend(&netlist, &config, &sharding, SimBackend::Bitplane)
                     .unwrap();
-            let bitplane = characterize_sharded_with_backend(
-                &netlist,
-                &config,
-                &sharding,
-                SimBackend::Bitplane,
-            )
-            .unwrap();
             assert_eq!(event, bitplane, "{kind} diverges at {threads} threads");
         }
     }
@@ -232,8 +237,20 @@ fn convergence_stops_are_backend_invariant() {
         convergence_tol: 0.05,
         ..CharacterizationConfig::default()
     };
-    let event = characterize_with_backend(&netlist, &config, SimBackend::Event).unwrap();
-    let bitplane = characterize_with_backend(&netlist, &config, SimBackend::Bitplane).unwrap();
+    let event = characterize_with_backend(
+        &netlist,
+        &config,
+        &ShardingConfig::SEQUENTIAL,
+        SimBackend::Event,
+    )
+    .unwrap();
+    let bitplane = characterize_with_backend(
+        &netlist,
+        &config,
+        &ShardingConfig::SEQUENTIAL,
+        SimBackend::Bitplane,
+    )
+    .unwrap();
     assert_eq!(event.converged_after, bitplane.converged_after);
     assert!(
         event.converged_after.is_some(),
@@ -257,7 +274,9 @@ fn assert_matches_charge_table(kind: ModuleKind, width: usize, patterns: usize, 
         ..CharacterizationConfig::default()
     };
     for backend in [SimBackend::Event, SimBackend::Bitplane] {
-        let fresh = characterize_with_backend(&netlist, &config, backend).unwrap();
+        let fresh =
+            characterize_with_backend(&netlist, &config, &ShardingConfig::SEQUENTIAL, backend)
+                .unwrap();
         assert_eq!(
             golden, fresh,
             "{kind} width {width}: {backend} backend drifted from the pinned charge tables"
