@@ -1,7 +1,7 @@
 //! Cost of the §6 analytic machinery: breakpoint computation, Hd
-//! distributions, convolution, and the sign-activity integral. These are
-//! the per-stream costs of the "fast" estimation path, so they must stay
-//! trivial next to simulation.
+//! distributions, convolution, and the sign activity (the orthant form at
+//! zero mean, Owen's T otherwise). These are the per-stream costs of the
+//! "fast" estimation path, so they must stay trivial next to simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdpm_datamodel::{region_model, sign_change_probability, HdDistribution, WordModel};
@@ -29,7 +29,7 @@ fn bench_distribution(c: &mut Criterion) {
     group.bench_function("sign_activity_closed_form", |b| {
         b.iter(|| sign_change_probability(0.0, 1.0, 0.93))
     });
-    group.bench_function("sign_activity_numeric", |b| {
+    group.bench_function("sign_activity_nonzero_mean", |b| {
         b.iter(|| sign_change_probability(0.4, 1.0, 0.93))
     });
 

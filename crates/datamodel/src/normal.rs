@@ -1,7 +1,9 @@
 //! Gaussian numerics implemented from scratch: error function, normal CDF,
 //! and the sign-change probability of a lag-1 pair of a Gaussian AR(1)
 //! process (the quantity behind the sign-region transition activity
-//! `t_sign` of §6.1/§6.3).
+//! `t_sign` of §6.1/§6.3). The latter is the exact closed form
+//! `4·T(|µ|/σ, √((1−ρ)/(1+ρ)))` in Owen's T function, evaluated by fixed
+//! Gauss–Legendre quadrature to within the ≈1.5e-7 error of [`erf`].
 
 /// Error function via the Abramowitz & Stegun 7.1.26 rational approximation
 /// (maximum absolute error ≈ 1.5e-7, ample for activity estimates).
@@ -40,11 +42,16 @@ pub fn normal_pdf(z: f64) -> f64 {
 /// process with mean `mu`, standard deviation `sigma` and lag-1 correlation
 /// `rho` have different signs.
 ///
-/// For `mu == 0` this is the classical orthant result `arccos(ρ)/π`; for
-/// non-zero mean the probability is evaluated by numerically integrating
-/// the conditional normal over the stationary density.
+/// The pair is bivariate normal, so the probability has the exact closed
+/// form `P = 4·T(|µ|/σ, √((1−ρ)/(1+ρ)))`, where `T` is Owen's T function.
+/// For `mu == 0` this reduces to the classical orthant result
+/// `arccos(ρ)/π`, which is returned directly. At `rho == -1` the stream
+/// alternates about its mean and `P` takes its limit `2Φ(−|µ|/σ)`.
+/// Degenerate `sigma == 0` and `rho == 1` streams never change sign.
 ///
-/// Degenerate `sigma == 0` streams never change sign.
+/// `T` is evaluated by fixed Gauss–Legendre quadrature, which is exact to
+/// rounding for `rho ≥ 0`; for `rho < 0` the result carries the ≈1.5e-7
+/// absolute error of [`erf`].
 ///
 /// # Panics
 ///
@@ -75,36 +82,70 @@ pub fn sign_change_probability(mu: f64, sigma: f64, rho: f64) -> f64 {
     if mu == 0.0 {
         return rho.acos() / std::f64::consts::PI;
     }
-    // P(sign change) = ∫ φ(z) · q(z) dz where, conditioned on x = µ + σz,
-    // the next sample is N(µ + ρσz, σ²(1-ρ²)) and q is the probability it
-    // falls on the other side of zero.
-    let cond_sd = sigma * (1.0 - rho * rho).sqrt();
-    let steps = 2000;
-    let lo = -8.0f64;
-    let hi = 8.0f64;
-    let h = (hi - lo) / steps as f64;
-    let mut acc = 0.0;
-    for k in 0..=steps {
-        let z = lo + h * k as f64;
-        let x = mu + sigma * z;
-        let cond_mean = mu + rho * sigma * z;
-        // Probability the next sample has opposite sign to x.
-        let q = if x >= 0.0 {
-            normal_cdf((0.0 - cond_mean) / cond_sd)
-        } else {
-            1.0 - normal_cdf((0.0 - cond_mean) / cond_sd)
-        };
-        // Composite Simpson weights.
-        let simpson = if k == 0 || k == steps {
-            1.0
-        } else if k % 2 == 1 {
-            4.0
-        } else {
-            2.0
-        };
-        acc += simpson * normal_pdf(z) * q;
+    let h = (mu / sigma).abs();
+    if rho <= -1.0 {
+        return 2.0 * normal_cdf(-h);
     }
-    (acc * h / 3.0).clamp(0.0, 1.0)
+    let a = ((1.0 - rho) / (1.0 + rho)).sqrt();
+    (4.0 * owens_t(h, a)).clamp(0.0, 1.0)
+}
+
+/// Owen's T function `T(h, a) = (1/2π)·∫₀^a exp(−h²(1+x²)/2)/(1+x²) dx`
+/// for `h ≥ 0` and `a ≥ 0`.
+///
+/// For `a ≤ 1` the integral is taken directly; its integrand is smooth and
+/// bounded on `[0, 1]`. For `a > 1` the reflection
+/// `T(h, a) = ½Φ(h) + ½Φ(ah) − Φ(h)Φ(ah) − T(ah, 1/a)` maps it back into
+/// that range.
+fn owens_t(h: f64, a: f64) -> f64 {
+    if a <= 1.0 {
+        return owens_t_quadrature(h, a);
+    }
+    let ah = a * h;
+    // ½Φ(h) + ½Φ(ah) − Φ(h)Φ(ah), written with upper tails so it does
+    // not cancel for large h.
+    let edge = 0.5 * (normal_cdf(h) * normal_cdf(-ah) + normal_cdf(ah) * normal_cdf(-h));
+    edge - owens_t_quadrature(ah, 1.0 / a)
+}
+
+/// Positive nodes of the 10-point Gauss–Legendre rule on `[-1, 1]`.
+const GL_NODES: [f64; 5] = [
+    0.148_874_338_981_631_2,
+    0.433_395_394_129_247_2,
+    0.679_409_568_299_024_4,
+    0.865_063_366_688_984_5,
+    0.973_906_528_517_171_7,
+];
+
+/// Weights matching [`GL_NODES`].
+const GL_WEIGHTS: [f64; 5] = [
+    0.295_524_224_714_752_9,
+    0.269_266_719_309_996_3,
+    0.219_086_362_515_982,
+    0.149_451_349_150_580_6,
+    0.066_671_344_308_688_1,
+];
+
+/// Equal panels the Owen's T integral over `[0, a]` is split into.
+const T_PANELS: usize = 8;
+
+/// Owen's T integral for `0 ≤ a ≤ 1`: 8 panels of 10-point Gauss–Legendre,
+/// exact to rounding (≈1e-16) for every `h ≥ 0`.
+fn owens_t_quadrature(h: f64, a: f64) -> f64 {
+    let k = -0.5 * h * h;
+    let f = |x: f64| {
+        let s = 1.0 + x * x;
+        (k * s).exp() / s
+    };
+    let half = 0.5 * a / T_PANELS as f64;
+    let mut acc = 0.0;
+    for p in 0..T_PANELS {
+        let mid = half * (2 * p + 1) as f64;
+        for (x, w) in GL_NODES.iter().zip(GL_WEIGHTS) {
+            acc += w * (f(mid - half * x) + f(mid + half * x));
+        }
+    }
+    acc * half / std::f64::consts::TAU
 }
 
 /// Probability that a single sample of `N(mu, sigma²)` is negative (the
@@ -119,6 +160,10 @@ pub fn negative_probability(mu: f64, sigma: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const GRID_MU: [f64; 7] = [-3000.0, -40.0, -1.0, 0.3, 3.0, 50.0, 3000.0];
+    const GRID_SIGMA: [f64; 4] = [1.0, 10.0, 300.0, 5000.0];
+    const GRID_RHO: [f64; 8] = [-0.9, -0.5, 0.0, 0.3, 0.6, 0.9, 0.95, 0.995];
 
     #[test]
     fn erf_known_values() {
@@ -137,14 +182,118 @@ mod tests {
 
     #[test]
     fn orthant_formula_matches_integration() {
-        // The numeric path (mu != 0) should agree with the closed form as
-        // mu -> 0.
-        for rho in [0.0, 0.3, 0.7, 0.95] {
+        // The Owen's T path (mu != 0) should agree with the orthant form as
+        // mu -> 0, on both sides of the a = 1 reflection (rho = 0).
+        for rho in GRID_RHO {
             let closed = sign_change_probability(0.0, 1.0, rho);
-            let numeric = sign_change_probability(1e-9, 1.0, rho);
+            for mu in [1e-9, -1e-6] {
+                let numeric = sign_change_probability(mu, 1.0, rho);
+                assert!(
+                    (closed - numeric).abs() < 1e-6,
+                    "rho {rho}, mu {mu}: closed {closed} vs numeric {numeric}"
+                );
+            }
+        }
+    }
+
+    /// Brute-force sign-change probability: `∫ φ(z)·q(z) dz`, where `q(z)`
+    /// is the probability that the next sample lands on the other side of
+    /// zero given the current one is `µ + σz`. `q` jumps at `z = −µ/σ`, so
+    /// each side is integrated on its own with composite 10-point
+    /// Gauss–Legendre, which leaves only the error of `normal_cdf`.
+    fn reference(mu: f64, sigma: f64, rho: f64) -> f64 {
+        let cond_sd = (1.0 - rho * rho).sqrt();
+        let q = |z: f64| {
+            let next = (mu / sigma + rho * z) / cond_sd;
+            if mu + sigma * z >= 0.0 {
+                normal_cdf(-next)
+            } else {
+                normal_cdf(next)
+            }
+        };
+        let side = |lo: f64, hi: f64| {
+            let panels = 400;
+            let half = 0.5 * (hi - lo) / panels as f64;
+            let mut acc = 0.0;
+            for p in 0..panels {
+                let mid = lo + half * (2 * p + 1) as f64;
+                for (x, w) in GL_NODES.iter().zip(GL_WEIGHTS) {
+                    for z in [mid - half * x, mid + half * x] {
+                        acc += w * normal_pdf(z) * q(z);
+                    }
+                }
+            }
+            acc * half
+        };
+        let (lo, hi) = (-9.0, 9.0);
+        let split = (-mu / sigma).clamp(lo, hi);
+        side(lo, split) + side(split, hi)
+    }
+
+    #[test]
+    fn closed_form_matches_split_reference_on_the_grid() {
+        let mut worst = (0.0f64, (0.0, 0.0, 0.0));
+        for mu in GRID_MU {
+            for sigma in GRID_SIGMA {
+                for rho in GRID_RHO {
+                    let err =
+                        (sign_change_probability(mu, sigma, rho) - reference(mu, sigma, rho)).abs();
+                    if err > worst.0 {
+                        worst = (err, (mu, sigma, rho));
+                    }
+                }
+            }
+        }
+        assert!(
+            worst.0 <= 2e-6,
+            "worst error {} at (mu, sigma, rho) = {:?}",
+            worst.0,
+            worst.1
+        );
+    }
+
+    #[test]
+    fn sign_activity_is_symmetric_in_the_mean() {
+        for mu in GRID_MU {
+            for sigma in GRID_SIGMA {
+                for rho in GRID_RHO {
+                    assert_eq!(
+                        sign_change_probability(mu, sigma, rho),
+                        sign_change_probability(-mu, sigma, rho),
+                        "mu {mu}, sigma {sigma}, rho {rho}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sign_activity_falls_as_the_mean_leaves_zero() {
+        for rho in GRID_RHO {
+            let mut prev = sign_change_probability(0.0, 1.0, rho);
+            for k in 1..=120 {
+                let p = sign_change_probability(0.05 * k as f64, 1.0, rho);
+                assert!(
+                    p <= prev + 1e-12,
+                    "rho {rho}, mu/sigma {}: {p} > {prev}",
+                    0.05 * k as f64
+                );
+                prev = p;
+            }
+        }
+    }
+
+    #[test]
+    fn anticorrelated_limit_is_finite_and_continuous() {
+        // A width-2 counter alternates 0, 1, 0, 1, …: mu 0.5, rho exactly -1.
+        for (mu, sigma) in [(0.5, 0.5), (1.0, 3.0), (-40.0, 10.0), (1e-3, 1.0)] {
+            let p = sign_change_probability(mu, sigma, -1.0);
+            assert!(p.is_finite(), "mu {mu}, sigma {sigma}: {p}");
+            assert_eq!(p, 2.0 * normal_cdf(-mu.abs() / sigma));
+            let near = sign_change_probability(mu, sigma, -1.0 + 1e-9);
             assert!(
-                (closed - numeric).abs() < 1e-4,
-                "rho {rho}: closed {closed} vs numeric {numeric}"
+                (p - near).abs() < 1e-6,
+                "mu {mu}, sigma {sigma}: {p} vs {near}"
             );
         }
     }

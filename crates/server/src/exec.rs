@@ -175,9 +175,9 @@ impl<'a> ExecCtx<'a> {
                     self.ensure(spec);
                 }
                 let (m1, _) = spec.width.operand_widths();
-                // The distribution fit is estimation math, so its time
-                // (≈100 µs on a per-thread memo miss) lands in the
-                // estimate stage.
+                // The input distribution is estimation math, so its time
+                // (≈20–380 µs on a per-thread memo miss, mostly stream
+                // synthesis) lands in the estimate stage.
                 let dist = self.trace.time(Stage::Estimate, || {
                     protocol::input_distribution(
                         data,

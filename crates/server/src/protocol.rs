@@ -530,10 +530,12 @@ pub fn trim_line(raw: &[u8]) -> &[u8] {
 
 /// The analytic §6.3 input distribution: generate the named operand
 /// streams, fit per-operand region models, convolve. A pure function of
-/// its arguments, and ~100 µs of numeric fitting per call — so each
-/// serving thread memoizes it. Identical warm `estimate` requests (the
-/// common monitoring workload) then cost a lookup instead of a refit,
-/// which is what lets the TCP server clear its requests/sec bar.
+/// its arguments costing ~20–380 µs per call on a 2-core Xeon (two
+/// 2000-word operands), nearly all of it stream synthesis; the region
+/// fit and convolution take ~2 µs. So each serving thread memoizes it.
+/// Identical warm `estimate` requests (the common monitoring workload)
+/// then cost a lookup instead of a rebuild, which is what lets the TCP
+/// server clear its requests/sec bar.
 pub(crate) fn input_distribution(
     dt: DataType,
     operands: usize,
@@ -573,7 +575,7 @@ pub(crate) fn input_distribution(
         // Bounded, one cold entry at a time: evicting the least recently
         // used key keeps the warm working set intact when the 129th
         // distinct key lands, instead of dropping the whole memo and
-        // refitting ~100 µs per entry on the next pass over it.
+        // rebuilding every entry (~20–380 µs each) on the next pass over it.
         if cache.map.len() >= 128 {
             if let Some(victim) = cache
                 .map
@@ -687,6 +689,22 @@ mod tests {
             b"{\"op\":\"characterize\",\"module\":\"csa_multiplier\",\"width\":1}\n",
         );
         assert!(replies[0].contains("\"kind\":\"engine\""), "{}", replies[0]);
+    }
+
+    #[test]
+    fn width_two_counter_estimate_answers() {
+        // A 2-bit counter alternates 0, 1, 0, 1, …, so its lag-1
+        // correlation is exactly -1: the sign activity's limiting case.
+        let engine = quick_engine();
+        let replies = run(
+            &engine,
+            b"{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":2,\"data\":\"counter\",\"cycles\":512}\n\
+              {\"op\":\"stats\"}\n",
+        );
+        assert_eq!(replies.len(), 2);
+        assert!(replies[0].contains("\"ok\":true"), "{}", replies[0]);
+        assert!(replies[0].contains("charge_per_cycle"), "{}", replies[0]);
+        assert!(replies[1].contains("\"ok\":true"));
     }
 
     #[test]
