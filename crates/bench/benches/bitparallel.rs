@@ -3,7 +3,9 @@
 //! the engine and server pay. Both backends produce bit-identical charge
 //! tables (tests/sim_conformance.rs), so this group measures pure
 //! throughput: `event/<family>/<width>` over `bitplane/<family>/<width>`
-//! is the speedup factor recorded in BENCH_sim.json.
+//! is the speedup factor tabulated in docs/simulation.md. It is the only
+//! measurement of the event oracle; run it with
+//! `cargo bench -p hdpm-bench --bench bitparallel`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdpm_core::{characterize_with_backend, CharacterizationConfig, ShardingConfig, SimBackend};

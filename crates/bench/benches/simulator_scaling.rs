@@ -2,13 +2,8 @@
 //! event-driven engine scales with gate count, and what register clocking
 //! costs. Quantifies the wall the macro-model removes.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_netlist::{modules, ValidatedNetlist};
-use hdpm_server::{Server, ServerConfig};
 use hdpm_sim::{random_patterns, run_patterns, DelayModel};
 
 fn bench_scaling(c: &mut Criterion) {
@@ -79,69 +74,6 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
         b.iter(|| run_patterns(&netlist, &patterns, DelayModel::Unit))
     });
     hdpm_telemetry::set_mode(hdpm_telemetry::Mode::Off);
-    group.finish();
-
-    bench_tracing_overhead(c);
-}
-
-/// Warm serving throughput with request tracing off versus on — the
-/// end-to-end cost of the tracing plane (trace ids, stage timers,
-/// labeled stage histograms, flight recorder) on the server's warm
-/// path. The committed many-connection shape is `BENCH_obs.json`
-/// (`loadgen --compare-tracing`, drift-cancelling ABBA blocks):
-/// mid-single-digit percent of pipelined throughput on a single-core
-/// virtualized host, roughly half of which is the 28 extra reply bytes
-/// of the echoed trace id.
-fn bench_tracing_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry_overhead");
-    group.throughput(Throughput::Elements(64));
-    for (label, tracing) in [("tracing_off", false), ("tracing_on", true)] {
-        let server = Server::start(
-            ServerConfig::builder()
-                .tracing(tracing)
-                .engine(EngineOptions {
-                    config: CharacterizationConfig::builder()
-                        .max_patterns(1500)
-                        .build()
-                        .expect("valid config"),
-                    sharding: Some(ShardingConfig {
-                        shards: 4,
-                        threads: 0,
-                    }),
-                    disk_root: None,
-                    capacity: 64,
-                })
-                .build()
-                .expect("valid config"),
-        )
-        .expect("server starts");
-        let request =
-            b"{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":8,\"data\":\"counter\",\"cycles\":64}\n";
-        let stream = TcpStream::connect(server.local_addr()).expect("connect");
-        stream.set_nodelay(true).ok();
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut writer = stream;
-        let mut line = String::new();
-        // Warm the model cache so the loop measures serving.
-        writer.write_all(request).expect("send");
-        reader.read_line(&mut line).expect("reply");
-        assert!(line.contains("\"ok\":true"), "{line}");
-        group.bench_function(format!("server_pipelined_64/{label}"), |b| {
-            b.iter(|| {
-                for _ in 0..64 {
-                    writer.write_all(request).expect("send");
-                }
-                for _ in 0..64 {
-                    line.clear();
-                    reader.read_line(&mut line).expect("reply");
-                }
-                assert!(line.contains("\"ok\":true"), "{line}");
-            })
-        });
-        drop(writer);
-        drop(reader);
-        server.shutdown();
-    }
     group.finish();
 }
 

@@ -1,30 +1,28 @@
-//! `loadgen` — TCP load generator for `hdpm-server`.
+//! `loadgen` — TCP load generator and replay client for `hdpm-server`.
 //!
-//! Drives N connections × M requests against a server and records a
-//! throughput/latency snapshot (the `BENCH_server.json` recording flow):
+//! Drives N connections × M warm requests against a running server and
+//! prints the served rate per protocol and discipline on stderr:
 //!
 //! ```sh
-//! cargo run --release -p hdpm-bench --bin loadgen -- \
-//!   --connections 8 --requests 2000 --out BENCH_server.json
+//! loadgen --addr 127.0.0.1:7070 --proto v2 --connections 2 --requests 500
 //! ```
 //!
-//! Without `--addr` an in-process server is started on an ephemeral port
-//! (engine: 1500 patterns, 4 shards), so the snapshot is reproducible
-//! from a clean checkout. `--targets addr1,addr2,...` spreads the load
-//! across a fleet instead: connection *i* dials target *i* mod N, the
-//! round-robin shape used for the cluster benchmark (`BENCH_cluster.json`).
-//! `--proto v1|v2|both` (default both) selects
-//! the wire protocol — v1 JSON lines or the binary framed v2 — and the
-//! snapshot keeps one series per protocol so the v2 speedup stays
-//! recorded. Two driving disciplines are measured per protocol:
+//! A load run needs a target: `--addr` for one server, or
+//! `--targets addr1,addr2,...` to spread the load across a fleet
+//! (connection *i* dials target *i* mod N, the round-robin shape of the
+//! cluster smoke). `--proto v1|v2|both` (default both) selects the wire
+//! protocol — v1 JSON lines or the binary framed v2. Two driving
+//! disciplines run per protocol:
 //!
 //! * **closed** loop — each connection sends a request and waits for the
-//!   reply before sending the next; per-request latency percentiles are
-//!   meaningful here;
+//!   reply before sending the next;
 //! * **pipelined** (open) loop — each connection keeps a 512-request
-//!   window in flight, the peak-throughput shape.
+//!   window in flight.
 //!
 //! `--mode closed|pipelined` restricts to one discipline (default both).
+//! Requests answered `overloaded` are counted as shed, not served.
+//! Any other non-estimate reply ends the run with a non-zero exit, so a
+//! load run doubles as a wire smoke test.
 //!
 //! `--idle-conns N` opens N extra connections that send nothing while
 //! the load runs, then verifies a sample of them still answers — the
@@ -39,15 +37,14 @@
 //! echoes, so the diff against the untraced golden fixtures passes
 //! either way.
 //!
-//! `--tracing on|off` (default on, the server default) sets tracing on
-//! the in-process server. `--compare-tracing` measures the v1 pipelined
-//! discipline against a tracing-off and then a tracing-on in-process
-//! server and reports the warm-path overhead (the `BENCH_obs.json`
-//! recording flow):
+//! `--compare-tracing` measures the v1 pipelined discipline against a
+//! tracing-off and a tracing-on in-process server and prints the
+//! warm-path overhead as JSON on stdout (the `BENCH_obs.json` recording
+//! flow):
 //!
 //! ```sh
 //! cargo run --release -p hdpm-bench --bin loadgen -- \
-//!   --connections 8 --requests 2000 --compare-tracing --out BENCH_obs.json
+//!   --connections 8 --requests 4000 --compare-tracing > BENCH_obs.json
 //! ```
 
 use std::io::{BufRead, BufReader, Write};
@@ -76,13 +73,6 @@ fn request() -> Request {
 const WINDOW: usize = 512;
 
 #[derive(Serialize)]
-struct LatencyNs {
-    p50: u64,
-    p95: u64,
-    p99: u64,
-}
-
-#[derive(Serialize)]
 struct Discipline {
     requests: usize,
     /// Requests the server answered `overloaded` — backpressure working
@@ -91,25 +81,6 @@ struct Discipline {
     shed: usize,
     elapsed_s: f64,
     requests_per_sec: f64,
-    latency_ns: Option<LatencyNs>,
-}
-
-/// One protocol's measurements.
-#[derive(Serialize)]
-struct ProtoSeries {
-    closed: Option<Discipline>,
-    pipelined: Option<Discipline>,
-}
-
-#[derive(Serialize)]
-struct Snapshot {
-    connections: usize,
-    requests_per_connection: usize,
-    /// Targets the connections were round-robined across (1 entry for
-    /// the single `--addr`/in-process flows).
-    targets: usize,
-    v1: Option<ProtoSeries>,
-    v2: Option<ProtoSeries>,
 }
 
 /// The `--compare-tracing` snapshot: the same pipelined load against a
@@ -142,9 +113,7 @@ fn main() {
     let mut mode = "both".to_string();
     let mut proto = "both".to_string();
     let mut idle_conns = 0usize;
-    let mut out: Option<String> = None;
     let mut replay: Option<String> = None;
-    let mut tracing = true;
     let mut compare_tracing = false;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -160,20 +129,11 @@ fn main() {
             "--mode" => mode = value("--mode"),
             "--proto" => proto = value("--proto"),
             "--idle-conns" => idle_conns = parse(&value("--idle-conns")),
-            "--out" => out = Some(value("--out")),
             "--replay" => replay = Some(value("--replay")),
-            "--tracing" => {
-                tracing = match value("--tracing").as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => die(&format!("--tracing must be on or off, not `{other}`")),
-                }
-            }
             "--compare-tracing" => compare_tracing = true,
             other => die(&format!(
                 "unknown option `{other}` (expected --addr, --targets, --connections, \
-                 --requests, --mode, --proto, --idle-conns, --out, --replay, --tracing \
-                 or --compare-tracing)"
+                 --requests, --mode, --proto, --idle-conns, --replay or --compare-tracing)"
             )),
         }
     }
@@ -188,39 +148,25 @@ fn main() {
         if addr.is_some() || targets_arg.is_some() {
             die("--compare-tracing runs its own in-process servers; drop --addr/--targets");
         }
-        run_compare_tracing(connections, requests, out.as_deref());
+        run_compare_tracing(connections, requests);
         return;
     }
-    if addr.is_some() && targets_arg.is_some() {
-        die("--addr and --targets are exclusive (use --targets alone for a fleet)");
-    }
-
-    // An in-process server keeps the flow self-contained when no target
-    // is given; replay mode requires a real target.
-    let local = if addr.is_none() && targets_arg.is_none() {
-        if replay.is_some() {
-            die("--replay requires --addr");
-        }
-        Some(start_local(tracing, idle_conns + connections + 16))
-    } else {
-        None
-    };
     // The list connections round-robin across: the --targets fleet, or
-    // the single --addr/in-process address.
-    let targets: Vec<String> = match targets_arg {
-        Some(list) => list
+    // the single --addr.
+    let targets: Vec<String> = match (addr, targets_arg) {
+        (Some(_), Some(_)) => {
+            die("--addr and --targets are exclusive (use --targets alone for a fleet)")
+        }
+        (None, None) => {
+            die("--addr or --targets is required (only --compare-tracing starts its own servers)")
+        }
+        (Some(addr), None) => vec![addr],
+        (None, Some(list)) => list
             .split(',')
             .map(str::trim)
             .filter(|t| !t.is_empty())
             .map(str::to_string)
             .collect(),
-        None => vec![addr.clone().unwrap_or_else(|| {
-            local
-                .as_ref()
-                .expect("local server")
-                .local_addr()
-                .to_string()
-        })],
     };
     if targets.is_empty() {
         die("--targets needs at least one address");
@@ -246,7 +192,6 @@ fn main() {
         eprintln!("holding {idle_conns} idle connections through the run");
     }
 
-    let mut series: Vec<(Proto, ProtoSeries)> = Vec::new();
     for proto in &protos {
         for target in &targets {
             warm(target, *proto);
@@ -255,17 +200,17 @@ fn main() {
             (mode != "pipelined").then(|| run_closed(&targets, *proto, connections, requests));
         let pipelined =
             (mode != "closed").then(|| run_pipelined(&targets, *proto, connections, requests));
-        for (name, d) in [("closed", &closed), ("pipelined", &pipelined)] {
+        for (name, d) in [("closed", closed), ("pipelined", pipelined)] {
             if let Some(d) = d {
                 eprintln!(
-                    "{} {name:>9}: {:.0} requests/sec over {} requests",
+                    "{} {name:>9}: {:.0} requests/sec over {} requests ({} shed)",
                     proto.as_str(),
                     d.requests_per_sec,
-                    d.requests
+                    d.requests,
+                    d.shed
                 );
             }
         }
-        series.push((*proto, ProtoSeries { closed, pipelined }));
     }
 
     // Every 100th idle connection (and the last) must still answer.
@@ -288,32 +233,6 @@ fn main() {
     if idle_conns > 0 {
         eprintln!("idle connections survived the run");
     }
-
-    if let Some(server) = local {
-        server.shutdown();
-    }
-
-    let pick = |want: Proto, series: &mut Vec<(Proto, ProtoSeries)>| {
-        series
-            .iter()
-            .position(|(p, _)| *p == want)
-            .map(|at| series.remove(at).1)
-    };
-    let snapshot = Snapshot {
-        connections,
-        requests_per_connection: requests,
-        targets: targets.len(),
-        v1: pick(Proto::V1, &mut series),
-        v2: pick(Proto::V2, &mut series),
-    };
-    let json = serde_json::to_string_pretty(&snapshot).expect("snapshot serializes");
-    match out {
-        Some(path) => {
-            std::fs::write(&path, json + "\n").expect("snapshot written");
-            eprintln!("snapshot written to {path}");
-        }
-        None => println!("{json}"),
-    }
 }
 
 fn die(message: &str) -> ! {
@@ -326,12 +245,13 @@ fn parse(raw: &str) -> usize {
         .unwrap_or_else(|_| die(&format!("`{raw}` is not an integer")))
 }
 
-fn start_local(tracing: bool, max_connections: usize) -> Server {
+/// An in-process server for one side of `--compare-tracing`.
+fn start_local(tracing: bool) -> Server {
     Server::start(
         ServerConfig::builder()
             .queue_depth(65_536)
             .tracing(tracing)
-            .max_connections(max_connections.max(256))
+            .max_connections(256)
             // An open-loop flood spends most of its latency queued, which
             // would put every request over the default slow threshold; the
             // slow-request log is not what this binary measures.
@@ -376,44 +296,53 @@ fn warm(target: &str, proto: Proto) {
 fn tally(response: &Response, shed: &mut usize) {
     match response {
         Response::Estimate(_) => {}
-        Response::Error { kind, message } if kind == "overloaded" => {
-            let _ = message;
-            *shed += 1;
-        }
+        Response::Error { kind, .. } if kind == "overloaded" => *shed += 1,
         other => die(&format!("unexpected reply: {other:?}")),
     }
 }
 
-fn run_closed(targets: &[String], proto: Proto, connections: usize, requests: usize) -> Discipline {
+/// Open one client per connection, round-robined across `targets`, run
+/// `drive` on each (it returns its shed count) and rate the whole load.
+fn drive_connections(
+    targets: &[String],
+    proto: Proto,
+    connections: usize,
+    requests: usize,
+    drive: impl Fn(&mut Client, &Request) -> usize + Sync,
+) -> Discipline {
     let started = Instant::now();
     let request = request();
-    let request = &request;
-    let latencies: Vec<u64> = std::thread::scope(|scope| {
+    let (request, drive) = (&request, &drive);
+    let shed: usize = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..connections)
             .map(|i| {
                 let target = &targets[i % targets.len()];
-                scope.spawn(move || {
-                    let mut client = client(target, proto);
-                    let mut latencies = Vec::with_capacity(requests);
-                    for _ in 0..requests {
-                        let sent = Instant::now();
-                        let reply = client
-                            .call(request, None)
-                            .unwrap_or_else(|e| die(&format!("closed loop: {e}")));
-                        latencies.push(sent.elapsed().as_nanos() as u64);
-                        let mut shed = 0;
-                        tally(&reply.response, &mut shed);
-                    }
-                    latencies
-                })
+                scope.spawn(move || drive(&mut client(target, proto), request))
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
+        handles.into_iter().map(|h| h.join().expect("client")).sum()
     });
-    discipline(started, latencies, 0, true)
+    let elapsed = started.elapsed().as_secs_f64();
+    let total = connections * requests;
+    Discipline {
+        requests: total,
+        shed,
+        elapsed_s: elapsed,
+        requests_per_sec: (total - shed) as f64 / elapsed,
+    }
+}
+
+fn run_closed(targets: &[String], proto: Proto, connections: usize, requests: usize) -> Discipline {
+    drive_connections(targets, proto, connections, requests, |client, request| {
+        let mut shed = 0usize;
+        for _ in 0..requests {
+            let reply = client
+                .call(request, None)
+                .unwrap_or_else(|e| die(&format!("closed loop: {e}")));
+            tally(&reply.response, &mut shed);
+        }
+        shed
+    })
 }
 
 fn run_pipelined(
@@ -422,69 +351,30 @@ fn run_pipelined(
     connections: usize,
     requests: usize,
 ) -> Discipline {
-    let started = Instant::now();
-    let request = request();
-    let request = &request;
-    let shed: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..connections)
-            .map(|i| {
-                let target = &targets[i % targets.len()];
-                scope.spawn(move || {
-                    // A sliding window keeps the pipe full without the
-                    // sender and receiver deadlocking on socket buffers.
-                    let mut client = client(target, proto);
-                    let mut sent = 0usize;
-                    let mut received = 0usize;
-                    let mut shed = 0usize;
-                    while received < requests {
-                        while sent < requests && sent - received < WINDOW {
-                            client
-                                .send(request, None)
-                                .unwrap_or_else(|e| die(&format!("pipelined send: {e}")));
-                            sent += 1;
-                        }
-                        client
-                            .flush()
-                            .unwrap_or_else(|e| die(&format!("pipelined flush: {e}")));
-                        let reply = client
-                            .recv()
-                            .unwrap_or_else(|e| die(&format!("pipelined recv: {e}")));
-                        tally(&reply.response, &mut shed);
-                        received += 1;
-                    }
-                    shed
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).sum()
-    });
-    discipline(started, vec![0u64; connections * requests], shed, false)
-}
-
-fn discipline(
-    started: Instant,
-    mut latencies: Vec<u64>,
-    shed: usize,
-    with_latency: bool,
-) -> Discipline {
-    let elapsed = started.elapsed().as_secs_f64();
-    let total = latencies.len();
-    let latency_ns = with_latency.then(|| {
-        latencies.sort_unstable();
-        let at = |q: f64| latencies[((total - 1) as f64 * q) as usize];
-        LatencyNs {
-            p50: at(0.50),
-            p95: at(0.95),
-            p99: at(0.99),
+    drive_connections(targets, proto, connections, requests, |client, request| {
+        // A sliding window keeps the pipe full without the sender and
+        // receiver deadlocking on socket buffers.
+        let mut sent = 0usize;
+        let mut received = 0usize;
+        let mut shed = 0usize;
+        while received < requests {
+            while sent < requests && sent - received < WINDOW {
+                client
+                    .send(request, None)
+                    .unwrap_or_else(|e| die(&format!("pipelined send: {e}")));
+                sent += 1;
+            }
+            client
+                .flush()
+                .unwrap_or_else(|e| die(&format!("pipelined flush: {e}")));
+            let reply = client
+                .recv()
+                .unwrap_or_else(|e| die(&format!("pipelined recv: {e}")));
+            tally(&reply.response, &mut shed);
+            received += 1;
         }
-    });
-    Discipline {
-        requests: total,
-        shed,
-        elapsed_s: elapsed,
-        requests_per_sec: (total - shed) as f64 / elapsed,
-        latency_ns,
-    }
+        shed
+    })
 }
 
 /// Replay a request file against `target` over raw v1 lines, one reply
@@ -545,14 +435,14 @@ fn median(values: &[f64]) -> f64 {
 /// The `--compare-tracing` flow: identical v1 pipelined load against a
 /// long-lived tracing-off and tracing-on server pair, measured in
 /// drift-cancelling ABBA blocks (see [`TracingComparison`]), reporting
-/// the relative warm-path cost of the tracing plane.
-fn run_compare_tracing(connections: usize, requests: usize, out: Option<&str>) {
+/// the relative warm-path cost of the tracing plane as JSON on stdout.
+fn run_compare_tracing(connections: usize, requests: usize) {
     // Enough blocks that hypervisor steal bursts landing on individual
     // blocks (observed: isolated 12-17% outliers against a ~5% mode)
     // cannot drag the median.
     const BLOCKS: usize = 9;
-    let server_off = start_local(false, 256);
-    let server_on = start_local(true, 256);
+    let server_off = start_local(false);
+    let server_on = start_local(true);
     let target_off = server_off.local_addr().to_string();
     let target_on = server_on.local_addr().to_string();
     warm(&target_off, Proto::V1);
@@ -623,11 +513,5 @@ fn run_compare_tracing(connections: usize, requests: usize, out: Option<&str>) {
         overhead_pct,
     };
     let json = serde_json::to_string_pretty(&comparison).expect("comparison serializes");
-    match out {
-        Some(path) => {
-            std::fs::write(path, json + "\n").expect("snapshot written");
-            eprintln!("snapshot written to {path}");
-        }
-        None => println!("{json}"),
-    }
+    println!("{json}");
 }

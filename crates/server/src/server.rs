@@ -591,7 +591,8 @@ impl Server {
     /// and (when configured) the admin-plane listener, and return the
     /// running server. Turns on background metric recording
     /// ([`telemetry::set_recording`]) so the admin plane scrapes live
-    /// data regardless of the output mode.
+    /// data regardless of the output mode, and calibrates the trace
+    /// clock before the first accept.
     ///
     /// # Errors
     ///
@@ -599,6 +600,9 @@ impl Server {
     /// unsupported platform (the reactor needs epoll; Linux only).
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         telemetry::set_recording(true);
+        // The first clock read calibrates the TSC (a ~5 ms spin); pay it
+        // here, not inside the first request's deadline.
+        telemetry::clock::now_ns();
         let listener = TcpListener::bind(config.addr)?;
         let addr = listener.local_addr()?;
         let worker_count = resolve_threads(config.workers);
