@@ -124,10 +124,10 @@ TOP:
 FSCK:
   scan a --models library root for corrupt, stale-version, truncated or
   foreign artifacts (see docs/persistence.md). A scan-only run exits
-  non-zero on a dirty store; --repair migrates legacy artifacts in
-  place, quarantines faulty ones to <root>/quarantine/, removes orphan
-  temps and stale locks, and re-characterizes quarantined artifacts
-  whose configuration sidecar survives.
+  non-zero on a dirty store; --repair quarantines faulty artifacts to
+  <root>/quarantine/, removes orphan temps and stale locks, and
+  re-characterizes quarantined artifacts whose configuration sidecar
+  survives.
 
 GLOBAL OPTIONS:
   --telemetry <human|json>  emit metrics and events (default: off);

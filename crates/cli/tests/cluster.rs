@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use hdpm_cluster::Ring;
 use hdpm_core::{CharacterizationConfig, EngineOptions, PowerEngine, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_server::client::Response;
 use hdpm_server::wire;
 
 /// The engine flags every node in these tests runs with; the in-process
@@ -502,29 +503,14 @@ fn serve_rogue(mut stream: TcpStream) {
     if stream.read_exact(&mut payload).is_err() {
         return;
     }
+    let response = match wire::Opcode::from_u8(header.op) {
+        Some(wire::Opcode::HaveModel) => Response::HaveModel(true),
+        Some(wire::Opcode::FetchModel) => {
+            Response::Artifact(Some(b"these bytes are not a model envelope".to_vec()))
+        }
+        _ => Response::WarmKeys(vec![]),
+    };
     let mut reply = Vec::new();
-    match wire::Opcode::from_u8(header.op) {
-        Some(wire::Opcode::HaveModel) => wire::encode_frame(
-            &mut reply,
-            header.id,
-            wire::STATUS_OK,
-            0,
-            &wire::encode_have_model_reply(wire::HaveModelReply::Present),
-        ),
-        Some(wire::Opcode::FetchModel) => wire::encode_frame(
-            &mut reply,
-            header.id,
-            wire::STATUS_OK,
-            0,
-            b"these bytes are not a model envelope",
-        ),
-        _ => wire::encode_frame(
-            &mut reply,
-            header.id,
-            wire::STATUS_OK,
-            0,
-            &wire::encode_warm_keys(&[]),
-        ),
-    }
+    wire::encode_reply(&mut reply, header.id, false, &response);
     let _ = stream.write_all(&reply);
 }

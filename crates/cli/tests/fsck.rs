@@ -96,7 +96,8 @@ fn fsck_scan_repair_rescan_transcript() {
     // A torn artifact at a well-formed key path (same config, so the
     // surviving sidecar lets --repair re-characterize it).
     std::fs::write(library.path_for(spec(3)), "{torn").expect("plant torn artifact");
-    // A legacy bare-payload artifact: the model JSON without an envelope.
+    // A bare-payload artifact: the model JSON without an envelope, which
+    // cannot be verified against its key.
     let legacy = library.get(spec(5)).expect("characterizes");
     let payload = hdpm_core::persist::to_json(&legacy).expect("serializes");
     std::fs::write(library.path_for(spec(5)), payload).expect("plant legacy artifact");
@@ -129,7 +130,7 @@ fn fsck_scan_repair_rescan_transcript() {
             ("foreign", "-", "notes.json"),
             ("truncated", "-", &name_of(3)),
             ("valid", "-", &name_of(4)),
-            ("legacy", "-", &name_of(5)),
+            ("stale-version", "-", &name_of(5)),
             ("orphan-temp", "-", "stale.json.tmp.1234.0"),
         ],
         &[&scan_summary],
@@ -141,8 +142,8 @@ fn fsck_scan_repair_rescan_transcript() {
         "scan-only moves nothing"
     );
 
-    // Repair: quarantine + re-characterize the torn artifact, migrate the
-    // legacy one, quarantine the foreign file, drop temp and stale lock.
+    // Repair: quarantine + re-characterize the torn and the bare
+    // artifacts, quarantine the foreign file, drop temp and stale lock.
     let out = hdpm(&["fsck", root.path().to_str().expect("utf8 root"), "--repair"]);
     assert!(out.status.success(), "repair run:\n{}", stderr(&out));
     let expected = transcript(
@@ -152,7 +153,7 @@ fn fsck_scan_repair_rescan_transcript() {
             ("foreign", "quarantined", "notes.json"),
             ("truncated", "recharacterized", &name_of(3)),
             ("valid", "-", &name_of(4)),
-            ("legacy", "migrated", &name_of(5)),
+            ("stale-version", "recharacterized", &name_of(5)),
             ("orphan-temp", "removed", "stale.json.tmp.1234.0"),
         ],
         &[&scan_summary],
@@ -161,6 +162,7 @@ fn fsck_scan_repair_rescan_transcript() {
     let quarantine = root.path().join(hdpm_core::QUARANTINE_DIR);
     assert!(quarantine.join("notes.json").exists());
     assert!(quarantine.join(name_of(3)).exists());
+    assert!(quarantine.join(name_of(5)).exists());
 
     // Re-scan: clean store, and the repaired artifacts load for real.
     let out = hdpm(&["fsck", root.path().to_str().expect("utf8 root")]);
@@ -182,7 +184,10 @@ fn fsck_scan_repair_rescan_transcript() {
     library
         .get(spec(3))
         .expect("re-characterized artifact loads");
-    library.get(spec(5)).expect("migrated artifact loads");
+    let rebuilt = library
+        .get(spec(5))
+        .expect("re-characterized artifact loads");
+    assert_eq!(rebuilt.model, legacy.model, "repair is bit-exact");
 }
 
 #[test]

@@ -539,7 +539,7 @@ impl PowerEngine {
             // way a separate contains()-then-get() check could.
             let (result, source) = library.get_traced(spec)?;
             return match source {
-                LibrarySource::DiskValid | LibrarySource::DiskMigrated => {
+                LibrarySource::DiskValid => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter_add("engine.disk.hit", 1);
                     Ok((Arc::new(result), CacheSource::Disk))

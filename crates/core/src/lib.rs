@@ -92,7 +92,8 @@ pub use shard::{
     ClassAccumulator, ShardingConfig,
 };
 pub use store::{
-    fsck, FsckEntry, FsckOptions, FsckReport, FsckStatus, RepairAction, META_DIR, QUARANTINE_DIR,
+    fsck, quarantine_path, FsckEntry, FsckOptions, FsckReport, FsckStatus, RepairAction, META_DIR,
+    QUARANTINE_DIR,
 };
 // The backend selector is defined next to the simulators in `hdpm-sim`;
 // re-exported here because `characterize_with_backend` takes it.

@@ -12,7 +12,7 @@ use hdpm_telemetry as telemetry;
 use crate::cache::ModelKey;
 use crate::characterize::{characterize_sharded, Characterization, CharacterizationConfig};
 use crate::error::ModelError;
-use crate::persist::{self, EnvelopeMeta, EnvelopeStatus};
+use crate::persist::{self, EnvelopeMeta};
 use crate::shard::{parallel_map_ordered, ShardingConfig};
 use crate::store::{self, StoreLock};
 
@@ -43,8 +43,6 @@ pub enum CorruptArtifactPolicy {
 pub enum LibrarySource {
     /// A verified current-version artifact was read from disk.
     DiskValid,
-    /// A pre-envelope artifact was read and migrated in place.
-    DiskMigrated,
     /// No artifact existed; a fresh characterization was stored.
     Characterized,
     /// A corrupt artifact was quarantined and re-characterized
@@ -145,12 +143,7 @@ impl ModelLibrary {
     }
 
     fn expected_meta(&self, spec: ModuleSpec) -> EnvelopeMeta {
-        let key = self.key_for(spec);
-        EnvelopeMeta {
-            spec: Some(key.spec.to_string()),
-            config_fingerprint: Some(key.config_hash),
-            shards: Some(key.shards),
-        }
+        EnvelopeMeta::for_key(&self.key_for(spec))
     }
 
     /// Load the characterization of `spec`, characterizing and storing it
@@ -185,12 +178,12 @@ impl ModelLibrary {
 
         // Fast path: a verified current artifact needs no lock (reads
         // are safe against concurrent atomic writers by construction).
+        // The stated identity means only a current envelope loads.
         match persist::load_classified::<Characterization>(&path, &expected) {
-            Ok((c, EnvelopeStatus::Current)) => {
+            Ok((c, _)) => {
                 telemetry::counter_add("store.artifact.valid", 1);
                 return Ok((c, LibrarySource::DiskValid));
             }
-            Ok((_, EnvelopeStatus::LegacyPayload)) => {} // migrate under lock
             Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(err @ ModelError::Artifact { .. }) => {
                 if self.policy == CorruptArtifactPolicy::Report {
@@ -200,21 +193,16 @@ impl ModelLibrary {
             Err(e) => return Err(e),
         }
 
-        // Slow path: anything that writes (characterize, migrate,
-        // quarantine) holds the artifact's cross-process advisory lock.
+        // Slow path: anything that writes (characterize, quarantine)
+        // holds the artifact's cross-process advisory lock.
         let _lock = StoreLock::acquire(&path, self.lock_timeout)?;
         let mut recovered = false;
         // Re-check under the lock: another process may have resolved the
         // miss (or replaced a corrupt file) while we waited.
         match persist::load_classified::<Characterization>(&path, &expected) {
-            Ok((c, EnvelopeStatus::Current)) => {
+            Ok((c, _)) => {
                 telemetry::counter_add("store.artifact.valid", 1);
                 return Ok((c, LibrarySource::DiskValid));
-            }
-            Ok((c, EnvelopeStatus::LegacyPayload)) => {
-                persist::save_with_meta(&c, &expected, &path)?;
-                telemetry::counter_add("store.artifact.migrated", 1);
-                return Ok((c, LibrarySource::DiskMigrated));
             }
             Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(err @ ModelError::Artifact { .. }) => match self.policy {
@@ -302,17 +290,15 @@ impl ModelLibrary {
     }
 
     /// Load the artifact of `spec` if a **valid** one is already on disk;
-    /// `None` otherwise. Never characterizes, never migrates, never
-    /// quarantines — a read-only probe for opportunistic consumers (the
-    /// engine's tier-B sibling harvest) that must not pay or mutate
-    /// anything on a miss.
+    /// `None` otherwise. Never characterizes, never quarantines — a
+    /// read-only probe for opportunistic consumers (the engine's tier-B
+    /// sibling harvest) that must not pay or mutate anything on a miss.
     pub fn load_if_present(&self, spec: ModuleSpec) -> Option<Characterization> {
         let path = self.path_for(spec);
         let expected = self.expected_meta(spec);
-        match persist::load_classified::<Characterization>(&path, &expected) {
-            Ok((c, EnvelopeStatus::Current)) => Some(c),
-            _ => None,
-        }
+        persist::load_classified::<Characterization>(&path, &expected)
+            .ok()
+            .map(|(c, _)| c)
     }
 
     /// The library root directory.
@@ -584,16 +570,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_artifact_is_migrated_in_place() {
+    fn legacy_bare_artifact_is_stale_and_recharacterized() {
         let dir = TempDir::new("library_legacy");
         let lib = temp_library(&dir);
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
         let fresh = lib.get(spec).unwrap();
-        // Rewrite the artifact as a bare pre-envelope payload.
+        // Rewrite the artifact as a bare payload without an envelope.
         std::fs::write(lib.path_for(spec), persist::to_json(&fresh).unwrap()).unwrap();
-        let (migrated, source) = lib.get_traced(spec).unwrap();
-        assert_eq!(source, LibrarySource::DiskMigrated);
-        assert_eq!(migrated.model, fresh.model);
+        match lib.get_traced(spec) {
+            Err(ModelError::Artifact { kind, .. }) => {
+                assert_eq!(kind, crate::ArtifactFaultKind::StaleVersion);
+            }
+            other => panic!("expected a stale-version fault, got {other:?}"),
+        }
+        // The serving policy quarantines it and re-characterizes the
+        // same model.
+        let lib = lib.with_corrupt_policy(CorruptArtifactPolicy::Quarantine);
+        let (recovered, source) = lib.get_traced(spec).unwrap();
+        assert_eq!(source, LibrarySource::Recovered);
+        assert_eq!(recovered.model, fresh.model);
         // The file on disk is now a current envelope.
         let (_, source) = lib.get_traced(spec).unwrap();
         assert_eq!(source, LibrarySource::DiskValid);

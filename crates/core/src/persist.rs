@@ -16,15 +16,19 @@
 //!   [`ArtifactFaultKind::StaleVersion`], never guessed at.
 //! * `meta` — the identity the artifact was written for. When a caller
 //!   states the identity it expects (the [`EnvelopeMeta`] derived from a
-//!   [`crate::ModelKey`]), any mismatch is reported as
-//!   [`ArtifactFaultKind::Foreign`]: a model for a different
-//!   spec/configuration is *wrong*, not merely stale.
+//!   [`crate::ModelKey`]), every stated field must be present in `meta`,
+//!   readable and equal; anything else is reported as
+//!   [`ArtifactFaultKind::Foreign`]: a model for a different (or an
+//!   unreadable) spec/configuration is *wrong*, not merely stale.
 //! * `checksum` — FNV-1a over the canonical (compact) serialization of
 //!   `payload`; a failed check is [`ArtifactFaultKind::ChecksumMismatch`].
 //!
-//! Files that predate the envelope (bare model JSON) still load and are
-//! reported as [`EnvelopeStatus::LegacyPayload`] so callers can migrate
-//! them in place; see `docs/persistence.md`.
+//! A bare payload (model JSON without an envelope) carries no checksum
+//! and no identity. The anonymous [`load`] still accepts one, for user
+//! files such as `hdpm estimate --model`, and reports it as
+//! [`EnvelopeStatus::LegacyPayload`]; a load that states an identity
+//! classifies it as [`ArtifactFaultKind::StaleVersion`], because there is
+//! nothing to verify that identity against. See `docs/persistence.md`.
 //!
 //! # Fault injection
 //!
@@ -51,7 +55,8 @@ pub const ENVELOPE_VERSION: u64 = 1;
 /// Identity stamped into (and expected from) an artifact envelope.
 ///
 /// All fields are optional: a plain [`save`] writes an anonymous envelope,
-/// and absent fields are never checked on load. [`crate::ModelLibrary`]
+/// and fields absent from the expected meta are never checked on load
+/// (a stated one must be in the envelope). [`crate::ModelLibrary`]
 /// fills every field from its [`crate::ModelKey`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnvelopeMeta {
@@ -109,27 +114,34 @@ impl EnvelopeMeta {
         }
     }
 
-    /// The first field of `self` that contradicts `found`, if any.
-    /// Absent fields on either side are not compared.
+    /// The first field stated in `self` that `found` does not state
+    /// identically, if any. A stated field that `found` lacks or could
+    /// not parse is a mismatch; fields absent from `self` are not
+    /// compared.
     fn mismatch_against(&self, found: &EnvelopeMeta) -> Option<String> {
-        if let (Some(want), Some(got)) = (&self.spec, &found.spec) {
-            if want != got {
-                return Some(format!("spec `{got}` (expected `{want}`)"));
-            }
-        }
-        if let (Some(want), Some(got)) = (self.config_fingerprint, found.config_fingerprint) {
-            if want != got {
-                return Some(format!(
-                    "config fingerprint {got:016x} (expected {want:016x})"
-                ));
-            }
-        }
-        if let (Some(want), Some(got)) = (self.shards, found.shards) {
-            if want != got {
-                return Some(format!("shard count {got} (expected {want})"));
-            }
-        }
-        None
+        let hex = |fp: &u64| format!("{fp:016x}");
+        differ("spec", self.spec.as_ref(), found.spec.as_ref())
+            .or_else(|| {
+                differ(
+                    "config fingerprint",
+                    self.config_fingerprint.as_ref().map(hex),
+                    found.config_fingerprint.as_ref().map(hex),
+                )
+            })
+            .or_else(|| differ("shard count", self.shards, found.shards))
+    }
+}
+
+fn differ<T: PartialEq + std::fmt::Display>(
+    field: &str,
+    want: Option<T>,
+    got: Option<T>,
+) -> Option<String> {
+    let want = want?;
+    match got {
+        Some(got) if got == want => None,
+        Some(got) => Some(format!("{field} `{got}` (expected `{want}`)")),
+        None => Some(format!("no readable {field} (expected `{want}`)")),
     }
 }
 
@@ -138,8 +150,8 @@ impl EnvelopeMeta {
 pub enum EnvelopeStatus {
     /// A current-version envelope with a verified checksum.
     Current,
-    /// A pre-envelope bare payload (valid, but unprotected); callers
-    /// should migrate it in place.
+    /// A bare payload without an envelope (valid, but unprotected).
+    /// Only a load with an anonymous [`EnvelopeMeta`] returns it.
     LegacyPayload,
 }
 
@@ -307,8 +319,7 @@ pub fn read_envelope_bytes<T: DeserializeOwned>(
         } => Err(ModelError::Artifact {
             path: path.to_path_buf(),
             kind: ArtifactFaultKind::StaleVersion,
-            detail: "bare pre-envelope payload cannot be shipped verbatim (no checksum); \
-                     migrate it first"
+            detail: "bare payload without an envelope cannot be shipped verbatim (no checksum)"
                 .to_string(),
         }),
         Classified::Fault { kind, detail } => Err(ModelError::Artifact {
@@ -429,8 +440,13 @@ fn classify_text<T: DeserializeOwned>(text: &str, expected: &EnvelopeMeta) -> Cl
         return fault(ArtifactFaultKind::Foreign, "not a JSON object");
     }
     let Some(version_field) = value.get("hdpm_envelope") else {
-        // Pre-envelope artifact: a bare payload, accepted for migration.
+        // A bare payload: acceptable to an anonymous load, but a stated
+        // identity has no envelope to be checked against.
         return match T::from_value(&value) {
+            Ok(_) if *expected != EnvelopeMeta::default() => fault(
+                ArtifactFaultKind::StaleVersion,
+                "bare payload without an envelope: no checksum or identity to verify",
+            ),
             Ok(payload) => Classified::Valid {
                 value: payload,
                 status: EnvelopeStatus::LegacyPayload,
@@ -481,14 +497,15 @@ fn classify_text<T: DeserializeOwned>(text: &str, expected: &EnvelopeMeta) -> Cl
             format!("payload checksum {actual:016x} does not match recorded {declared:016x}"),
         );
     }
-    if let Some(meta_value) = value.get("meta") {
-        let found = EnvelopeMeta::from_value(meta_value);
-        if let Some(mismatch) = expected.mismatch_against(&found) {
-            return fault(
-                ArtifactFaultKind::Foreign,
-                format!("artifact belongs to a different key: {mismatch}"),
-            );
-        }
+    let found = value
+        .get("meta")
+        .map(EnvelopeMeta::from_value)
+        .unwrap_or_default();
+    if let Some(mismatch) = expected.mismatch_against(&found) {
+        return fault(
+            ArtifactFaultKind::Foreign,
+            format!("artifact belongs to a different key: {mismatch}"),
+        );
     }
     match T::from_value(payload) {
         Ok(payload) => Classified::Valid {

@@ -26,7 +26,7 @@ use crate::cache::config_fingerprint;
 use crate::characterize::{Characterization, CharacterizationConfig};
 use crate::error::{ArtifactFaultKind, ModelError};
 use crate::library::ModelLibrary;
-use crate::persist::{self, EnvelopeMeta, EnvelopeStatus};
+use crate::persist::{self, EnvelopeMeta};
 use crate::shard::ShardingConfig;
 
 /// Name of the quarantine subdirectory under a library root.
@@ -232,21 +232,33 @@ pub(crate) fn write_config_sidecar(
     persist::save_with_meta(config, &meta, path)
 }
 
-/// Move `path` into `<root>/quarantine/`, never overwriting an earlier
-/// quarantined file of the same name. Returns the destination.
-pub(crate) fn quarantine_file(root: &Path, path: &Path) -> Result<PathBuf, ModelError> {
+/// The quarantine naming rule: the first free `<root>/quarantine/<name>`,
+/// `<name>.1`, `<name>.2`, … path, so a capture never overwrites an
+/// earlier one. Creates the quarantine directory.
+///
+/// # Errors
+///
+/// [`ModelError::Io`] if the directory cannot be created.
+pub fn quarantine_path(root: &Path, name: &str) -> Result<PathBuf, ModelError> {
     let dir = root.join(QUARANTINE_DIR);
     fs::create_dir_all(&dir)?;
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "artifact".to_string());
-    let mut dest = dir.join(&name);
+    let mut dest = dir.join(name);
     let mut n = 0u32;
     while dest.exists() {
         n += 1;
         dest = dir.join(format!("{name}.{n}"));
     }
+    Ok(dest)
+}
+
+/// Move `path` into `<root>/quarantine/` under [`quarantine_path`].
+/// Returns the destination.
+pub(crate) fn quarantine_file(root: &Path, path: &Path) -> Result<PathBuf, ModelError> {
+    let name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "artifact".to_string());
+    let dest = quarantine_path(root, &name)?;
     fs::rename(path, &dest)?;
     telemetry::counter_add("store.artifact.quarantined", 1);
     Ok(dest)
@@ -262,9 +274,9 @@ pub enum FsckStatus {
     /// A current-version artifact with a verified checksum and matching
     /// key.
     Valid,
-    /// A readable pre-envelope artifact; `--repair` migrates it in place.
-    Legacy,
-    /// A typed artifact fault; `--repair` quarantines the file.
+    /// A typed artifact fault (a bare payload without an envelope is
+    /// `stale-version`); `--repair` quarantines the file and
+    /// re-characterizes it when its config sidecar survives.
     Fault(ArtifactFaultKind),
     /// A temp file left by an interrupted atomic write; `--repair`
     /// removes it.
@@ -280,7 +292,6 @@ impl FsckStatus {
     pub fn as_str(&self) -> &'static str {
         match self {
             FsckStatus::Valid => "valid",
-            FsckStatus::Legacy => "legacy",
             FsckStatus::Fault(kind) => kind.as_str(),
             FsckStatus::OrphanTemp => "orphan-temp",
             FsckStatus::StaleLock => "stale-lock",
@@ -299,8 +310,6 @@ impl FsckStatus {
 pub enum RepairAction {
     /// Nothing needed or repair not requested.
     None,
-    /// Legacy payload rewritten in place as a current envelope.
-    Migrated,
     /// Moved to `<root>/quarantine/`.
     Quarantined,
     /// Quarantined, then re-characterized from its config sidecar.
@@ -314,7 +323,6 @@ impl RepairAction {
     pub fn as_str(self) -> &'static str {
         match self {
             RepairAction::None => "-",
-            RepairAction::Migrated => "migrated",
             RepairAction::Quarantined => "quarantined",
             RepairAction::Recharacterized => "recharacterized",
             RepairAction::Removed => "removed",
@@ -357,9 +365,9 @@ impl FsckReport {
 /// Options of an [`fsck`] run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FsckOptions {
-    /// Quarantine faulty artifacts, migrate legacy ones, remove orphan
-    /// temps and stale locks, and re-characterize quarantined artifacts
-    /// whose configuration sidecar survives.
+    /// Quarantine faulty artifacts, remove orphan temps and stale locks,
+    /// and re-characterize quarantined artifacts whose configuration
+    /// sidecar survives.
     pub repair: bool,
 }
 
@@ -465,10 +473,7 @@ fn classify_entry(path: &Path, file_name: &str, in_meta: bool) -> (FsckStatus, S
         }
     };
     match persist::classify_file::<Characterization>(path, &expected) {
-        Ok(Some(Ok(EnvelopeStatus::Current))) => (FsckStatus::Valid, String::new()),
-        Ok(Some(Ok(EnvelopeStatus::LegacyPayload))) => {
-            (FsckStatus::Legacy, "bare pre-envelope payload".to_string())
-        }
+        Ok(Some(Ok(_))) => (FsckStatus::Valid, String::new()),
         Ok(Some(Err((kind, detail)))) => (FsckStatus::Fault(kind), detail),
         Ok(None) => (
             FsckStatus::Fault(ArtifactFaultKind::Truncated),
@@ -539,21 +544,6 @@ fn repair_entry(
         FsckStatus::OrphanTemp | FsckStatus::StaleLock => {
             fs::remove_file(path)?;
             Ok(RepairAction::Removed)
-        }
-        FsckStatus::Legacy => {
-            let (value, _) =
-                persist::load_classified::<Characterization>(path, &EnvelopeMeta::default())?;
-            let meta = match parse_artifact_name(file_name) {
-                Some((spec, fingerprint, shards)) => EnvelopeMeta {
-                    spec: Some(spec.to_string()),
-                    config_fingerprint: Some(fingerprint),
-                    shards: Some(shards),
-                },
-                None => EnvelopeMeta::default(),
-            };
-            persist::save_with_meta(&value, &meta, path)?;
-            telemetry::counter_add("store.artifact.migrated", 1);
-            Ok(RepairAction::Migrated)
         }
         FsckStatus::Fault(_) => {
             quarantine_file(root, path)?;

@@ -236,7 +236,10 @@ fn fsck_scan_and_repair_restore_a_corrupted_library() {
         status_of(&broken_name),
         FsckStatus::Fault(ArtifactFaultKind::Truncated)
     );
-    assert_eq!(status_of(&legacy_name), FsckStatus::Legacy);
+    assert_eq!(
+        status_of(&legacy_name),
+        FsckStatus::Fault(ArtifactFaultKind::StaleVersion)
+    );
     assert_eq!(
         status_of("notes.json"),
         FsckStatus::Fault(ArtifactFaultKind::Foreign)
@@ -245,7 +248,7 @@ fn fsck_scan_and_repair_restore_a_corrupted_library() {
     assert_eq!(status_of("dead.json.lock"), FsckStatus::StaleLock);
     assert!(dir.join("notes.json").exists(), "scan-only moves nothing");
 
-    // Repair: quarantine + re-characterize + migrate + sweep.
+    // Repair: quarantine + re-characterize (torn and bare) + sweep.
     let report = fsck(dir.path(), &FsckOptions { repair: true }).unwrap();
     let action_of = |name: &str| {
         report
@@ -257,7 +260,7 @@ fn fsck_scan_and_repair_restore_a_corrupted_library() {
     };
     assert_eq!(action_of(&healthy_name), RepairAction::None);
     assert_eq!(action_of(&broken_name), RepairAction::Recharacterized);
-    assert_eq!(action_of(&legacy_name), RepairAction::Migrated);
+    assert_eq!(action_of(&legacy_name), RepairAction::Recharacterized);
     assert_eq!(action_of("notes.json"), RepairAction::Quarantined);
     assert_eq!(action_of("stale.json.tmp.1234.0"), RepairAction::Removed);
     assert_eq!(action_of("dead.json.lock"), RepairAction::Removed);
@@ -268,12 +271,15 @@ fn fsck_scan_and_repair_restore_a_corrupted_library() {
     let (restored, source) = lib.get_traced(broken_spec).unwrap();
     assert_eq!(source, LibrarySource::DiskValid);
     assert_eq!(restored.model, broken_original.model, "repair is bit-exact");
-    let (migrated, source) = lib.get_traced(legacy_spec).unwrap();
+    let (rebuilt, source) = lib.get_traced(legacy_spec).unwrap();
     assert_eq!(source, LibrarySource::DiskValid);
-    assert_eq!(migrated.model, legacy_original.model);
+    assert_eq!(rebuilt.model, legacy_original.model, "repair is bit-exact");
     // The corrupt originals survive in quarantine for the post-mortem.
     let quarantined = std::fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().count();
-    assert_eq!(quarantined, 2, "torn artifact + foreign file");
+    assert_eq!(
+        quarantined, 3,
+        "torn artifact + bare payload + foreign file"
+    );
 }
 
 #[test]

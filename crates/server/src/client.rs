@@ -76,8 +76,9 @@ impl Proto {
 
 /// One request, protocol-agnostic — also the server's internal form: the
 /// v1 codec ([`protocol`]) and the v2 codec ([`wire`]) both decode into
-/// it and encode from it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// it and encode from it. [`Request::Ping`] and the three cluster ops
+/// are v2-only.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Analytic power estimate for a module under a named input
     /// distribution.
@@ -103,6 +104,22 @@ pub enum Request {
     Stats,
     /// Liveness no-op (v2 only — v1 has no ping op).
     Ping,
+    /// Cluster peer fetch: the stored artifact's envelope bytes.
+    FetchModel {
+        /// Module kind and operand widths.
+        spec: ModuleSpec,
+    },
+    /// Cluster presence probe: is the model in memory or on disk?
+    HaveModel {
+        /// Module kind and operand widths.
+        spec: ModuleSpec,
+    },
+    /// Cluster warm-key gossip: advertise the sender's hottest specs.
+    WarmKeys {
+        /// Hottest first; encoders keep the first
+        /// [`wire::WARM_KEYS_MAX`].
+        specs: Vec<ModuleSpec>,
+    },
 }
 
 impl Request {
@@ -113,6 +130,9 @@ impl Request {
             Request::Characterize { .. } => wire::Opcode::Characterize,
             Request::Stats => wire::Opcode::Stats,
             Request::Ping => wire::Opcode::Ping,
+            Request::FetchModel { .. } => wire::Opcode::FetchModel,
+            Request::HaveModel { .. } => wire::Opcode::HaveModel,
+            Request::WarmKeys { .. } => wire::Opcode::WarmKeys,
         }
     }
 }
@@ -231,6 +251,13 @@ pub enum Response {
     Stats(StatsAnswer),
     /// Successful ping (v2).
     Pong,
+    /// A fetch-model answer: the envelope bytes, or `None` when the
+    /// artifact is not on disk.
+    Artifact(Option<Vec<u8>>),
+    /// A have-model answer: whether the model is in memory or on disk.
+    HaveModel(bool),
+    /// A warm-keys answer: the replier's hottest specs.
+    WarmKeys(Vec<ModuleSpec>),
     /// A structured server-side error (`timeout`, `overloaded`, …) —
     /// part of normal operation, not a transport failure.
     Error {
@@ -353,7 +380,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport failure, or [`Request::Ping`] on a v1 connection.
+    /// Transport failure, or a v2-only request on a v1 connection.
     pub fn send(
         &mut self,
         request: &Request,
@@ -363,8 +390,9 @@ impl Client {
         self.next_id += 1;
         match self.proto {
             Proto::V1 => {
-                let line = protocol::encode_request(request, deadline_ms.map(u64::from))
-                    .ok_or(ClientError::Unsupported("ping is v2-only"))?;
+                let line = protocol::encode_request(request, deadline_ms.map(u64::from)).ok_or(
+                    ClientError::Unsupported("ping and the cluster ops are v2-only"),
+                )?;
                 self.writer.write_all(line.as_bytes())?;
                 self.writer.write_all(b"\n")?;
                 self.fifo.push_back((id, request.opcode()));
@@ -456,29 +484,18 @@ impl Client {
     }
 
     fn recv_v2(&mut self) -> Result<Reply, ClientError> {
-        // A pre-negotiation rejection (connection limit) is the one case
-        // where a v2 client sees v1 bytes: a JSON error line. Its first
-        // byte `{` can never begin a frame ≤ MAX_PAYLOAD.
-        let mut first = [0u8; 1];
-        self.reader.read_exact(&mut first)?;
-        if first[0] == b'{' {
-            let mut rest = String::new();
-            self.reader.read_line(&mut rest)?;
-            let response = protocol::decode_reply(&format!("{{{}", rest.trim_end()))
-                .map_err(ClientError::Protocol)?;
-            let id = *self.pending.keys().min().expect("outstanding checked");
-            self.pending.remove(&id);
-            return Ok(Reply {
-                id,
-                late: false,
-                response,
-            });
-        }
         let mut raw = [0u8; wire::HEADER_LEN];
-        raw[0] = first[0];
-        self.reader.read_exact(&mut raw[1..])?;
+        self.reader.read_exact(&mut raw)?;
         let header = wire::decode_header(&raw);
         if header.len > wire::MAX_PAYLOAD {
+            // A pre-negotiation rejection (connection limit) is the one
+            // case where a v2 client sees v1 bytes: a JSON error line.
+            // Only it can open with `{` *and* announce more than
+            // MAX_PAYLOAD: a frame's `len` has a zero top byte, a JSON
+            // line's fourth byte never is.
+            if raw[0] == b'{' {
+                return self.recv_v1_rejection(&raw);
+            }
             return Err(ClientError::Protocol(format!(
                 "reply frame announces {} bytes (max {})",
                 header.len,
@@ -498,6 +515,31 @@ impl Client {
         Ok(Reply {
             id: header.id,
             late: header.extra & wire::FLAG_LATE != 0,
+            response,
+        })
+    }
+
+    /// Finish reading a v1 JSON rejection line whose first
+    /// [`wire::HEADER_LEN`] bytes are `head`, reading at most
+    /// [`wire::MAX_PAYLOAD`] bytes, and answer the oldest outstanding id
+    /// with it.
+    fn recv_v1_rejection(&mut self, head: &[u8]) -> Result<Reply, ClientError> {
+        let mut line = head.to_vec();
+        (&mut self.reader)
+            .take(u64::from(wire::MAX_PAYLOAD))
+            .read_until(b'\n', &mut line)?;
+        if line.last() != Some(&b'\n') {
+            return Err(ClientError::Protocol(
+                "unterminated JSON line in place of a v2 reply frame".into(),
+            ));
+        }
+        let response = protocol::decode_reply(String::from_utf8_lossy(&line).trim_end())
+            .map_err(ClientError::Protocol)?;
+        let id = *self.pending.keys().min().expect("outstanding checked");
+        self.pending.remove(&id);
+        Ok(Reply {
+            id,
+            late: false,
             response,
         })
     }

@@ -1,6 +1,7 @@
-//! Cluster-mode glue on the server side: the blocking peer client for
-//! the cluster opcodes, the per-key ensure gate that makes peer fetching
-//! single-flight on this node, and the warm-key gossip loop.
+//! Cluster-mode glue on the server side: peer calls through the typed
+//! [`Client`], the one admission routine for peer bytes, the per-key
+//! ensure gate that makes peer fetching single-flight on this node, and
+//! the warm-key gossip loop.
 //!
 //! The design keeps every cluster interaction *advisory*: any peer
 //! failure — connect refused, timeout, refused op, corrupt bytes —
@@ -10,7 +11,6 @@
 //! actually sent. The full failure-modes table is in `docs/cluster.md`.
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -22,7 +22,7 @@ use hdpm_core::{Characterization, ModelError, ModelKey, PowerEngine};
 use hdpm_netlist::ModuleSpec;
 use hdpm_telemetry as telemetry;
 
-use crate::wire;
+use crate::client::{Client, ClientError, Proto, Request, Response};
 
 /// Everything the request path needs for cluster mode: the shared
 /// [`ClusterState`] plus this node's ensure gate.
@@ -80,135 +80,122 @@ impl EnsureGate {
     }
 }
 
-// --- blocking peer client ----------------------------------------------
+// --- peer calls --------------------------------------------------------
 
-/// One blocking v2 exchange with a peer: connect, preamble, one request
-/// frame, one reply frame; the ok payload comes back. `timeout` bounds
-/// the connect and each read/write syscall.
+/// One blocking v2 call to a peer through the typed [`Client`], on a
+/// connection of its own: `timeout` bounds the connect and each
+/// read/write syscall. Returns the peer's ok answer.
 ///
 /// # Errors
 ///
-/// A human-readable description of the transport failure or the peer's
-/// error reply, as the health table shows it.
-fn call_peer(
-    addr: SocketAddr,
-    op: wire::Opcode,
-    payload: &[u8],
-    timeout: Duration,
-) -> Result<Vec<u8>, String> {
-    let mut stream =
+/// The transport failure or the peer's error reply, naming the peer
+/// address and the op, as the health table shows it.
+fn ask(addr: SocketAddr, request: &Request, timeout: Duration) -> Result<Response, String> {
+    let op = request.opcode().as_str();
+    let stream =
         TcpStream::connect_timeout(&addr, timeout).map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    stream
+    let reply = stream
         .set_read_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(timeout))
-        .map_err(|e| e.to_string())?;
-    let mut request = Vec::with_capacity(wire::MAGIC.len() + wire::HEADER_LEN + payload.len());
-    request.extend_from_slice(&wire::MAGIC);
-    wire::encode_frame(&mut request, 1, op as u8, 0, payload);
-    stream
-        .write_all(&request)
-        .map_err(|e| format!("write to {addr}: {e}"))?;
-    let mut header = [0u8; wire::HEADER_LEN];
-    stream
-        .read_exact(&mut header)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    let header = wire::decode_header(&header);
-    if header.len > wire::MAX_PAYLOAD {
-        return Err(format!(
-            "peer {addr} announced a {} byte reply (cap {})",
-            header.len,
-            wire::MAX_PAYLOAD
-        ));
+        .and_then(|()| stream.set_write_timeout(Some(timeout)))
+        .and_then(|()| Client::from_stream(stream, Proto::V2))
+        .map_err(ClientError::Io)
+        .and_then(|mut client| client.call(request, None))
+        .map_err(|e| format!("{op} to {addr}: {e}"))?;
+    match reply.response {
+        Response::Error { kind, message } => {
+            Err(format!("{op} refused by {addr} ({kind}): {message}"))
+        }
+        response => Ok(response),
     }
-    let mut reply = vec![0u8; header.len as usize];
-    stream
-        .read_exact(&mut reply)
-        .map_err(|e| format!("read from {addr}: {e}"))?;
-    if header.op != wire::STATUS_OK {
-        let kind = wire::kind_of(header.op).map_or("unknown", |k| k.as_str());
-        let message = String::from_utf8_lossy(&reply);
-        return Err(format!("{} refused ({kind}): {message}", op.as_str()));
-    }
-    Ok(reply)
+}
+
+/// The error for an ok answer of the wrong kind (the client decodes
+/// replies by the op it sent, so this marks a client-side bug).
+fn unexpected(addr: SocketAddr, response: &Response) -> String {
+    format!("{addr} answered with an unexpected {response:?}")
 }
 
 /// Probe whether a peer holds a model (memory or disk).
-///
-/// # Errors
-///
-/// Transport failure or a non-ok reply.
-fn have_model(
-    addr: SocketAddr,
-    spec: ModuleSpec,
-    timeout: Duration,
-) -> Result<wire::HaveModelReply, String> {
-    let payload = wire::encode_spec_request(spec);
-    let reply = call_peer(addr, wire::Opcode::HaveModel, &payload, timeout)?;
-    wire::decode_have_model_reply(&reply)
+fn have_model(addr: SocketAddr, spec: ModuleSpec, timeout: Duration) -> Result<bool, String> {
+    match ask(addr, &Request::HaveModel { spec }, timeout)? {
+        Response::HaveModel(present) => Ok(present),
+        other => Err(unexpected(addr, &other)),
+    }
 }
 
 /// Fetch a model's raw envelope bytes from a peer. `Ok(None)` means the
-/// peer answered but has no artifact on disk (envelopes are never
-/// empty, so an empty ok payload is unambiguous).
-///
-/// # Errors
-///
-/// Transport failure or a non-ok reply.
+/// peer answered but has no artifact on disk.
 fn fetch_model(
     addr: SocketAddr,
     spec: ModuleSpec,
     timeout: Duration,
 ) -> Result<Option<Vec<u8>>, String> {
-    let payload = wire::encode_spec_request(spec);
-    let reply = call_peer(addr, wire::Opcode::FetchModel, &payload, timeout)?;
-    Ok((!reply.is_empty()).then_some(reply))
+    match ask(addr, &Request::FetchModel { spec }, timeout)? {
+        Response::Artifact(bytes) => Ok(bytes),
+        other => Err(unexpected(addr, &other)),
+    }
 }
 
 /// Ask a peer (the key's owner) to characterize a model into its own
 /// store, so this node can fetch the artifact instead of duplicating
 /// the work.
-///
-/// # Errors
-///
-/// Transport failure or a non-ok reply.
 fn forward_characterize(
     addr: SocketAddr,
     spec: ModuleSpec,
     timeout: Duration,
 ) -> Result<(), String> {
-    let payload = wire::encode_spec_request(spec);
-    call_peer(addr, wire::Opcode::Characterize, &payload, timeout).map(drop)
+    ask(addr, &Request::Characterize { spec }, timeout).map(drop)
 }
 
 /// One warm-key gossip exchange: advertise `ours`, learn the peer's
 /// hottest specs.
-///
-/// # Errors
-///
-/// Transport failure or a non-ok reply.
 fn exchange_warm_keys(
     addr: SocketAddr,
     ours: &[ModuleSpec],
     timeout: Duration,
 ) -> Result<Vec<ModuleSpec>, String> {
-    let reply = call_peer(
-        addr,
-        wire::Opcode::WarmKeys,
-        &wire::encode_warm_keys(ours),
-        timeout,
-    )?;
-    wire::decode_warm_keys(&reply)
+    let request = Request::WarmKeys {
+        specs: ours.to_vec(),
+    };
+    match ask(addr, &request, timeout)? {
+        Response::WarmKeys(specs) => Ok(specs),
+        other => Err(unexpected(addr, &other)),
+    }
 }
 
 // --- admit / quarantine ------------------------------------------------
 
+/// Fetch `spec`'s artifact from `peer` and admit it through
+/// [`admit_or_quarantine`], the one gate for peer bytes. Returns `true`
+/// when the artifact was admitted; a miss or a failed call is counted
+/// here.
+fn fetch_and_admit(
+    state: &ClusterState,
+    store_root: &Path,
+    key: &ModelKey,
+    peer: &Peer,
+    spec: ModuleSpec,
+) -> bool {
+    match fetch_model(peer.addr, spec, state.config().peer_timeout) {
+        Ok(Some(bytes)) => admit_or_quarantine(state, store_root, key, peer, &bytes),
+        Ok(None) => {
+            state.stats().record_fetch_miss();
+            false
+        }
+        Err(e) => {
+            state.stats().record_fetch_error();
+            state.health().record_error(&peer.id, e);
+            false
+        }
+    }
+}
+
 /// Verify peer bytes and admit them into the local store, or quarantine
-/// them. Returns `true` when the artifact was admitted.
+/// them. Returns `true` when the artifact was admitted. Only bytes that
+/// fail verification are quarantined; a local write failure is a fetch
+/// error, not the peer's fault.
 fn admit_or_quarantine(
-    rt: &ClusterRuntime,
+    state: &ClusterState,
     store_root: &Path,
     key: &ModelKey,
     peer: &Peer,
@@ -221,17 +208,17 @@ fn admit_or_quarantine(
         &dest,
     ) {
         Ok(()) => {
-            rt.state.stats().record_fetch_hit();
-            rt.state.health().record_ok(&peer.id);
+            state.stats().record_fetch_hit();
+            state.health().record_ok(&peer.id);
             true
         }
         Err(ModelError::Artifact { kind, detail, .. }) => {
             // Never admit, never serve: park the bytes for inspection
             // and let the caller fall back to a local characterization.
             let parked = quarantine_bytes(store_root, key, bytes);
-            rt.state.stats().record_quarantine();
-            rt.state.stats().record_fetch_error();
-            rt.state.health().record_error(
+            state.stats().record_quarantine();
+            state.stats().record_fetch_error();
+            state.health().record_error(
                 &peer.id,
                 format!("sent unverifiable artifact ({kind}): {detail}"),
             );
@@ -253,8 +240,8 @@ fn admit_or_quarantine(
             false
         }
         Err(other) => {
-            rt.state.stats().record_fetch_error();
-            rt.state
+            state.stats().record_fetch_error();
+            state
                 .health()
                 .record_error(&peer.id, format!("admit failed: {other}"));
             false
@@ -262,18 +249,11 @@ fn admit_or_quarantine(
     }
 }
 
-/// Park unverifiable peer bytes under `<root>/quarantine/`, never
-/// overwriting an earlier capture.
+/// Park unverifiable peer bytes as `<root>/quarantine/<artifact>.wire`,
+/// never overwriting an earlier capture (the store's naming rule).
 fn quarantine_bytes(store_root: &Path, key: &ModelKey, bytes: &[u8]) -> Option<PathBuf> {
-    let dir = store_root.join("quarantine");
-    std::fs::create_dir_all(&dir).ok()?;
-    let base = format!("{}.wire", key.artifact_file_name());
-    let mut path = dir.join(&base);
-    let mut n = 1u32;
-    while path.exists() {
-        path = dir.join(format!("{base}.{n}"));
-        n = n.checked_add(1)?;
-    }
+    let name = format!("{}.wire", key.artifact_file_name());
+    let path = hdpm_core::quarantine_path(store_root, &name).ok()?;
     std::fs::write(&path, bytes).ok()?;
     Some(path)
 }
@@ -326,55 +306,35 @@ pub(crate) fn ensure_model(
 }
 
 fn ensure_from_peers(rt: &ClusterRuntime, store_root: &Path, key: &ModelKey, spec: ModuleSpec) {
-    let config = rt.state.config();
-    let key_str = key.to_string();
-    for peer in rt.state.holder_peers(&key_str) {
+    let state = &rt.state;
+    let config = state.config();
+    for peer in state.holder_peers(&key.to_string()) {
         match have_model(peer.addr, spec, config.peer_timeout) {
-            Ok(wire::HaveModelReply::Present) => {
-                match fetch_model(peer.addr, spec, config.peer_timeout) {
-                    Ok(Some(bytes)) => {
-                        if admit_or_quarantine(rt, store_root, key, peer, &bytes) {
-                            return;
-                        }
-                    }
-                    Ok(None) => rt.state.stats().record_fetch_miss(),
-                    Err(e) => {
-                        rt.state.stats().record_fetch_error();
-                        rt.state.health().record_error(&peer.id, e);
-                    }
+            Ok(true) => {
+                if fetch_and_admit(state, store_root, key, peer, spec) {
+                    return;
                 }
             }
-            Ok(wire::HaveModelReply::Absent) => {
+            Ok(false) => {
                 // The holder has not characterized yet: ask it to (the
                 // cluster-wide single-flight), then fetch the artifact.
-                rt.state.stats().record_forward();
+                state.stats().record_forward();
                 match forward_characterize(peer.addr, spec, config.forward_timeout) {
-                    Ok(()) => match fetch_model(peer.addr, spec, config.peer_timeout) {
-                        Ok(Some(bytes)) => {
-                            if admit_or_quarantine(rt, store_root, key, peer, &bytes) {
-                                return;
-                            }
-                            rt.state.stats().record_forward_fallback();
+                    Ok(()) => {
+                        if fetch_and_admit(state, store_root, key, peer, spec) {
+                            return;
                         }
-                        Ok(None) => {
-                            rt.state.stats().record_fetch_miss();
-                            rt.state.stats().record_forward_fallback();
-                        }
-                        Err(e) => {
-                            rt.state.stats().record_fetch_error();
-                            rt.state.stats().record_forward_fallback();
-                            rt.state.health().record_error(&peer.id, e);
-                        }
-                    },
+                        state.stats().record_forward_fallback();
+                    }
                     Err(e) => {
-                        rt.state.stats().record_forward_fallback();
-                        rt.state.health().record_error(&peer.id, e);
+                        state.stats().record_forward_fallback();
+                        state.health().record_error(&peer.id, e);
                     }
                 }
             }
             Err(e) => {
-                rt.state.stats().record_fetch_error();
-                rt.state.health().record_error(&peer.id, e);
+                state.stats().record_fetch_error();
+                state.health().record_error(&peer.id, e);
             }
         }
     }
@@ -452,9 +412,9 @@ pub(crate) fn run_gossip(
     }
 }
 
-/// Pre-warm one learned key: fetch the peer's artifact, verify, admit,
-/// then pull it through the engine so the LRU (not just the disk) is
-/// warm before `/readyz` flips.
+/// Pre-warm one learned key: fetch the peer's artifact and admit it
+/// through the same gate as the request path, then pull it through the
+/// engine so the LRU (not just the disk) is warm before `/readyz` flips.
 fn prewarm_one(
     state: &ClusterState,
     engine: &PowerEngine,
@@ -463,38 +423,10 @@ fn prewarm_one(
     spec: ModuleSpec,
 ) {
     let key = engine.key_for(spec);
-    let dest = store_root.join(key.artifact_file_name());
-    if !dest.exists() {
-        match fetch_model(peer.addr, spec, state.config().peer_timeout) {
-            Ok(Some(bytes)) => {
-                match persist::admit_envelope_bytes::<Characterization>(
-                    &bytes,
-                    &EnvelopeMeta::for_key(&key),
-                    &dest,
-                ) {
-                    Ok(()) => state.stats().record_fetch_hit(),
-                    Err(_) => {
-                        // Same never-admit rule as the request path, but
-                        // without a requester waiting: park and move on.
-                        let _ = quarantine_bytes(store_root, &key, &bytes);
-                        state.stats().record_quarantine();
-                        state
-                            .health()
-                            .record_error(&peer.id, "gossip fetch failed verification");
-                        return;
-                    }
-                }
-            }
-            Ok(None) => {
-                state.stats().record_fetch_miss();
-                return;
-            }
-            Err(e) => {
-                state.stats().record_fetch_error();
-                state.health().record_error(&peer.id, e);
-                return;
-            }
-        }
+    if !store_root.join(key.artifact_file_name()).exists()
+        && !fetch_and_admit(state, store_root, &key, peer, spec)
+    {
+        return;
     }
     // Disk hit only: the artifact was just admitted (or already there),
     // so this load never characterizes.
@@ -555,7 +487,7 @@ mod tests {
         // Port 1 on localhost refuses (or at worst times out) immediately.
         let addr: SocketAddr = "127.0.0.1:1".parse().unwrap();
         let started = Instant::now();
-        let err = call_peer(addr, wire::Opcode::Ping, &[], Duration::from_millis(300)).unwrap_err();
+        let err = ask(addr, &Request::Ping, Duration::from_millis(300)).unwrap_err();
         assert!(err.contains("127.0.0.1:1"), "{err}");
         assert!(
             started.elapsed() < Duration::from_secs(5),

@@ -8,26 +8,33 @@
 //! cluster routing after every field has resolved, the
 //! ok/error/timeout totals and counters, and the per-stage trace. Only
 //! the framing around it differs: the codecs turn bytes into requests
-//! and responses back into bytes.
+//! and responses back into bytes. The cluster peer ops (v2-only) are
+//! requests like any other and are answered here too.
 //!
 //! Error precedence, the same on both protocols: `malformed` /
 //! `invalid_utf8` (v1 framing) first, then `timeout`, then
 //! `bad_request`, then `engine`.
 
+use std::cell::RefCell;
+use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hdpm_core::{Fidelity, PowerEngine};
+use hdpm_core::persist::{self, EnvelopeMeta};
+use hdpm_core::{Characterization, Fidelity, LruCache, ModelError, PowerEngine};
+use hdpm_datamodel::{region_model, HdDistribution, WordModel};
 use hdpm_netlist::ModuleSpec;
+use hdpm_streams::DataType;
 use hdpm_telemetry as telemetry;
 use hdpm_telemetry::{Stage, TraceCtx};
 
 use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
 use crate::cluster::{self, ClusterRuntime};
-use crate::protocol::{self, ErrorKind, RequestError};
+use crate::protocol::{ErrorKind, RequestError};
 use crate::server::Totals;
+use crate::wire;
 
 /// What one request runs against: the engine and the transport's
 /// policy, plus the request's arrival time and trace.
@@ -41,8 +48,10 @@ pub(crate) struct ExecCtx<'a> {
     /// When the request was read off the transport; deadlines count from
     /// here.
     pub(crate) arrived: Instant,
-    /// Cluster mode: the runtime and this node's store root.
-    pub(crate) cluster: Option<(&'a ClusterRuntime, &'a Path)>,
+    /// The engine's disk tier root, which fetch-model reads from.
+    pub(crate) store_root: Option<&'a Path>,
+    /// Cluster mode: the ring, peer health and this node's ensure gate.
+    pub(crate) cluster: Option<&'a ClusterRuntime>,
     /// Server totals; `None` on stdio, which counts nothing.
     pub(crate) totals: Option<&'a Totals>,
     pub(crate) trace: &'a mut TraceCtx,
@@ -80,6 +89,7 @@ impl<'a> ExecCtx<'a> {
             default_floor,
             deadline: None,
             arrived: Instant::now(),
+            store_root: None,
             cluster: None,
             totals: None,
             trace,
@@ -114,8 +124,8 @@ impl<'a> ExecCtx<'a> {
     /// Run `body` under the request's deadline and count its outcome.
     /// A request already past its limit answers `timeout` without
     /// running; one whose limit expires while it runs returns its full
-    /// result, flagged late. The v2 loop runs its reply-memo hits and
-    /// cluster peer ops through here too.
+    /// result, flagged late. The v2 loop runs its reply-memo hits through
+    /// here too.
     pub(crate) fn guarded<T>(
         &mut self,
         deadline_ms: Option<u64>,
@@ -159,9 +169,9 @@ impl<'a> ExecCtx<'a> {
 
     /// Run a resolved request against the engine.
     fn answer(&mut self, request: &Request) -> Result<Response, RequestError> {
-        let engine_error = |e: hdpm_core::ModelError| (ErrorKind::Engine, e.to_string());
-        match *request {
-            Request::Estimate {
+        let engine_error = |e: ModelError| (ErrorKind::Engine, e.to_string());
+        match request {
+            &Request::Estimate {
                 spec,
                 data,
                 cycles,
@@ -179,13 +189,7 @@ impl<'a> ExecCtx<'a> {
                 // (≈20–380 µs on a per-thread memo miss, mostly stream
                 // synthesis) lands in the estimate stage.
                 let dist = self.trace.time(Stage::Estimate, || {
-                    protocol::input_distribution(
-                        data,
-                        spec.kind.operand_count(),
-                        m1,
-                        cycles as usize,
-                        seed,
-                    )
+                    input_distribution(data, spec.kind.operand_count(), m1, cycles as usize, seed)
                 });
                 let estimate = self
                     .engine
@@ -200,7 +204,7 @@ impl<'a> ExecCtx<'a> {
                     confidence: estimate.confidence,
                 }))
             }
-            Request::Characterize { spec } => {
+            &Request::Characterize { spec } => {
                 self.ensure(spec);
                 let (characterization, source) = self
                     .engine
@@ -215,16 +219,103 @@ impl<'a> ExecCtx<'a> {
             }
             Request::Stats => Ok(Response::Stats(StatsAnswer::from(self.engine.stats()))),
             Request::Ping => Ok(Response::Pong),
+            &Request::FetchModel { spec } => self.fetch_model(spec).map(Response::Artifact),
+            &Request::HaveModel { spec } => Ok(Response::HaveModel(self.engine.has_model(spec))),
+            // The sender's side of the gossip does the learning; the
+            // replier validated the list in decode and answers with its
+            // own hottest keys.
+            Request::WarmKeys { .. } => {
+                let specs: Vec<ModuleSpec> = self
+                    .engine
+                    .hottest_keys(wire::WARM_KEYS_MAX)
+                    .iter()
+                    .map(|key| key.spec)
+                    .collect();
+                if let Some(rt) = self.cluster {
+                    rt.state.stats().record_warm_keys_sent(specs.len() as u64);
+                }
+                Ok(Response::WarmKeys(specs))
+            }
         }
     }
 
     /// Cluster mode: make the model local through its owner before the
     /// engine would characterize it here.
     fn ensure(&self, spec: ModuleSpec) {
-        if let Some((rt, root)) = self.cluster {
+        if let (Some(rt), Some(root)) = (self.cluster, self.store_root) {
             cluster::ensure_model(rt, self.engine, root, spec);
         }
     }
+
+    /// A peer's fetch-model: the stored artifact's envelope bytes,
+    /// verified here and streamed verbatim so the peer re-verifies the
+    /// checksum independently; `None` when the artifact is not on disk.
+    fn fetch_model(&self, spec: ModuleSpec) -> Result<Option<Vec<u8>>, RequestError> {
+        let Some(root) = self.store_root else {
+            return Err((
+                ErrorKind::BadRequest,
+                "this node has no disk store to fetch from".to_string(),
+            ));
+        };
+        let key = self.engine.key_for(spec);
+        let path = root.join(key.artifact_file_name());
+        match persist::read_envelope_bytes::<Characterization>(&path, &EnvelopeMeta::for_key(&key))
+        {
+            Ok(bytes) if bytes.len() > wire::MAX_PAYLOAD as usize => Err((
+                ErrorKind::Engine,
+                format!(
+                    "artifact {} is {} bytes, over the {} byte frame cap",
+                    path.display(),
+                    bytes.len(),
+                    wire::MAX_PAYLOAD
+                ),
+            )),
+            Ok(bytes) => Ok(Some(bytes)),
+            Err(ModelError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err((ErrorKind::Engine, e.to_string())),
+        }
+    }
+}
+
+/// The analytic §6.3 input distribution: generate the named operand
+/// streams, fit per-operand region models, convolve. A pure function of
+/// its arguments costing ~20–380 µs per call on a 2-core Xeon (two
+/// 2000-word operands), nearly all of it stream synthesis; the region
+/// fit and convolution take ~2 µs. So each serving thread memoizes it in
+/// a 128-entry LRU: identical warm `estimate` requests (the common
+/// monitoring workload) cost a lookup instead of a rebuild, and the
+/// 129th distinct key evicts one cold entry instead of the warm set.
+fn input_distribution(
+    dt: DataType,
+    operands: usize,
+    m1: usize,
+    cycles: usize,
+    seed: u64,
+) -> HdDistribution {
+    type DistKey = (&'static str, usize, usize, usize, u64);
+    thread_local! {
+        static DISTRIBUTIONS: RefCell<LruCache<DistKey, HdDistribution>> =
+            RefCell::new(LruCache::new(128));
+    }
+    let key = (dt.name(), operands, m1, cycles, seed);
+    DISTRIBUTIONS.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if let Some(dist) = cache.get(&key) {
+            telemetry::counter_add("protocol.dist_cache.hit", 1);
+            return dist.clone();
+        }
+        telemetry::counter_add("protocol.dist_cache.miss", 1);
+        let streams = dt.generate_operands(operands, m1, cycles, seed);
+        let dists: Vec<HdDistribution> = streams
+            .iter()
+            .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
+            .collect();
+        let dist = HdDistribution::convolve_all(&dists);
+        if cache.insert(key, dist.clone()).is_some() {
+            telemetry::counter_add("protocol.dist_cache.evict", 1);
+        }
+        dist
+    })
 }
 
 /// A request's op name and `module/width` detail, for trace records and
@@ -234,10 +325,11 @@ pub(crate) fn describe(request: Option<&Request>) -> (String, String) {
         return (String::new(), String::new());
     };
     let detail = match request {
-        Request::Estimate { spec, .. } | Request::Characterize { spec } => {
-            format!("{}/{}", spec.kind, spec.width)
-        }
-        Request::Stats | Request::Ping => String::new(),
+        Request::Estimate { spec, .. }
+        | Request::Characterize { spec }
+        | Request::FetchModel { spec }
+        | Request::HaveModel { spec } => format!("{}/{}", spec.kind, spec.width),
+        Request::Stats | Request::Ping | Request::WarmKeys { .. } => String::new(),
     };
     (request.opcode().as_str().to_string(), detail)
 }
@@ -245,7 +337,7 @@ pub(crate) fn describe(request: Option<&Request>) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire;
+    use crate::protocol;
     use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 
     fn quick_engine() -> Arc<PowerEngine> {
@@ -278,6 +370,7 @@ mod tests {
             default_floor: Fidelity::Full,
             deadline: None,
             arrived: Instant::now() - ago,
+            store_root: None,
             cluster: None,
             totals: Some(&totals),
             trace: &mut trace,
@@ -297,7 +390,14 @@ mod tests {
         // A width-1 csa_multiplier is well formed but fails netlist
         // construction inside the engine.
         let failing = ModuleSpec::new(hdpm_netlist::ModuleKind::CsaMultiplier, 1);
-        let failing_v2 = wire::encode_spec_request(failing);
+        let mut failing_v2 = Vec::new();
+        wire::encode_request(
+            &mut failing_v2,
+            1,
+            &Request::Characterize { spec: failing },
+            0,
+        );
+        let failing_v2 = failing_v2.split_off(wire::HEADER_LEN);
 
         // v1 framing errors come first, even past the deadline.
         for raw in [&b"not json"[..], &[0xFF, 0xFE][..]] {
@@ -344,6 +444,7 @@ mod tests {
             default_floor: Fidelity::Full,
             deadline: Some(Duration::from_millis(5)),
             arrived: Instant::now(),
+            store_root: None,
             cluster: None,
             totals: Some(&totals),
             trace: &mut trace,

@@ -24,7 +24,6 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use hdpm_core::{Fidelity, PowerEngine};
-use hdpm_datamodel::{region_model, HdDistribution, WordModel};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_streams::{DataType, ALL_DATA_TYPES};
 use hdpm_telemetry::TraceCtx;
@@ -267,7 +266,8 @@ impl Line {
 }
 
 /// Encode a request as its JSON line (without the newline), the inverse
-/// of [`decode`]. `None` for [`Request::Ping`], which v1 cannot express.
+/// of [`decode`]. `None` for [`Request::Ping`] and the cluster ops, which
+/// v1 cannot express.
 pub fn encode_request(request: &Request, deadline_ms: Option<u64>) -> Option<String> {
     let mut line = String::with_capacity(96);
     match request {
@@ -300,7 +300,10 @@ pub fn encode_request(request: &Request, deadline_ms: Option<u64>) -> Option<Str
             .expect("write to string");
         }
         Request::Stats => line.push_str("{\"op\":\"stats\""),
-        Request::Ping => return None,
+        Request::Ping
+        | Request::FetchModel { .. }
+        | Request::HaveModel { .. }
+        | Request::WarmKeys { .. } => return None,
     }
     if let Some(ms) = deadline_ms {
         write!(line, ",\"deadline_ms\":{ms}").expect("write to string");
@@ -526,70 +529,6 @@ pub fn serve_lines<R: BufRead, W: Write>(
 pub fn trim_line(raw: &[u8]) -> &[u8] {
     let raw = raw.strip_suffix(b"\n").unwrap_or(raw);
     raw.strip_suffix(b"\r").unwrap_or(raw)
-}
-
-/// The analytic §6.3 input distribution: generate the named operand
-/// streams, fit per-operand region models, convolve. A pure function of
-/// its arguments costing ~20–380 µs per call on a 2-core Xeon (two
-/// 2000-word operands), nearly all of it stream synthesis; the region
-/// fit and convolution take ~2 µs. So each serving thread memoizes it.
-/// Identical warm `estimate` requests (the common monitoring workload)
-/// then cost a lookup instead of a rebuild, which is what lets the TCP
-/// server clear its requests/sec bar.
-pub(crate) fn input_distribution(
-    dt: DataType,
-    operands: usize,
-    m1: usize,
-    cycles: usize,
-    seed: u64,
-) -> HdDistribution {
-    use hdpm_telemetry as telemetry;
-    type DistKey = (&'static str, usize, usize, usize, u64);
-    struct DistCache {
-        tick: u64,
-        map: std::collections::HashMap<DistKey, (u64, HdDistribution)>,
-    }
-    thread_local! {
-        static DISTRIBUTIONS: std::cell::RefCell<DistCache> = std::cell::RefCell::new(DistCache {
-            tick: 0,
-            map: std::collections::HashMap::new(),
-        });
-    }
-    let key = (dt.name(), operands, m1, cycles, seed);
-    DISTRIBUTIONS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some((last_used, dist)) = cache.map.get_mut(&key) {
-            *last_used = tick;
-            telemetry::counter_add("protocol.dist_cache.hit", 1);
-            return dist.clone();
-        }
-        telemetry::counter_add("protocol.dist_cache.miss", 1);
-        let streams = dt.generate_operands(operands, m1, cycles, seed);
-        let dists: Vec<HdDistribution> = streams
-            .iter()
-            .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
-            .collect();
-        let dist = HdDistribution::convolve_all(&dists);
-        // Bounded, one cold entry at a time: evicting the least recently
-        // used key keeps the warm working set intact when the 129th
-        // distinct key lands, instead of dropping the whole memo and
-        // rebuilding every entry (~20–380 µs each) on the next pass over it.
-        if cache.map.len() >= 128 {
-            if let Some(victim) = cache
-                .map
-                .iter()
-                .min_by_key(|(_, (last_used, _))| *last_used)
-                .map(|(k, _)| *k)
-            {
-                cache.map.remove(&victim);
-                telemetry::counter_add("protocol.dist_cache.evict", 1);
-            }
-        }
-        cache.map.insert(key, (tick, dist.clone()));
-        dist
-    })
 }
 
 #[cfg(test)]

@@ -58,8 +58,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hdpm_core::persist::{self, EnvelopeMeta};
-use hdpm_core::{resolve_threads, Characterization, Fidelity, PowerEngine};
+use hdpm_core::{resolve_threads, Fidelity, PowerEngine};
 use hdpm_telemetry as telemetry;
 use hdpm_telemetry::{trace as trace_mod, Stage, TraceCtx};
 use poller::Poller;
@@ -70,7 +69,7 @@ use crate::client::Response;
 use crate::cluster::{self, ClusterRuntime};
 use crate::config::ServerConfig;
 use crate::exec::{self, ExecCtx};
-use crate::protocol::{self, ErrorKind, RequestError};
+use crate::protocol::{self, ErrorKind};
 use crate::queue::{Bounded, PushError};
 use crate::reactor::{self, ConnOut, Mail, ReactorHandle};
 use crate::wire;
@@ -149,6 +148,16 @@ enum Work {
         data: Vec<u8>,
         frames: Vec<FrameRef>,
     },
+}
+
+impl Work {
+    /// Requests in this unit of work, each owed one reply.
+    fn requests(&self) -> u64 {
+        match self {
+            Work::V1 { .. } => 1,
+            Work::V2 { frames, .. } => frames.len() as u64,
+        }
+    }
 }
 
 /// Everything needed to close out a request's trace once its reply is
@@ -313,7 +322,8 @@ impl Shared {
             default_floor: self.default_floor,
             deadline: self.deadline,
             arrived,
-            cluster: self.cluster.as_ref().zip(self.store_root.as_deref()),
+            store_root: self.store_root.as_deref(),
+            cluster: self.cluster.as_ref(),
             totals: Some(&self.totals),
             trace,
         }
@@ -339,7 +349,8 @@ impl Shared {
     }
 
     /// Queue `work`, or answer every request in it with `overloaded`
-    /// when the queue refuses it.
+    /// when the queue refuses it. The shed counters count requests (v2
+    /// frames, not batches), one per `overloaded` reply.
     fn enqueue(&self, out: &Arc<ConnOut>, work: Work) {
         out.begin_job();
         let job = Job {
@@ -354,7 +365,7 @@ impl Shared {
                 return;
             }
             Err(PushError::Full(job)) => {
-                telemetry::counter_add("server.queue.shed_full", 1);
+                telemetry::counter_add("server.queue.shed_full", job.work.requests());
                 let unit = match job.work {
                     Work::V1 { .. } => "requests",
                     Work::V2 { .. } => "batches",
@@ -366,13 +377,15 @@ impl Shared {
                 )
             }
             Err(PushError::Closed(job)) => {
-                telemetry::counter_add("server.queue.shed_draining", 1);
+                telemetry::counter_add("server.queue.shed_draining", job.work.requests());
                 (job, "server draining: request shed".to_string())
             }
         };
+        self.totals
+            .shed
+            .fetch_add(job.work.requests(), Ordering::Relaxed);
         match job.work {
             Work::V1 { seq, .. } => {
-                self.totals.shed.fetch_add(1, Ordering::Relaxed);
                 let mut line = protocol::error_line(ErrorKind::Overloaded, &message);
                 if job.trace.is_enabled() {
                     protocol::append_trace_id(&mut line, job.trace.id());
@@ -386,9 +399,6 @@ impl Shared {
                 job.out.submit_v1(seq, Some(Reply { line, finish }));
             }
             Work::V2 { frames, .. } => {
-                self.totals
-                    .shed
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
                 let status = wire::status_of(ErrorKind::Overloaded);
                 let mut replies = Vec::new();
                 for frame in &frames {
@@ -943,7 +953,7 @@ fn run_batch(
     let mut ctx = shared.exec_ctx(enqueued, trace);
     for frame in frames {
         let payload = &data[frame.payload.0..frame.payload.1];
-        execute_frame(shared, &mut ctx, frame, payload, &mut replies);
+        execute_frame(&mut ctx, frame, payload, &mut replies);
     }
     telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
     let finish = shared.trace_finish(trace, op, detail, "ok");
@@ -959,19 +969,8 @@ fn run_batch(
 /// deadline, counted from the moment the batch was read off the socket;
 /// a frame past it answers `timeout` without running, one that expires
 /// while running is answered in full with [`wire::FLAG_LATE`].
-fn execute_frame(
-    shared: &Shared,
-    ctx: &mut ExecCtx<'_>,
-    frame: &FrameRef,
-    payload: &[u8],
-    replies: &mut Vec<u8>,
-) {
+fn execute_frame(ctx: &mut ExecCtx<'_>, frame: &FrameRef, payload: &[u8], replies: &mut Vec<u8>) {
     let deadline_ms = (frame.deadline_ms > 0).then_some(u64::from(frame.deadline_ms));
-    if let Some(peer_op) = wire::Opcode::from_u8(frame.op).and_then(peer_op) {
-        let (result, late) = ctx.guarded(deadline_ms, |_| peer_op(shared, payload));
-        encode_result(replies, frame.id, late, result.as_deref());
-        return;
-    }
     // Per-thread reply memo: a warm v2 estimate is dominated by
     // re-rendering an identical answer, so identical request payloads
     // (the monitoring / design-sweep steady state) short-circuit to the
@@ -985,7 +984,12 @@ fn execute_frame(
             telemetry::counter_add("server.memo.hit", 1);
             Ok(())
         });
-        encode_result(replies, frame.id, late, result.as_ref().map(|()| &hit[..]));
+        let flags = if late { wire::FLAG_LATE } else { 0 };
+        let (status, payload) = match &result {
+            Ok(()) => (wire::STATUS_OK, &hit[..]),
+            Err((kind, message)) => (wire::status_of(*kind), message.as_bytes()),
+        };
+        wire::encode_frame(replies, frame.id, status, flags, payload);
         return;
     }
     let request = wire::decode_request(frame.op, payload);
@@ -1039,99 +1043,6 @@ fn memo_key(op: u8, payload: &[u8]) -> Option<MemoKey> {
         }
         _ => None,
     }
-}
-
-/// Append an ok frame carrying `result`'s payload, or its error frame.
-fn encode_result(replies: &mut Vec<u8>, id: u64, late: bool, result: Result<&[u8], &RequestError>) {
-    let flags = if late { wire::FLAG_LATE } else { 0 };
-    match result {
-        Ok(payload) => wire::encode_frame(replies, id, wire::STATUS_OK, flags, payload),
-        Err((kind, message)) => {
-            wire::encode_frame(
-                replies,
-                id,
-                wire::status_of(*kind),
-                flags,
-                message.as_bytes(),
-            );
-        }
-    }
-}
-
-type PeerOp = fn(&Shared, &[u8]) -> Result<Vec<u8>, RequestError>;
-
-/// The handler of a cluster peer op (v2 only, never a client request).
-fn peer_op(op: wire::Opcode) -> Option<PeerOp> {
-    match op {
-        wire::Opcode::FetchModel => Some(exec_fetch_model),
-        wire::Opcode::HaveModel => Some(exec_have_model),
-        wire::Opcode::WarmKeys => Some(exec_warm_keys),
-        _ => None,
-    }
-}
-
-/// Serve a peer's fetch-model request: stream the stored artifact's
-/// envelope bytes verbatim, so the peer can re-verify the checksum
-/// independently. An empty ok payload means "not on disk" — envelope
-/// files are never empty, so the encoding is unambiguous.
-fn exec_fetch_model(shared: &Shared, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
-    let spec = wire::decode_spec_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let Some(root) = &shared.store_root else {
-        return Err((
-            ErrorKind::BadRequest,
-            "this node has no disk store to fetch from".to_string(),
-        ));
-    };
-    let key = shared.engine.key_for(spec);
-    let path = root.join(key.artifact_file_name());
-    if !path.exists() {
-        return Ok(Vec::new());
-    }
-    match persist::read_envelope_bytes::<Characterization>(&path, &EnvelopeMeta::for_key(&key)) {
-        Ok(bytes) if bytes.len() > wire::MAX_PAYLOAD as usize => Err((
-            ErrorKind::Engine,
-            format!(
-                "artifact {} is {} bytes, over the {} byte frame cap",
-                path.display(),
-                bytes.len(),
-                wire::MAX_PAYLOAD
-            ),
-        )),
-        Ok(bytes) => Ok(bytes),
-        // A racing delete between the exists() probe and the read is the
-        // same "not on disk" answer.
-        Err(hdpm_core::ModelError::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err((ErrorKind::Engine, e.to_string())),
-    }
-}
-
-/// Serve a peer's have-model probe: one byte, present in either tier or
-/// absent.
-fn exec_have_model(shared: &Shared, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
-    let spec = wire::decode_spec_request(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let reply = if shared.engine.has_model(spec) {
-        wire::HaveModelReply::Present
-    } else {
-        wire::HaveModelReply::Absent
-    };
-    Ok(wire::encode_have_model_reply(reply).to_vec())
-}
-
-/// Serve a peer's warm-keys exchange: validate the advertised list (the
-/// sender's side of the gossip does the learning), reply with this
-/// node's hottest keys.
-fn exec_warm_keys(shared: &Shared, payload: &[u8]) -> Result<Vec<u8>, RequestError> {
-    let _theirs = wire::decode_warm_keys(payload).map_err(|m| (ErrorKind::BadRequest, m))?;
-    let specs: Vec<hdpm_netlist::ModuleSpec> = shared
-        .engine
-        .hottest_keys(wire::WARM_KEYS_MAX)
-        .iter()
-        .map(|key| key.spec)
-        .collect();
-    if let Some(rt) = &shared.cluster {
-        rt.state.stats().record_warm_keys_sent(specs.len() as u64);
-    }
-    Ok(wire::encode_warm_keys(&specs))
 }
 
 #[cfg(test)]

@@ -30,16 +30,18 @@
 //! 17      len   payload
 //! ```
 //!
-//! Request payloads are fixed-layout binary (see the `encode_*_request`
-//! helpers); ok-reply payloads are op-specific binary records the client
-//! decodes by remembering which op it sent under that id; error-reply
-//! payloads are the UTF-8 error message, with the [`ErrorKind`] carried
-//! as the status byte. Full field tables: `docs/protocol.md`.
+//! Request payloads are fixed-layout binary; ok-reply payloads are
+//! op-specific binary records the client decodes by remembering which op
+//! it sent under that id; error-reply payloads are the UTF-8 error
+//! message, with the [`ErrorKind`] carried as the status byte. Full field
+//! tables: `docs/protocol.md`.
 //!
 //! [`encode_request`]/[`decode_request`] and [`encode_reply`]/
 //! [`decode_reply`] map frames to and from the typed
 //! [`crate::client::Request`] and [`crate::client::Response`], the form
 //! the server's request core and the client share with the v1 codec.
+//! The cluster ops (fetch-model, have-model, warm-keys) travel the same
+//! way; only v2 can express them.
 
 use hdpm_core::{CacheSource, Estimate, Fidelity};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
@@ -83,11 +85,11 @@ pub enum Opcode {
     /// verbatim (payload: 5-byte spec; ok reply: the envelope, or empty
     /// when the artifact is not on disk).
     FetchModel = 5,
-    /// Cluster presence probe (payload: 5-byte spec; ok reply: one
-    /// [`HaveModelReply`] byte).
+    /// Cluster presence probe (payload: 5-byte spec; ok reply: one byte,
+    /// `1` present, `0` absent).
     HaveModel = 6,
     /// Cluster warm-key gossip: exchange hottest specs (payload and ok
-    /// reply: a warm-keys list, see [`encode_warm_keys`]).
+    /// reply: a `u16` count and that many 5-byte specs).
     WarmKeys = 7,
 }
 
@@ -385,8 +387,8 @@ pub const STATS_REPLY_LEN: usize = 96;
 /// of [`decode_request`]. `deadline_ms` 0 means none.
 pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &Request, deadline_ms: u32) {
     let op = request.opcode() as u8;
-    match *request {
-        Request::Estimate {
+    match request {
+        &Request::Estimate {
             spec,
             data,
             cycles,
@@ -402,10 +404,13 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &Request, deadline_ms
             };
             encode_frame(out, id, op, deadline_ms, &encode_estimate_request(&params));
         }
-        Request::Characterize { spec } => {
-            encode_frame(out, id, op, deadline_ms, &spec_bytes(spec));
+        Request::Characterize { spec }
+        | Request::FetchModel { spec }
+        | Request::HaveModel { spec } => {
+            encode_frame(out, id, op, deadline_ms, &spec_bytes(*spec));
         }
         Request::Stats | Request::Ping => encode_frame(out, id, op, deadline_ms, &[]),
+        Request::WarmKeys { specs } => encode_frame(out, id, op, deadline_ms, &warm_keys(specs)),
     }
 }
 
@@ -413,9 +418,8 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &Request, deadline_ms
 ///
 /// # Errors
 ///
-/// [`ErrorKind::BadRequest`] naming an unknown opcode, a cluster peer
-/// opcode (served before decode, never a client request), or the
-/// malformed payload field.
+/// [`ErrorKind::BadRequest`] naming an unknown opcode or the malformed
+/// payload field.
 pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, RequestError> {
     let bad = |message: String| (ErrorKind::BadRequest, message);
     match Opcode::from_u8(op) {
@@ -434,7 +438,15 @@ pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, RequestError> {
         }),
         Some(Opcode::Stats) => Ok(Request::Stats),
         Some(Opcode::Ping) => Ok(Request::Ping),
-        Some(peer) => Err(bad(format!("{} is a cluster peer op", peer.as_str()))),
+        Some(Opcode::FetchModel) => Ok(Request::FetchModel {
+            spec: spec_payload(payload, "spec").map_err(bad)?,
+        }),
+        Some(Opcode::HaveModel) => Ok(Request::HaveModel {
+            spec: spec_payload(payload, "spec").map_err(bad)?,
+        }),
+        Some(Opcode::WarmKeys) => Ok(Request::WarmKeys {
+            specs: decode_warm_keys(payload).map_err(bad)?,
+        }),
         None => Err(bad(format!("unknown opcode {op}"))),
     }
 }
@@ -469,6 +481,19 @@ pub fn encode_reply(out: &mut Vec<u8>, id: u64, late: bool, response: &Response)
             encode_frame(out, id, STATUS_OK, flags, &payload);
         }
         Response::Pong => encode_frame(out, id, STATUS_OK, flags, &[]),
+        Response::Artifact(bytes) => {
+            encode_frame(
+                out,
+                id,
+                STATUS_OK,
+                flags,
+                bytes.as_deref().unwrap_or_default(),
+            );
+        }
+        Response::HaveModel(present) => {
+            encode_frame(out, id, STATUS_OK, flags, &[u8::from(*present)]);
+        }
+        Response::WarmKeys(specs) => encode_frame(out, id, STATUS_OK, flags, &warm_keys(specs)),
         Response::Error { kind, message } => {
             let status = ErrorKind::parse(kind).map_or(status_of(ErrorKind::Engine), status_of);
             encode_frame(out, id, status, flags, message.as_bytes());
@@ -484,7 +509,8 @@ pub fn encode_reply(out: &mut Vec<u8>, id: u64, late: bool, response: &Response)
 /// # Errors
 ///
 /// A message naming what violates the protocol: wrong payload length,
-/// unassigned fidelity or source code, a reply to a cluster peer op.
+/// unassigned fidelity, source or presence code, a malformed warm-keys
+/// list.
 pub fn decode_reply(op: Opcode, status: u8, payload: &[u8]) -> Result<Response, String> {
     if status != STATUS_OK {
         return Ok(Response::Error {
@@ -543,32 +569,28 @@ pub fn decode_reply(op: Opcode, status: u8, payload: &[u8]) -> Result<Response, 
         }
         Opcode::Ping if payload.is_empty() => Ok(Response::Pong),
         Opcode::Ping => Err("non-empty pong payload".into()),
-        Opcode::FetchModel | Opcode::HaveModel | Opcode::WarmKeys => Err(format!(
-            "unexpected {} reply (cluster ops are not client ops)",
-            op.as_str()
+        // Envelopes are never empty, so an empty payload unambiguously
+        // means "answered, but not on disk".
+        Opcode::FetchModel => Ok(Response::Artifact(
+            (!payload.is_empty()).then(|| payload.to_vec()),
         )),
+        Opcode::HaveModel => match payload {
+            [0] => Ok(Response::HaveModel(false)),
+            [1] => Ok(Response::HaveModel(true)),
+            [b] => Err(format!("unknown have-model byte {b}")),
+            _ => Err(format!(
+                "have-model reply must be 1 byte, got {}",
+                payload.len()
+            )),
+        },
+        Opcode::WarmKeys => decode_warm_keys(payload).map(Response::WarmKeys),
     }
 }
 
 // --- cluster: fetch-model / have-model / warm-keys ---------------------
 
-/// Wire size of a fetch-model or have-model request payload (the 5-byte
-/// spec encoding shared with characterize requests).
+/// Wire size of a spec payload (characterize, fetch-model, have-model).
 pub const SPEC_REQ_LEN: usize = 5;
-
-/// Render a fetch-model / have-model request payload (a bare spec).
-pub fn encode_spec_request(spec: ModuleSpec) -> [u8; SPEC_REQ_LEN] {
-    spec_bytes(spec)
-}
-
-/// Decode a fetch-model / have-model request payload.
-///
-/// # Errors
-///
-/// A message naming the malformed field.
-pub fn decode_spec_request(payload: &[u8]) -> Result<ModuleSpec, String> {
-    spec_payload(payload, "spec")
-}
 
 fn spec_payload(payload: &[u8], what: &str) -> Result<ModuleSpec, String> {
     if payload.len() != SPEC_REQ_LEN {
@@ -580,48 +602,15 @@ fn spec_payload(payload: &[u8], what: &str) -> Result<ModuleSpec, String> {
     spec_from_bytes(payload)
 }
 
-/// An [`Opcode::HaveModel`] ok reply: whether (and where) the probed
-/// node holds the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum HaveModelReply {
-    /// Not present in either tier.
-    Absent = 0,
-    /// Present (memory or disk) and fetchable.
-    Present = 1,
-}
-
-/// Render a have-model ok-reply payload.
-pub fn encode_have_model_reply(reply: HaveModelReply) -> [u8; 1] {
-    [reply as u8]
-}
-
-/// Decode a have-model ok-reply payload.
-///
-/// # Errors
-///
-/// Wrong payload length or an unknown presence byte.
-pub fn decode_have_model_reply(payload: &[u8]) -> Result<HaveModelReply, String> {
-    match payload {
-        [0] => Ok(HaveModelReply::Absent),
-        [1] => Ok(HaveModelReply::Present),
-        [b] => Err(format!("unknown have-model byte {b}")),
-        _ => Err(format!(
-            "have-model reply must be 1 byte, got {}",
-            payload.len()
-        )),
-    }
-}
-
 /// Most specs one warm-keys frame may carry; senders truncate, receivers
 /// reject (a bigger list is protocol abuse, not load).
 pub const WARM_KEYS_MAX: usize = 256;
 
-/// Render a warm-keys list (request and ok reply share the layout):
-/// count `u16` followed by `count` 5-byte specs. Lists longer than
-/// [`WARM_KEYS_MAX`] are truncated — warm keys are ordered hottest
-/// first, so truncation drops the coldest.
-pub fn encode_warm_keys(specs: &[ModuleSpec]) -> Vec<u8> {
+/// A warm-keys list (request and ok reply share the layout): count `u16`
+/// followed by `count` 5-byte specs. Lists longer than [`WARM_KEYS_MAX`]
+/// are truncated — warm keys are ordered hottest first, so truncation
+/// drops the coldest.
+fn warm_keys(specs: &[ModuleSpec]) -> Vec<u8> {
     let take = specs.len().min(WARM_KEYS_MAX);
     let mut out = Vec::with_capacity(2 + take * SPEC_REQ_LEN);
     out.extend_from_slice(&(take as u16).to_le_bytes());
@@ -631,13 +620,10 @@ pub fn encode_warm_keys(specs: &[ModuleSpec]) -> Vec<u8> {
     out
 }
 
-/// Decode a warm-keys list.
-///
-/// # Errors
-///
-/// A message naming the malformed field (short payload, count/length
-/// disagreement, oversized list, unknown module code).
-pub fn decode_warm_keys(payload: &[u8]) -> Result<Vec<ModuleSpec>, String> {
+/// Decode a warm-keys list: a message naming the malformed field (short
+/// payload, count/length disagreement, oversized list, unknown module
+/// code) on failure.
+fn decode_warm_keys(payload: &[u8]) -> Result<Vec<ModuleSpec>, String> {
     if payload.len() < 2 {
         return Err(format!(
             "warm-keys payload must be at least 2 bytes, got {}",
@@ -897,43 +883,68 @@ mod tests {
     #[test]
     fn cluster_op_payloads_round_trip() {
         let spec = ModuleSpec::new(ModuleKind::BarrelShifter, ModuleWidth::Uniform(12));
-        assert_eq!(
-            decode_spec_request(&encode_spec_request(spec)).unwrap(),
-            spec
-        );
-        assert!(decode_spec_request(&[0u8; 2])
-            .unwrap_err()
-            .contains("5 bytes"));
-        for reply in [HaveModelReply::Absent, HaveModelReply::Present] {
-            assert_eq!(
-                decode_have_model_reply(&encode_have_model_reply(reply)).unwrap(),
-                reply
-            );
+        for request in [Request::FetchModel { spec }, Request::HaveModel { spec }] {
+            let mut frame = Vec::new();
+            encode_request(&mut frame, 5, &request, 0);
+            assert_eq!(frame.len(), HEADER_LEN + SPEC_REQ_LEN);
+            assert_eq!(decode_request(frame[12], &frame[HEADER_LEN..]), Ok(request));
         }
-        assert!(decode_have_model_reply(&[7]).is_err());
-        assert!(decode_have_model_reply(&[]).is_err());
+        assert!(decode_request(Opcode::FetchModel as u8, &[0u8; 2])
+            .unwrap_err()
+            .1
+            .contains("5 bytes"));
+        for present in [false, true] {
+            let reply = Response::HaveModel(present);
+            assert_eq!(reply_round_trip(Opcode::HaveModel, &reply), reply);
+        }
+        assert!(decode_reply(Opcode::HaveModel, STATUS_OK, &[7]).is_err());
+        assert!(decode_reply(Opcode::HaveModel, STATUS_OK, &[]).is_err());
+        for artifact in [Some(b"{\"hdpm_envelope\":1}".to_vec()), None] {
+            let reply = Response::Artifact(artifact);
+            assert_eq!(reply_round_trip(Opcode::FetchModel, &reply), reply);
+        }
 
+        // Warm-keys lists travel as requests and as replies.
+        let warm = |specs: &[ModuleSpec]| {
+            let mut frame = Vec::new();
+            encode_request(
+                &mut frame,
+                6,
+                &Request::WarmKeys {
+                    specs: specs.to_vec(),
+                },
+                0,
+            );
+            frame.split_off(HEADER_LEN)
+        };
+        let decode_warm = |payload: &[u8]| match decode_request(Opcode::WarmKeys as u8, payload) {
+            Ok(Request::WarmKeys { specs }) => Ok(specs),
+            Ok(other) => panic!("decoded as {other:?}"),
+            Err((_, message)) => Err(message),
+        };
         let specs: Vec<ModuleSpec> = (4..9)
             .map(|w| ModuleSpec::new(ModuleKind::RippleAdder, ModuleWidth::Uniform(w)))
             .collect();
-        let wire = encode_warm_keys(&specs);
+        let wire = warm(&specs);
         assert_eq!(wire.len(), 2 + specs.len() * SPEC_REQ_LEN);
-        assert_eq!(decode_warm_keys(&wire).unwrap(), specs);
-        assert_eq!(decode_warm_keys(&encode_warm_keys(&[])).unwrap(), vec![]);
+        assert_eq!(decode_warm(&wire).unwrap(), specs);
+        assert_eq!(decode_warm(&warm(&[])).unwrap(), vec![]);
+        let reply = Response::WarmKeys(specs.clone());
+        assert_eq!(reply_round_trip(Opcode::WarmKeys, &reply), reply);
         // Oversized lists truncate on encode and are rejected on decode.
         let many: Vec<ModuleSpec> = (0..WARM_KEYS_MAX + 40)
             .map(|i| ModuleSpec::new(ModuleKind::RippleAdder, ModuleWidth::Uniform(4 + i % 60)))
             .collect();
-        assert_eq!(
-            decode_warm_keys(&encode_warm_keys(&many)).unwrap().len(),
-            WARM_KEYS_MAX
-        );
-        let mut forged = encode_warm_keys(&specs);
+        assert_eq!(decode_warm(&warm(&many)).unwrap().len(), WARM_KEYS_MAX);
+        let mut forged = warm(&specs);
         forged[0..2].copy_from_slice(&(WARM_KEYS_MAX as u16 + 1).to_le_bytes());
-        assert!(decode_warm_keys(&forged).unwrap_err().contains("cap"));
-        let mut mismatched = encode_warm_keys(&specs);
+        assert!(decode_warm(&forged).unwrap_err().contains("cap"));
+        assert!(decode_reply(Opcode::WarmKeys, STATUS_OK, &forged)
+            .unwrap_err()
+            .contains("cap"));
+        let mut mismatched = warm(&specs);
         mismatched.pop();
-        assert!(decode_warm_keys(&mismatched)
+        assert!(decode_warm(&mismatched)
             .unwrap_err()
             .contains("does not match"));
     }

@@ -1,6 +1,7 @@
 //! The two codecs around the one request core: every typed request
 //! survives both encodings unchanged, one response reads back the same
-//! through either protocol, and no byte string makes a decoder panic.
+//! through either protocol, no byte string makes a decoder panic, and
+//! the cluster ops keep the byte layouts of docs/protocol.md.
 
 use hdpm_core::Fidelity;
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
@@ -13,7 +14,7 @@ use proptest::prelude::*;
 /// Raw material for one generated value: a fixed number of random words,
 /// consumed in order.
 fn words() -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(any::<u64>(), 32)
+    prop::collection::vec(any::<u64>(), 64)
 }
 
 struct Words(std::vec::IntoIter<u64>);
@@ -74,6 +75,19 @@ impl Words {
             .to_string()
     }
 
+    /// Up to 7 specs (a warm-keys list).
+    fn specs(&mut self) -> Vec<ModuleSpec> {
+        let n = self.below(8);
+        (0..n).map(|_| self.spec()).collect()
+    }
+
+    /// A non-empty byte string, or `None` (a fetch-model answer).
+    fn artifact(&mut self) -> Option<Vec<u8>> {
+        let n = self.below(4);
+        let bytes: Vec<u8> = (0..n).flat_map(|_| self.next().to_le_bytes()).collect();
+        (!bytes.is_empty()).then_some(bytes)
+    }
+
     fn message(&mut self) -> String {
         let alphabet = [
             'a', 'Z', ' ', '"', '\\', '\n', '\t', 'é', '😀', '{', '}', '\u{1}',
@@ -86,7 +100,7 @@ impl Words {
 
 fn request_from(raw: Vec<u64>) -> (Request, Option<u32>) {
     let mut w = Words(raw.into_iter());
-    let request = match w.below(4) {
+    let request = match w.below(7) {
         0 => Request::Estimate {
             spec: w.spec(),
             data: ALL_DATA_TYPES[w.below(ALL_DATA_TYPES.len() as u64) as usize],
@@ -96,7 +110,10 @@ fn request_from(raw: Vec<u64>) -> (Request, Option<u32>) {
         },
         1 => Request::Characterize { spec: w.spec() },
         2 => Request::Stats,
-        _ => Request::Ping,
+        3 => Request::Ping,
+        4 => Request::FetchModel { spec: w.spec() },
+        5 => Request::HaveModel { spec: w.spec() },
+        _ => Request::WarmKeys { specs: w.specs() },
     };
     // v2 spells "no deadline" as 0, so generated deadlines start at 1.
     let deadline = (w.below(2) == 0).then(|| 1 + w.below(u64::from(u32::MAX)) as u32);
@@ -115,7 +132,7 @@ fn response_from(raw: Vec<u64>) -> (Request, Response) {
         seed: 7,
         floor: None,
     };
-    match w.below(5) {
+    match w.below(8) {
         0 => (
             estimate,
             Response::Estimate(EstimateAnswer {
@@ -154,6 +171,18 @@ fn response_from(raw: Vec<u64>) -> (Request, Response) {
             (Request::Stats, Response::Stats(answer))
         }
         3 => (Request::Ping, Response::Pong),
+        4 => (
+            Request::FetchModel { spec },
+            Response::Artifact(w.artifact()),
+        ),
+        5 => (
+            Request::HaveModel { spec },
+            Response::HaveModel(w.below(2) == 0),
+        ),
+        6 => (
+            Request::WarmKeys { specs: vec![] },
+            Response::WarmKeys(w.specs()),
+        ),
         _ => {
             let kinds = [
                 "malformed",
@@ -181,7 +210,18 @@ fn opcode_of(request: &Request) -> wire::Opcode {
         Request::Characterize { .. } => wire::Opcode::Characterize,
         Request::Stats => wire::Opcode::Stats,
         Request::Ping => wire::Opcode::Ping,
+        Request::FetchModel { .. } => wire::Opcode::FetchModel,
+        Request::HaveModel { .. } => wire::Opcode::HaveModel,
+        Request::WarmKeys { .. } => wire::Opcode::WarmKeys,
     }
+}
+
+/// Answers only v2 can carry: the cluster ops have no v1 spelling.
+fn v2_only(response: &Response) -> bool {
+    matches!(
+        response,
+        Response::Artifact(_) | Response::HaveModel(_) | Response::WarmKeys(_)
+    )
 }
 
 fn v1_reply(request: &Request, response: &Response) -> Response {
@@ -206,19 +246,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     /// Client encode → server decode is the identity on both
-    /// protocols, deadline included; only ping has no v1 spelling.
+    /// protocols, deadline included; only ping and the cluster ops have
+    /// no v1 spelling.
     #[test]
     fn every_request_round_trips_through_both_codecs(raw in words()) {
         let (request, deadline) = request_from(raw);
 
         match protocol::encode_request(&request, deadline.map(u64::from)) {
-            None => prop_assert_eq!(request, Request::Ping),
+            None => prop_assert!(
+                matches!(
+                    request,
+                    Request::Ping
+                        | Request::FetchModel { .. }
+                        | Request::HaveModel { .. }
+                        | Request::WarmKeys { .. }
+                ),
+                "{:?} has a v1 spelling",
+                request
+            ),
             Some(line) => {
                 let decoded = protocol::decode(line.as_bytes()).expect("decodes");
                 prop_assert_eq!(
                     decoded,
                     Some(Decoded {
-                        request: Ok(request),
+                        request: Ok(request.clone()),
                         deadline_ms: deadline.map(u64::from),
                     })
                 );
@@ -238,12 +289,14 @@ proptest! {
     }
 
     /// One response reads back identically through the v1 and the
-    /// v2 codec; the v2 reply memo's source label is the only permitted
-    /// difference.
+    /// v2 codec (the cluster answers through v2 alone); the v2 reply
+    /// memo's source label is the only permitted difference.
     #[test]
     fn one_response_reads_back_the_same_on_both_protocols(raw in words(), late in any::<bool>()) {
         let (request, response) = response_from(raw);
-        prop_assert_eq!(&v1_reply(&request, &response), &response);
+        if !v2_only(&response) {
+            prop_assert_eq!(&v1_reply(&request, &response), &response);
+        }
         let (mut frame, v2) = v2_reply(&request, &response, late);
         prop_assert_eq!(&v2, &response);
 
@@ -270,22 +323,30 @@ proptest! {
         let _ = protocol::decode_reply(&String::from_utf8_lossy(&bytes));
         let _ = wire::decode_request(op, &bytes);
         let _ = wire::decode_estimate_request(&bytes);
-        let _ = wire::decode_spec_request(&bytes);
-        let _ = wire::decode_warm_keys(&bytes);
-        let _ = wire::decode_have_model_reply(&bytes);
-        if let Some(op) = wire::Opcode::from_u8(op) {
-            let _ = wire::decode_reply(op, status, &bytes);
+        // Every assigned opcode, the cluster ops included, in both
+        // directions.
+        for op in 0..=8 {
+            let _ = wire::decode_request(op, &bytes);
+            if let Some(op) = wire::Opcode::from_u8(op) {
+                let _ = wire::decode_reply(op, status, &bytes);
+                let _ = wire::decode_reply(op, wire::STATUS_OK, &bytes);
+            }
         }
         if bytes.len() >= wire::HEADER_LEN {
             let _ = wire::decode_header(bytes[..wire::HEADER_LEN].try_into().unwrap());
         }
     }
 
-    /// Valid request lines and frames with bytes flipped or cut off
-    /// reach the decoders' deeper branches; they too answer with a value
-    /// or a typed error.
+    /// Valid request lines, request frames and reply frames with bytes
+    /// flipped or cut off reach the decoders' deeper branches; they too
+    /// answer with a value or a typed error.
     #[test]
-    fn damaged_requests_never_panic_a_decoder(raw in words(), cut in any::<u64>(), flip in any::<u64>()) {
+    fn damaged_requests_never_panic_a_decoder(
+        raw in words(),
+        reply_raw in words(),
+        cut in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
         let (request, deadline) = request_from(raw);
         let mut samples: Vec<Vec<u8>> = Vec::new();
         if let Some(line) = protocol::encode_request(&request, deadline.map(u64::from)) {
@@ -306,6 +367,19 @@ proptest! {
                     let _ = wire::decode_request(op, &sample[..end]);
                 }
             }
+        }
+
+        let (request, response) = response_from(reply_raw);
+        let (frame, _) = v2_reply(&request, &response, false);
+        let mut payload = frame[wire::HEADER_LEN..].to_vec();
+        if !payload.is_empty() {
+            let at = (flip % payload.len() as u64) as usize;
+            payload[at] ^= (flip >> 32) as u8 | 1;
+        }
+        let end = (cut % (payload.len() as u64 + 1)) as usize;
+        for op in (0..=8).filter_map(wire::Opcode::from_u8) {
+            let _ = wire::decode_reply(op, wire::STATUS_OK, &payload);
+            let _ = wire::decode_reply(op, wire::STATUS_OK, &payload[..end]);
         }
     }
 }
@@ -342,6 +416,110 @@ fn decoders_name_what_is_wrong() {
     assert!(
         wire::decode_reply(wire::Opcode::WarmKeys, wire::STATUS_OK, &[])
             .unwrap_err()
-            .contains("cluster ops")
+            .contains("at least 2 bytes")
     );
+    assert!(
+        wire::decode_reply(wire::Opcode::HaveModel, wire::STATUS_OK, &[2])
+            .unwrap_err()
+            .contains("unknown have-model byte 2")
+    );
+    assert_eq!(
+        wire::decode_request(wire::Opcode::HaveModel as u8, &[0; 4]),
+        Err((
+            protocol::ErrorKind::BadRequest,
+            "spec payload must be 5 bytes, got 4".into()
+        ))
+    );
+}
+
+/// The cluster ops encode through the typed path to exactly the bytes
+/// docs/protocol.md lays out: a 17-byte header (`len` u32, `id` u64,
+/// `op`/status u8, `extra` u32, all little-endian), then a 5-byte spec
+/// (module code u8, m1 u16, m2 u16 with 0 = uniform), a warm-key list
+/// (count u16, then 5-byte specs), a presence byte or the envelope bytes
+/// verbatim.
+#[test]
+fn cluster_ops_keep_their_documented_bytes() {
+    const ID: u64 = 0x0102_0304_0506_0708;
+    let header = |len: u32, op: u8, extra: u32| {
+        let mut bytes = len.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&ID.to_le_bytes());
+        bytes.push(op);
+        bytes.extend_from_slice(&extra.to_le_bytes());
+        bytes
+    };
+    let code = |kind: ModuleKind| ModuleKind::ALL.iter().position(|k| *k == kind).unwrap() as u8;
+    let adder = ModuleSpec::new(ModuleKind::RippleAdder, ModuleWidth::Uniform(12));
+    let adder_bytes = [code(ModuleKind::RippleAdder), 12, 0, 0, 0];
+    let mult = ModuleSpec::new(ModuleKind::CsaMultiplier, ModuleWidth::Rect(300, 8));
+    let mult_bytes = [code(ModuleKind::CsaMultiplier), 0x2C, 0x01, 8, 0];
+    let warm_list = [&[2u8, 0][..], &adder_bytes, &mult_bytes].concat();
+
+    let request_frame = |request: &Request, deadline_ms: u32| {
+        let mut frame = Vec::new();
+        wire::encode_request(&mut frame, ID, request, deadline_ms);
+        frame
+    };
+    let requests = [
+        (
+            Request::FetchModel { spec: adder },
+            5u8,
+            adder_bytes.to_vec(),
+        ),
+        (Request::HaveModel { spec: mult }, 6, mult_bytes.to_vec()),
+        (
+            Request::WarmKeys {
+                specs: vec![adder, mult],
+            },
+            7,
+            warm_list.clone(),
+        ),
+    ];
+    for (request, op, payload) in requests {
+        let expected = [header(payload.len() as u32, op, 250), payload.clone()].concat();
+        assert_eq!(request_frame(&request, 250), expected, "{request:?}");
+        assert_eq!(wire::decode_request(op, &payload), Ok(request));
+    }
+
+    let reply_frame = |response: &Response, late: bool| {
+        let mut frame = Vec::new();
+        wire::encode_reply(&mut frame, ID, late, response);
+        frame
+    };
+    let envelope = b"{\"hdpm_envelope\":1}".to_vec();
+    let replies = [
+        (
+            wire::Opcode::FetchModel,
+            Response::Artifact(Some(envelope.clone())),
+            envelope,
+        ),
+        (wire::Opcode::FetchModel, Response::Artifact(None), vec![]),
+        (wire::Opcode::HaveModel, Response::HaveModel(true), vec![1]),
+        (wire::Opcode::HaveModel, Response::HaveModel(false), vec![0]),
+        (
+            wire::Opcode::WarmKeys,
+            Response::WarmKeys(vec![adder, mult]),
+            warm_list,
+        ),
+        (
+            wire::Opcode::WarmKeys,
+            Response::WarmKeys(vec![]),
+            vec![0, 0],
+        ),
+    ];
+    for (op, response, payload) in replies {
+        for late in [false, true] {
+            let flags = u32::from(late) * wire::FLAG_LATE;
+            let expected = [
+                header(payload.len() as u32, wire::STATUS_OK, flags),
+                payload.clone(),
+            ]
+            .concat();
+            assert_eq!(reply_frame(&response, late), expected, "{response:?}");
+        }
+        assert_eq!(
+            wire::decode_reply(op, wire::STATUS_OK, &payload),
+            Ok(response)
+        );
+    }
 }

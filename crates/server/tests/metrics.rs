@@ -4,8 +4,8 @@
 //! dashboards and the clients must never disagree about how much load
 //! was refused.
 //!
-//! The metrics registry is process-global, so both tests serialize on
-//! one lock and reset it first.
+//! The metrics registry is process-global, so the tests serialize on one
+//! lock and reset it first.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -13,6 +13,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
+use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_server::client::{self, Proto, Request, Response};
 use hdpm_server::{Server, ServerConfig};
 use hdpm_telemetry as telemetry;
 
@@ -111,6 +113,58 @@ fn shed_counter_matches_overloaded_replies_on_the_wire() {
         counter("server.queue.shed_full"),
         overloaded,
         "one shed_full increment per overloaded reply"
+    );
+    assert_eq!(counter("server.queue.timeout"), 0);
+    let report = server.shutdown();
+    assert_eq!(report.shed, overloaded);
+}
+
+/// The same rule on v2, where a refused read burst answers every frame
+/// in it: one `shed_full` increment per `overloaded` frame, not one per
+/// batch.
+#[test]
+fn v2_shed_counter_matches_overloaded_frames_on_the_wire() {
+    let _state = fresh_state();
+    let server = Server::start(
+        ServerConfig::builder()
+            .workers(1)
+            .queue_depth(1)
+            .no_deadline()
+            .engine(slow_engine())
+            .build()
+            .unwrap(),
+    )
+    .expect("start");
+    let mut client = client::Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    let slow = Request::Characterize {
+        spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8),
+    };
+    client.send(&slow, None).expect("send");
+    client.flush().expect("flush");
+    // Let the worker take the slow frame, so the first batch below fills
+    // the queue and the rest are refused whole.
+    std::thread::sleep(Duration::from_millis(20));
+    const BATCHES: usize = 6;
+    const FRAMES: usize = 3;
+    for _ in 0..BATCHES {
+        for _ in 0..FRAMES {
+            client.send(&Request::Stats, None).expect("send");
+        }
+        client.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let overloaded = (0..=BATCHES * FRAMES)
+        .map(|_| client.recv().expect("reply").response)
+        .filter(|r| matches!(r, Response::Error { kind, .. } if kind == "overloaded"))
+        .count() as u64;
+    assert!(
+        overloaded >= FRAMES as u64,
+        "a saturated queue must shed whole batches: {overloaded} overloaded frames"
+    );
+    assert_eq!(
+        counter("server.queue.shed_full"),
+        overloaded,
+        "one shed_full increment per overloaded frame"
     );
     assert_eq!(counter("server.queue.timeout"), 0);
     let report = server.shutdown();

@@ -111,6 +111,170 @@ fn v2_round_trips_every_opcode() {
     server.shutdown();
 }
 
+/// The cluster ops are typed requests of the one protocol: any node
+/// with a disk store answers them through the same executor, cluster
+/// mode or not, and a v1 connection cannot express them.
+#[test]
+fn v2_cluster_ops_answer_on_a_plain_node_with_a_store() {
+    let root = hdpm_core::test_support::TempDir::new("proto2_cluster_ops");
+    let engine = EngineOptions {
+        disk_root: Some(root.path().to_path_buf()),
+        ..quick_engine()
+    };
+    let server = Server::start(quick_config().engine(engine).build().unwrap()).expect("start");
+    let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    let spec = ModuleSpec::new(ModuleKind::RippleAdder, 5usize);
+    let mut call = |request: Request| client.call(&request, None).expect("call").response;
+
+    assert_eq!(
+        call(Request::HaveModel { spec }),
+        Response::HaveModel(false)
+    );
+    assert_eq!(call(Request::FetchModel { spec }), Response::Artifact(None));
+    assert!(matches!(
+        call(Request::Characterize { spec }),
+        Response::Characterize(_)
+    ));
+    assert_eq!(call(Request::HaveModel { spec }), Response::HaveModel(true));
+    let Response::Artifact(Some(bytes)) = call(Request::FetchModel { spec }) else {
+        panic!("a stored artifact is fetchable");
+    };
+    let key = server.engine().key_for(spec);
+    assert_eq!(
+        bytes,
+        std::fs::read(root.join(&key.artifact_file_name())).unwrap(),
+        "the envelope travels byte for byte"
+    );
+    assert_eq!(
+        call(Request::WarmKeys { specs: vec![] }),
+        Response::WarmKeys(vec![spec])
+    );
+    server.shutdown();
+
+    // Without a disk store there is nothing to fetch from.
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
+    let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    match client
+        .call(&Request::FetchModel { spec }, None)
+        .unwrap()
+        .response
+    {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "bad_request");
+            assert!(message.contains("no disk store"), "{message}");
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    let mut v1 = Client::connect(server.local_addr(), Proto::V1).expect("connect v1");
+    assert!(matches!(
+        v1.send(&Request::HaveModel { spec }, None),
+        Err(hdpm_server::client::ClientError::Unsupported(_))
+    ));
+    server.shutdown();
+}
+
+/// A one-connection v2 peer on a loopback socket: read the preamble and
+/// one request frame, write `reply(request id)`'s bytes, close.
+fn serve_once(reply: impl FnOnce(u64) -> Vec<u8> + Send + 'static) -> std::net::SocketAddr {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut magic = [0u8; wire::MAGIC.len()];
+        stream.read_exact(&mut magic).expect("magic");
+        assert_eq!(magic, wire::MAGIC);
+        let mut raw = [0u8; wire::HEADER_LEN];
+        stream.read_exact(&mut raw).expect("header");
+        let header = wire::decode_header(&raw);
+        let mut payload = vec![0u8; header.len as usize];
+        stream.read_exact(&mut payload).expect("payload");
+        let _ = stream.write_all(&reply(header.id));
+    });
+    addr
+}
+
+/// Call `request` on a one-shot peer that answers `response`.
+fn call_peer_answering(request: &Request, response: Response) -> Response {
+    let addr = serve_once(move |id| {
+        let mut out = Vec::new();
+        wire::encode_reply(&mut out, id, false, &response);
+        out
+    });
+    let mut client = Client::connect(addr, Proto::V2).expect("connect");
+    client.call(request, None).expect("call").response
+}
+
+#[test]
+fn v2_replies_of_every_length_read_back_intact() {
+    // The low byte of a frame's `len` can be any value, `{` (123)
+    // included; no reply length may be mistaken for a JSON line.
+    let spec = ModuleSpec::new(ModuleKind::RippleAdder, 5usize);
+    for len in [1usize, 122, 123, 124, 379, 635, 123 + 4096] {
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(
+            call_peer_answering(
+                &Request::FetchModel { spec },
+                Response::Artifact(Some(bytes.clone()))
+            ),
+            Response::Artifact(Some(bytes)),
+            "artifact of {len} bytes"
+        );
+    }
+    // 229 specs: a 1147-byte (0x47B) warm-keys reply.
+    let specs: Vec<ModuleSpec> = (1..=229usize)
+        .map(|w| ModuleSpec::new(ModuleKind::RippleAdder, w))
+        .collect();
+    assert_eq!(
+        call_peer_answering(
+            &Request::WarmKeys { specs: vec![] },
+            Response::WarmKeys(specs.clone())
+        ),
+        Response::WarmKeys(specs)
+    );
+}
+
+#[test]
+fn v2_client_reads_a_connection_limit_rejection_line() {
+    let server = Server::start(quick_config().max_connections(1).build().unwrap()).expect("start");
+    let mut first = Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    assert_eq!(
+        first.call(&Request::Ping, None).unwrap().response,
+        Response::Pong
+    );
+    let mut second = Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    match second
+        .call(&Request::Ping, None)
+        .expect("rejection")
+        .response
+    {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, "overloaded");
+            assert!(message.contains("connection limit"), "{message}");
+        }
+        other => panic!("expected an overloaded rejection, got {other:?}"),
+    }
+    assert_eq!(
+        first.call(&Request::Ping, None).unwrap().response,
+        Response::Pong
+    );
+    server.shutdown();
+
+    // A `{` line that never ends is cut off at MAX_PAYLOAD, not buffered
+    // without bound.
+    let addr = serve_once(|_| {
+        let mut line = b"{\"ok\":false,\"error\":\"".to_vec();
+        line.resize(wire::MAX_PAYLOAD as usize + 64, b'x');
+        line
+    });
+    let mut client = Client::connect(addr, Proto::V2).expect("connect");
+    match client.call(&Request::Ping, None) {
+        Err(hdpm_server::client::ClientError::Protocol(message)) => {
+            assert!(message.contains("unterminated"), "{message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+}
+
 #[test]
 fn v2_and_v1_agree_on_the_numbers() {
     let server = Server::start(quick_config().build().unwrap()).expect("start");
