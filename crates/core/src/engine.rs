@@ -170,6 +170,25 @@ pub struct Estimate {
     pub confidence: f64,
 }
 
+impl Estimate {
+    /// The full-fidelity answer from a characterization already in the
+    /// memory tier, as [`PowerEngine::estimate_at`] gives at any floor
+    /// on a memory hit. For callers that took the model with
+    /// [`PowerEngine::resident`] and must not look it up again.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::WidthMismatch`] if the distribution width differs
+    /// from the model's input width.
+    pub fn resident(
+        characterization: &Characterization,
+        dist: &HdDistribution,
+    ) -> Result<Estimate, ModelError> {
+        let tier = (CacheSource::Memory, Fidelity::Full, 1.0);
+        model_estimate(&characterization.model, dist, tier)
+    }
+}
+
 /// Outcome of [`PowerEngine::warm`]: how each requested spec was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct WarmReport {
@@ -265,6 +284,19 @@ impl Drop for LeaderGuard<'_> {
 struct EngineInner {
     cache: LruCache<ModelKey, Arc<Characterization>>,
     inflight: HashMap<ModelKey, Arc<Flight>>,
+}
+
+impl EngineInner {
+    /// The one memory-tier hit path: `key`'s characterization, touched
+    /// as most recently used and counted as a hit. A miss counts as one
+    /// in the cache's own tally.
+    fn hit(&mut self, key: &ModelKey) -> Option<Arc<Characterization>> {
+        let cached = self.cache.get(key).map(Arc::clone);
+        if cached.is_some() {
+            telemetry::counter_add("engine.cache.hit", 1);
+        }
+        cached
+    }
 }
 
 /// Number of module families, indexing the per-kind sibling epochs.
@@ -456,8 +488,8 @@ impl PowerEngine {
         }
         let role = trace.time(Stage::CacheLookup, || {
             let mut inner = self.inner.lock().expect("engine lock");
-            if let Some(cached) = inner.cache.get(&key) {
-                Role::Hit(Arc::clone(cached))
+            if let Some(cached) = inner.hit(&key) {
+                Role::Hit(cached)
             } else if let Some(flight) = inner.inflight.get(&key) {
                 Role::Waiter(Arc::clone(flight))
             } else {
@@ -467,10 +499,7 @@ impl PowerEngine {
             }
         });
         match role {
-            Role::Hit(cached) => {
-                telemetry::counter_add("engine.cache.hit", 1);
-                Ok((cached, CacheSource::Memory))
-            }
+            Role::Hit(cached) => Ok((cached, CacheSource::Memory)),
             Role::Waiter(flight) => {
                 self.coalesced.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter_add("engine.singleflight.coalesced", 1);
@@ -515,6 +544,25 @@ impl PowerEngine {
                 outcome
             }
         }
+    }
+
+    /// The memory tier alone: `spec`'s resident characterization,
+    /// touched and counted exactly as a [`PowerEngine::fetch_traced`]
+    /// hit, or `None` when it is not resident. Never loads, waits or
+    /// characterizes, so a thread that must not block can call it; a
+    /// miss counts nothing, because the caller falls back to a fetch
+    /// that counts it.
+    pub fn resident(
+        &self,
+        spec: ModuleSpec,
+        trace: &mut TraceCtx,
+    ) -> Option<Arc<Characterization>> {
+        let key = self.key_for(spec);
+        trace.time(Stage::CacheLookup, || {
+            let mut inner = self.inner.lock().expect("engine lock");
+            inner.cache.peek(&key)?;
+            inner.hit(&key)
+        })
     }
 
     /// [`PowerEngine::fetch`] without the source annotation.
@@ -620,14 +668,10 @@ impl PowerEngine {
         // and still instant (memory lookup / one artifact read).
         let key = self.key_for(spec);
         let cached = trace.time(Stage::CacheLookup, || {
-            let mut inner = self.inner.lock().expect("engine lock");
-            inner.cache.get(&key).map(Arc::clone)
+            self.inner.lock().expect("engine lock").hit(&key)
         });
         if let Some(c) = cached {
-            telemetry::counter_add("engine.cache.hit", 1);
-            return trace.time(Stage::Estimate, || {
-                model_estimate(&c.model, dist, (CacheSource::Memory, Fidelity::Full, 1.0))
-            });
+            return trace.time(Stage::Estimate, || Estimate::resident(&c, dist));
         }
         if self.library.as_ref().is_some_and(|l| l.contains(spec)) {
             return self.estimate_full(spec, dist, trace);
@@ -1034,6 +1078,25 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.inflight, 0, "no characterization left registered");
+    }
+
+    /// The non-blocking lookup never characterizes and counts no miss;
+    /// a hit through it counts like a fetch hit.
+    #[test]
+    fn resident_lookup_counts_hits_only() {
+        let engine = PowerEngine::new(quick_options());
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let mut trace = TraceCtx::disabled();
+        assert!(engine.resident(spec, &mut trace).is_none());
+        assert_eq!((engine.stats().misses, engine.stats().entries), (0, 0));
+        let (fetched, _) = engine.fetch(spec).unwrap();
+        let resident = engine.resident(spec, &mut trace).expect("resident");
+        assert!(Arc::ptr_eq(&fetched, &resident));
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.characterizations),
+            (1, 1, 1)
+        );
     }
 
     #[test]

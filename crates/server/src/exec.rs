@@ -14,16 +14,20 @@
 //! Error precedence, the same on both protocols: `malformed` /
 //! `invalid_utf8` (v1 framing) first, then `timeout`, then
 //! `bad_request`, then `engine`.
+//!
+//! The TCP server runs requests in two places. A reactor answers an
+//! estimate itself when [`ExecCtx::resident`] finds every input already
+//! in memory; everything else goes through the queue to a worker. Both
+//! call [`ExecCtx::execute`], so the policies above hold on either path.
 
-use std::cell::RefCell;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hdpm_core::persist::{self, EnvelopeMeta};
-use hdpm_core::{Characterization, Fidelity, LruCache, ModelError, PowerEngine};
+use hdpm_core::{Characterization, Estimate, Fidelity, LruCache, ModelError, PowerEngine};
 use hdpm_datamodel::{region_model, HdDistribution, WordModel};
 use hdpm_netlist::ModuleSpec;
 use hdpm_streams::DataType;
@@ -48,6 +52,8 @@ pub(crate) struct ExecCtx<'a> {
     /// When the request was read off the transport; deadlines count from
     /// here.
     pub(crate) arrived: Instant,
+    /// The input-distribution memo of this server or stdio loop.
+    pub(crate) dists: &'a DistMemo,
     /// The engine's disk tier root, which fetch-model reads from.
     pub(crate) store_root: Option<&'a Path>,
     /// Cluster mode: the ring, peer health and this node's ensure gate.
@@ -76,12 +82,22 @@ impl Executed {
     }
 }
 
+/// An estimate's inputs, both already in memory: the resident model and
+/// the memoized input distribution. Taken once, when the reactor decides
+/// to answer inline, so an eviction before the answer cannot send the
+/// reactor back to the engine.
+pub(crate) struct Resident {
+    model: Arc<Characterization>,
+    dist: Arc<HdDistribution>,
+}
+
 impl<'a> ExecCtx<'a> {
     /// The stdio transport's context: no deadline, no cluster, no
     /// counters.
     pub(crate) fn stdio(
         engine: &'a Arc<PowerEngine>,
         default_floor: Fidelity,
+        dists: &'a DistMemo,
         trace: &'a mut TraceCtx,
     ) -> ExecCtx<'a> {
         ExecCtx {
@@ -89,6 +105,7 @@ impl<'a> ExecCtx<'a> {
             default_floor,
             deadline: None,
             arrived: Instant::now(),
+            dists,
             store_root: None,
             cluster: None,
             totals: None,
@@ -96,12 +113,37 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
+    /// The inputs of `request` when it can be answered without blocking:
+    /// an estimate whose model is resident in the engine's memory tier
+    /// and whose input distribution is memoized. `None` for anything
+    /// else, counting no miss: the request then goes to a worker, which
+    /// looks both up again and counts there.
+    pub(crate) fn resident(&mut self, request: &Request) -> Option<Resident> {
+        let &Request::Estimate {
+            spec,
+            data,
+            cycles,
+            seed,
+            ..
+        } = request
+        else {
+            return None;
+        };
+        let key = dist_key(spec, data, cycles, seed);
+        let dist = self.dists.peek(&key)?;
+        let model = self.engine.resident(spec, self.trace)?;
+        telemetry::counter_add("protocol.dist_cache.hit", 1);
+        Some(Resident { model, dist })
+    }
+
     /// Execute one decoded request. `request` is the codec's outcome:
-    /// the typed request or the error its bytes earned.
+    /// the typed request or the error its bytes earned; `resident` holds
+    /// its inputs when [`ExecCtx::resident`] found them.
     pub(crate) fn execute(
         &mut self,
         request: Result<&Request, &RequestError>,
         deadline_ms: Option<u64>,
+        resident: Option<Resident>,
     ) -> Executed {
         let (result, late) = match request {
             // A line that is not JSON has no deadline to honour.
@@ -110,7 +152,7 @@ impl<'a> ExecCtx<'a> {
                 (Err((*kind, message.clone())), false)
             }
             Err(e) => self.guarded(deadline_ms, |_| Err(e.clone())),
-            Ok(request) => self.guarded(deadline_ms, |ctx| ctx.answer(request)),
+            Ok(request) => self.guarded(deadline_ms, |ctx| ctx.answer(request, resident)),
         };
         Executed {
             response: result.unwrap_or_else(|(kind, message)| Response::Error {
@@ -167,8 +209,13 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Run a resolved request against the engine.
-    fn answer(&mut self, request: &Request) -> Result<Response, RequestError> {
+    /// Run a resolved request against the engine, or against the
+    /// inputs the reactor already took for it.
+    fn answer(
+        &mut self,
+        request: &Request,
+        resident: Option<Resident>,
+    ) -> Result<Response, RequestError> {
         let engine_error = |e: ModelError| (ErrorKind::Engine, e.to_string());
         match request {
             &Request::Estimate {
@@ -178,23 +225,31 @@ impl<'a> ExecCtx<'a> {
                 seed,
                 floor,
             } => {
-                let floor = floor.unwrap_or(self.default_floor);
-                // Below-full floors answer from the local ladder at once;
-                // the upgrade hook routes cluster ownership afterwards.
-                if floor == Fidelity::Full {
-                    self.ensure(spec);
+                let estimate = match resident {
+                    // A resident model answers at full fidelity whatever
+                    // the floor, and needs no cluster ensure.
+                    Some(Resident { model, dist }) => self
+                        .trace
+                        .time(Stage::Estimate, || Estimate::resident(&model, &dist)),
+                    None => {
+                        let floor = floor.unwrap_or(self.default_floor);
+                        // Below-full floors answer from the local ladder at
+                        // once; the upgrade hook routes cluster ownership
+                        // afterwards.
+                        if floor == Fidelity::Full {
+                            self.ensure(spec);
+                        }
+                        // The input distribution is estimation math, so its
+                        // time (≈20–380 µs on a memo miss, mostly stream
+                        // synthesis) lands in the estimate stage.
+                        let dists = self.dists;
+                        let dist = self.trace.time(Stage::Estimate, || {
+                            dists.get_or_build(dist_key(spec, data, cycles, seed))
+                        });
+                        self.engine.estimate_at(spec, &dist, floor, self.trace)
+                    }
                 }
-                let (m1, _) = spec.width.operand_widths();
-                // The input distribution is estimation math, so its time
-                // (≈20–380 µs on a per-thread memo miss, mostly stream
-                // synthesis) lands in the estimate stage.
-                let dist = self.trace.time(Stage::Estimate, || {
-                    input_distribution(data, spec.kind.operand_count(), m1, cycles as usize, seed)
-                });
-                let estimate = self
-                    .engine
-                    .estimate_at(spec, &dist, floor, self.trace)
-                    .map_err(engine_error)?;
+                .map_err(engine_error)?;
                 Ok(Response::Estimate(EstimateAnswer {
                     charge_per_cycle: estimate.charge_per_cycle,
                     via_average: estimate.via_average,
@@ -277,45 +332,67 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// The analytic §6.3 input distribution: generate the named operand
-/// streams, fit per-operand region models, convolve. A pure function of
-/// its arguments costing ~20–380 µs per call on a 2-core Xeon (two
-/// 2000-word operands), nearly all of it stream synthesis; the region
-/// fit and convolution take ~2 µs. So each serving thread memoizes it in
-/// a 128-entry LRU: identical warm `estimate` requests (the common
-/// monitoring workload) cost a lookup instead of a rebuild, and the
-/// 129th distinct key evicts one cold entry instead of the warm set.
-fn input_distribution(
-    dt: DataType,
-    operands: usize,
-    m1: usize,
-    cycles: usize,
-    seed: u64,
-) -> HdDistribution {
-    type DistKey = (&'static str, usize, usize, usize, u64);
-    thread_local! {
-        static DISTRIBUTIONS: RefCell<LruCache<DistKey, HdDistribution>> =
-            RefCell::new(LruCache::new(128));
+/// The memo key of an input distribution: data type, operand count,
+/// first-operand width, cycles and seed.
+type DistKey = (DataType, usize, usize, u32, u64);
+
+fn dist_key(spec: ModuleSpec, data: DataType, cycles: u32, seed: u64) -> DistKey {
+    let (m1, _) = spec.width.operand_widths();
+    (data, spec.kind.operand_count(), m1, cycles, seed)
+}
+
+/// The memo of the analytic §6.3 input distribution, one per server (or
+/// stdio loop), shared by its reactors and workers. The distribution is
+/// a pure function of its key costing ~20–380 µs to build on a 2-core
+/// Xeon (two 2000-word operands), nearly all of it stream synthesis; the
+/// region fit and convolution take ~2 µs. So a 128-entry LRU keeps it:
+/// identical warm `estimate` requests (the common monitoring workload)
+/// cost a lookup instead of a rebuild, and the 129th distinct key evicts
+/// one cold entry instead of the warm set.
+pub(crate) struct DistMemo(Mutex<LruCache<DistKey, Arc<HdDistribution>>>);
+
+impl DistMemo {
+    /// Entries kept before the least recently used one is evicted.
+    const CAPACITY: usize = 128;
+
+    pub(crate) fn new() -> DistMemo {
+        DistMemo(Mutex::new(LruCache::new(Self::CAPACITY)))
     }
-    let key = (dt.name(), operands, m1, cycles, seed);
-    DISTRIBUTIONS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(dist) = cache.get(&key) {
+
+    /// The memoized distribution, touched as most recently used; counts
+    /// nothing, so a lookup that the caller abandons leaves the hit and
+    /// miss counters to the one that follows.
+    fn peek(&self, key: &DistKey) -> Option<Arc<HdDistribution>> {
+        self.0.lock().expect("dist memo").get(key).map(Arc::clone)
+    }
+
+    /// The memoized distribution, or a fresh one — the named operand
+    /// streams generated, a region model fitted per operand, the two
+    /// convolved — built with no lock held and then memoized. Two
+    /// callers that miss the same key at once both build it.
+    fn get_or_build(&self, key: DistKey) -> Arc<HdDistribution> {
+        if let Some(dist) = self.peek(&key) {
             telemetry::counter_add("protocol.dist_cache.hit", 1);
-            return dist.clone();
+            return dist;
         }
         telemetry::counter_add("protocol.dist_cache.miss", 1);
-        let streams = dt.generate_operands(operands, m1, cycles, seed);
+        let (data, operands, m1, cycles, seed) = key;
+        let streams = data.generate_operands(operands, m1, cycles as usize, seed);
         let dists: Vec<HdDistribution> = streams
             .iter()
             .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
             .collect();
-        let dist = HdDistribution::convolve_all(&dists);
-        if cache.insert(key, dist.clone()).is_some() {
+        let dist = Arc::new(HdDistribution::convolve_all(&dists));
+        let evicted = self
+            .0
+            .lock()
+            .expect("dist memo")
+            .insert(key, Arc::clone(&dist));
+        if evicted.is_some() {
             telemetry::counter_add("protocol.dist_cache.evict", 1);
         }
         dist
-    })
+    }
 }
 
 /// A request's op name and `module/width` detail, for trace records and
@@ -364,18 +441,20 @@ mod tests {
         ago: Duration,
     ) -> String {
         let totals = Totals::default();
+        let dists = DistMemo::new();
         let mut trace = TraceCtx::disabled();
         let mut ctx = ExecCtx {
             engine,
             default_floor: Fidelity::Full,
             deadline: None,
             arrived: Instant::now() - ago,
+            dists: &dists,
             store_root: None,
             cluster: None,
             totals: Some(&totals),
             trace: &mut trace,
         };
-        ctx.execute(request, deadline_ms).status().to_string()
+        ctx.execute(request, deadline_ms, None).status().to_string()
     }
 
     /// Error precedence is one rule in one place: framing, then
@@ -438,12 +517,14 @@ mod tests {
     fn timeouts_and_late_answers_are_counted_once() {
         let engine = quick_engine();
         let totals = Totals::default();
+        let dists = DistMemo::new();
         let mut trace = TraceCtx::disabled();
         let mut ctx = ExecCtx {
             engine: &engine,
             default_floor: Fidelity::Full,
             deadline: Some(Duration::from_millis(5)),
             arrived: Instant::now(),
+            dists: &dists,
             store_root: None,
             cluster: None,
             totals: Some(&totals),
@@ -454,7 +535,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(done, (Ok(()), true), "finished past the limit: late");
-        let timed_out = ctx.execute(Ok(&Request::Stats), None);
+        let timed_out = ctx.execute(Ok(&Request::Stats), None, None);
         assert_eq!(timed_out.status(), "timeout");
         assert!(!timed_out.late);
         let report = totals.report();

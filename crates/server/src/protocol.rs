@@ -30,7 +30,7 @@ use hdpm_telemetry::TraceCtx;
 use serde::{Deserialize, Value};
 
 use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
-use crate::exec::ExecCtx;
+use crate::exec::{DistMemo, ExecCtx};
 
 /// Resolve a module kind by its wire id.
 ///
@@ -476,9 +476,17 @@ fn str_field(value: &Value, key: &str) -> Result<String, String> {
 /// The request's `bad_request`, or [`ErrorKind::Engine`] for engine
 /// failures.
 pub fn handle(engine: &Arc<PowerEngine>, decoded: &Decoded) -> Result<Value, RequestError> {
+    // A one-shot call has no server or loop to own a distribution memo,
+    // so repeated calls share one per calling thread. Servers and
+    // `serve_lines` never touch it.
+    thread_local! {
+        static DISTS: DistMemo = DistMemo::new();
+    }
     let request = decoded.request.as_ref().map_err(Clone::clone)?;
     let mut trace = TraceCtx::disabled();
-    let done = ExecCtx::stdio(engine, Fidelity::Full, &mut trace).execute(Ok(request), None);
+    let done = DISTS.with(|dists| {
+        ExecCtx::stdio(engine, Fidelity::Full, dists, &mut trace).execute(Ok(request), None, None)
+    });
     match done.response {
         Response::Error { kind, message } => Err((
             ErrorKind::parse(&kind).expect("the request core emits known kinds"),
@@ -506,6 +514,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
     mut output: W,
 ) -> std::io::Result<()> {
     let _span = hdpm_telemetry::span("serve.loop");
+    let dists = DistMemo::new();
     let mut trace = TraceCtx::disabled();
     let mut raw = Vec::new();
     loop {
@@ -517,7 +526,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
             continue;
         };
         let request = decoded.request.as_ref();
-        let done = ExecCtx::stdio(engine, floor, &mut trace).execute(request, None);
+        let done = ExecCtx::stdio(engine, floor, &dists, &mut trace).execute(request, None, None);
         let reply = render(&reply_value(request.ok(), &done.response));
         output.write_all(reply.as_bytes())?;
         output.write_all(b"\n")?;

@@ -12,21 +12,25 @@
 //! * **negotiation** — the first byte of a connection picks the
 //!   protocol: `0x00` opens the v2 preamble ([`crate::wire::MAGIC`]),
 //!   anything else is a v1 JSON-lines client;
-//! * **framing** — v1 lines become one queue job each (preserving the
-//!   per-line shed/timeout semantics and the reply sequencer); v2
-//!   frames are coalesced into batch jobs (up to [`MAX_BATCH`] frames,
-//!   one allocation per batch) completed out of order by the workers;
-//! * **write-side drainage** — workers write replies opportunistically
-//!   from their own threads ([`ConnOut::send`]); only when the socket
-//!   would block does the reactor take over via `EPOLLOUT`, enforcing
-//!   the write timeout and the output-buffer cap;
+//! * **framing and dispatch** — each v1 line is decoded here and either
+//!   answered here or queued as one job (preserving the per-line
+//!   shed/timeout semantics and the reply sequencer); v2 frames are read
+//!   in bursts of up to [`MAX_BATCH`], and the frames of a burst that
+//!   the reactor does not answer become one batch job, completed out of
+//!   order by the workers. The reactor answers only work whose inputs
+//!   are all in memory (see [`crate::server`]); nothing it runs can
+//!   block;
+//! * **write-side drainage** — replies are written opportunistically by
+//!   whichever thread produced them ([`ConnOut::send`]); only when the
+//!   socket would block does the reactor take over via `EPOLLOUT`,
+//!   enforcing the write timeout and the output-buffer cap;
 //! * **hygiene** — idle reaping, peer-close detection, and the
 //!   flush-then-close endgame after EOF or drain.
 //!
 //! Locking: a connection's v1 sequencer lock is always taken **before**
-//! its output-buffer lock (workers hold `v1 → out` nested so reply
+//! its output-buffer lock (reply writers hold `v1 → out` nested so reply
 //! bytes hit the buffer in sequence order); nothing ever takes them in
-//! the other order. Worker-side failures under the `out` lock mark the
+//! the other order. Writer-side failures under the `out` lock mark the
 //! connection dead in place and defer sequencer cleanup to the
 //! reactor's teardown.
 
@@ -67,7 +71,7 @@ pub(crate) enum Mail {
         /// Its write side.
         out: Arc<ConnOut>,
     },
-    /// A worker hit `WouldBlock`; arm `EPOLLOUT` for this token.
+    /// A reply write hit `WouldBlock`; arm `EPOLLOUT` for this token.
     WantWrite(u64),
     /// The last in-flight job of a read-closed connection finished;
     /// flush whatever is buffered and close.
@@ -133,9 +137,9 @@ struct V1State {
 }
 
 /// The write side of a connection, shared between the owning reactor
-/// and the worker pool. Workers append reply bytes and flush
-/// opportunistically; the reactor finishes the job under `EPOLLOUT`
-/// when a socket pushes back.
+/// and the worker pool. Whichever thread answered a request appends its
+/// reply bytes and flushes opportunistically; the reactor finishes the
+/// job under `EPOLLOUT` when a socket pushes back.
 pub(crate) struct ConnOut {
     /// The epoll token (stable for the connection's lifetime).
     pub(crate) token: u64,
@@ -272,8 +276,9 @@ impl ConnOut {
     }
 
     /// Append reply bytes and flush as far as the socket allows without
-    /// blocking. Called from worker threads; when the socket pushes
-    /// back, the owning reactor takes over via [`Mail::WantWrite`].
+    /// blocking. Called from worker threads, and from the reactor for
+    /// the requests it answers; when the socket pushes back, the owning
+    /// reactor takes over via [`Mail::WantWrite`].
     pub(crate) fn send(&self, bytes: &[u8]) {
         if bytes.is_empty() || !self.is_alive() {
             return;
@@ -624,7 +629,7 @@ fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> Rea
                 if matches!(conn.proto, Proto::V1 | Proto::Negotiating) && !conn.rbuf.is_empty() {
                     let line = std::mem::take(&mut conn.rbuf);
                     conn.scanned = 0;
-                    shared.enqueue_v1(&conn.out, &mut conn.next_seq, line);
+                    shared.dispatch_v1(&conn.out, &mut conn.next_seq, &line);
                 }
                 return ReadOutcome::Eof;
             }
@@ -681,11 +686,7 @@ fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) {
             break;
         };
         let nl = from + rel;
-        shared.enqueue_v1(
-            &conn.out,
-            &mut conn.next_seq,
-            conn.rbuf[start..=nl].to_vec(),
-        );
+        shared.dispatch_v1(&conn.out, &mut conn.next_seq, &conn.rbuf[start..=nl]);
         start = nl + 1;
     }
     conn.rbuf.drain(..start);
@@ -732,8 +733,7 @@ fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
             consumed += total;
         }
         if !frames.is_empty() {
-            let data = conn.rbuf[base..consumed].to_vec();
-            shared.enqueue_v2(&conn.out, data, frames);
+            shared.dispatch_v2(&conn.out, &conn.rbuf[base..consumed], frames);
         }
         if let Some((id, message)) = poison {
             // The stream cannot be trusted past an oversized frame:

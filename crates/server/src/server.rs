@@ -10,14 +10,24 @@
 //!   reactors;
 //! * a **fixed reactor pool** ([`crate::reactor`]) multiplexes every
 //!   connection over epoll: protocol negotiation (v1 JSON lines / v2
-//!   binary frames), framing into the bounded queue, write-side
-//!   drainage, idle reaping and write timeouts. An idle connection
-//!   costs one registered fd, not a thread;
-//! * a **fixed worker pool** drains the queue, decodes each request with
-//!   its protocol's codec and runs it through the request core
-//!   ([`crate::exec`]) against the shared engine, so concurrent misses
-//!   on one model still coalesce through the engine's single-flight
-//!   path.
+//!   binary frames), framing, write-side drainage, idle reaping and
+//!   write timeouts. An idle connection costs one registered fd, not a
+//!   thread. A reactor answers **in-memory work** itself, through the
+//!   request core ([`crate::exec`]): v2 reply-memo hits, and estimates
+//!   whose model is resident in the engine's memory tier and whose input
+//!   distribution is memoized. That skips the queue hop, which is most
+//!   of a warm request's latency;
+//! * a **fixed worker pool** drains the bounded queue with everything
+//!   else — anything that can block: characterization, disk loads,
+//!   single-flight waits, peer fetches, distribution synthesis and every
+//!   non-estimate op — and runs it through the same request core against
+//!   the shared engine, so concurrent misses on one model still coalesce
+//!   through the engine's single-flight path. A reactor must never block
+//!   on any of these, which is why the queue stays.
+//!
+//! Both memos (input distributions and v2 reply bytes) are per server,
+//! shared by its reactors and workers, so a reactor sees what any worker
+//! memoized.
 //!
 //! v1 replies on one connection are written in request order even
 //! though workers complete out of order (the per-connection sequencer
@@ -37,7 +47,8 @@
 //!
 //! When [`ServerConfig::tracing`] is on (the default), every v1 request
 //! (and every v2 batch) gets a [`TraceCtx`] riding the [`Job`] through
-//! the pipeline, accumulating per-stage timings. v1 replies echo the
+//! the pipeline, accumulating per-stage timings; requests answered on
+//! the reactor record no `queue_wait` stage. v1 replies echo the
 //! trace id as `"trace":"t…"`; completed traces land in the flight
 //! recorder (`/tracez`, dumped on drain) and the
 //! `server.stage_ns{stage=…}` histograms; requests slower than
@@ -47,14 +58,15 @@
 //! `/healthz`, `/readyz` and `/tracez`. v2 traces are **per batch** (a
 //! read burst of frames shares one trace): ids are already in band, and
 //! per-frame contexts would cost more than the requests they measure.
+//! The frames of a burst that a reactor answers share one trace, and
+//! those it queues share another.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -68,8 +80,8 @@ use crate::admin::AdminServer;
 use crate::client::Response;
 use crate::cluster::{self, ClusterRuntime};
 use crate::config::ServerConfig;
-use crate::exec::{self, ExecCtx};
-use crate::protocol::{self, ErrorKind};
+use crate::exec::{self, DistMemo, ExecCtx};
+use crate::protocol::{self, Decoded, ErrorKind};
 use crate::queue::{Bounded, PushError};
 use crate::reactor::{self, ConnOut, Mail, ReactorHandle};
 use crate::wire;
@@ -128,22 +140,27 @@ pub(crate) struct FrameRef {
     pub(crate) payload: (usize, usize),
 }
 
-/// A unit of queued work: one v1 line or one v2 read burst, with the
-/// connection it answers on, its arrival time and its trace.
+/// A unit of queued work: one v1 request or the queued frames of one v2
+/// read burst, with the connection it answers on, its arrival time and
+/// its trace.
 pub(crate) struct Job {
     out: Arc<ConnOut>,
-    enqueued: Instant,
+    /// When the reactor read the request; deadlines count from here.
+    arrived: Instant,
+    /// When the job entered the queue; the queue wait counts from here.
+    queued: Instant,
     trace: TraceCtx,
     work: Work,
 }
 
 enum Work {
-    /// One framed v1 request line and its place in the connection's
-    /// reply sequence.
-    V1 { seq: u64, raw: Vec<u8> },
-    /// One read burst of v2 frames. Batching amortizes the queue
-    /// handoff and the reply write across every frame the socket
-    /// delivered together — the main lever behind the v2 throughput bar.
+    /// One v1 request, decoded on the reactor, and its place in the
+    /// connection's reply sequence.
+    V1 { seq: u64, decoded: Decoded },
+    /// The frames of one read burst that the reactor could not answer.
+    /// Batching amortizes the queue handoff and the reply write across
+    /// every frame the socket delivered together — the main lever behind
+    /// the v2 throughput bar.
     V2 {
         data: Vec<u8>,
         frames: Vec<FrameRef>,
@@ -238,6 +255,10 @@ pub(crate) struct Shared {
     /// Fidelity floor applied to estimate requests that don't name one
     /// ([`ServerConfig::fidelity_floor`]).
     default_floor: Fidelity,
+    /// The input-distribution memo of this server.
+    dists: DistMemo,
+    /// The v2 estimate-reply memo of this server.
+    replies: ReplyMemo,
     queue: Bounded<Job>,
     draining: AtomicBool,
     /// Workers joined; reactors flush what remains and exit.
@@ -322,6 +343,7 @@ impl Shared {
             default_floor: self.default_floor,
             deadline: self.deadline,
             arrived,
+            dists: &self.dists,
             store_root: self.store_root.as_deref(),
             cluster: self.cluster.as_ref(),
             totals: Some(&self.totals),
@@ -329,34 +351,81 @@ impl Shared {
         }
     }
 
-    /// Frame one raw v1 line into the queue. Blank lines are skipped
-    /// without consuming a sequence number (no reply is owed for them).
-    pub(crate) fn enqueue_v1(&self, out: &Arc<ConnOut>, next_seq: &mut u64, raw: Vec<u8>) {
-        if protocol::trim_line(&raw)
-            .iter()
-            .all(u8::is_ascii_whitespace)
-        {
+    /// Take one raw v1 line off the reactor: decode it, then answer it
+    /// here when its inputs are in memory, or queue it. Blank lines are
+    /// skipped without consuming a sequence number (no reply is owed for
+    /// them).
+    pub(crate) fn dispatch_v1(&self, out: &Arc<ConnOut>, next_seq: &mut u64, raw: &[u8]) {
+        let arrived = Instant::now();
+        let mut trace = self.new_trace();
+        let Some(decoded) = trace.time(Stage::Decode, || {
+            protocol::decode_line(protocol::trim_line(raw))
+        }) else {
             return;
-        }
+        };
         let seq = *next_seq;
         *next_seq += 1;
-        self.enqueue(out, Work::V1 { seq, raw });
+        let resident = match &decoded.request {
+            Ok(request) => self.exec_ctx(arrived, &mut trace).resident(request),
+            Err(_) => None,
+        };
+        let Some(resident) = resident else {
+            self.enqueue(out, arrived, trace, Work::V1 { seq, decoded });
+            return;
+        };
+        telemetry::counter_add("server.request.inline", 1);
+        let reply = self.run_v1(&decoded, arrived, arrived, &mut trace, Some(resident));
+        out.submit_v1(seq, Some(reply));
     }
 
-    /// Frame one batch of v2 frames into the queue.
-    pub(crate) fn enqueue_v2(&self, out: &Arc<ConnOut>, data: Vec<u8>, frames: Vec<FrameRef>) {
-        self.enqueue(out, Work::V2 { data, frames });
+    /// Take one read burst of v2 frames off the reactor: answer the
+    /// frames whose inputs are in memory here, with one write, and queue
+    /// the rest as one batch.
+    pub(crate) fn dispatch_v2(&self, out: &Arc<ConnOut>, data: &[u8], frames: Vec<FrameRef>) {
+        let arrived = Instant::now();
+        let mut trace = self.new_trace();
+        let mut replies = Vec::new();
+        let mut queued = Vec::new();
+        let mut inline = 0u64;
+        let mut ctx = self.exec_ctx(arrived, &mut trace);
+        for frame in frames {
+            let payload = &data[frame.payload.0..frame.payload.1];
+            if answer_frame(&mut ctx, &self.replies, &frame, payload, &mut replies, true) {
+                inline += 1;
+            } else {
+                queued.push(frame);
+            }
+        }
+        if !queued.is_empty() {
+            let work = Work::V2 {
+                data: data.to_vec(),
+                frames: queued,
+            };
+            self.enqueue(out, arrived, self.new_trace(), work);
+        }
+        if inline == 0 {
+            return;
+        }
+        telemetry::counter_add("server.request.inline", inline);
+        telemetry::record_duration_ns("server.request_ns", arrived.elapsed().as_nanos() as u64);
+        let detail = format!("frames/{inline}");
+        let finish = self.trace_finish(&trace, "batch".to_string(), detail, "ok");
+        out.send(&replies);
+        if let Some(finish) = finish {
+            finish.complete(true);
+        }
     }
 
     /// Queue `work`, or answer every request in it with `overloaded`
     /// when the queue refuses it. The shed counters count requests (v2
     /// frames, not batches), one per `overloaded` reply.
-    fn enqueue(&self, out: &Arc<ConnOut>, work: Work) {
+    fn enqueue(&self, out: &Arc<ConnOut>, arrived: Instant, trace: TraceCtx, work: Work) {
         out.begin_job();
         let job = Job {
             out: Arc::clone(out),
-            enqueued: Instant::now(),
-            trace: self.new_trace(),
+            arrived,
+            queued: Instant::now(),
+            trace,
             work,
         };
         let (job, message) = match self.queue.try_push(job) {
@@ -410,19 +479,23 @@ impl Shared {
         job.out.finish_job();
     }
 
-    /// Execute one v1 job: decode, run it through the request core,
-    /// render the reply (trace id attached when tracing). Returns `None`
-    /// when no output is owed (blank line). `server.request_ns` measures
-    /// processing time only (decode → render).
-    fn run_v1(&self, raw: &[u8], enqueued: Instant, trace: &mut TraceCtx) -> Option<Reply> {
+    /// Run one decoded v1 request through the request core and render
+    /// its reply (trace id attached when tracing). `server.request_ns`
+    /// measures processing time only: the decode on the reactor, up to
+    /// `queued`, and the run and render here.
+    fn run_v1(
+        &self,
+        decoded: &Decoded,
+        arrived: Instant,
+        queued: Instant,
+        trace: &mut TraceCtx,
+        resident: Option<exec::Resident>,
+    ) -> Reply {
         let started = Instant::now();
-        let decoded = trace.time(Stage::Decode, || {
-            protocol::decode_line(protocol::trim_line(raw))
-        })?;
         let request = decoded.request.as_ref();
         let done = self
-            .exec_ctx(enqueued, trace)
-            .execute(request, decoded.deadline_ms);
+            .exec_ctx(arrived, trace)
+            .execute(request, decoded.deadline_ms, resident);
         let trace_id = trace.is_enabled().then(|| trace.id());
         let line = trace.time(Stage::Serialize, || {
             let mut line = protocol::render(&protocol::reply_value(request.ok(), &done.response));
@@ -431,12 +504,13 @@ impl Shared {
             }
             line
         });
-        telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
+        let processing = queued.duration_since(arrived) + started.elapsed();
+        telemetry::record_duration_ns("server.request_ns", processing.as_nanos() as u64);
         let (op, detail) = exec::describe(request.ok());
-        Some(Reply {
+        Reply {
             line,
             finish: self.trace_finish(trace, op, detail, done.status()),
-        })
+        }
     }
 
     // --- admin-plane probes (crate::admin) ------------------------------
@@ -610,6 +684,10 @@ impl Server {
     /// unsupported platform (the reactor needs epoll; Linux only).
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         telemetry::set_recording(true);
+        // Whether a request is answered on the reactor depends on timing
+        // (a pipelined warm request read before its cold predecessor
+        // finished is queued), so the counter exists from the start.
+        telemetry::counter_declare("server.request.inline");
         // The first clock read calibrates the TSC (a ~5 ms spin); pay it
         // here, not inside the first request's deadline.
         telemetry::clock::now_ns();
@@ -631,6 +709,8 @@ impl Server {
         let shared = Arc::new(Shared {
             engine: Arc::new(PowerEngine::new(config.engine)),
             default_floor: config.fidelity_floor,
+            dists: DistMemo::new(),
+            replies: ReplyMemo::default(),
             queue: Bounded::new(config.queue_depth),
             draining: AtomicBool::new(false),
             finished: AtomicBool::new(false),
@@ -896,20 +976,21 @@ fn run_worker(shared: &Arc<Shared>) {
         telemetry::gauge_set("server.queue.depth", shared.queue.len() as f64);
         let Job {
             out,
-            enqueued,
+            arrived,
+            queued,
             mut trace,
             work,
         } = job;
-        let waited_ns = enqueued.elapsed().as_nanos() as u64;
+        let waited_ns = queued.elapsed().as_nanos() as u64;
         telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
         trace.add(Stage::QueueWait, waited_ns);
         match work {
-            Work::V1 { seq, raw } => {
+            Work::V1 { seq, decoded } => {
                 // A dead connection gets no reply, but its sequencer
                 // still advances and the flight recorder still sees the
                 // drop.
                 let reply = if out.is_alive() {
-                    shared.run_v1(&raw, enqueued, &mut trace)
+                    Some(shared.run_v1(&decoded, arrived, queued, &mut trace, None))
                 } else {
                     if let Some(finish) =
                         shared.trace_finish(&trace, String::new(), String::new(), "dropped")
@@ -921,21 +1002,21 @@ fn run_worker(shared: &Arc<Shared>) {
                 out.submit_v1(seq, reply);
             }
             Work::V2 { data, frames } => {
-                run_batch(shared, &out, enqueued, &mut trace, &data, &frames);
+                run_batch(shared, &out, arrived, &mut trace, &data, &frames);
             }
         }
         out.finish_job();
     }
 }
 
-/// Execute one v2 batch: every frame in arrival order, replies encoded
-/// into one buffer and written with one send. Frames across batches
-/// (and connections) complete out of order; the ids sort it out client
-/// side.
+/// Execute one queued v2 batch: every frame in arrival order, replies
+/// encoded into one buffer and written with one send. Frames across
+/// batches (and connections) complete out of order; the ids sort it out
+/// client side.
 fn run_batch(
     shared: &Shared,
     out: &ConnOut,
-    enqueued: Instant,
+    arrived: Instant,
     trace: &mut TraceCtx,
     data: &[u8],
     frames: &[FrameRef],
@@ -950,10 +1031,17 @@ fn run_batch(
     let started = Instant::now();
     let mut replies: Vec<u8> =
         Vec::with_capacity(frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
-    let mut ctx = shared.exec_ctx(enqueued, trace);
+    let mut ctx = shared.exec_ctx(arrived, trace);
     for frame in frames {
         let payload = &data[frame.payload.0..frame.payload.1];
-        execute_frame(&mut ctx, frame, payload, &mut replies);
+        answer_frame(
+            &mut ctx,
+            &shared.replies,
+            frame,
+            payload,
+            &mut replies,
+            false,
+        );
     }
     telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
     let finish = shared.trace_finish(trace, op, detail, "ok");
@@ -963,23 +1051,26 @@ fn run_batch(
     }
 }
 
-/// Execute one v2 frame through the request core and append its reply
-/// frame to `replies`. Deadline semantics (docs/protocol.md) are the
-/// core's: the tighter of the frame's `deadline_ms` and the server
-/// deadline, counted from the moment the batch was read off the socket;
-/// a frame past it answers `timeout` without running, one that expires
-/// while running is answered in full with [`wire::FLAG_LATE`].
-fn execute_frame(ctx: &mut ExecCtx<'_>, frame: &FrameRef, payload: &[u8], replies: &mut Vec<u8>) {
+/// Answer one v2 frame through the request core, appending its reply
+/// frame to `replies`. On the reactor (`inline`), only frames whose
+/// inputs are all in memory are answered — reply-memo hits and resident
+/// estimates; any other returns `false` with nothing written, for the
+/// queue. Deadline semantics (docs/protocol.md) are the core's: the
+/// tighter of the frame's `deadline_ms` and the server deadline, counted
+/// from the moment the burst was read off the socket; a frame past it
+/// answers `timeout` without running, one that expires while running is
+/// answered in full with [`wire::FLAG_LATE`].
+fn answer_frame(
+    ctx: &mut ExecCtx<'_>,
+    memo: &ReplyMemo,
+    frame: &FrameRef,
+    payload: &[u8],
+    replies: &mut Vec<u8>,
+    inline: bool,
+) -> bool {
     let deadline_ms = (frame.deadline_ms > 0).then_some(u64::from(frame.deadline_ms));
-    // Per-thread reply memo: a warm v2 estimate is dominated by
-    // re-rendering an identical answer, so identical request payloads
-    // (the monitoring / design-sweep steady state) short-circuit to the
-    // cached reply bytes with the source rewritten to `memo`. Safe
-    // because estimates are pure functions of the request payload —
-    // characterization is deterministic, so even a re-characterized
-    // model yields the same numbers. Checked before decode.
     let key = memo_key(frame.op, payload);
-    if let Some(hit) = key.and_then(|key| MEMO.with(|memo| memo.borrow().get(&key).copied())) {
+    if let Some(hit) = key.and_then(|key| memo.get(&key)) {
         let (result, late) = ctx.guarded(deadline_ms, |_| {
             telemetry::counter_add("server.memo.hit", 1);
             Ok(())
@@ -990,14 +1081,26 @@ fn execute_frame(ctx: &mut ExecCtx<'_>, frame: &FrameRef, payload: &[u8], replie
             Err((kind, message)) => (wire::status_of(*kind), message.as_bytes()),
         };
         wire::encode_frame(replies, frame.id, status, flags, payload);
-        return;
+        return true;
+    }
+    // Only an estimate can be answered inline; leave the rest undecoded.
+    if inline && key.is_none() {
+        return false;
     }
     let request = wire::decode_request(frame.op, payload);
-    let done = ctx.execute(request.as_ref(), deadline_ms);
+    let resident = if inline {
+        let Some(resident) = request.as_ref().ok().and_then(|r| ctx.resident(r)) else {
+            return false;
+        };
+        Some(resident)
+    } else {
+        None
+    };
+    let done = ctx.execute(request.as_ref(), deadline_ms, resident);
     let start = replies.len();
     wire::encode_reply(replies, frame.id, done.late, &done.response);
     let (Some(key), Response::Estimate(answer)) = (key, &done.response) else {
-        return;
+        return true;
     };
     telemetry::counter_add("server.memo.miss", 1);
     // Only full-fidelity replies are memoizable: a tier-A/B answer for
@@ -1007,24 +1110,39 @@ fn execute_frame(ctx: &mut ExecCtx<'_>, frame: &FrameRef, payload: &[u8], replie
         let mut memoized = [0u8; wire::ESTIMATE_REPLY_LEN];
         memoized.copy_from_slice(&replies[start + wire::HEADER_LEN..]);
         memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
-        MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            // Blunt bound, like the distribution memo: distinct estimate
-            // payloads are rare (catalogue × widths × data types).
-            if memo.len() >= 4096 {
-                memo.clear();
-            }
-            memo.insert(key, memoized);
-        });
+        memo.insert(key, memoized);
     }
+    true
 }
 
 type MemoKey = [u8; wire::ESTIMATE_REQ_LEN];
+type MemoReply = [u8; wire::ESTIMATE_REPLY_LEN];
 
-thread_local! {
-    /// The per-worker v2 estimate-reply memo, keyed on raw payload bytes.
-    static MEMO: RefCell<HashMap<MemoKey, [u8; wire::ESTIMATE_REPLY_LEN]>> =
-        RefCell::new(HashMap::new());
+/// The v2 estimate-reply memo of one server, keyed on raw payload bytes
+/// and shared by its reactors and workers. A warm v2 estimate is
+/// dominated by re-rendering an identical answer, so identical request
+/// payloads (the monitoring / design-sweep steady state) short-circuit
+/// to the cached reply bytes with the source rewritten to `memo`. Safe
+/// because estimates are pure functions of the request payload —
+/// characterization is deterministic, so even a re-characterized model
+/// yields the same numbers. Checked before decode.
+#[derive(Default)]
+struct ReplyMemo(Mutex<HashMap<MemoKey, MemoReply>>);
+
+impl ReplyMemo {
+    fn get(&self, key: &MemoKey) -> Option<MemoReply> {
+        self.0.lock().expect("reply memo").get(key).copied()
+    }
+
+    fn insert(&self, key: MemoKey, reply: MemoReply) {
+        let mut memo = self.0.lock().expect("reply memo");
+        // Blunt bound: distinct estimate payloads are rare (catalogue ×
+        // widths × data types).
+        if memo.len() >= 4096 {
+            memo.clear();
+        }
+        memo.insert(key, reply);
+    }
 }
 
 /// The memo key of an estimate frame's payload. Legacy 18-byte payloads

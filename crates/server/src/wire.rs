@@ -135,9 +135,9 @@ pub fn kind_of(status: u8) -> Option<ErrorKind> {
 }
 
 /// Wire code of a model source (reply payloads). `5` marks a reply
-/// served from the server's per-thread reply memo — indistinguishable
-/// from a memory hit in content, distinguishable on the wire so
-/// benchmarks and tests can see the cache tier.
+/// served from the server's reply memo — indistinguishable from a
+/// memory hit in content, distinguishable on the wire so benchmarks and
+/// tests can see the cache tier.
 pub fn source_code(source: CacheSource) -> u8 {
     match source {
         CacheSource::Memory => 1,
@@ -149,7 +149,7 @@ pub fn source_code(source: CacheSource) -> u8 {
     }
 }
 
-/// Source code of a reply served from the per-thread reply memo.
+/// Source code of a reply served from the server's reply memo.
 pub const SOURCE_MEMO: u8 = 5;
 
 /// The v1 source strings, at their reply source code minus one.

@@ -1,21 +1,44 @@
-//! The per-worker input-distribution memo vs its telemetry: hits, misses
+//! The per-server input-distribution memo vs its telemetry: hits, misses
 //! and evictions counted while real v1 requests flow through the reactor
 //! pool. Regression coverage for the §5 fix where a full memo was wiped
 //! (`clear()`) instead of evicting the one least-recently-used entry —
 //! the warm working set must survive the 129th distinct key.
 //!
-//! One worker, so every request lands on the same thread-local memo.
+//! The memo is shared by the server's reactors and workers, so a key is
+//! built once per server however many workers and connections ask for
+//! it. The metrics registry is process-global, so the tests serialize on
+//! one lock and reset it first.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_server::{Server, ServerConfig};
 use hdpm_telemetry as telemetry;
 
-/// The memo bound in `protocol::input_distribution`.
+/// The memo bound of `exec::DistMemo`.
 const CACHE_CAPACITY: usize = 128;
+
+static GLOBAL_STATE: Mutex<()> = Mutex::new(());
+
+fn fresh_state() -> std::sync::MutexGuard<'static, ()> {
+    let guard = GLOBAL_STATE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    telemetry::reset();
+    guard
+}
+
+fn connect(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
 
 fn quick_engine() -> EngineOptions {
     EngineOptions {
@@ -48,7 +71,7 @@ fn estimate(cycles: usize) -> String {
 
 #[test]
 fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
-    telemetry::reset();
+    let _state = fresh_state();
     let server = Server::start(
         ServerConfig::builder()
             .workers(1)
@@ -58,11 +81,7 @@ fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
             .unwrap(),
     )
     .expect("start");
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (stream, mut reader) = connect(&server);
     let mut exchange = |line: &str| -> String {
         let mut stream = &stream;
         stream.write_all(line.as_bytes()).expect("send");
@@ -113,5 +132,50 @@ fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
         2 + CACHE_CAPACITY as u64
     );
 
+    server.shutdown();
+}
+
+/// One memo per server: with two workers and two connections, K
+/// identical estimates build the distribution once. Per-worker memos
+/// would miss once on each worker that took one.
+#[test]
+fn identical_estimates_across_workers_and_connections_miss_once() {
+    let _state = fresh_state();
+    let server = Server::start(
+        ServerConfig::builder()
+            .workers(2)
+            .no_deadline()
+            .engine(quick_engine())
+            .build()
+            .unwrap(),
+    )
+    .expect("start");
+    let mut connections = [connect(&server), connect(&server)];
+    let line = format!("{}\n", estimate(64));
+    let read_reply = |reader: &mut BufReader<TcpStream>| {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+    };
+    // The first request builds the distribution; two workers missing the
+    // same cold key at the same moment would both build it.
+    let (stream, reader) = &mut connections[0];
+    stream.write_all(line.as_bytes()).expect("send");
+    read_reply(reader);
+    // The rest arrive pipelined on both connections at once.
+    const PER_CONNECTION: usize = 20;
+    for (stream, _) in &mut connections {
+        stream
+            .write_all(line.repeat(PER_CONNECTION).as_bytes())
+            .expect("send");
+    }
+    for (_, reader) in &mut connections {
+        for _ in 0..PER_CONNECTION {
+            read_reply(reader);
+        }
+    }
+    let k = 1 + 2 * PER_CONNECTION as u64;
+    assert_eq!(counter("protocol.dist_cache.miss"), 1);
+    assert_eq!(counter("protocol.dist_cache.hit"), k - 1);
     server.shutdown();
 }

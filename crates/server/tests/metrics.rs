@@ -218,3 +218,65 @@ fn timeout_counter_matches_timeout_replies_on_the_wire() {
     let report = server.shutdown();
     assert_eq!(report.timeouts, timeouts);
 }
+
+/// Requests answered on the reactor are counted per request by
+/// `server.request.inline`, and only those record no queue wait. A
+/// capacity-1 engine evicts a model between requests: that key's next
+/// estimate goes to the queue and is answered correctly by a worker.
+#[test]
+fn inline_counter_covers_resident_estimates_and_not_evicted_ones() {
+    let _state = fresh_state();
+    let server = Server::start(
+        ServerConfig::builder()
+            .workers(1)
+            .no_deadline()
+            .engine(EngineOptions {
+                config: CharacterizationConfig::builder()
+                    .max_patterns(1500)
+                    .build()
+                    .unwrap(),
+                capacity: 1,
+                ..slow_engine()
+            })
+            .build()
+            .unwrap(),
+    )
+    .expect("start");
+    let mut client = client::Client::connect(server.local_addr(), Proto::V1).expect("connect");
+    let estimate = |width: usize| Request::Estimate {
+        spec: ModuleSpec::new(ModuleKind::RippleAdder, width),
+        data: hdpm_server::protocol::data_type("counter").expect("known type"),
+        cycles: 64,
+        seed: 7,
+        floor: None,
+    };
+    let mut call = |request: &Request| match client.call(request, None).expect("reply").response {
+        Response::Estimate(e) => e,
+        other => panic!("unexpected reply {other:?}"),
+    };
+    let waits = || {
+        telemetry::snapshot()
+            .histograms
+            .get("server.queue.wait_ns")
+            .map_or(0, |h| h.count)
+    };
+
+    let cold = call(&estimate(4));
+    assert_eq!(cold.source, "fresh");
+    assert_eq!((counter("server.request.inline"), waits()), (0, 1));
+
+    let warm = call(&estimate(4));
+    assert_eq!(warm.source, "memory");
+    assert_eq!(warm.charge_per_cycle, cold.charge_per_cycle);
+    assert_eq!((counter("server.request.inline"), waits()), (1, 1));
+
+    // Width 5 takes the only slot; width 4's distribution stays memoized
+    // but its model is gone, so its estimate is not inline.
+    call(&estimate(5));
+    let evicted = call(&estimate(4));
+    assert_eq!(evicted.source, "fresh", "re-characterized by a worker");
+    assert_eq!(evicted.charge_per_cycle, cold.charge_per_cycle);
+    assert_eq!((counter("server.request.inline"), waits()), (1, 3));
+    assert_eq!(counter("protocol.dist_cache.miss"), 2);
+    server.shutdown();
+}

@@ -56,9 +56,9 @@ fn estimate(width: usize) -> Request {
 
 #[test]
 fn v2_round_trips_every_opcode() {
-    // One worker: the reply memo is per-worker thread state, so the
-    // repeated estimate below must land on the worker that cached it.
-    let server = Server::start(quick_config().workers(1).build().unwrap()).expect("start");
+    // The reply memo is the server's, shared by every worker and
+    // reactor, so the repeated estimate below hits it wherever it runs.
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
     let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
 
     let reply = client.call(&Request::Ping, None).expect("ping");
@@ -92,7 +92,7 @@ fn v2_round_trips_every_opcode() {
         other => panic!("unexpected reply {other:?}"),
     }
 
-    // A repeated estimate short-circuits through the per-worker reply
+    // A repeated estimate short-circuits through the server's reply
     // memo, labeled as such.
     let reply = client.call(&estimate(6), None).expect("estimate");
     match reply.response {
@@ -338,6 +338,47 @@ fn v2_replies_complete_out_of_order_past_a_slow_request() {
         "pings overtake the slow characterization: {order:?}"
     );
     assert_eq!(order[3], slow_id, "slow reply still arrives: {order:?}");
+    server.shutdown();
+}
+
+/// A reactor answers a warm estimate itself: pipelined behind a cold
+/// characterization on a one-worker server, whose only worker is busy
+/// with that characterization, the estimate's reply still comes first.
+#[test]
+fn v2_warm_estimate_is_answered_inline_past_a_cold_characterize() {
+    let server = Server::start(
+        quick_config()
+            .workers(1)
+            .engine(slow_engine())
+            .build()
+            .unwrap(),
+    )
+    .expect("start");
+    // Warm over v1: the model and the distribution memo are the
+    // server's, so a v2 frame sees what a v1 request left there, while
+    // the v2 reply memo stays empty and the resident-model path answers.
+    let mut v1 = Client::connect(server.local_addr(), Proto::V1).expect("connect v1");
+    v1.call(&estimate(4), None).expect("warm-up");
+    let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    let cold_id = client
+        .send(
+            &Request::Characterize {
+                spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8usize),
+            },
+            None,
+        )
+        .expect("send cold");
+    let warm_id = client.send(&estimate(4), None).expect("send warm");
+    client.flush().expect("flush");
+    let first = client.recv().expect("reply");
+    assert_eq!(first.id, warm_id, "the warm estimate answers first");
+    match first.response {
+        Response::Estimate(e) => assert_eq!(e.source, "memory"),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    let second = client.recv().expect("reply");
+    assert_eq!(second.id, cold_id);
+    assert!(matches!(second.response, Response::Characterize(_)));
     server.shutdown();
 }
 

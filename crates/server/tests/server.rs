@@ -334,6 +334,35 @@ fn replies_arrive_in_request_order_despite_the_worker_pool() {
     server.shutdown();
 }
 
+/// A reactor answers a warm estimate itself, at once, but the v1
+/// sequencer still holds its reply until the cold estimate ahead of it
+/// on the connection has been answered by a worker.
+#[test]
+fn pipelined_cold_then_warm_estimates_reply_in_request_order() {
+    let server = Server::start(quick_config().workers(1).build().unwrap()).expect("start");
+    let warm =
+        "{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":4,\"data\":\"counter\",\"cycles\":64}";
+    let cold =
+        "{\"op\":\"estimate\",\"module\":\"csa_multiplier\",\"width\":8,\"data\":\"counter\",\"cycles\":64}";
+    let mut client = Client::connect(&server);
+    // Model resident and distribution memoized: the next one is inline.
+    let first = client.round_trip(warm);
+    assert!(first.contains("\"ok\":true"), "{first}");
+    client.send(cold);
+    client.send(warm);
+    let replies = [client.recv().expect("reply"), client.recv().expect("reply")];
+    assert!(
+        replies[0].contains("\"module\":\"csa_multiplier_8\""),
+        "the cold estimate answers first: {replies:?}"
+    );
+    assert!(
+        replies[1].contains("\"module\":\"ripple_adder_4\"")
+            && replies[1].contains("\"source\":\"memory\""),
+        "then the warm one: {replies:?}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn connection_limit_rejects_with_overloaded() {
     let server = Server::start(quick_config().max_connections(1).build().unwrap()).expect("start");

@@ -41,9 +41,9 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 pub use manifest::RunManifest;
 pub use metrics::{
-    counter_add, counter_add_labeled, gauge_add, gauge_set, gauge_set_labeled, metric_key,
-    record_duration_ns, record_duration_ns_labeled, record_durations_ns, reset, set_recording,
-    snapshot, Histogram, HistogramSummary, MetricsSnapshot,
+    counter_add, counter_add_labeled, counter_declare, gauge_add, gauge_set, gauge_set_labeled,
+    metric_key, record_duration_ns, record_duration_ns_labeled, record_durations_ns, reset,
+    set_recording, snapshot, Histogram, HistogramSummary, MetricsSnapshot,
 };
 pub use span::{span, Span};
 pub use trace::{FlightRecorder, Stage, TraceCtx, TraceRecord};

@@ -343,6 +343,20 @@ pub fn counter_add_labeled(name: &str, labels: &[(&str, &str)], delta: u64) {
     *shard.counters.entry(key).or_insert(0) += delta;
 }
 
+/// Create the named counter at zero unless it exists, so it is exported
+/// before its first increment — for a counter whose first increment
+/// depends on timing, which would otherwise make the set of exported
+/// series depend on it too. No-op when disabled.
+pub fn counter_declare(name: &str) {
+    if !should_record() {
+        return;
+    }
+    let mut shard = lock(&registry().shards[thread_shard()]);
+    if !shard.counters.contains_key(name) {
+        shard.counters.insert(name.to_string(), 0);
+    }
+}
+
 /// Set the named gauge to `value`. No-op when disabled.
 pub fn gauge_set(name: &str, value: f64) {
     gauge_set_labeled(name, &[], value);
