@@ -43,7 +43,7 @@ use hdpm_telemetry as telemetry;
 use hdpm_telemetry::{Stage, TraceCtx};
 use serde::Serialize;
 
-use crate::cache::{LruCache, ModelKey};
+use crate::cache::{config_fingerprint, LruCache, ModelKey};
 use crate::characterize::{characterize_sharded, Characterization, CharacterizationConfig};
 use crate::error::ModelError;
 use crate::fidelity::{self, Fidelity};
@@ -357,6 +357,9 @@ pub struct PowerEngine {
     options: EngineOptions,
     /// `options.sharding` with `None` resolved to the sequential shape.
     sharding: ShardingConfig,
+    /// [`crate::config_fingerprint`] of `options.config`, computed once:
+    /// every [`ModelKey`] this engine builds carries it.
+    config_hash: u64,
     library: Option<ModelLibrary>,
     inner: Mutex<EngineInner>,
     disk_hits: AtomicU64,
@@ -402,6 +405,7 @@ impl PowerEngine {
         let capacity = options.capacity.max(1);
         PowerEngine {
             sharding,
+            config_hash: config_fingerprint(&options.config),
             library,
             inner: Mutex::new(EngineInner {
                 cache: LruCache::new(capacity),
@@ -441,9 +445,15 @@ impl PowerEngine {
         &self.options
     }
 
-    /// The cache key a spec maps to under this engine's configuration.
+    /// The cache key a spec maps to under this engine's configuration:
+    /// equal to [`ModelKey::new`] for the engine's config and shard
+    /// count, built from the fingerprint taken at construction.
     pub fn key_for(&self, spec: ModuleSpec) -> ModelKey {
-        ModelKey::new(spec, &self.options.config, self.sharding.shards)
+        ModelKey {
+            spec,
+            config_hash: self.config_hash,
+            shards: self.sharding.shards,
+        }
     }
 
     /// Fetch the characterization of `spec`, reporting which tier served

@@ -9,7 +9,7 @@ use std::time::Duration;
 use hdpm_netlist::ModuleSpec;
 use hdpm_telemetry as telemetry;
 
-use crate::cache::ModelKey;
+use crate::cache::{config_fingerprint, ModelKey};
 use crate::characterize::{characterize_sharded, Characterization, CharacterizationConfig};
 use crate::error::ModelError;
 use crate::persist::{self, EnvelopeMeta};
@@ -80,6 +80,9 @@ pub enum LibrarySource {
 pub struct ModelLibrary {
     root: PathBuf,
     config: CharacterizationConfig,
+    /// [`crate::config_fingerprint`] of `config`, computed once: every
+    /// key, artifact path and expected envelope identity carries it.
+    config_hash: u64,
     sharding: ShardingConfig,
     policy: CorruptArtifactPolicy,
     lock_timeout: Duration,
@@ -105,6 +108,7 @@ impl ModelLibrary {
     ) -> Self {
         ModelLibrary {
             root: root.into(),
+            config_hash: config_fingerprint(&config),
             config,
             sharding,
             policy: CorruptArtifactPolicy::default(),
@@ -133,7 +137,11 @@ impl ModelLibrary {
     /// The cache key a spec maps to: identical to the one
     /// [`crate::PowerEngine`] computes for the same options.
     pub fn key_for(&self, spec: ModuleSpec) -> ModelKey {
-        ModelKey::new(spec, &self.config, self.sharding.shards)
+        ModelKey {
+            spec,
+            config_hash: self.config_hash,
+            shards: self.sharding.shards,
+        }
     }
 
     /// The artifact path a spec maps to: the [`ModelKey`] file name under
@@ -275,8 +283,10 @@ impl ModelLibrary {
         let Ok(entries) = std::fs::read_dir(&self.root) else {
             return Vec::new();
         };
-        let fingerprint = crate::cache::config_fingerprint(&self.config);
-        let suffix = format!("_cfg{fingerprint:016x}_sh{}.json", self.sharding.shards);
+        let suffix = format!(
+            "_cfg{:016x}_sh{}.json",
+            self.config_hash, self.sharding.shards
+        );
         let mut specs: Vec<ModuleSpec> = entries
             .flatten()
             .filter_map(|entry| {

@@ -23,7 +23,7 @@
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use hdpm_core::persist::{self, EnvelopeMeta};
@@ -349,7 +349,15 @@ fn dist_key(spec: ModuleSpec, data: DataType, cycles: u32, seed: u64) -> DistKey
 /// identical warm `estimate` requests (the common monitoring workload)
 /// cost a lookup instead of a rebuild, and the 129th distinct key evicts
 /// one cold entry instead of the warm set.
-pub(crate) struct DistMemo(Mutex<LruCache<DistKey, Arc<HdDistribution>>>);
+///
+/// Builds are single-flight per key: the first caller to miss inserts an
+/// empty slot under the memo lock and fills it outside the lock, and a
+/// caller that finds the slot still empty waits on it instead of
+/// building the same distribution a second time.
+pub(crate) struct DistMemo(Mutex<LruCache<DistKey, Arc<DistSlot>>>);
+
+/// One memo entry: empty while its first caller builds it.
+type DistSlot = OnceLock<Arc<HdDistribution>>;
 
 impl DistMemo {
     /// Entries kept before the least recently used one is evicted.
@@ -359,40 +367,59 @@ impl DistMemo {
         DistMemo(Mutex::new(LruCache::new(Self::CAPACITY)))
     }
 
-    /// The memoized distribution, touched as most recently used; counts
-    /// nothing, so a lookup that the caller abandons leaves the hit and
-    /// miss counters to the one that follows.
+    /// The memoized distribution, touched as most recently used; `None`
+    /// while absent or still being built, so the caller never waits.
+    /// Counts nothing, so a lookup that the caller abandons leaves the
+    /// hit and miss counters to the one that follows.
     fn peek(&self, key: &DistKey) -> Option<Arc<HdDistribution>> {
-        self.0.lock().expect("dist memo").get(key).map(Arc::clone)
+        let memo = &mut *self.0.lock().expect("dist memo");
+        memo.get(key)?.get().map(Arc::clone)
     }
 
     /// The memoized distribution, or a fresh one — the named operand
     /// streams generated, a region model fitted per operand, the two
-    /// convolved — built with no lock held and then memoized. Two
-    /// callers that miss the same key at once both build it.
+    /// convolved — built with no lock held. Of the callers that miss one
+    /// key at once, one builds and counts the miss; the rest wait for
+    /// its result and count hits.
     fn get_or_build(&self, key: DistKey) -> Arc<HdDistribution> {
-        if let Some(dist) = self.peek(&key) {
+        let slot = {
+            let memo = &mut *self.0.lock().expect("dist memo");
+            match memo.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::new(DistSlot::new());
+                    if memo.insert(key, Arc::clone(&slot)).is_some() {
+                        telemetry::counter_add("protocol.dist_cache.evict", 1);
+                    }
+                    slot
+                }
+            }
+        };
+        let mut built = false;
+        let dist = slot.get_or_init(|| {
+            built = true;
+            build_distribution(key)
+        });
+        if built {
+            telemetry::counter_add("protocol.dist_cache.miss", 1);
+        } else {
             telemetry::counter_add("protocol.dist_cache.hit", 1);
-            return dist;
         }
-        telemetry::counter_add("protocol.dist_cache.miss", 1);
-        let (data, operands, m1, cycles, seed) = key;
-        let streams = data.generate_operands(operands, m1, cycles as usize, seed);
-        let dists: Vec<HdDistribution> = streams
-            .iter()
-            .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
-            .collect();
-        let dist = Arc::new(HdDistribution::convolve_all(&dists));
-        let evicted = self
-            .0
-            .lock()
-            .expect("dist memo")
-            .insert(key, Arc::clone(&dist));
-        if evicted.is_some() {
-            telemetry::counter_add("protocol.dist_cache.evict", 1);
-        }
-        dist
+        Arc::clone(dist)
     }
+}
+
+/// The analytic input distribution of a memo key: the named operand
+/// streams generated, a region model fitted per operand, the two
+/// convolved.
+fn build_distribution(key: DistKey) -> Arc<HdDistribution> {
+    let (data, operands, m1, cycles, seed) = key;
+    let streams = data.generate_operands(operands, m1, cycles as usize, seed);
+    let dists: Vec<HdDistribution> = streams
+        .iter()
+        .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
+        .collect();
+    Arc::new(HdDistribution::convolve_all(&dists))
 }
 
 /// A request's op name and `module/width` detail, for trace records and
@@ -540,5 +567,30 @@ mod tests {
         assert!(!timed_out.late);
         let report = totals.report();
         assert_eq!((report.ok, report.errors, report.timeouts), (1, 0, 1));
+    }
+
+    /// Callers that miss one cold key together share one build: every
+    /// one of them gets the very same `Arc`, and `peek` finds it after.
+    #[test]
+    fn concurrent_misses_on_one_key_share_one_build() {
+        let dists = DistMemo::new();
+        let spec = ModuleSpec::new(hdpm_netlist::ModuleKind::RippleAdder, 8);
+        let key = dist_key(spec, DataType::Music, 2000, 7);
+        let start = std::sync::Barrier::new(4);
+        let built: Vec<Arc<HdDistribution>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        dists.get_or_build(key)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for dist in &built[1..] {
+            assert!(Arc::ptr_eq(dist, &built[0]), "one build per key");
+        }
+        assert!(Arc::ptr_eq(&dists.peek(&key).unwrap(), &built[0]));
     }
 }

@@ -135,9 +135,11 @@ fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
     server.shutdown();
 }
 
-/// One memo per server: with two workers and two connections, K
-/// identical estimates build the distribution once. Per-worker memos
-/// would miss once on each worker that took one.
+/// One memo per server, single-flight per key: with two workers and two
+/// connections, K identical estimates on a cold key build the
+/// distribution once. Per-worker memos would miss once on each worker
+/// that took one, and a memo without single flight once on each worker
+/// that missed the cold key at the same moment.
 #[test]
 fn identical_estimates_across_workers_and_connections_miss_once() {
     let _state = fresh_state();
@@ -157,12 +159,9 @@ fn identical_estimates_across_workers_and_connections_miss_once() {
         reader.read_line(&mut reply).expect("reply");
         assert!(reply.contains("\"ok\":true"), "{reply}");
     };
-    // The first request builds the distribution; two workers missing the
-    // same cold key at the same moment would both build it.
-    let (stream, reader) = &mut connections[0];
-    stream.write_all(line.as_bytes()).expect("send");
-    read_reply(reader);
-    // The rest arrive pipelined on both connections at once.
+    // Every request arrives pipelined on both connections at once, the
+    // first ones on a cold key: the two workers can miss it at the same
+    // moment, and the memo still builds it once.
     const PER_CONNECTION: usize = 20;
     for (stream, _) in &mut connections {
         stream
@@ -174,7 +173,7 @@ fn identical_estimates_across_workers_and_connections_miss_once() {
             read_reply(reader);
         }
     }
-    let k = 1 + 2 * PER_CONNECTION as u64;
+    let k = 2 * PER_CONNECTION as u64;
     assert_eq!(counter("protocol.dist_cache.miss"), 1);
     assert_eq!(counter("protocol.dist_cache.hit"), k - 1);
     server.shutdown();
