@@ -1,6 +1,6 @@
 //! On-line LMS coefficient adaptation.
 //!
-//! §4.2 of the paper proposes "coefficient adaptation techniques [4]"
+//! §4.2 of the paper proposes "coefficient adaptation techniques \[4\]"
 //! (Bogliolo, Benini, De Micheli: *Adaptive Least Mean Square Behavioral
 //! Power Modeling*) for input statistics that differ strongly from the
 //! characterization stream. This module implements that extension: each

@@ -1,7 +1,7 @@
 //! Bitwise regression power model — a literature baseline to contrast with
 //! the Hd model.
 //!
-//! Overview papers on macro-modeling (ref [1] of the paper) describe
+//! Overview papers on macro-modeling (ref \[1\] of the paper) describe
 //! input-sensitive models of the form `Q[j] ≈ w₀ + Σ_i w_i·δ_i[j]`, where
 //! `δ_i` flags a toggle of input bit `i` and the weights come from a
 //! least-squares fit. Unlike the Hd model it distinguishes *which* bit

@@ -352,7 +352,7 @@ type UpgradeHook = Arc<dyn Fn(&PowerEngine, ModuleSpec) + Send + Sync>;
 
 /// The long-lived estimation facade: a thread-safe, two-tier
 /// content-addressed cache of characterized models with single-flight
-/// miss handling. See the [module docs](self) for the full contract.
+/// miss handling. `docs/engine.md` states the full contract.
 pub struct PowerEngine {
     options: EngineOptions,
     /// `options.sharding` with `None` resolved to the sequential shape.

@@ -10,7 +10,7 @@
 //!   reference simulator, with convergence detection (eq. 4/5): one
 //!   driver, [`characterize_with_backend`], whose [`ShardingConfig`]
 //!   picks the sequential reference stream (`shards: 0`, shorthand
-//!   [`characterize`]) or a thread-count-invariant sharded-parallel run
+//!   [`characterize()`]) or a thread-count-invariant sharded-parallel run
 //!   ([`characterize_sharded`]);
 //! * **bit-width parameterization** by complexity-feature regression
 //!   (eq. 6–10): [`ParameterizableModel`];

@@ -32,7 +32,7 @@
 //!
 //! # Fault injection
 //!
-//! The [`fault`] module exposes a **test-only**, thread-local hook that
+//! The `fault` module exposes a **test-only**, thread-local hook that
 //! corrupts the next atomic write on the calling thread (truncation, bit
 //! flip, simulated crash, rename failure). The crash-consistency suite
 //! uses it to prove the load path classifies every corruption instead of

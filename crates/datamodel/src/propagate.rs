@@ -1,6 +1,6 @@
 //! Word-level statistics propagation through a dataflow graph.
 //!
-//! Landman [9] and Ramprasad et al. [10] showed that the word-level
+//! Landman \[9\] and Ramprasad et al. \[10\] showed that the word-level
 //! parameters (µ, σ², ρ) can be propagated through typical DSP operators
 //! without simulation, which is what makes the macro-model usable for
 //! *fast* architectural power estimation (§6). This module implements the

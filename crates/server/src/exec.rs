@@ -1,24 +1,25 @@
 //! The request core: one executor behind both codecs and every
 //! transport.
 //!
-//! The v1 worker, the v2 batch loop and the `hdpm serve` stdio loop all
-//! decode into the typed [`Request`] and hand it to
-//! [`ExecCtx::execute`], which owns every request-level policy: the
-//! deadline (one limit rule, one message), the default fidelity floor,
-//! cluster routing after every field has resolved, the
-//! ok/error/timeout totals and counters, and the per-stage trace. Only
-//! the framing around it differs: the codecs turn bytes into requests
-//! and responses back into bytes. The cluster peer ops (v2-only) are
-//! requests like any other and are answered here too.
+//! The TCP server's one request pipeline (`crate::server`) and the
+//! `hdpm serve` stdio loop decode v1 lines and v2 frames into the typed
+//! [`Request`] and hand it to [`ExecCtx::execute`], which owns every
+//! request-level policy: the deadline (one limit rule, one message), the
+//! default fidelity floor, cluster routing after every field has
+//! resolved, the ok/error/timeout totals and counters, and the
+//! per-stage trace. Only the framing around it differs: the codecs turn
+//! bytes into requests and responses back into bytes. The cluster peer
+//! ops (v2-only) are requests like any other and are answered here too.
 //!
 //! Error precedence, the same on both protocols: `malformed` /
 //! `invalid_utf8` (v1 framing) first, then `timeout`, then
 //! `bad_request`, then `engine`.
 //!
-//! The TCP server runs requests in two places. A reactor answers an
-//! estimate itself when [`ExecCtx::resident`] finds every input already
-//! in memory; everything else goes through the queue to a worker. Both
-//! call [`ExecCtx::execute`], so the policies above hold on either path.
+//! The TCP server runs requests in two places, whatever the protocol. A
+//! reactor answers an estimate itself when [`ExecCtx::resident`] finds
+//! every input already in memory; everything else goes through the queue
+//! to a worker. Both call [`ExecCtx::execute`], so the policies above
+//! hold on either path.
 
 use std::io;
 use std::path::Path;

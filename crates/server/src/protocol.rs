@@ -363,6 +363,23 @@ pub fn reply_value(request: Option<&Request>, response: &Response) -> Value {
     }
 }
 
+/// Append the reply line answering `request` with `response` to `out`:
+/// [`reply_value`] rendered, the trace id when one is given (the TCP
+/// server's, see [`append_trace_id`]), and the newline.
+pub(crate) fn encode_reply(
+    out: &mut Vec<u8>,
+    request: Option<&Request>,
+    response: &Response,
+    trace_id: Option<u64>,
+) {
+    let mut line = render(&reply_value(request, response));
+    if let Some(id) = trace_id {
+        append_trace_id(&mut line, id);
+    }
+    out.extend_from_slice(line.as_bytes());
+    out.push(b'\n');
+}
+
 fn ok_object<const N: usize>(op: &str, fields: [(&str, Value); N]) -> Value {
     let mut object = Vec::with_capacity(N + 2);
     object.push(("ok".into(), Value::Bool(true)));
@@ -517,6 +534,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
     let dists = DistMemo::new();
     let mut trace = TraceCtx::disabled();
     let mut raw = Vec::new();
+    let mut reply = Vec::new();
     loop {
         raw.clear();
         if input.read_until(b'\n', &mut raw)? == 0 {
@@ -527,9 +545,9 @@ pub fn serve_lines<R: BufRead, W: Write>(
         };
         let request = decoded.request.as_ref();
         let done = ExecCtx::stdio(engine, floor, &dists, &mut trace).execute(request, None, None);
-        let reply = render(&reply_value(request.ok(), &done.response));
-        output.write_all(reply.as_bytes())?;
-        output.write_all(b"\n")?;
+        reply.clear();
+        encode_reply(&mut reply, request.ok(), &done.response, None);
+        output.write_all(&reply)?;
         output.flush()?;
     }
 }

@@ -27,7 +27,8 @@ struct State<T> {
     closed: bool,
 }
 
-/// The bounded MPMC queue. See the [module docs](self).
+/// The bounded MPMC queue: [`Bounded::try_push`] never blocks,
+/// [`Bounded::pop`] blocks until an item arrives or the queue closes.
 pub struct Bounded<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,

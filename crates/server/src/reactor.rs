@@ -12,18 +12,18 @@
 //! * **negotiation** — the first byte of a connection picks the
 //!   protocol: `0x00` opens the v2 preamble ([`crate::wire::MAGIC`]),
 //!   anything else is a v1 JSON-lines client;
-//! * **framing and dispatch** — each v1 line is decoded here and either
-//!   answered here or queued as one job (preserving the per-line
-//!   shed/timeout semantics and the reply sequencer); v2 frames are read
-//!   in bursts of up to [`MAX_BATCH`], and the frames of a burst that
-//!   the reactor does not answer become one batch job, completed out of
-//!   order by the workers. The reactor answers only work whose inputs
-//!   are all in memory (see [`crate::server`]); nothing it runs can
-//!   block;
-//! * **write-side drainage** — replies are written opportunistically by
-//!   whichever thread produced them ([`ConnOut::send`]); only when the
-//!   socket would block does the reactor take over via `EPOLLOUT`,
-//!   enforcing the write timeout and the output-buffer cap;
+//! * **framing** — v1 bytes are cut into lines, each numbered in the
+//!   connection's reply sequence, and v2 bytes into frames, in bursts of
+//!   up to [`MAX_BATCH`]. Each line, or each burst, goes to the one
+//!   request pipeline ([`Shared::dispatch`], see [`crate::server`]),
+//!   which answers on this thread only what needs nothing but memory;
+//!   nothing a reactor runs can block;
+//! * **reply order and write-side drainage** — whichever thread answered
+//!   hands its replies to [`ConnOut::reply`]: v1 replies pass the
+//!   per-connection sequencer so they leave in request order, v2 replies
+//!   leave at once. Bytes are written opportunistically by that thread;
+//!   only when the socket would block does the reactor take over via
+//!   `EPOLLOUT`, enforcing the write timeout and the output-buffer cap;
 //! * **hygiene** — idle reaping, peer-close detection, and the
 //!   flush-then-close endgame after EOF or drain.
 //!
@@ -45,8 +45,9 @@ use std::time::{Duration, Instant};
 use hdpm_telemetry as telemetry;
 use poller::{Interest, Poller, Waker};
 
+use crate::client::Proto;
 use crate::protocol::ErrorKind;
-use crate::server::{FrameRef, Reply, Shared};
+use crate::server::{FrameRef, Shared, TraceFinish};
 use crate::wire;
 
 /// Token reserved for each reactor's waker.
@@ -131,9 +132,10 @@ struct OutBuf {
 struct V1State {
     /// Sequence number the wire is waiting for next.
     next: u64,
-    /// Completed replies with earlier gaps outstanding; `None` marks a
-    /// sequence slot owing no output.
-    pending: std::collections::BTreeMap<u64, Option<Reply>>,
+    /// Completed replies with earlier gaps outstanding, each with the
+    /// trace it files once written; empty bytes mark a slot owing no
+    /// output.
+    pending: std::collections::BTreeMap<u64, (Vec<u8>, Option<Box<TraceFinish>>)>,
 }
 
 /// The write side of a connection, shared between the owning reactor
@@ -276,10 +278,9 @@ impl ConnOut {
     }
 
     /// Append reply bytes and flush as far as the socket allows without
-    /// blocking. Called from worker threads, and from the reactor for
-    /// the requests it answers; when the socket pushes back, the owning
-    /// reactor takes over via [`Mail::WantWrite`].
-    pub(crate) fn send(&self, bytes: &[u8]) {
+    /// blocking, from whichever thread answered; when the socket pushes
+    /// back, the owning reactor takes over via [`Mail::WantWrite`].
+    fn send(&self, bytes: &[u8]) {
         if bytes.is_empty() || !self.is_alive() {
             return;
         }
@@ -307,79 +308,67 @@ impl ConnOut {
         }
     }
 
-    /// Hand in the v1 reply for sequence `seq` (`None` = no output
-    /// owed) and put every consecutively-ready reply on the wire, in
-    /// order, exactly as the historical per-connection sequencer did.
-    /// Trace bookkeeping runs after both locks are released.
-    pub(crate) fn submit_v1(&self, seq: u64, reply: Option<Reply>) {
-        let mut finishes: Vec<Box<crate::server::TraceFinish>> = Vec::new();
-        let mut wrote_any = false;
-        {
-            let mut v1 = self.v1.lock().expect("conn v1 lock");
+    /// Put one dispatch's or job's replies on the wire in the protocol's
+    /// reply order: v2 at once, v1 through the sequencer at slot `seq`,
+    /// together with every consecutively-ready later slot. Empty `bytes`
+    /// owe no output (a blank v1 line, a dropped job). Traces are filed
+    /// after the write, with both locks released.
+    pub(crate) fn reply(
+        &self,
+        proto: Proto,
+        seq: u64,
+        bytes: Vec<u8>,
+        finish: Option<Box<TraceFinish>>,
+    ) {
+        let mut finishes: Vec<Box<TraceFinish>> = Vec::new();
+        let mut wrote = false;
+        if proto == Proto::V2 {
+            wrote = !bytes.is_empty() && self.is_alive();
+            self.send(&bytes);
+            finishes.extend(finish);
+        } else {
+            let v1 = &mut *self.v1.lock().expect("conn v1 lock");
             if !self.is_alive() {
                 // Dead connection: advance the sequencer for form's sake
                 // and let the trace go unrecorded as a socket write.
-                if let Some(reply) = reply {
-                    if let Some(finish) = reply.finish {
-                        finishes.push(finish);
-                    }
-                }
                 v1.next = v1.next.max(seq + 1);
-                drop(v1);
-                for finish in finishes {
-                    finish.complete(false);
+                finishes.extend(finish);
+            } else {
+                v1.pending.insert(seq, (bytes, finish));
+                let mut ready: Vec<u8> = Vec::new();
+                while let Some((bytes, finish)) = v1.pending.remove(&v1.next) {
+                    v1.next += 1;
+                    if ready.is_empty() {
+                        ready = bytes;
+                    } else {
+                        ready.extend_from_slice(&bytes);
+                    }
+                    finishes.extend(finish);
                 }
-                return;
-            }
-            v1.pending.insert(seq, reply);
-            let mut bytes: Vec<u8> = Vec::new();
-            loop {
-                let next = v1.next;
-                let Some(ready) = v1.pending.remove(&next) else {
-                    break;
-                };
-                v1.next += 1;
-                let Some(reply) = ready else { continue };
-                bytes.extend_from_slice(reply.line.as_bytes());
-                bytes.push(b'\n');
-                if let Some(finish) = reply.finish {
-                    finishes.push(finish);
-                }
-            }
-            if !bytes.is_empty() {
-                wrote_any = true;
+                wrote = !ready.is_empty();
                 // v1 → out nested (the crate-wide lock order): the bytes
                 // of consecutive sequences reach the buffer in order even
                 // with workers racing on different sequences.
-                self.send(&bytes);
+                self.send(&ready);
             }
         }
         for finish in finishes {
-            finish.complete(wrote_any);
+            finish.complete(wrote);
         }
     }
-}
-
-/// Which protocol a connection speaks, decided by its first byte.
-enum Proto {
-    /// No bytes seen yet.
-    Negotiating,
-    /// JSON lines (the historical protocol).
-    V1,
-    /// Binary frames ([`crate::wire`]).
-    V2,
 }
 
 /// Read-side state of one connection, owned by its reactor.
 struct Conn {
     stream: Arc<TcpStream>,
     out: Arc<ConnOut>,
-    proto: Proto,
+    /// The protocol the first bytes chose; `None` while negotiating.
+    proto: Option<Proto>,
     /// Unconsumed input: a partial v1 line or v2 frame.
     rbuf: Vec<u8>,
     /// Bytes of `rbuf` already scanned for a v1 newline.
     scanned: usize,
-    /// v1 sequence allocator.
+    /// The v1 reply sequence number of the next line.
     next_seq: u64,
     last_activity: Instant,
     /// Currently registered epoll interest.
@@ -435,7 +424,7 @@ pub(crate) fn run_reactor(shared: &Arc<Shared>, handle: &Arc<ReactorHandle>, pol
                         Conn {
                             stream,
                             out,
-                            proto: Proto::Negotiating,
+                            proto: None,
                             rbuf: Vec::new(),
                             scanned: 0,
                             next_seq: 0,
@@ -625,11 +614,11 @@ fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> Rea
         match (&*conn.stream).read(scratch) {
             Ok(0) => {
                 // EOF. A final unterminated v1 line still gets a reply,
-                // matching the historical reader.
-                if matches!(conn.proto, Proto::V1 | Proto::Negotiating) && !conn.rbuf.is_empty() {
-                    let line = std::mem::take(&mut conn.rbuf);
-                    conn.scanned = 0;
-                    shared.dispatch_v1(&conn.out, &mut conn.next_seq, &line);
+                // matching the historical reader; a connection still
+                // negotiating (a v2 preamble cut short) closes with none.
+                if conn.proto == Some(Proto::V1) && !conn.rbuf.is_empty() {
+                    conn.rbuf.push(b'\n');
+                    parse_v1(shared, conn);
                 }
                 return ReadOutcome::Eof;
             }
@@ -650,31 +639,34 @@ fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> Rea
 /// Consume every complete line/frame in `conn.rbuf`. Returns `false`
 /// when the connection violated the protocol and must die.
 fn parse_available(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
-    if matches!(conn.proto, Proto::Negotiating) {
+    if conn.proto.is_none() {
         let Some(&first) = conn.rbuf.first() else {
             return true;
         };
         if first == 0 {
-            if conn.rbuf.len() < wire::MAGIC.len() {
-                return true; // preamble still arriving
-            }
-            if conn.rbuf[..wire::MAGIC.len()] != wire::MAGIC {
+            // Refuse the preamble at its first wrong byte, not once
+            // eight bytes have arrived.
+            let seen = conn.rbuf.len().min(wire::MAGIC.len());
+            if conn.rbuf[..seen] != wire::MAGIC[..seen] {
                 telemetry::counter_add("server.conn.bad_magic", 1);
                 return false;
             }
-            conn.rbuf.drain(..wire::MAGIC.len());
-            conn.proto = Proto::V2;
+            if seen < wire::MAGIC.len() {
+                return true; // preamble still arriving
+            }
+            conn.rbuf.drain(..seen);
+            conn.proto = Some(Proto::V2);
         } else {
-            conn.proto = Proto::V1;
+            conn.proto = Some(Proto::V1);
         }
     }
     match conn.proto {
-        Proto::V1 => {
+        Some(Proto::V1) => {
             parse_v1(shared, conn);
             true
         }
-        Proto::V2 => parse_v2(shared, conn),
-        Proto::Negotiating => unreachable!("resolved above"),
+        Some(Proto::V2) => parse_v2(shared, conn),
+        None => unreachable!("negotiated above"),
     }
 }
 
@@ -686,7 +678,16 @@ fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) {
             break;
         };
         let nl = from + rel;
-        shared.dispatch_v1(&conn.out, &mut conn.next_seq, &conn.rbuf[start..=nl]);
+        // Each line is its own unit of work, numbered in the reply
+        // sequence.
+        let line = FrameRef {
+            id: conn.next_seq,
+            op: 0,
+            deadline_ms: 0,
+            payload: (start, nl + 1),
+        };
+        conn.next_seq += 1;
+        shared.dispatch(&conn.out, Proto::V1, &conn.rbuf, &[line]);
         start = nl + 1;
     }
     conn.rbuf.drain(..start);
@@ -695,9 +696,10 @@ fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) {
 
 fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
     let mut consumed = 0usize;
+    let mut frames: Vec<FrameRef> = Vec::new();
     let ok = loop {
         let base = consumed;
-        let mut frames: Vec<FrameRef> = Vec::new();
+        frames.clear();
         let mut poison: Option<(u64, String)> = None;
         while frames.len() < MAX_BATCH {
             let avail = conn.rbuf.len() - consumed;
@@ -733,7 +735,7 @@ fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
             consumed += total;
         }
         if !frames.is_empty() {
-            shared.dispatch_v2(&conn.out, &conn.rbuf[base..consumed], frames);
+            shared.dispatch(&conn.out, Proto::V2, &conn.rbuf[base..consumed], &frames);
         }
         if let Some((id, message)) = poison {
             // The stream cannot be trusted past an oversized frame:

@@ -9,31 +9,32 @@
 //!   reply and an immediate close) and assigns them round-robin to the
 //!   reactors;
 //! * a **fixed reactor pool** ([`crate::reactor`]) multiplexes every
-//!   connection over epoll: protocol negotiation (v1 JSON lines / v2
-//!   binary frames), framing, write-side drainage, idle reaping and
-//!   write timeouts. An idle connection costs one registered fd, not a
-//!   thread. A reactor answers **in-memory work** itself, through the
-//!   request core ([`crate::exec`]): v2 reply-memo hits, and estimates
-//!   whose model is resident in the engine's memory tier and whose input
-//!   distribution is memoized. That skips the queue hop, which is most
-//!   of a warm request's latency;
+//!   connection over epoll: negotiation, framing, write-side drainage,
+//!   idle reaping and write timeouts. An idle connection costs one
+//!   registered fd, not a thread;
 //! * a **fixed worker pool** drains the bounded queue with everything
-//!   else — anything that can block: characterization, disk loads,
-//!   single-flight waits, peer fetches, distribution synthesis and every
-//!   non-estimate op — and runs it through the same request core against
-//!   the shared engine, so concurrent misses on one model still coalesce
-//!   through the engine's single-flight path. A reactor must never block
-//!   on any of these, which is why the queue stays.
+//!   that can block (characterization, disk loads, single-flight waits,
+//!   peer fetches, distribution synthesis, every non-estimate op), so
+//!   concurrent misses on one model coalesce in the engine.
 //!
-//! Both memos (input distributions and v2 reply bytes) are per server,
-//! shared by its reactors and workers, so a reactor sees what any worker
-//! memoized.
+//! # One request pipeline
 //!
-//! v1 replies on one connection are written in request order even
-//! though workers complete out of order (the per-connection sequencer
-//! lives in [`crate::reactor::ConnOut`]); v2 replies carry request ids
-//! and complete **out of order** — one slow characterization no longer
-//! stalls the pipelined requests behind it.
+//! v1 lines and v2 frames differ only in codec. A reactor hands each v1
+//! line, or each read burst of v2 frames, to [`Shared::dispatch`], which
+//! per request (1) answers a v2 reply-memo hit undecoded, (2) decodes
+//! through the codec (the `decode` stage), (3) answers on the reactor
+//! through the request core ([`crate::exec`]) when
+//! [`ExecCtx::resident`] finds the inputs in memory, skipping the queue
+//! hop that is most of a warm request's latency, or (4) collects it into
+//! the one [`Job`] it queues. [`Shared::run`] answers a job on a worker;
+//! [`Shared::shed`] answers a refused job `overloaded`. Replies are
+//! encoded by the codec (a v1 line with the trace id; a v2 frame,
+//! memoized when a full-fidelity estimate) and leave in the protocol's
+//! order: v1 in request order through the connection's sequencer
+//! ([`ConnOut`]), v2 at once, matched by id. v1 stays out of the reply
+//! memo: a hit would relabel `source` and skip the engine's hit counter,
+//! so TCP v1 bytes would stop matching `hdpm serve`. Both memos (input
+//! distributions and v2 reply bytes) are per server.
 //!
 //! Robustness: per-request deadlines counted from the socket read (one
 //! rule for both protocols; v2 labels late completions
@@ -45,21 +46,20 @@
 //!
 //! # Observability
 //!
-//! When [`ServerConfig::tracing`] is on (the default), every v1 request
-//! (and every v2 batch) gets a [`TraceCtx`] riding the [`Job`] through
-//! the pipeline, accumulating per-stage timings; requests answered on
-//! the reactor record no `queue_wait` stage. v1 replies echo the
-//! trace id as `"trace":"t…"`; completed traces land in the flight
-//! recorder (`/tracez`, dumped on drain) and the
-//! `server.stage_ns{stage=…}` histograms; requests slower than
-//! [`ServerConfig::slow_threshold`] emit one `{"type":"slow_request",…}`
+//! When [`ServerConfig::tracing`] is on (the default), the requests one
+//! dispatch answers on the reactor share a [`TraceCtx`], and its queued
+//! job carries another (the same one when nothing was answered inline).
+//! So every v1 line has its own trace, echoed as `"trace":"t…"`, and a v2
+//! read burst is a `batch` trace: ids are already in band, and per-frame
+//! contexts would cost more than the requests they measure. A record's
+//! status is `ok` or the kind of its first failed request; shed jobs file
+//! `overloaded`, jobs whose connection died first file `dropped`.
+//! Records land in the flight recorder (`/tracez`, dumped on drain) and
+//! the `server.stage_ns{stage=…}` histograms; ones slower than
+//! [`ServerConfig::slow_threshold`] emit a `{"type":"slow_request",…}`
 //! line on stderr. The optional admin plane
 //! ([`ServerConfig::admin_addr`], `crate::admin`) serves `/metrics`,
-//! `/healthz`, `/readyz` and `/tracez`. v2 traces are **per batch** (a
-//! read burst of frames shares one trace): ids are already in band, and
-//! per-frame contexts would cost more than the requests they measure.
-//! The frames of a burst that a reactor answers share one trace, and
-//! those it queues share another.
+//! `/healthz`, `/readyz` and `/tracez`.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -77,11 +77,11 @@ use poller::Poller;
 use serde::{Serialize, Value};
 
 use crate::admin::AdminServer;
-use crate::client::Response;
+use crate::client::{Proto, Request, Response};
 use crate::cluster::{self, ClusterRuntime};
 use crate::config::ServerConfig;
-use crate::exec::{self, DistMemo, ExecCtx};
-use crate::protocol::{self, Decoded, ErrorKind};
+use crate::exec::{self, DistMemo, ExecCtx, Executed, Resident};
+use crate::protocol::{self, ErrorKind, RequestError};
 use crate::queue::{Bounded, PushError};
 use crate::reactor::{self, ConnOut, Mail, ReactorHandle};
 use crate::wire;
@@ -128,68 +128,108 @@ impl Totals {
     }
 }
 
-/// One reference into a [`V2Batch`]'s data: a single frame.
+/// One framed request as the reactor hands it over: a v1 line or a v2
+/// frame, located in the bytes passed along with it.
 pub(crate) struct FrameRef {
-    /// Request id, echoed in the reply.
+    /// The reply tag: the v2 request id, or the v1 line's place in the
+    /// connection's reply sequence.
     pub(crate) id: u64,
-    /// Raw opcode byte (validated at execution).
+    /// The v2 opcode byte (validated by decode); 0 on a v1 line, whose
+    /// op rides in the line.
     pub(crate) op: u8,
-    /// In-band deadline in ms (0 = none).
+    /// The v2 in-band deadline in ms (0 = none); 0 on a v1 line.
     pub(crate) deadline_ms: u32,
-    /// Payload byte range within the batch data.
+    /// The request's byte range within the dispatched data: a v2
+    /// payload, or a whole v1 line.
     pub(crate) payload: (usize, usize),
 }
 
-/// A unit of queued work: one v1 request or the queued frames of one v2
-/// read burst, with the connection it answers on, its arrival time and
-/// its trace.
+impl FrameRef {
+    /// The v2 in-band deadline, when the frame set one.
+    fn deadline(&self) -> Option<u64> {
+        (self.deadline_ms > 0).then_some(u64::from(self.deadline_ms))
+    }
+}
+
+/// One decoded request, owed one reply.
+struct Unit {
+    /// [`FrameRef::id`]: where the reply goes.
+    id: u64,
+    /// The codec's outcome: the typed request, or the error its bytes
+    /// earned.
+    request: Result<Request, RequestError>,
+    /// The request's own deadline in ms, which can only tighten the
+    /// server's.
+    deadline_ms: Option<u64>,
+    /// The reply-memo key, carried by v2 estimates only.
+    memo: Option<MemoKey>,
+}
+
+/// Queued work: the requests of one dispatch that the reactor could not
+/// answer in memory (one v1 line, or the rest of one v2 read burst), with
+/// the connection they answer on, their arrival time and their trace.
+/// Batching a burst amortizes the queue handoff and the reply write
+/// across every frame the socket delivered together.
 pub(crate) struct Job {
     out: Arc<ConnOut>,
-    /// When the reactor read the request; deadlines count from here.
+    proto: Proto,
+    /// When the reactor read the requests; deadlines count from here.
     arrived: Instant,
     /// When the job entered the queue; the queue wait counts from here.
     queued: Instant,
     trace: TraceCtx,
-    work: Work,
+    units: Vec<Unit>,
 }
 
-enum Work {
-    /// One v1 request, decoded on the reactor, and its place in the
-    /// connection's reply sequence.
-    V1 { seq: u64, decoded: Decoded },
-    /// The frames of one read burst that the reactor could not answer.
-    /// Batching amortizes the queue handoff and the reply write across
-    /// every frame the socket delivered together — the main lever behind
-    /// the v2 throughput bar.
-    V2 {
-        data: Vec<u8>,
-        frames: Vec<FrameRef>,
-    },
+/// The encoded replies of one trace, and what its record needs.
+#[derive(Default)]
+struct Answers {
+    bytes: Vec<u8>,
+    /// The trace id v1 replies echo; `None` when tracing is off.
+    trace_id: Option<u64>,
+    /// The first answered request's tag (a v1 reply's sequence slot) and
+    /// the request, when it decoded.
+    seq: u64,
+    first: Option<Request>,
+    count: u64,
+    /// The error kind of the first request that failed.
+    failed: Option<String>,
 }
 
-impl Work {
-    /// Requests in this unit of work, each owed one reply.
-    fn requests(&self) -> u64 {
-        match self {
-            Work::V1 { .. } => 1,
-            Work::V2 { frames, .. } => frames.len() as u64,
+impl Answers {
+    fn new(trace: &TraceCtx) -> Answers {
+        Answers {
+            trace_id: trace.is_enabled().then(|| trace.id()),
+            ..Answers::default()
+        }
+    }
+
+    /// Count one answered request: its tag, the request when it decoded,
+    /// and how it ended (`ok` or an error kind).
+    fn note(&mut self, id: u64, request: Option<&Request>, status: &str) {
+        if self.count == 0 {
+            self.seq = id;
+            self.first = request.cloned();
+        }
+        self.count += 1;
+        if self.failed.is_none() && status != "ok" {
+            self.failed = Some(status.to_string());
         }
     }
 }
 
-/// Everything needed to close out a request's trace once its reply is
-/// on the wire (or abandoned): the completed context, what the request
-/// was, and how it ended. Created by the worker, consumed by the writer
-/// side so the socket-write stage covers sequencer hold + the actual
-/// write.
+/// Everything needed to close out a trace once its replies are on the
+/// wire (or abandoned): the completed context, what the work was, and
+/// how it ended. Built when the replies are handed to the write side, so
+/// the socket-write stage covers sequencer hold + the actual write.
 pub(crate) struct TraceFinish {
     pub(crate) trace: TraceCtx,
     pub(crate) op: String,
     pub(crate) detail: String,
     pub(crate) status: String,
     pub(crate) slow_threshold: Duration,
-    /// [`telemetry::clock::now_ns`] when the worker handed the reply to
-    /// the write side.
+    /// [`telemetry::clock::now_ns`] when the replies were handed to the
+    /// write side.
     pub(crate) submitted_ns: u64,
 }
 
@@ -242,12 +282,6 @@ impl TraceFinish {
         }
         trace_mod::recorder().push(record);
     }
-}
-
-/// A v1 reply line plus the trace bookkeeping owed once it is written.
-pub(crate) struct Reply {
-    pub(crate) line: String,
-    pub(crate) finish: Option<Box<TraceFinish>>,
 }
 
 pub(crate) struct Shared {
@@ -314,28 +348,7 @@ impl Shared {
         }
     }
 
-    /// The trace bookkeeping owed once a reply is written (`None` when
-    /// tracing is off).
-    fn trace_finish(
-        &self,
-        trace: &TraceCtx,
-        op: String,
-        detail: String,
-        status: &str,
-    ) -> Option<Box<TraceFinish>> {
-        trace.is_enabled().then(|| {
-            Box::new(TraceFinish {
-                trace: trace.clone(),
-                op,
-                detail,
-                status: status.to_string(),
-                slow_threshold: self.slow_threshold,
-                submitted_ns: telemetry::clock::now_ns(),
-            })
-        })
-    }
-
-    /// The request core's context for a request that arrived at
+    /// The request core's context for requests that arrived at
     /// `arrived`, under this server's policy.
     fn exec_ctx<'a>(&'a self, arrived: Instant, trace: &'a mut TraceCtx) -> ExecCtx<'a> {
         ExecCtx {
@@ -351,82 +364,108 @@ impl Shared {
         }
     }
 
-    /// Take one raw v1 line off the reactor: decode it, then answer it
-    /// here when its inputs are in memory, or queue it. Blank lines are
-    /// skipped without consuming a sequence number (no reply is owed for
-    /// them).
-    pub(crate) fn dispatch_v1(&self, out: &Arc<ConnOut>, next_seq: &mut u64, raw: &[u8]) {
+    /// Take framed requests off the reactor (one v1 line, or one read
+    /// burst of v2 frames) and answer each here when its inputs are in
+    /// memory, or collect it into one queued job. The answers given here
+    /// leave with one write and one trace.
+    pub(crate) fn dispatch(
+        &self,
+        out: &Arc<ConnOut>,
+        proto: Proto,
+        data: &[u8],
+        frames: &[FrameRef],
+    ) {
         let arrived = Instant::now();
         let mut trace = self.new_trace();
-        let Some(decoded) = trace.time(Stage::Decode, || {
-            protocol::decode_line(protocol::trim_line(raw))
-        }) else {
-            return;
-        };
-        let seq = *next_seq;
-        *next_seq += 1;
-        let resident = match &decoded.request {
-            Ok(request) => self.exec_ctx(arrived, &mut trace).resident(request),
-            Err(_) => None,
-        };
-        let Some(resident) = resident else {
-            self.enqueue(out, arrived, trace, Work::V1 { seq, decoded });
-            return;
-        };
-        telemetry::counter_add("server.request.inline", 1);
-        let reply = self.run_v1(&decoded, arrived, arrived, &mut trace, Some(resident));
-        out.submit_v1(seq, Some(reply));
-    }
-
-    /// Take one read burst of v2 frames off the reactor: answer the
-    /// frames whose inputs are in memory here, with one write, and queue
-    /// the rest as one batch.
-    pub(crate) fn dispatch_v2(&self, out: &Arc<ConnOut>, data: &[u8], frames: Vec<FrameRef>) {
-        let arrived = Instant::now();
-        let mut trace = self.new_trace();
-        let mut replies = Vec::new();
+        let mut answers = Answers::new(&trace);
         let mut queued = Vec::new();
-        let mut inline = 0u64;
         let mut ctx = self.exec_ctx(arrived, &mut trace);
         for frame in frames {
-            let payload = &data[frame.payload.0..frame.payload.1];
-            if answer_frame(&mut ctx, &self.replies, &frame, payload, &mut replies, true) {
-                inline += 1;
-            } else {
-                queued.push(frame);
+            let raw = &data[frame.payload.0..frame.payload.1];
+            let memo = memo_key(proto, frame, raw);
+            if let Some(hit) = memo.and_then(|key| self.replies.get(&key)) {
+                let (result, late) = ctx.guarded(frame.deadline(), |_| {
+                    telemetry::counter_add("server.memo.hit", 1);
+                    Ok(())
+                });
+                let flags = if late { wire::FLAG_LATE } else { 0 };
+                let (code, payload) = match &result {
+                    Ok(()) => (wire::STATUS_OK, &hit[..]),
+                    Err((kind, message)) => (wire::status_of(*kind), message.as_bytes()),
+                };
+                wire::encode_frame(&mut answers.bytes, frame.id, code, flags, payload);
+                let status = result.err().map_or("ok", |(kind, _)| kind.as_str());
+                answers.note(frame.id, None, status);
+                continue;
+            }
+            let Some(unit) = ctx
+                .trace
+                .time(Stage::Decode, || decode(proto, frame, raw, memo))
+            else {
+                // A blank v1 line is owed no reply: release its place in
+                // the sequence.
+                out.reply(proto, frame.id, Vec::new(), None);
+                continue;
+            };
+            match unit.request.as_ref().ok().and_then(|r| ctx.resident(r)) {
+                Some(resident) => self.answer(&mut ctx, proto, &unit, Some(resident), &mut answers),
+                None => queued.push(unit),
             }
         }
         if !queued.is_empty() {
-            let work = Work::V2 {
-                data: data.to_vec(),
-                frames: queued,
+            // With nothing answered here, the job carries this dispatch's
+            // trace and its decode stage.
+            let trace = if answers.count == 0 {
+                std::mem::take(&mut trace)
+            } else {
+                self.new_trace()
             };
-            self.enqueue(out, arrived, self.new_trace(), work);
+            self.enqueue(out, proto, arrived, trace, queued);
         }
-        if inline == 0 {
+        if answers.count == 0 {
             return;
         }
-        telemetry::counter_add("server.request.inline", inline);
+        telemetry::counter_add("server.request.inline", answers.count);
         telemetry::record_duration_ns("server.request_ns", arrived.elapsed().as_nanos() as u64);
-        let detail = format!("frames/{inline}");
-        let finish = self.trace_finish(&trace, "batch".to_string(), detail, "ok");
-        out.send(&replies);
-        if let Some(finish) = finish {
-            finish.complete(true);
-        }
+        self.reply(out, proto, &trace, answers);
     }
 
-    /// Queue `work`, or answer every request in it with `overloaded`
-    /// when the queue refuses it. The shed counters count requests (v2
-    /// frames, not batches), one per `overloaded` reply.
-    fn enqueue(&self, out: &Arc<ConnOut>, arrived: Instant, trace: TraceCtx, work: Work) {
+    /// Run one decoded request through the request core and encode its
+    /// reply onto `answers`; `resident` holds its inputs when the reactor
+    /// found them in memory.
+    fn answer(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        proto: Proto,
+        unit: &Unit,
+        resident: Option<Resident>,
+        answers: &mut Answers,
+    ) {
+        let done = ctx.execute(unit.request.as_ref(), unit.deadline_ms, resident);
+        ctx.trace.time(Stage::Serialize, || {
+            self.encode(proto, unit, &done, answers);
+        });
+    }
+
+    /// Queue `units` as one job, or shed them all when the queue refuses
+    /// it. The shed counters count requests (v2 frames, not batches), one
+    /// per `overloaded` reply.
+    fn enqueue(
+        &self,
+        out: &Arc<ConnOut>,
+        proto: Proto,
+        arrived: Instant,
+        trace: TraceCtx,
+        units: Vec<Unit>,
+    ) {
         out.begin_job();
         let job = Job {
             out: Arc::clone(out),
+            proto,
             arrived,
             queued: Instant::now(),
             trace,
-            work,
+            units,
         };
         let (job, message) = match self.queue.try_push(job) {
             Ok(depth) => {
@@ -434,82 +473,112 @@ impl Shared {
                 return;
             }
             Err(PushError::Full(job)) => {
-                telemetry::counter_add("server.queue.shed_full", job.work.requests());
-                let unit = match job.work {
-                    Work::V1 { .. } => "requests",
-                    Work::V2 { .. } => "batches",
-                };
+                telemetry::counter_add("server.queue.shed_full", job.units.len() as u64);
                 let capacity = self.queue.capacity();
-                (
-                    job,
-                    format!("queue full ({capacity} {unit} queued): request shed"),
-                )
+                let message = format!("queue full ({capacity} jobs queued): request shed");
+                (job, message)
             }
             Err(PushError::Closed(job)) => {
-                telemetry::counter_add("server.queue.shed_draining", job.work.requests());
+                telemetry::counter_add("server.queue.shed_draining", job.units.len() as u64);
                 (job, "server draining: request shed".to_string())
             }
         };
+        self.shed(job, message);
+    }
+
+    /// Answer every request of a refused job with `overloaded`.
+    fn shed(&self, job: Job, message: String) {
         self.totals
             .shed
-            .fetch_add(job.work.requests(), Ordering::Relaxed);
-        match job.work {
-            Work::V1 { seq, .. } => {
-                let mut line = protocol::error_line(ErrorKind::Overloaded, &message);
-                if job.trace.is_enabled() {
-                    protocol::append_trace_id(&mut line, job.trace.id());
-                }
-                let finish = self.trace_finish(
-                    &job.trace,
-                    String::new(),
-                    String::new(),
-                    ErrorKind::Overloaded.as_str(),
-                );
-                job.out.submit_v1(seq, Some(Reply { line, finish }));
-            }
-            Work::V2 { frames, .. } => {
-                let status = wire::status_of(ErrorKind::Overloaded);
-                let mut replies = Vec::new();
-                for frame in &frames {
-                    wire::encode_frame(&mut replies, frame.id, status, 0, message.as_bytes());
-                }
-                job.out.send(&replies);
-            }
+            .fetch_add(job.units.len() as u64, Ordering::Relaxed);
+        let overloaded = Executed {
+            response: Response::Error {
+                kind: ErrorKind::Overloaded.as_str().to_string(),
+                message,
+            },
+            late: false,
+        };
+        let mut answers = Answers::new(&job.trace);
+        for unit in &job.units {
+            self.encode(job.proto, unit, &overloaded, &mut answers);
         }
+        self.reply(&job.out, job.proto, &job.trace, answers);
         job.out.finish_job();
     }
 
-    /// Run one decoded v1 request through the request core and render
-    /// its reply (trace id attached when tracing). `server.request_ns`
-    /// measures processing time only: the decode on the reactor, up to
-    /// `queued`, and the run and render here.
-    fn run_v1(
-        &self,
-        decoded: &Decoded,
-        arrived: Instant,
-        queued: Instant,
-        trace: &mut TraceCtx,
-        resident: Option<exec::Resident>,
-    ) -> Reply {
-        let started = Instant::now();
-        let request = decoded.request.as_ref();
-        let done = self
-            .exec_ctx(arrived, trace)
-            .execute(request, decoded.deadline_ms, resident);
-        let trace_id = trace.is_enabled().then(|| trace.id());
-        let line = trace.time(Stage::Serialize, || {
-            let mut line = protocol::render(&protocol::reply_value(request.ok(), &done.response));
-            if let Some(id) = trace_id {
-                protocol::append_trace_id(&mut line, id);
+    /// Run one queued job on a worker: every request in arrival order,
+    /// the replies written with one send. A job whose connection died
+    /// runs nothing and files a `dropped` trace. `server.request_ns`
+    /// measures processing time: from the socket read to the reply, less
+    /// the queue wait.
+    fn run(&self, mut job: Job) {
+        let waited = job.queued.elapsed();
+        let waited_ns = waited.as_nanos() as u64;
+        telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
+        job.trace.add(Stage::QueueWait, waited_ns);
+        let mut answers = Answers::new(&job.trace);
+        if job.out.is_alive() {
+            let mut ctx = self.exec_ctx(job.arrived, &mut job.trace);
+            for unit in &job.units {
+                self.answer(&mut ctx, job.proto, unit, None, &mut answers);
             }
-            line
+            let processing = job.arrived.elapsed().saturating_sub(waited);
+            telemetry::record_duration_ns("server.request_ns", processing.as_nanos() as u64);
+        } else {
+            for unit in &job.units {
+                answers.note(unit.id, unit.request.as_ref().ok(), "dropped");
+            }
+        }
+        self.reply(&job.out, job.proto, &job.trace, answers);
+        job.out.finish_job();
+    }
+
+    /// Hand `answers` to the connection in the protocol's reply order,
+    /// with the bookkeeping that files `trace` once they are written
+    /// (none when tracing is off).
+    fn reply(&self, out: &ConnOut, proto: Proto, trace: &TraceCtx, answers: Answers) {
+        let finish = trace.is_enabled().then(|| {
+            // A v1 line is one request; a v2 read burst is a batch.
+            let (op, detail) = match proto {
+                Proto::V1 => exec::describe(answers.first.as_ref()),
+                Proto::V2 => ("batch".to_string(), format!("frames/{}", answers.count)),
+            };
+            Box::new(TraceFinish {
+                trace: trace.clone(),
+                op,
+                detail,
+                status: answers.failed.unwrap_or_else(|| "ok".to_string()),
+                slow_threshold: self.slow_threshold,
+                submitted_ns: telemetry::clock::now_ns(),
+            })
         });
-        let processing = queued.duration_since(arrived) + started.elapsed();
-        telemetry::record_duration_ns("server.request_ns", processing.as_nanos() as u64);
-        let (op, detail) = exec::describe(request.ok());
-        Reply {
-            line,
-            finish: self.trace_finish(trace, op, detail, done.status()),
+        out.reply(proto, answers.seq, answers.bytes, finish);
+    }
+
+    /// Encode the reply to `unit` onto `answers` and count it: a v1 line
+    /// carrying the trace id, or a v2 frame, memoized when it is a
+    /// full-fidelity estimate.
+    fn encode(&self, proto: Proto, unit: &Unit, done: &Executed, answers: &mut Answers) {
+        let request = unit.request.as_ref().ok();
+        answers.note(unit.id, request, done.status());
+        let out = &mut answers.bytes;
+        let start = out.len();
+        match proto {
+            Proto::V1 => protocol::encode_reply(out, request, &done.response, answers.trace_id),
+            Proto::V2 => wire::encode_reply(out, unit.id, done.late, &done.response),
+        }
+        let (Some(key), Response::Estimate(answer)) = (unit.memo, &done.response) else {
+            return;
+        };
+        telemetry::counter_add("server.memo.miss", 1);
+        // Only full-fidelity replies are memoizable: a tier-A/B answer for
+        // this key is expected to improve once the background upgrade
+        // lands, and a memo hit would pin the stale tier forever.
+        if answer.fidelity == Fidelity::Full {
+            let mut memoized = [0u8; wire::ESTIMATE_REPLY_LEN];
+            memoized.copy_from_slice(&out[start + wire::HEADER_LEN..]);
+            memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
+            self.replies.insert(key, memoized);
         }
     }
 
@@ -974,145 +1043,26 @@ fn run_accept(shared: &Arc<Shared>, listener: &TcpListener, reactors: &[Arc<Reac
 fn run_worker(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         telemetry::gauge_set("server.queue.depth", shared.queue.len() as f64);
-        let Job {
-            out,
-            arrived,
-            queued,
-            mut trace,
-            work,
-        } = job;
-        let waited_ns = queued.elapsed().as_nanos() as u64;
-        telemetry::record_duration_ns("server.queue.wait_ns", waited_ns);
-        trace.add(Stage::QueueWait, waited_ns);
-        match work {
-            Work::V1 { seq, decoded } => {
-                // A dead connection gets no reply, but its sequencer
-                // still advances and the flight recorder still sees the
-                // drop.
-                let reply = if out.is_alive() {
-                    Some(shared.run_v1(&decoded, arrived, queued, &mut trace, None))
-                } else {
-                    if let Some(finish) =
-                        shared.trace_finish(&trace, String::new(), String::new(), "dropped")
-                    {
-                        finish.complete(false);
-                    }
-                    None
-                };
-                out.submit_v1(seq, reply);
-            }
-            Work::V2 { data, frames } => {
-                run_batch(shared, &out, arrived, &mut trace, &data, &frames);
-            }
-        }
-        out.finish_job();
+        shared.run(job);
     }
 }
 
-/// Execute one queued v2 batch: every frame in arrival order, replies
-/// encoded into one buffer and written with one send. Frames across
-/// batches (and connections) complete out of order; the ids sort it out
-/// client side.
-fn run_batch(
-    shared: &Shared,
-    out: &ConnOut,
-    arrived: Instant,
-    trace: &mut TraceCtx,
-    data: &[u8],
-    frames: &[FrameRef],
-) {
-    let (op, detail) = ("batch".to_string(), format!("frames/{}", frames.len()));
-    if !out.is_alive() {
-        if let Some(finish) = shared.trace_finish(trace, op, detail, "dropped") {
-            finish.complete(false);
+/// Decode one framed request through its protocol's codec. `None` for a
+/// blank v1 line, which is owed no reply.
+fn decode(proto: Proto, frame: &FrameRef, raw: &[u8], memo: Option<MemoKey>) -> Option<Unit> {
+    let (request, deadline_ms) = match proto {
+        Proto::V1 => {
+            let decoded = protocol::decode_line(protocol::trim_line(raw))?;
+            (decoded.request, decoded.deadline_ms)
         }
-        return;
-    }
-    let started = Instant::now();
-    let mut replies: Vec<u8> =
-        Vec::with_capacity(frames.len() * (wire::HEADER_LEN + wire::ESTIMATE_REPLY_LEN));
-    let mut ctx = shared.exec_ctx(arrived, trace);
-    for frame in frames {
-        let payload = &data[frame.payload.0..frame.payload.1];
-        answer_frame(
-            &mut ctx,
-            &shared.replies,
-            frame,
-            payload,
-            &mut replies,
-            false,
-        );
-    }
-    telemetry::record_duration_ns("server.request_ns", started.elapsed().as_nanos() as u64);
-    let finish = shared.trace_finish(trace, op, detail, "ok");
-    out.send(&replies);
-    if let Some(finish) = finish {
-        finish.complete(true);
-    }
-}
-
-/// Answer one v2 frame through the request core, appending its reply
-/// frame to `replies`. On the reactor (`inline`), only frames whose
-/// inputs are all in memory are answered — reply-memo hits and resident
-/// estimates; any other returns `false` with nothing written, for the
-/// queue. Deadline semantics (docs/protocol.md) are the core's: the
-/// tighter of the frame's `deadline_ms` and the server deadline, counted
-/// from the moment the burst was read off the socket; a frame past it
-/// answers `timeout` without running, one that expires while running is
-/// answered in full with [`wire::FLAG_LATE`].
-fn answer_frame(
-    ctx: &mut ExecCtx<'_>,
-    memo: &ReplyMemo,
-    frame: &FrameRef,
-    payload: &[u8],
-    replies: &mut Vec<u8>,
-    inline: bool,
-) -> bool {
-    let deadline_ms = (frame.deadline_ms > 0).then_some(u64::from(frame.deadline_ms));
-    let key = memo_key(frame.op, payload);
-    if let Some(hit) = key.and_then(|key| memo.get(&key)) {
-        let (result, late) = ctx.guarded(deadline_ms, |_| {
-            telemetry::counter_add("server.memo.hit", 1);
-            Ok(())
-        });
-        let flags = if late { wire::FLAG_LATE } else { 0 };
-        let (status, payload) = match &result {
-            Ok(()) => (wire::STATUS_OK, &hit[..]),
-            Err((kind, message)) => (wire::status_of(*kind), message.as_bytes()),
-        };
-        wire::encode_frame(replies, frame.id, status, flags, payload);
-        return true;
-    }
-    // Only an estimate can be answered inline; leave the rest undecoded.
-    if inline && key.is_none() {
-        return false;
-    }
-    let request = wire::decode_request(frame.op, payload);
-    let resident = if inline {
-        let Some(resident) = request.as_ref().ok().and_then(|r| ctx.resident(r)) else {
-            return false;
-        };
-        Some(resident)
-    } else {
-        None
+        Proto::V2 => (wire::decode_request(frame.op, raw), frame.deadline()),
     };
-    let done = ctx.execute(request.as_ref(), deadline_ms, resident);
-    let start = replies.len();
-    wire::encode_reply(replies, frame.id, done.late, &done.response);
-    let (Some(key), Response::Estimate(answer)) = (key, &done.response) else {
-        return true;
-    };
-    telemetry::counter_add("server.memo.miss", 1);
-    // Only full-fidelity replies are memoizable: a tier-A/B answer for
-    // this key is expected to improve once the background upgrade
-    // lands, and a memo hit would pin the stale tier forever.
-    if answer.fidelity == Fidelity::Full {
-        let mut memoized = [0u8; wire::ESTIMATE_REPLY_LEN];
-        memoized.copy_from_slice(&replies[start + wire::HEADER_LEN..]);
-        memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
-        memo.insert(key, memoized);
-    }
-    true
+    Some(Unit {
+        id: frame.id,
+        request,
+        deadline_ms,
+        memo,
+    })
 }
 
 type MemoKey = [u8; wire::ESTIMATE_REQ_LEN];
@@ -1145,11 +1095,11 @@ impl ReplyMemo {
     }
 }
 
-/// The memo key of an estimate frame's payload. Legacy 18-byte payloads
-/// key as their 19-byte form with floor 0 ("server default") — the memo
-/// must not fork on encoding.
-fn memo_key(op: u8, payload: &[u8]) -> Option<MemoKey> {
-    if op != wire::Opcode::Estimate as u8 {
+/// The memo key of a framed request: v2 estimates only, keyed on the raw
+/// payload. Legacy 18-byte payloads key as their 19-byte form with floor
+/// 0 ("server default"): the memo must not fork on encoding.
+fn memo_key(proto: Proto, frame: &FrameRef, payload: &[u8]) -> Option<MemoKey> {
+    if proto != Proto::V2 || frame.op != wire::Opcode::Estimate as u8 {
         return None;
     }
     match payload.len() {

@@ -14,7 +14,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
-use hdpm_server::{Server, ServerConfig};
+use hdpm_netlist::{ModuleKind, ModuleSpec};
+use hdpm_server::client::{Proto, Request, Response};
+use hdpm_server::{wire, Server, ServerConfig};
 use hdpm_telemetry as telemetry;
 
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
@@ -412,4 +414,137 @@ fn slow_cold_request_reconciles_stage_timings_with_wall_time() {
     assert!(slow >= 1.0, "the slow request is counted: {slow}");
 
     server.shutdown();
+}
+
+/// A single-worker, depth-1 server whose worker a 12k-pattern
+/// characterization holds for hundreds of ms, so requests sent behind it
+/// are shed.
+fn saturable_server() -> Server {
+    let engine = EngineOptions {
+        config: CharacterizationConfig::builder()
+            .max_patterns(12_000)
+            .build()
+            .unwrap(),
+        ..quick_engine()
+    };
+    let config = ServerConfig::builder()
+        .workers(1)
+        .queue_depth(1)
+        .no_deadline()
+        .engine(engine)
+        .build()
+        .unwrap();
+    Server::start(config).expect("start")
+}
+
+/// The flight recorder's records with `status`.
+fn recorded(status: &str) -> Vec<telemetry::trace::TraceRecord> {
+    telemetry::trace::recorder()
+        .snapshot()
+        .into_iter()
+        .filter(|r| r.status == status)
+        .collect()
+}
+
+/// Every shed job files one `overloaded` record that names its work: the
+/// request of a v1 line, the `batch` of a v2 read burst.
+#[test]
+fn shed_jobs_file_named_overloaded_traces_on_both_protocols() {
+    let _state = fresh_state();
+
+    let server = saturable_server();
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    const FLOOD: usize = 30;
+    writeln!(writer, "{SLOW_CHARACTERIZE}").expect("send");
+    for _ in 0..FLOOD {
+        writeln!(writer, "{STATS}").expect("send");
+    }
+    let mut shed = 0;
+    for _ in 0..=FLOOD {
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        shed += usize::from(reply.contains("\"kind\":\"overloaded\""));
+    }
+    server.shutdown();
+    assert!(shed > 0, "a saturated queue must shed");
+    let v1 = recorded("overloaded");
+    assert_eq!(v1.len(), shed, "one record per shed v1 line: {v1:?}");
+    assert!(v1.iter().all(|r| r.op == "stats"), "{v1:?}");
+
+    telemetry::trace::recorder().clear();
+    let server = saturable_server();
+    let mut client =
+        hdpm_server::client::Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    let slow = Request::Characterize {
+        spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8),
+    };
+    client.send(&slow, None).expect("send");
+    client.flush().expect("flush");
+    // Let the worker take the slow frame, so the first burst below fills
+    // the queue and the rest are refused whole.
+    std::thread::sleep(Duration::from_millis(20));
+    const BURSTS: usize = 4;
+    const FRAMES: usize = 3;
+    for _ in 0..BURSTS {
+        for _ in 0..FRAMES {
+            client.send(&Request::Stats, None).expect("send");
+        }
+        client.flush().expect("flush");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let shed = (0..=BURSTS * FRAMES)
+        .map(|_| client.recv().expect("reply").response)
+        .filter(|r| matches!(r, Response::Error { kind, .. } if kind == "overloaded"))
+        .count();
+    server.shutdown();
+    assert!(shed > 0, "a saturated queue must shed");
+    let v2 = recorded("overloaded");
+    assert!(!v2.is_empty(), "shed v2 bursts file traces");
+    assert!(v2.iter().all(|r| r.op == "batch"), "{v2:?}");
+    let frames: usize = v2
+        .iter()
+        .map(|r| {
+            r.detail
+                .strip_prefix("frames/")
+                .and_then(|n| n.parse::<usize>().ok())
+                .unwrap_or_else(|| panic!("batch detail: {r:?}"))
+        })
+        .sum();
+    assert_eq!(frames, shed, "the shed records cover every shed frame");
+}
+
+/// A v2 batch's record reports the kind of its first failed frame, not
+/// `ok`.
+#[test]
+fn v2_batch_trace_reports_its_first_failed_frame() {
+    let _state = fresh_state();
+    let server = Server::start(admin_options(quick_engine())).expect("start");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut frames = wire::MAGIC.to_vec();
+    wire::encode_frame(&mut frames, 1, wire::Opcode::Ping as u8, 0, b"");
+    wire::encode_frame(&mut frames, 2, 99, 0, b"");
+    stream.write_all(&frames).expect("send");
+    for _ in 0..2 {
+        let mut header = [0u8; wire::HEADER_LEN];
+        stream.read_exact(&mut header).expect("reply header");
+        let mut payload = vec![0u8; wire::decode_header(&header).len as usize];
+        stream.read_exact(&mut payload).expect("reply payload");
+    }
+    server.shutdown();
+    let failed = recorded("bad_request");
+    assert_eq!(
+        failed.len(),
+        1,
+        "{:?}",
+        telemetry::trace::recorder().snapshot()
+    );
+    assert_eq!(failed[0].op, "batch");
 }

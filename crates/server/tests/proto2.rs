@@ -513,6 +513,57 @@ fn v2_unknown_opcode_and_bad_payload_answer_structured_errors() {
     server.shutdown();
 }
 
+/// A v2 preamble cut short by EOF is not a v1 line: the connection
+/// closes with no reply.
+#[test]
+fn truncated_v2_preamble_closes_without_a_reply() {
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&wire::MAGIC[..3]).expect("partial magic");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut rest = Vec::new();
+    let eof = stream.read_to_end(&mut rest);
+    assert!(
+        matches!(eof, Ok(0)),
+        "no reply before the close: {eof:?} {:?}",
+        String::from_utf8_lossy(&rest)
+    );
+    server.shutdown();
+}
+
+/// A preamble that leaves [`wire::MAGIC`] is refused at its first wrong
+/// byte, and counted, without waiting for eight bytes.
+#[test]
+fn wrong_v2_preamble_prefix_is_refused_and_counted() {
+    let bad_magic = || {
+        hdpm_telemetry::snapshot()
+            .counters
+            .get("server.conn.bad_magic")
+            .copied()
+            .unwrap_or(0)
+    };
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
+    let before = bad_magic();
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(b"\0XY").expect("wrong prefix");
+    let mut rest = Vec::new();
+    let eof = stream.read_to_end(&mut rest);
+    assert!(
+        matches!(eof, Ok(0)),
+        "the connection is closed, unanswered: {eof:?} {rest:?}"
+    );
+    assert_eq!(bad_magic(), before + 1);
+    server.shutdown();
+}
+
 #[test]
 fn v2_oversized_frame_tears_the_connection_down_after_a_reply() {
     let server = Server::start(quick_config().build().unwrap()).expect("start");

@@ -5,7 +5,7 @@
 //! probabilities are propagated through the gate graph assuming spatial
 //! independence of gate inputs (the classical probabilistic power
 //! estimation approach; the gate-level counterpart of the word-level
-//! propagation in refs [9,10] of the paper). Each net's temporal behaviour
+//! propagation in refs \[9,10\] of the paper). Each net's temporal behaviour
 //! is summarized by the joint distribution of its value in two consecutive
 //! cycles; a gate's output pair distribution follows exactly from its
 //! truth table and the product of its input pair distributions.

@@ -10,7 +10,7 @@
 //!   [histograms](metrics::record_duration_ns) with p50/p95/p99 summaries,
 //!   collected in a global registry and emitted as a human table or as
 //!   JSON-lines ([`emit_snapshot`]);
-//! * **spans** — RAII wall-clock timers ([`span`]) feeding the histogram
+//! * **spans** — RAII wall-clock timers ([`span()`]) feeding the histogram
 //!   registry, with thread-local nesting;
 //! * **run manifests** — [`RunManifest`] snapshots (command, seed, git
 //!   describe, metrics) written next to output artifacts.
