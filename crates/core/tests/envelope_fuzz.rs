@@ -247,3 +247,29 @@ fn a_stated_identity_refuses_a_missing_or_unreadable_meta() {
         assert!(!check(&bytes, dir.path()), "{what}");
     }
 }
+
+/// Nesting past the JSON reader's limit is a typed `truncated` fault on
+/// both parsers, never a stack overflow: 10,000 unclosed `[` once
+/// aborted whatever thread parsed them, and a deep value hidden in an
+/// otherwise plausible envelope is refused the same way.
+#[test]
+fn deeply_nested_bytes_are_a_typed_fault() {
+    let f = fixture();
+    let dir = TempDir::new("envelope_fuzz_deep");
+    let deep = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    for bytes in [
+        "[".repeat(10_000),
+        deep(10_000),
+        format!("{{\"hdpm_envelope\":{}}}", deep(200)),
+    ] {
+        let dest = dir.join("admitted.json");
+        match persist::admit_envelope_bytes::<Characterization>(bytes.as_bytes(), &f.meta, &dest) {
+            Err(ModelError::Artifact { kind, detail, .. }) => {
+                assert_eq!(kind, ArtifactFaultKind::Truncated, "{detail}");
+                assert!(detail.contains("recursion limit exceeded"), "{detail}");
+            }
+            other => panic!("expected a truncated fault, got {other:?}"),
+        }
+        assert!(!check(bytes.as_bytes(), dir.path()));
+    }
+}

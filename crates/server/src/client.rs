@@ -312,6 +312,9 @@ impl From<io::Error> for ClientError {
     }
 }
 
+/// Bytes the client reads from the socket at a time.
+const READ_BUFFER: usize = 64 * 1024;
+
 /// A connection to the server, in the mode fixed at
 /// [`Client::connect`].
 pub struct Client {
@@ -323,6 +326,8 @@ pub struct Client {
     fifo: VecDeque<(u64, wire::Opcode)>,
     /// v2: outstanding ids → the opcode sent, for reply decoding.
     pending: HashMap<u64, wire::Opcode>,
+    /// v1: the line being written or read, reused from line to line.
+    line: Vec<u8>,
 }
 
 impl Client {
@@ -347,11 +352,13 @@ impl Client {
         let write_half = stream.try_clone()?;
         let mut client = Client {
             proto,
-            reader: BufReader::new(stream),
+            // Room for a pipelined burst of replies per read.
+            reader: BufReader::with_capacity(READ_BUFFER, stream),
             writer: BufWriter::new(write_half),
             next_id: 1,
             fifo: VecDeque::new(),
             pending: HashMap::new(),
+            line: Vec::new(),
         };
         if proto == Proto::V2 {
             client.writer.write_all(&wire::MAGIC)?;
@@ -390,11 +397,14 @@ impl Client {
         self.next_id += 1;
         match self.proto {
             Proto::V1 => {
-                let line = protocol::encode_request(request, deadline_ms.map(u64::from)).ok_or(
-                    ClientError::Unsupported("ping and the cluster ops are v2-only"),
-                )?;
-                self.writer.write_all(line.as_bytes())?;
-                self.writer.write_all(b"\n")?;
+                self.line.clear();
+                if !protocol::write_request(&mut self.line, request, deadline_ms.map(u64::from)) {
+                    return Err(ClientError::Unsupported(
+                        "ping and the cluster ops are v2-only",
+                    ));
+                }
+                self.line.push(b'\n');
+                self.writer.write_all(&self.line)?;
                 self.fifo.push_back((id, request.opcode()));
             }
             Proto::V2 => {
@@ -467,14 +477,20 @@ impl Client {
 
     fn recv_v1(&mut self) -> Result<Reply, ClientError> {
         let (id, _op) = self.fifo.pop_front().expect("outstanding checked");
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
+        self.line.clear();
+        let n = self.reader.read_until(b'\n', &mut self.line)?;
         if n == 0 {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed with replies outstanding",
             )));
         }
+        let line = std::str::from_utf8(&self.line).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
         let response = protocol::decode_reply(line.trim_end()).map_err(ClientError::Protocol)?;
         Ok(Reply {
             id,

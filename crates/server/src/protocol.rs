@@ -9,8 +9,12 @@
 //!   into the cache and report where it came from;
 //! * `{"op":"stats"}` — the engine's counter snapshot.
 //!
-//! Lines decode into the typed [`Request`] and replies encode from the
-//! typed [`Response`]; execution is the server's one request core
+//! Lines decode straight into the typed [`Request`] through the pull
+//! [`Reader`] of the vendored `serde_json`, and replies encode straight
+//! from the typed [`Response`] ([`encode_reply`]); no JSON tree is built
+//! on either end, here or in the client. [`reply_value`] builds the same
+//! reply as a `Value` tree: it is the encoder's test oracle and what
+//! [`handle`] returns. Execution is the server's one request core
 //! (`exec.rs`), which the v2 codec ([`crate::wire`]) feeds as well.
 //! Every failure produces a structured reply
 //! `{"ok":false,"error":{"kind":"<kind>","message":"<detail>"}}` and never
@@ -19,7 +23,7 @@
 //! fixture: both transports must replay it byte-identically
 //! (`crates/server/tests/golden.rs`).
 
-use std::fmt::Write as _;
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -27,7 +31,8 @@ use hdpm_core::{Fidelity, PowerEngine};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 use hdpm_streams::{DataType, ALL_DATA_TYPES};
 use hdpm_telemetry::TraceCtx;
-use serde::{Deserialize, Value};
+use serde::Value;
+use serde_json::{Event, Reader};
 
 use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
 use crate::exec::{DistMemo, ExecCtx};
@@ -128,41 +133,35 @@ pub fn render(reply: &Value) -> String {
     serde_json::to_string(reply).expect("reply values always serialize")
 }
 
-/// The structured error reply for a failed request, rendered to its
-/// wire line.
-pub fn error_line(kind: ErrorKind, message: &str) -> String {
-    render(&error_object(kind.as_str(), message))
-}
-
-/// Append the trace id to a rendered reply line: splices
-/// `,"trace":"t…"` in before the closing brace, so clients can join a
-/// reply against the server's flight recorder and slow-request log. The
-/// TCP server does this for every reply when tracing is on; the stdin
-/// transport never does (its golden transcript is id-free).
-pub fn append_trace_id(line: &mut String, id: u64) {
-    debug_assert!(line.ends_with('}'), "replies are JSON objects: {line}");
-    line.truncate(line.len() - 1);
-    line.reserve(29);
-    line.push_str(",\"trace\":\"");
-    hdpm_telemetry::trace::write_trace_id(line, id);
-    line.push_str("\"}");
-}
-
-/// The JSON shape of a request line. Unknown keys are ignored; absent
+/// The fields of a request line, read straight off the text. Unknown
+/// keys are skipped, the first of duplicate keys wins, and absent
 /// optional keys fall back to the same defaults as the batch
 /// subcommands.
-#[derive(Debug, Deserialize)]
-struct Line {
-    op: String,
-    module: Option<String>,
+#[derive(Default)]
+struct Line<'a> {
+    op: Option<Cow<'a, str>>,
+    module: Option<Cow<'a, str>>,
     width: Option<usize>,
     width2: Option<usize>,
-    data: Option<String>,
+    data: Option<Cow<'a, str>>,
     cycles: Option<usize>,
     seed: Option<u64>,
     deadline_ms: Option<u64>,
-    fidelity_floor: Option<String>,
+    fidelity_floor: Option<Cow<'a, str>>,
 }
+
+/// The request keys in the order their type errors are reported.
+const LINE_KEYS: [&str; 9] = [
+    "op",
+    "module",
+    "width",
+    "width2",
+    "data",
+    "cycles",
+    "seed",
+    "deadline_ms",
+    "fidelity_floor",
+];
 
 /// One decoded request line.
 #[derive(Debug, Clone, PartialEq)]
@@ -194,8 +193,8 @@ pub fn decode(raw: &[u8]) -> Result<Option<Decoded>, RequestError> {
     if text.trim().is_empty() {
         return Ok(None);
     }
-    let line: Line = serde_json::from_str(text)
-        .map_err(|e| (ErrorKind::Malformed, format!("malformed request: {e}")))?;
+    let line =
+        Line::read(text).map_err(|e| (ErrorKind::Malformed, format!("malformed request: {e}")))?;
     Ok(Some(Decoded {
         request: line.resolve(),
         deadline_ms: line.deadline_ms,
@@ -213,10 +212,70 @@ pub(crate) fn decode_line(raw: &[u8]) -> Option<Decoded> {
     })
 }
 
-impl Line {
+impl<'a> Line<'a> {
+    /// Read a request object. A syntax error anywhere in the text comes
+    /// first; then the first mistyped key in [`LINE_KEYS`] order, a
+    /// missing `op` counting as `null`.
+    fn read(text: &'a str) -> Result<Line<'a>, String> {
+        let mut reader = Reader::new(text);
+        let mut line = Line::default();
+        let mut seen = 0u16;
+        let mut shape: Option<(usize, String)> = None;
+        let top = reader
+            .next_event()
+            .map_err(|e| e.to_string())?
+            .expect("a document holds a value");
+        if top != Event::StartObject {
+            reader.finish().map_err(|e| e.to_string())?;
+            return Err(format!("expected object for Line, found {}", top.kind()));
+        }
+        members(&mut reader, |_, key, value| {
+            let Some(slot) = LINE_KEYS.iter().position(|k| *k == key) else {
+                return Ok(());
+            };
+            if seen & (1 << slot) != 0 {
+                return Ok(());
+            }
+            seen |= 1 << slot;
+            if let Err(e) = line.set(slot, value) {
+                if shape.as_ref().is_none_or(|(first, _)| slot < *first) {
+                    shape = Some((slot, format!("Line.{}: {e}", LINE_KEYS[slot])));
+                }
+            }
+            Ok(())
+        })
+        .and_then(|()| reader.finish())
+        .map_err(|e| e.to_string())?;
+        match shape {
+            Some((0, message)) => Err(message),
+            _ if line.op.is_none() => Err("Line.op: expected string, found null".into()),
+            Some((_, message)) => Err(message),
+            None => Ok(line),
+        }
+    }
+
+    /// Store the value of key `LINE_KEYS[slot]`; `null` leaves it absent.
+    fn set(&mut self, slot: usize, value: Event<'a>) -> Result<(), String> {
+        if value == Event::Null {
+            return Ok(());
+        }
+        match slot {
+            0 => self.op = Some(string(value)?),
+            1 => self.module = Some(string(value)?),
+            2 => self.width = Some(unsigned(value)?),
+            3 => self.width2 = Some(unsigned(value)?),
+            4 => self.data = Some(string(value)?),
+            5 => self.cycles = Some(unsigned(value)?),
+            6 => self.seed = Some(unsigned(value)?),
+            7 => self.deadline_ms = Some(unsigned(value)?),
+            _ => self.fidelity_floor = Some(string(value)?),
+        }
+        Ok(())
+    }
+
     fn resolve(&self) -> Result<Request, RequestError> {
         let bad = |message: String| (ErrorKind::BadRequest, message);
-        match self.op.as_str() {
+        match self.op.as_deref().unwrap_or_default() {
             "estimate" => {
                 let spec = self.spec()?;
                 let floor = match self.fidelity_floor.as_deref() {
@@ -265,61 +324,122 @@ impl Line {
     }
 }
 
+/// Read the members of the object `reader` has just opened, handing each
+/// key and the first event of its value to `member`. Whatever the
+/// callback leaves unread of a container value is skipped.
+fn members<'a>(
+    reader: &mut Reader<'a>,
+    mut member: impl FnMut(&mut Reader<'a>, Cow<'a, str>, Event<'a>) -> Result<(), serde_json::Error>,
+) -> Result<(), serde_json::Error> {
+    let depth = reader.depth();
+    while let Some(Event::Key(key)) = reader.next_event()? {
+        let value = reader
+            .next_event()?
+            .expect("a key is followed by its value");
+        member(reader, key, value)?;
+        while reader.depth() > depth {
+            reader.next_event()?;
+        }
+    }
+    Ok(())
+}
+
+/// A string value, as the derived request decoder typed it.
+fn string(value: Event<'_>) -> Result<Cow<'_, str>, String> {
+    match value {
+        Event::Str(s) => Ok(s),
+        other => Err(format!("expected string, found {}", other.kind())),
+    }
+}
+
+/// A non-negative integer value, as the derived request decoder typed
+/// it.
+fn unsigned<T: TryFrom<u64>>(value: Event<'_>) -> Result<T, String> {
+    let raw = match value {
+        Event::Int(i) if i >= 0 => i as u64,
+        Event::UInt(u) => u,
+        other => return Err(format!("expected unsigned integer, found {}", other.kind())),
+    };
+    T::try_from(raw).map_err(|_| {
+        format!(
+            "integer {raw} out of range for {}",
+            std::any::type_name::<T>()
+        )
+    })
+}
+
 /// Encode a request as its JSON line (without the newline), the inverse
 /// of [`decode`]. `None` for [`Request::Ping`] and the cluster ops, which
 /// v1 cannot express.
 pub fn encode_request(request: &Request, deadline_ms: Option<u64>) -> Option<String> {
-    let mut line = String::with_capacity(96);
-    match request {
-        Request::Estimate {
-            spec,
-            data,
-            cycles,
-            seed,
-            floor,
-        } => {
-            write!(
-                line,
-                "{{\"op\":\"estimate\",\"module\":\"{}\"{},\"data\":\"{}\",\"cycles\":{cycles},\"seed\":{seed}",
-                spec.kind,
-                width_fields(spec.width),
-                data.name(),
-            )
-            .expect("write to string");
-            if let Some(floor) = floor {
-                write!(line, ",\"fidelity_floor\":\"{floor}\"").expect("write to string");
-            }
+    let mut line = Vec::with_capacity(96);
+    write_request(&mut line, request, deadline_ms)
+        .then(|| String::from_utf8(line).expect("the encoder writes UTF-8"))
+}
+
+/// Append [`encode_request`]'s line to `out`; `false`, with nothing
+/// appended, when v1 cannot express the request.
+pub(crate) fn write_request(
+    out: &mut Vec<u8>,
+    request: &Request,
+    deadline_ms: Option<u64>,
+) -> bool {
+    let spec = match request {
+        Request::Estimate { spec, .. } | Request::Characterize { spec } => spec,
+        Request::Stats => {
+            out.extend_from_slice(b"{\"op\":\"stats\"");
+            write_deadline(out, deadline_ms);
+            return true;
         }
-        Request::Characterize { spec } => {
-            write!(
-                line,
-                "{{\"op\":\"characterize\",\"module\":\"{}\"{}",
-                spec.kind,
-                width_fields(spec.width),
-            )
-            .expect("write to string");
-        }
-        Request::Stats => line.push_str("{\"op\":\"stats\""),
         Request::Ping
         | Request::FetchModel { .. }
         | Request::HaveModel { .. }
-        | Request::WarmKeys { .. } => return None,
+        | Request::WarmKeys { .. } => return false,
+    };
+    write!(
+        out,
+        "{{\"op\":\"{}\",\"module\":\"{}\"",
+        request.opcode().as_str(),
+        spec.kind
+    )
+    .expect("write to a Vec");
+    match spec.width {
+        ModuleWidth::Uniform(w) => write!(out, ",\"width\":{w}"),
+        ModuleWidth::Rect(m1, m2) => write!(out, ",\"width\":{m1},\"width2\":{m2}"),
     }
+    .expect("write to a Vec");
+    if let Request::Estimate {
+        data,
+        cycles,
+        seed,
+        floor,
+        ..
+    } = request
+    {
+        write!(
+            out,
+            ",\"data\":\"{}\",\"cycles\":{cycles},\"seed\":{seed}",
+            data.name()
+        )
+        .expect("write to a Vec");
+        if let Some(floor) = floor {
+            write!(out, ",\"fidelity_floor\":\"{floor}\"").expect("write to a Vec");
+        }
+    }
+    write_deadline(out, deadline_ms);
+    true
+}
+
+/// Close a request line, with its deadline when it has one.
+fn write_deadline(out: &mut Vec<u8>, deadline_ms: Option<u64>) {
     if let Some(ms) = deadline_ms {
-        write!(line, ",\"deadline_ms\":{ms}").expect("write to string");
+        write!(out, ",\"deadline_ms\":{ms}").expect("write to a Vec");
     }
-    line.push('}');
-    Some(line)
+    out.push(b'}');
 }
 
-fn width_fields(width: ModuleWidth) -> String {
-    match width {
-        ModuleWidth::Uniform(w) => format!(",\"width\":{w}"),
-        ModuleWidth::Rect(m1, m2) => format!(",\"width\":{m1},\"width2\":{m2}"),
-    }
-}
-
-/// The reply object answering `request` with `response`. Estimate and
+/// The reply object answering `request` with `response`, as a `Value`
+/// tree: [`encode_reply`] writes exactly its rendered bytes. Estimate and
 /// characterize replies echo the request's module (and data type);
 /// error replies ignore the request, which is `None` when it never
 /// decoded.
@@ -363,21 +483,79 @@ pub fn reply_value(request: Option<&Request>, response: &Response) -> Value {
     }
 }
 
-/// Append the reply line answering `request` with `response` to `out`:
-/// [`reply_value`] rendered, the trace id when one is given (the TCP
-/// server's, see [`append_trace_id`]), and the newline.
-pub(crate) fn encode_reply(
+/// Append the reply line answering `request` with `response` to `out`,
+/// written straight from the typed answer: the bytes of
+/// [`reply_value`] rendered, then the trace id when one is given (the
+/// TCP server's: `,"trace":"t…"` before the closing brace, so clients
+/// can join a reply against the flight recorder and slow-request log;
+/// the stdin transport gives none, so its golden transcript is id-free),
+/// and the newline.
+pub fn encode_reply(
     out: &mut Vec<u8>,
     request: Option<&Request>,
     response: &Response,
     trace_id: Option<u64>,
 ) {
-    let mut line = render(&reply_value(request, response));
-    if let Some(id) = trace_id {
-        append_trace_id(&mut line, id);
+    use serde_json::{write_f64, write_str, write_str_fmt};
+    match (response, request) {
+        (Response::Estimate(a), Some(Request::Estimate { spec, data, .. })) => {
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"estimate\",\"module\":");
+            write_str_fmt(out, format_args!("{spec}"));
+            out.extend_from_slice(b",\"data\":");
+            write_str_fmt(out, format_args!("{data}"));
+            out.extend_from_slice(b",\"charge_per_cycle\":");
+            write_f64(out, a.charge_per_cycle);
+            out.extend_from_slice(b",\"via_average\":");
+            write_f64(out, a.via_average);
+            out.extend_from_slice(b",\"average_hd\":");
+            write_f64(out, a.average_hd);
+            out.extend_from_slice(b",\"source\":");
+            write_str(out, &a.source);
+            out.extend_from_slice(b",\"fidelity\":");
+            write_str(out, a.fidelity.as_str());
+            out.extend_from_slice(b",\"confidence\":");
+            write_f64(out, a.confidence);
+        }
+        (Response::Characterize(c), Some(Request::Characterize { spec })) => {
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"characterize\",\"module\":");
+            write_str_fmt(out, format_args!("{spec}"));
+            write!(
+                out,
+                ",\"input_bits\":{},\"transitions\":{},\"converged_after\":",
+                c.input_bits, c.transitions as i64
+            )
+            .expect("write to a Vec");
+            match c.converged_after {
+                Some(p) => write!(out, "{}", p as i64).expect("write to a Vec"),
+                None => out.extend_from_slice(b"null"),
+            }
+            out.extend_from_slice(b",\"source\":");
+            write_str(out, &c.source);
+            out.extend_from_slice(b",\"fidelity\":");
+            write_str(out, Fidelity::Full.as_str());
+        }
+        (Response::Stats(s), _) => {
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"stats\"");
+            for (name, v) in stats_fields(s) {
+                write!(out, ",\"{name}\":{}", v as i64).expect("write to a Vec");
+            }
+        }
+        (Response::Pong, _) => out.extend_from_slice(b"{\"ok\":true,\"op\":\"ping\""),
+        (Response::Error { kind, message }, _) => {
+            out.extend_from_slice(b"{\"ok\":false,\"error\":{\"kind\":");
+            write_str(out, kind);
+            out.extend_from_slice(b",\"message\":");
+            write_str(out, message);
+            out.push(b'}');
+        }
+        (answer, _) => unreachable!("{answer:?} does not answer {request:?}"),
     }
-    out.extend_from_slice(line.as_bytes());
-    out.push(b'\n');
+    if let Some(id) = trace_id {
+        out.extend_from_slice(b",\"trace\":\"");
+        out.extend_from_slice(&hdpm_telemetry::trace::trace_id_bytes(id));
+        out.push(b'"');
+    }
+    out.extend_from_slice(b"}\n");
 }
 
 fn ok_object<const N: usize>(op: &str, fields: [(&str, Value); N]) -> Value {
@@ -407,82 +585,199 @@ pub(crate) fn stats_fields(s: &StatsAnswer) -> [(&'static str, u64); 12] {
     ]
 }
 
+/// A reply key [`decode_reply`] reads; `Kind` and `Message` are read
+/// inside `error`. Its discriminant is its slot in [`ReplyFields`]; the
+/// stats counters take the slots after [`ReplyKey::STATS`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ReplyKey {
+    Ok,
+    Op,
+    Error,
+    Kind,
+    Message,
+    Fidelity,
+    Source,
+    ChargePerCycle,
+    ViaAverage,
+    AverageHd,
+    Confidence,
+    InputBits,
+    Transitions,
+    ConvergedAfter,
+}
+
+impl ReplyKey {
+    /// The first stats counter's slot.
+    const STATS: usize = ReplyKey::ConvergedAfter as usize + 1;
+
+    /// The slot of a top-level member name, if [`decode_reply`] reads
+    /// it.
+    fn slot_of(name: &str) -> Option<usize> {
+        let key = match name {
+            "ok" => ReplyKey::Ok,
+            "op" => ReplyKey::Op,
+            "error" => ReplyKey::Error,
+            "fidelity" => ReplyKey::Fidelity,
+            "source" => ReplyKey::Source,
+            "charge_per_cycle" => ReplyKey::ChargePerCycle,
+            "via_average" => ReplyKey::ViaAverage,
+            "average_hd" => ReplyKey::AverageHd,
+            "confidence" => ReplyKey::Confidence,
+            "input_bits" => ReplyKey::InputBits,
+            "transitions" => ReplyKey::Transitions,
+            "converged_after" => ReplyKey::ConvergedAfter,
+            "module" | "data" | "trace" => return None,
+            _ => {
+                return stats_fields(&StatsAnswer::default())
+                    .iter()
+                    .position(|(stat, _)| *stat == name)
+                    .map(|i| ReplyKey::STATS + i)
+            }
+        };
+        Some(key as usize)
+    }
+}
+
+/// The first value under each key [`decode_reply`] reads, by slot: its
+/// scalar event, or the event opening a container.
+struct ReplyFields<'a>([Option<Event<'a>>; ReplyKey::STATS + 12]);
+
+impl<'a> ReplyFields<'a> {
+    fn read(line: &'a str) -> Result<ReplyFields<'a>, serde_json::Error> {
+        let mut fields = ReplyFields([const { None }; ReplyKey::STATS + 12]);
+        let mut reader = Reader::new(line);
+        let top = reader.next_event()?.expect("a document holds a value");
+        if top == Event::StartObject {
+            let slots = &mut fields.0;
+            members(&mut reader, |reader, name, value| {
+                let Some(slot) = ReplyKey::slot_of(&name) else {
+                    return Ok(());
+                };
+                if slots[slot].is_some() {
+                    return Ok(());
+                }
+                if slot == ReplyKey::Error as usize && value == Event::StartObject {
+                    members(reader, |_, name, value| {
+                        let key = match &*name {
+                            "kind" => ReplyKey::Kind,
+                            "message" => ReplyKey::Message,
+                            _ => return Ok(()),
+                        };
+                        slots[key as usize].get_or_insert(value);
+                        Ok(())
+                    })?;
+                }
+                slots[slot] = Some(value);
+                Ok(())
+            })?;
+        }
+        reader.finish()?;
+        Ok(fields)
+    }
+
+    fn get(&self, key: ReplyKey) -> Option<&Event<'a>> {
+        self.0[key as usize].as_ref()
+    }
+
+    fn str(&self, key: ReplyKey) -> Option<&str> {
+        match self.get(key) {
+            Some(Event::Str(s)) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn string(&self, key: ReplyKey, name: &str) -> Result<String, String> {
+        self.str(key)
+            .map(str::to_string)
+            .ok_or_else(|| format!("v1 reply missing string `{name}`"))
+    }
+
+    fn f64(&self, key: ReplyKey, name: &str) -> Result<f64, String> {
+        match self.get(key) {
+            Some(&Event::Int(i)) => Ok(i as f64),
+            Some(&Event::UInt(u)) => Ok(u as f64),
+            Some(&Event::Float(f)) => Ok(f),
+            _ => Err(format!("v1 reply missing number `{name}`")),
+        }
+    }
+
+    fn u64(&self, slot: usize, name: &str) -> Result<u64, String> {
+        self.0[slot]
+            .as_ref()
+            .and_then(as_u64)
+            .ok_or_else(|| format!("v1 reply missing integer `{name}`"))
+    }
+}
+
+/// A non-negative integer event's value.
+fn as_u64(value: &Event<'_>) -> Option<u64> {
+    match *value {
+        Event::Int(i) if i >= 0 => Some(i as u64),
+        Event::UInt(u) => Some(u),
+        _ => None,
+    }
+}
+
 /// Decode a reply line into a [`Response`], the inverse of
-/// [`reply_value`] + [`render`]. The module and data echoes are not part
-/// of the typed answer and are not checked.
+/// [`encode_reply`]. The module and data echoes are not part of the
+/// typed answer and are not checked.
 ///
 /// # Errors
 ///
 /// A message naming what is wrong with the line (bad JSON, missing or
 /// mistyped field, unknown op or fidelity).
 pub fn decode_reply(line: &str) -> Result<Response, String> {
-    let value: Value = serde_json::from_str(line).map_err(|e| format!("bad v1 reply JSON: {e}"))?;
-    let ok = value
-        .get("ok")
-        .and_then(Value::as_bool)
-        .ok_or("v1 reply without `ok`")?;
+    use ReplyKey as K;
+    let reply = ReplyFields::read(line).map_err(|e| format!("bad v1 reply JSON: {e}"))?;
+    let ok = match reply.get(K::Ok) {
+        Some(&Event::Bool(ok)) => ok,
+        _ => return Err("v1 reply without `ok`".into()),
+    };
     if !ok {
-        let error = value.get("error").cloned().unwrap_or(Value::Null);
         return Ok(Response::Error {
-            kind: str_field(&error, "kind").unwrap_or_else(|_| "unknown".into()),
-            message: str_field(&error, "message").unwrap_or_default(),
+            kind: reply.str(K::Kind).unwrap_or("unknown").to_string(),
+            message: reply.str(K::Message).unwrap_or_default().to_string(),
         });
     }
-    match value.get("op").and_then(Value::as_str) {
+    match reply.str(K::Op) {
         Some("estimate") => {
-            let fidelity = str_field(&value, "fidelity")?;
+            let fidelity = reply
+                .str(K::Fidelity)
+                .ok_or("v1 reply missing string `fidelity`")?;
             Ok(Response::Estimate(EstimateAnswer {
-                charge_per_cycle: f64_field(&value, "charge_per_cycle")?,
-                via_average: f64_field(&value, "via_average")?,
-                average_hd: f64_field(&value, "average_hd")?,
-                source: str_field(&value, "source")?,
-                fidelity: Fidelity::parse(&fidelity)
+                charge_per_cycle: reply.f64(K::ChargePerCycle, "charge_per_cycle")?,
+                via_average: reply.f64(K::ViaAverage, "via_average")?,
+                average_hd: reply.f64(K::AverageHd, "average_hd")?,
+                source: reply.string(K::Source, "source")?,
+                fidelity: Fidelity::parse(fidelity)
                     .ok_or_else(|| format!("unknown fidelity `{fidelity}`"))?,
-                confidence: f64_field(&value, "confidence")?,
+                confidence: reply.f64(K::Confidence, "confidence")?,
             }))
         }
         Some("characterize") => Ok(Response::Characterize(CharacterizeAnswer {
-            input_bits: u32::try_from(u64_field(&value, "input_bits")?)
+            input_bits: u32::try_from(reply.u64(K::InputBits as usize, "input_bits")?)
                 .map_err(|_| "input_bits out of range".to_string())?,
-            transitions: u64_field(&value, "transitions")?,
-            converged_after: match value.get("converged_after") {
-                None | Some(Value::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("non-integer converged_after")?),
+            transitions: reply.u64(K::Transitions as usize, "transitions")?,
+            converged_after: match reply.get(K::ConvergedAfter) {
+                None | Some(Event::Null) => None,
+                Some(v) => Some(as_u64(v).ok_or("non-integer converged_after")?),
             },
-            source: str_field(&value, "source")?,
+            source: reply.string(K::Source, "source")?,
         })),
         Some("stats") => {
             let mut fields = [0u64; 12];
-            for (slot, (name, _)) in fields.iter_mut().zip(stats_fields(&StatsAnswer::default())) {
-                *slot = u64_field(&value, name)?;
+            for (i, (slot, (name, _))) in fields
+                .iter_mut()
+                .zip(stats_fields(&StatsAnswer::default()))
+                .enumerate()
+            {
+                *slot = reply.u64(K::STATS + i, name)?;
             }
             Ok(Response::Stats(StatsAnswer::from_fields(fields)))
         }
         Some("ping") => Ok(Response::Pong),
         other => Err(format!("v1 reply with unexpected op {other:?}")),
     }
-}
-
-fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("v1 reply missing number `{key}`"))
-}
-
-fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("v1 reply missing integer `{key}`"))
-}
-
-fn str_field(value: &Value, key: &str) -> Result<String, String> {
-    value
-        .get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("v1 reply missing string `{key}`"))
 }
 
 /// Execute a decoded line with the stdin transport's defaults (floor

@@ -12,18 +12,21 @@
 //! * **negotiation** — the first byte of a connection picks the
 //!   protocol: `0x00` opens the v2 preamble ([`crate::wire::MAGIC`]),
 //!   anything else is a v1 JSON-lines client;
-//! * **framing** — v1 bytes are cut into lines, each numbered in the
-//!   connection's reply sequence, and v2 bytes into frames, in bursts of
-//!   up to [`MAX_BATCH`]. Each line, or each burst, goes to the one
-//!   request pipeline ([`Shared::dispatch`], see [`crate::server`]),
-//!   which answers on this thread only what needs nothing but memory;
-//!   nothing a reactor runs can block;
+//! * **framing** — v1 bytes are cut into lines of at most [`MAX_LINE`]
+//!   bytes, each numbered in the connection's reply sequence, and v2
+//!   bytes into frames, in bursts of up to [`MAX_BATCH`]. Each line, or
+//!   each burst, goes to the one request pipeline ([`Shared::dispatch`],
+//!   see [`crate::server`]), which answers on this thread only what
+//!   needs nothing but memory; nothing a reactor runs can block;
 //! * **reply order and write-side drainage** — whichever thread answered
 //!   hands its replies to [`ConnOut::reply`]: v1 replies pass the
 //!   per-connection sequencer so they leave in request order, v2 replies
-//!   leave at once. Bytes are written opportunistically by that thread;
-//!   only when the socket would block does the reactor take over via
-//!   `EPOLLOUT`, enforcing the write timeout and the output-buffer cap;
+//!   leave at once. Bytes are written opportunistically by that thread,
+//!   except while the reactor parses a read of the connection: the pass
+//!   holds the output buffer and ends with one flush, so a pipelined
+//!   burst leaves in one `write` on either protocol. Only when the socket
+//!   would block does the reactor take over via `EPOLLOUT`, enforcing
+//!   the write timeout and the output-buffer cap;
 //! * **hygiene** — idle reaping, peer-close detection, and the
 //!   flush-then-close endgame after EOF or drain.
 //!
@@ -45,8 +48,8 @@ use std::time::{Duration, Instant};
 use hdpm_telemetry as telemetry;
 use poller::{Interest, Poller, Waker};
 
-use crate::client::Proto;
-use crate::protocol::ErrorKind;
+use crate::client::{Proto, Response};
+use crate::protocol::{self, ErrorKind};
 use crate::server::{FrameRef, Shared, TraceFinish};
 use crate::wire;
 
@@ -62,6 +65,9 @@ const OUT_CAP: usize = 4 << 20;
 
 /// Bytes read per `read` call into the reactor's scratch buffer.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Longest v1 request line, newline excluded: the v2 frame payload cap.
+const MAX_LINE: usize = wire::MAX_PAYLOAD as usize;
 
 /// Cross-thread mailbox messages into a reactor.
 pub(crate) enum Mail {
@@ -127,6 +133,12 @@ struct OutBuf {
     /// When the socket first refused bytes still pending; cleared on a
     /// full drain. The reactor's scan turns this into the write timeout.
     blocked_since: Option<Instant>,
+    /// The reactor is parsing a read pass of this connection: replies
+    /// are appended but not written until [`ConnOut::release`].
+    held: bool,
+    /// Traces of the replies appended while held, filed once the pass's
+    /// one flush has written them.
+    parked: Vec<TraceFinish>,
 }
 
 struct V1State {
@@ -171,6 +183,8 @@ impl ConnOut {
                 buf: Vec::new(),
                 pos: 0,
                 blocked_since: None,
+                held: false,
+                parked: Vec::new(),
             }),
             v1: Mutex::new(V1State {
                 next: 0,
@@ -279,14 +293,17 @@ impl ConnOut {
 
     /// Append reply bytes and flush as far as the socket allows without
     /// blocking, from whichever thread answered; when the socket pushes
-    /// back, the owning reactor takes over via [`Mail::WantWrite`].
-    fn send(&self, bytes: &[u8]) {
+    /// back, the owning reactor takes over via [`Mail::WantWrite`]. While
+    /// a read pass holds the buffer the bytes wait for the pass's one
+    /// flush, and `finishes`, the traces these bytes carry, are parked
+    /// with them. Returns the traces for the caller to file now.
+    fn send(&self, bytes: &[u8], finishes: Vec<TraceFinish>) -> Vec<TraceFinish> {
         if bytes.is_empty() || !self.is_alive() {
-            return;
+            return finishes;
         }
         let mut st = self.out.lock().expect("conn out lock");
         if !self.is_alive() {
-            return;
+            return finishes;
         }
         st.buf.extend_from_slice(bytes);
         if st.buf.len() - st.pos > OUT_CAP {
@@ -297,7 +314,11 @@ impl ConnOut {
                 &[("error", "output buffer cap exceeded".into())],
             );
             self.mark_dead(&mut st);
-            return;
+            return finishes;
+        }
+        if st.held {
+            st.parked.extend(finishes);
+            return Vec::new();
         }
         match self.try_flush(&mut st) {
             FlushState::Drained | FlushState::Dead => {}
@@ -306,13 +327,43 @@ impl ConnOut {
                 self.reactor.post(Mail::WantWrite(self.token));
             }
         }
+        finishes
+    }
+
+    /// Start a read pass: hold every reply appended until
+    /// [`ConnOut::release`], so the pass's replies leave in one write.
+    fn hold(&self) {
+        self.out.lock().expect("conn out lock").held = true;
+    }
+
+    /// End a read pass: write what it appended with one flush (handing
+    /// over to `EPOLLOUT` if the socket pushes back), then file the
+    /// traces of the replies it carried.
+    fn release(&self) {
+        let mut st = self.out.lock().expect("conn out lock");
+        st.held = false;
+        let parked = std::mem::take(&mut st.parked);
+        let state = if self.is_alive() {
+            self.try_flush(&mut st)
+        } else {
+            FlushState::Dead
+        };
+        drop(st);
+        if matches!(state, FlushState::Blocked) {
+            self.reactor.post(Mail::WantWrite(self.token));
+        }
+        let wrote = !matches!(state, FlushState::Dead);
+        for finish in parked {
+            finish.complete(wrote);
+        }
     }
 
     /// Put one dispatch's or job's replies on the wire in the protocol's
     /// reply order: v2 at once, v1 through the sequencer at slot `seq`,
     /// together with every consecutively-ready later slot. Empty `bytes`
     /// owe no output (a blank v1 line, a dropped job). Traces are filed
-    /// after the write, with both locks released.
+    /// after the write, with both locks released, or at the end of the
+    /// read pass that holds the write.
     pub(crate) fn reply(
         &self,
         proto: Proto,
@@ -320,19 +371,19 @@ impl ConnOut {
         bytes: Vec<u8>,
         finish: Option<Box<TraceFinish>>,
     ) {
-        let mut finishes: Vec<Box<TraceFinish>> = Vec::new();
+        let mut finishes: Vec<TraceFinish> = Vec::new();
         let mut wrote = false;
         if proto == Proto::V2 {
             wrote = !bytes.is_empty() && self.is_alive();
-            self.send(&bytes);
-            finishes.extend(finish);
+            finishes.extend(finish.map(|f| *f));
+            finishes = self.send(&bytes, finishes);
         } else {
             let v1 = &mut *self.v1.lock().expect("conn v1 lock");
             if !self.is_alive() {
                 // Dead connection: advance the sequencer for form's sake
                 // and let the trace go unrecorded as a socket write.
                 v1.next = v1.next.max(seq + 1);
-                finishes.extend(finish);
+                finishes.extend(finish.map(|f| *f));
             } else {
                 v1.pending.insert(seq, (bytes, finish));
                 let mut ready: Vec<u8> = Vec::new();
@@ -343,13 +394,13 @@ impl ConnOut {
                     } else {
                         ready.extend_from_slice(&bytes);
                     }
-                    finishes.extend(finish);
+                    finishes.extend(finish.map(|f| *f));
                 }
                 wrote = !ready.is_empty();
                 // v1 → out nested (the crate-wide lock order): the bytes
                 // of consecutive sequences reach the buffer in order even
                 // with workers racing on different sequences.
-                self.send(&ready);
+                finishes = self.send(&ready, finishes);
             }
         }
         for finish in finishes {
@@ -610,6 +661,10 @@ fn teardown(shared: &Arc<Shared>, poller: &Poller, conns: &mut HashMap<u64, Conn
 /// Drain the socket into `conn.rbuf`, parsing as bytes arrive so the
 /// buffer only ever holds one partial line or frame.
 fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> ReadOutcome {
+    if conn.closing {
+        // Reading stopped for good (EOF, or a v1 line over the cap).
+        return ReadOutcome::Eof;
+    }
     loop {
         match (&*conn.stream).read(scratch) {
             Ok(0) => {
@@ -625,8 +680,13 @@ fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> Rea
             Ok(n) => {
                 conn.last_activity = Instant::now();
                 conn.rbuf.extend_from_slice(&scratch[..n]);
-                if !parse_available(shared, conn) {
-                    return ReadOutcome::Dead;
+                // One read pass, one write: replies to everything this
+                // chunk completes leave together when the pass ends.
+                conn.out.hold();
+                let outcome = parse_available(shared, conn);
+                conn.out.release();
+                if !matches!(outcome, ReadOutcome::Open) {
+                    return outcome;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
@@ -636,12 +696,14 @@ fn handle_read(shared: &Arc<Shared>, conn: &mut Conn, scratch: &mut [u8]) -> Rea
     }
 }
 
-/// Consume every complete line/frame in `conn.rbuf`. Returns `false`
-/// when the connection violated the protocol and must die.
-fn parse_available(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
+/// Consume every complete line/frame in `conn.rbuf`. Returns
+/// [`ReadOutcome::Eof`] when a v1 line overran the cap (its reply is
+/// owed, nothing after it is read) and [`ReadOutcome::Dead`] when the
+/// connection violated the protocol and must die.
+fn parse_available(shared: &Arc<Shared>, conn: &mut Conn) -> ReadOutcome {
     if conn.proto.is_none() {
         let Some(&first) = conn.rbuf.first() else {
-            return true;
+            return ReadOutcome::Open;
         };
         if first == 0 {
             // Refuse the preamble at its first wrong byte, not once
@@ -649,10 +711,10 @@ fn parse_available(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
             let seen = conn.rbuf.len().min(wire::MAGIC.len());
             if conn.rbuf[..seen] != wire::MAGIC[..seen] {
                 telemetry::counter_add("server.conn.bad_magic", 1);
-                return false;
+                return ReadOutcome::Dead;
             }
             if seen < wire::MAGIC.len() {
-                return true; // preamble still arriving
+                return ReadOutcome::Open; // preamble still arriving
             }
             conn.rbuf.drain(..seen);
             conn.proto = Some(Proto::V2);
@@ -660,24 +722,32 @@ fn parse_available(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
             conn.proto = Some(Proto::V1);
         }
     }
-    match conn.proto {
-        Some(Proto::V1) => {
-            parse_v1(shared, conn);
-            true
-        }
-        Some(Proto::V2) => parse_v2(shared, conn),
+    let (parsed, refused) = match conn.proto {
+        Some(Proto::V1) => (parse_v1(shared, conn), ReadOutcome::Eof),
+        Some(Proto::V2) => (parse_v2(shared, conn), ReadOutcome::Dead),
         None => unreachable!("negotiated above"),
+    };
+    if parsed {
+        ReadOutcome::Open
+    } else {
+        refused
     }
 }
 
-fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) {
+/// Dispatch every complete line in `conn.rbuf`. Returns `false` when a
+/// line, complete or not, runs past [`MAX_LINE`]: it is answered
+/// `malformed` in its sequence slot, and the connection reads no more.
+fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
     let mut start = 0usize;
-    loop {
+    let within_cap = loop {
         let from = start.max(conn.scanned);
         let Some(rel) = conn.rbuf[from..].iter().position(|&b| b == b'\n') else {
-            break;
+            break conn.rbuf.len() - start <= MAX_LINE;
         };
         let nl = from + rel;
+        if nl - start > MAX_LINE {
+            break false;
+        }
         // Each line is its own unit of work, numbered in the reply
         // sequence.
         let line = FrameRef {
@@ -689,9 +759,26 @@ fn parse_v1(shared: &Arc<Shared>, conn: &mut Conn) {
         conn.next_seq += 1;
         shared.dispatch(&conn.out, Proto::V1, &conn.rbuf, &[line]);
         start = nl + 1;
+    };
+    if !within_cap {
+        // The stream cannot be trusted past an overlong line: answer it
+        // after the lines before it, then close, as for an oversized v2
+        // frame.
+        let mut reject = Vec::new();
+        let error = Response::Error {
+            kind: ErrorKind::Malformed.as_str().to_string(),
+            message: format!("request line exceeds the {MAX_LINE} byte cap"),
+        };
+        protocol::encode_reply(&mut reject, None, &error, None);
+        conn.out.reply(Proto::V1, conn.next_seq, reject, None);
+        conn.next_seq += 1;
+        conn.rbuf = Vec::new();
+        conn.scanned = 0;
+        return false;
     }
     conn.rbuf.drain(..start);
     conn.scanned = conn.rbuf.len();
+    true
 }
 
 fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
@@ -748,7 +835,7 @@ fn parse_v2(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
                 0,
                 message.as_bytes(),
             );
-            conn.out.send(&reject);
+            let _ = conn.out.send(&reject, Vec::new());
             break false;
         }
         if consumed == base {

@@ -197,8 +197,13 @@ struct Answers {
 }
 
 impl Answers {
+    const REPLY_ROOM: usize = 320;
+
     fn new(trace: &TraceCtx) -> Answers {
         Answers {
+            // Room for a traced v1 estimate reply, the longest common
+            // one, so encoding it reallocates nothing.
+            bytes: Vec::with_capacity(Answers::REPLY_ROOM),
             trace_id: trace.is_enabled().then(|| trace.id()),
             ..Answers::default()
         }
@@ -1009,15 +1014,16 @@ fn run_accept(shared: &Arc<Shared>, listener: &TcpListener, reactors: &[Arc<Reac
             // as a pre-negotiation rejection (docs/protocol.md).
             let mut stream = stream;
             let _ = stream.set_write_timeout(Some(shared.write_timeout));
-            let reject = protocol::error_line(
-                ErrorKind::Overloaded,
-                &format!(
+            let reject = Response::Error {
+                kind: ErrorKind::Overloaded.as_str().to_string(),
+                message: format!(
                     "connection limit reached ({} active)",
                     shared.max_connections
                 ),
-            );
-            let _ = stream.write_all(reject.as_bytes());
-            let _ = stream.write_all(b"\n");
+            };
+            let mut line = Vec::new();
+            protocol::encode_reply(&mut line, None, &reject, None);
+            let _ = stream.write_all(&line);
             continue; // dropped: closed
         }
         let _ = stream.set_nodelay(true);

@@ -242,6 +242,44 @@ fn v2_reply(request: &Request, response: &Response, late: bool) -> (Vec<u8>, Res
     (frame, decoded)
 }
 
+/// Give a response what the v1 encoder must get exactly right: source
+/// strings that need escapes, and floats at the extremes (subnormals,
+/// ±huge, −0.0, the non-finite values both paths write as `null`).
+fn sharpen(response: &mut Response, raw: Vec<u64>) {
+    const EXTREMES: [f64; 11] = [
+        0.0,
+        -0.0,
+        5e-324,
+        -2.2250738585072e-310,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        1e21,
+        1e-7,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    let mut w = Words(raw.into_iter());
+    let float = |w: &mut Words| {
+        if w.below(2) == 0 {
+            EXTREMES[w.below(EXTREMES.len() as u64) as usize]
+        } else {
+            w.float()
+        }
+    };
+    match response {
+        Response::Estimate(a) => {
+            a.charge_per_cycle = float(&mut w);
+            a.via_average = float(&mut w);
+            a.average_hd = float(&mut w);
+            a.confidence = float(&mut w);
+            a.source = w.message();
+        }
+        Response::Characterize(c) => c.source = w.message(),
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -337,6 +375,38 @@ proptest! {
         }
     }
 
+    /// The v1 reply encoder writes straight from the typed response;
+    /// its bytes must be those of the `Value` oracle rendered, plus the
+    /// trace id and the newline, appended after whatever the buffer
+    /// already holds.
+    #[test]
+    fn the_v1_encoder_writes_the_bytes_of_its_value_oracle(
+        raw in words(),
+        extra in words(),
+        trace in any::<u64>(),
+        traced in any::<bool>(),
+    ) {
+        let (request, mut response) = response_from(raw);
+        if !v2_only(&response) {
+            sharpen(&mut response, extra);
+            let requests = match response {
+                Response::Error { .. } => vec![Some(&request), None],
+                _ => vec![Some(&request)],
+            };
+            for request in requests {
+                let mut expected = protocol::render(&protocol::reply_value(request, &response));
+                if traced {
+                    expected.pop();
+                    expected.push_str(&format!(",\"trace\":\"t{trace:016x}\"}}"));
+                }
+                expected.push('\n');
+                let mut line = b"prefix".to_vec();
+                protocol::encode_reply(&mut line, request, &response, traced.then_some(trace));
+                prop_assert_eq!(String::from_utf8(line).unwrap(), format!("prefix{expected}"));
+            }
+        }
+    }
+
     /// Valid request lines, request frames and reply frames with bytes
     /// flipped or cut off reach the decoders' deeper branches; they too
     /// answer with a value or a typed error.
@@ -381,6 +451,43 @@ proptest! {
             let _ = wire::decode_reply(op, wire::STATUS_OK, &payload);
             let _ = wire::decode_reply(op, wire::STATUS_OK, &payload[..end]);
         }
+    }
+}
+
+proptest! {
+    // Each case builds up to a megabyte of input.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Long inputs, deep nesting and lines past the server's line cap,
+    /// also give every decoder a value or a typed error, never a panic
+    /// or a stack overflow.
+    #[test]
+    fn long_inputs_never_panic_a_decoder(
+        depth in 0usize..20_000,
+        shape in any::<u64>(),
+        past_cap in any::<bool>(),
+    ) {
+        let mut line = String::new();
+        if past_cap {
+            line.push_str("{\"op\":\"");
+            line.push_str(&"a".repeat(wire::MAX_PAYLOAD as usize + (shape % 64) as usize));
+            if shape & 1 == 0 {
+                line.push_str("\"}");
+            }
+        }
+        for level in 0..depth {
+            line.push_str(if (shape >> (level % 64)) & 1 == 0 { "[" } else { "{\"k\":" });
+        }
+        if shape & 2 == 0 {
+            for level in (0..depth).rev() {
+                line.push(if (shape >> (level % 64)) & 1 == 0 { ']' } else { '}' });
+            }
+        }
+        let _ = protocol::decode(line.as_bytes());
+        let _ = protocol::decode_reply(&line);
+        let wrapped = format!("{{\"ok\":false,\"error\":{line}}}");
+        let _ = protocol::decode(wrapped.as_bytes());
+        let _ = protocol::decode_reply(&wrapped);
     }
 }
 

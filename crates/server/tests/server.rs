@@ -463,3 +463,52 @@ fn draining_server_sheds_requests_that_arrive_too_late() {
         }
     }
 }
+
+#[test]
+fn a_deeply_nested_line_is_malformed_and_the_server_lives() {
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
+    let mut client = Client::connect(&server);
+    // 10,000 `[` once overflowed the reactor thread's stack and aborted
+    // the process; the reader's nesting limit answers it instead.
+    let reply = client.round_trip(&"[".repeat(10_000));
+    assert!(reply.contains("\"kind\":\"malformed\""), "{reply}");
+    assert!(
+        reply.contains("recursion limit exceeded at line 1 column 129"),
+        "{reply}"
+    );
+    assert!(client.round_trip(STATS).contains("\"ok\":true"));
+    server.shutdown();
+}
+
+#[test]
+fn an_overlong_line_is_refused_and_its_connection_closed() {
+    let cap = hdpm_server::wire::MAX_PAYLOAD as usize;
+    let server = Server::start(quick_config().build().unwrap()).expect("start");
+    // A line at the cap is still a line (here a malformed one).
+    let mut client = Client::connect(&server);
+    let reply = client.round_trip(&"x".repeat(cap));
+    assert!(reply.contains("\"kind\":\"malformed\""), "{reply}");
+    assert!(client.round_trip(STATS).contains("\"ok\":true"));
+    // One byte more, with or without its newline, and the connection is
+    // answered in order and then closed, its bytes never buffered past
+    // the cap.
+    for newline in ["", "\n"] {
+        let mut client = Client::connect(&server);
+        client.send(STATS);
+        let mut line = "y".repeat(cap + 1);
+        line.push_str(newline);
+        client.stream.write_all(line.as_bytes()).unwrap();
+        let stats = client.recv().expect("the line before is answered");
+        assert!(stats.contains("\"ok\":true"), "{stats}");
+        let refusal = client.recv().expect("the overlong line is answered");
+        assert!(refusal.contains("\"kind\":\"malformed\""), "{refusal}");
+        assert!(
+            refusal.contains("request line exceeds the 1048576 byte cap"),
+            "{refusal}"
+        );
+        assert_eq!(client.recv(), None, "then the connection closes");
+    }
+    let mut client = Client::connect(&server);
+    assert!(client.round_trip(STATS).contains("\"ok\":true"));
+    server.shutdown();
+}

@@ -110,24 +110,22 @@ pub fn next_trace_id() -> u64 {
     }
 }
 
-/// Append a rendered trace id (`t` + 16 lowercase hex digits) to `out`
-/// without allocating. Hand-rolled (no formatting machinery) because the
-/// server calls it once per request, directly into the reply line.
-pub fn write_trace_id(out: &mut String, id: u64) {
+/// A rendered trace id (`t` + 16 lowercase hex digits) as bytes, with
+/// no allocation. Hand-rolled (no formatting machinery) because the
+/// server renders one per request, straight into the reply line.
+pub fn trace_id_bytes(id: u64) -> [u8; 17] {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut buf = [b't'; 17];
     for (i, byte) in buf[1..].iter_mut().enumerate() {
         *byte = HEX[((id >> ((15 - i) * 4)) & 0xf) as usize];
     }
-    out.push_str(std::str::from_utf8(&buf).expect("hex digits are UTF-8"));
+    buf
 }
 
 /// Render a trace id the way it appears in replies and dumps:
 /// `t` + 16 lowercase hex digits.
 pub fn format_trace_id(id: u64) -> String {
-    let mut out = String::with_capacity(17);
-    write_trace_id(&mut out, id);
-    out
+    String::from_utf8(trace_id_bytes(id).to_vec()).expect("hex digits are UTF-8")
 }
 
 /// Mutable per-request trace state carried through the pipeline.
