@@ -137,6 +137,18 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Look up `key`, marking it most recently used on a hit. Counts one
     /// hit or miss.
     pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.lookup(key, true)
+    }
+
+    /// Look up `key`, marking it most recently used and counting a hit
+    /// when it is present. Counts no miss: for a probe whose caller falls
+    /// back to a lookup that counts it. One hash of `key`, where
+    /// [`LruCache::peek`] then [`LruCache::get`] would take two.
+    pub fn touch(&mut self, key: &K) -> Option<&V> {
+        self.lookup(key, false)
+    }
+
+    fn lookup(&mut self, key: &K, count_miss: bool) -> Option<&V> {
         self.tick += 1;
         match self.map.get_mut(key) {
             Some(slot) => {
@@ -145,7 +157,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 Some(&slot.value)
             }
             None => {
-                self.misses += 1;
+                if count_miss {
+                    self.misses += 1;
+                }
                 None
             }
         }
@@ -319,6 +333,20 @@ mod tests {
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.capacity(), 4);
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn touch_counts_hits_only_and_refreshes_recency() {
+        let mut cache: LruCache<&str, u32> = LruCache::new(2);
+        assert!(cache.touch(&"a").is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0), "no miss counted");
+        cache.insert("a", 1);
+        cache.insert("b", 2);
+        // Touch `a` so `b` becomes the LRU entry.
+        assert_eq!(cache.touch(&"a"), Some(&1));
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        assert_eq!(cache.insert("c", 3), Some("b"));
+        assert_eq!(cache.peek(&"a"), Some(&1));
     }
 
     #[test]

@@ -288,10 +288,16 @@ struct EngineInner {
 
 impl EngineInner {
     /// The one memory-tier hit path: `key`'s characterization, touched
-    /// as most recently used and counted as a hit. A miss counts as one
-    /// in the cache's own tally.
-    fn hit(&mut self, key: &ModelKey) -> Option<Arc<Characterization>> {
-        let cached = self.cache.get(key).map(Arc::clone);
+    /// as most recently used and counted as a hit, with one hash of `key`.
+    /// A miss counts as one in the cache's own tally when `count_miss`;
+    /// the non-blocking [`PowerEngine::resident`] probe counts none.
+    fn hit(&mut self, key: &ModelKey, count_miss: bool) -> Option<Arc<Characterization>> {
+        let cached = if count_miss {
+            self.cache.get(key)
+        } else {
+            self.cache.touch(key)
+        }
+        .map(Arc::clone);
         if cached.is_some() {
             telemetry::counter_add("engine.cache.hit", 1);
         }
@@ -498,7 +504,7 @@ impl PowerEngine {
         }
         let role = trace.time(Stage::CacheLookup, || {
             let mut inner = self.inner.lock().expect("engine lock");
-            if let Some(cached) = inner.hit(&key) {
+            if let Some(cached) = inner.hit(&key, true) {
                 Role::Hit(cached)
             } else if let Some(flight) = inner.inflight.get(&key) {
                 Role::Waiter(Arc::clone(flight))
@@ -569,9 +575,7 @@ impl PowerEngine {
     ) -> Option<Arc<Characterization>> {
         let key = self.key_for(spec);
         trace.time(Stage::CacheLookup, || {
-            let mut inner = self.inner.lock().expect("engine lock");
-            inner.cache.peek(&key)?;
-            inner.hit(&key)
+            self.inner.lock().expect("engine lock").hit(&key, false)
         })
     }
 
@@ -678,7 +682,7 @@ impl PowerEngine {
         // and still instant (memory lookup / one artifact read).
         let key = self.key_for(spec);
         let cached = trace.time(Stage::CacheLookup, || {
-            self.inner.lock().expect("engine lock").hit(&key)
+            self.inner.lock().expect("engine lock").hit(&key, true)
         });
         if let Some(c) = cached {
             return trace.time(Stage::Estimate, || Estimate::resident(&c, dist));
@@ -1107,6 +1111,30 @@ mod tests {
             (stats.hits, stats.misses, stats.characterizations),
             (1, 1, 1)
         );
+    }
+
+    /// A resident hit touches the LRU as a fetch hit does: the model it
+    /// took survives the next eviction, and the untouched one goes.
+    #[test]
+    fn resident_lookup_refreshes_eviction_order() {
+        let engine = PowerEngine::new(EngineOptions {
+            capacity: 2,
+            ..quick_options()
+        });
+        let specs: Vec<ModuleSpec> = [4usize, 5, 6]
+            .iter()
+            .map(|&w| ModuleSpec::new(ModuleKind::RippleAdder, w))
+            .collect();
+        let mut trace = TraceCtx::disabled();
+        engine.model(specs[0]).unwrap();
+        engine.model(specs[1]).unwrap();
+        // Touch: specs[1] becomes LRU.
+        assert!(engine.resident(specs[0], &mut trace).is_some());
+        engine.model(specs[2]).unwrap();
+        assert!(engine.resident(specs[0], &mut trace).is_some(), "touched");
+        assert!(engine.resident(specs[1], &mut trace).is_none(), "evicted");
+        let stats = engine.stats();
+        assert_eq!((stats.evictions, stats.hits, stats.misses), (1, 2, 3));
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! reactor answers an estimate itself when [`ExecCtx::resident`] finds
 //! every input already in memory; everything else goes through the queue
 //! to a worker. Both call [`ExecCtx::execute`], so the policies above
-//! hold on either path.
+//! hold on either path. A repeated estimate that the server's reply memo
+//! answers skips the request core but not its deadline rule and totals:
+//! it runs through [`ExecCtx::guarded`].
 
 use std::io;
 use std::path::Path;
@@ -167,8 +169,8 @@ impl<'a> ExecCtx<'a> {
     /// Run `body` under the request's deadline and count its outcome.
     /// A request already past its limit answers `timeout` without
     /// running; one whose limit expires while it runs returns its full
-    /// result, flagged late. The v2 loop runs its reply-memo hits through
-    /// here too.
+    /// result, flagged late. Reply-memo hits on both protocols run
+    /// through here too.
     pub(crate) fn guarded<T>(
         &mut self,
         deadline_ms: Option<u64>,
@@ -568,6 +570,46 @@ mod tests {
         assert!(!timed_out.late);
         let report = totals.report();
         assert_eq!((report.ok, report.errors, report.timeouts), (1, 0, 1));
+    }
+
+    /// The memo's LRU order: one miss, then a hit; capacity + 1 distinct
+    /// keys evict exactly one entry, the least recently used, not the
+    /// whole map, so a recent key still hits while the evicted one misses
+    /// again. Counted on the memo's own tally, which agrees with its
+    /// `protocol.dist_cache.*` counters for one caller at a time: the
+    /// metrics registry is process-global, and this crate's other tests
+    /// run estimates concurrently.
+    #[test]
+    fn a_full_memo_evicts_its_least_recently_used_entry() {
+        let dists = DistMemo::new();
+        let spec = ModuleSpec::new(hdpm_netlist::ModuleKind::RippleAdder, 4);
+        let key = |cycles: usize| dist_key(spec, DataType::Counter, cycles as u32, 7);
+        let counts = || {
+            let memo = dists.0.lock().unwrap();
+            (memo.misses(), memo.hits(), memo.evictions())
+        };
+        let capacity = DistMemo::CAPACITY as u64;
+
+        // Cold key: one miss; the identical key again: one hit.
+        dists.get_or_build(key(64));
+        assert_eq!(counts(), (1, 0, 0));
+        dists.get_or_build(key(64));
+        assert_eq!(counts(), (1, 1, 0));
+
+        // One past capacity: exactly one eviction, and its victim is the
+        // least recently used key (cycles=64).
+        for cycles in 200..200 + DistMemo::CAPACITY {
+            dists.get_or_build(key(cycles));
+        }
+        assert_eq!(counts(), (1 + capacity, 1, 1), "one entry, not a wipe");
+
+        // The warm working set survived the eviction: a recent key still
+        // hits…
+        dists.get_or_build(key(200 + DistMemo::CAPACITY - 1));
+        assert_eq!(counts(), (1 + capacity, 2, 1));
+        // …while the evicted LRU key misses and is re-fitted.
+        dists.get_or_build(key(64));
+        assert_eq!(counts().0, 2 + capacity);
     }
 
     /// Callers that miss one cold key together share one build: every

@@ -496,6 +496,14 @@ pub fn encode_reply(
     response: &Response,
     trace_id: Option<u64>,
 ) {
+    encode_reply_body(out, request, response);
+    close_reply(out, trace_id);
+}
+
+/// The reply line of [`encode_reply`] up to its trace id: the object
+/// left open, so [`close_reply`] can finish it. The server's reply memo
+/// keeps estimate bodies in this form.
+pub(crate) fn encode_reply_body(out: &mut Vec<u8>, request: Option<&Request>, response: &Response) {
     use serde_json::{write_f64, write_str, write_str_fmt};
     match (response, request) {
         (Response::Estimate(a), Some(Request::Estimate { spec, data, .. })) => {
@@ -550,6 +558,11 @@ pub fn encode_reply(
         }
         (answer, _) => unreachable!("{answer:?} does not answer {request:?}"),
     }
+}
+
+/// Close a reply body from [`encode_reply_body`]: the trace id when one
+/// is given, the closing brace and the newline.
+pub(crate) fn close_reply(out: &mut Vec<u8>, trace_id: Option<u64>) {
     if let Some(id) = trace_id {
         out.extend_from_slice(b",\"trace\":\"");
         out.extend_from_slice(&hdpm_telemetry::trace::trace_id_bytes(id));

@@ -21,20 +21,24 @@
 //!
 //! v1 lines and v2 frames differ only in codec. A reactor hands each v1
 //! line, or each read burst of v2 frames, to [`Shared::dispatch`], which
-//! per request (1) answers a v2 reply-memo hit undecoded, (2) decodes
-//! through the codec (the `decode` stage), (3) answers on the reactor
-//! through the request core ([`crate::exec`]) when
-//! [`ExecCtx::resident`] finds the inputs in memory, skipping the queue
-//! hop that is most of a warm request's latency, or (4) collects it into
-//! the one [`Job`] it queues. [`Shared::run`] answers a job on a worker;
-//! [`Shared::shed`] answers a refused job `overloaded`. Replies are
-//! encoded by the codec (a v1 line with the trace id; a v2 frame,
-//! memoized when a full-fidelity estimate) and leave in the protocol's
-//! order: v1 in request order through the connection's sequencer
-//! ([`ConnOut`]), v2 at once, matched by id. v1 stays out of the reply
-//! memo: a hit would relabel `source` and skip the engine's hit counter,
-//! so TCP v1 bytes would stop matching `hdpm serve`. Both memos (input
-//! distributions and v2 reply bytes) are per server.
+//! per request (1) decodes through the codec (the `decode` stage), (2)
+//! answers a reply-memo hit, (3) answers on the reactor through the
+//! request core ([`crate::exec`]) when [`ExecCtx::resident`] finds the
+//! inputs in memory, skipping the queue hop that is most of a warm
+//! request's latency, or (4) collects it into the one [`Job`] it queues.
+//! [`Shared::run`] answers a job on a worker; [`Shared::shed`] answers a
+//! refused job `overloaded`. Replies are encoded by the codec (a v1 line
+//! with the trace id; a v2 frame) and leave in the protocol's order: v1
+//! in request order through the connection's sequencer ([`ConnOut`]), v2
+//! at once, matched by id.
+//!
+//! The reply memo is keyed on the decoded estimate and holds each
+//! full-fidelity answer encoded once for each protocol. A v2 hit answers
+//! at once, labeled source `memo`. A v1 hit answers only while
+//! [`PowerEngine::resident`] finds the model, which counts the engine hit
+//! and touches its LRU: then the engine itself would say `memory`, so TCP
+//! v1 bytes and `stats` counters still match `hdpm serve`. Both memos
+//! (input distributions and estimate replies) are per server.
 //!
 //! Robustness: per-request deadlines counted from the socket read (one
 //! rule for both protocols; v2 labels late completions
@@ -62,6 +66,7 @@
 //! `/healthz`, `/readyz` and `/tracez`.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -70,14 +75,16 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hdpm_core::{resolve_threads, Fidelity, PowerEngine};
+use hdpm_core::{resolve_threads, CacheSource, Fidelity, PowerEngine};
+use hdpm_netlist::ModuleSpec;
+use hdpm_streams::DataType;
 use hdpm_telemetry as telemetry;
 use hdpm_telemetry::{trace as trace_mod, Stage, TraceCtx};
 use poller::Poller;
 use serde::{Serialize, Value};
 
 use crate::admin::AdminServer;
-use crate::client::{Proto, Request, Response};
+use crate::client::{EstimateAnswer, Proto, Request, Response};
 use crate::cluster::{self, ClusterRuntime};
 use crate::config::ServerConfig;
 use crate::exec::{self, DistMemo, ExecCtx, Executed, Resident};
@@ -161,8 +168,6 @@ struct Unit {
     /// The request's own deadline in ms, which can only tighten the
     /// server's.
     deadline_ms: Option<u64>,
-    /// The reply-memo key, carried by v2 estimates only.
-    memo: Option<MemoKey>,
 }
 
 /// Queued work: the requests of one dispatch that the reactor could not
@@ -192,6 +197,9 @@ struct Answers {
     seq: u64,
     first: Option<Request>,
     count: u64,
+    /// Of those, the ones answered from the reply memo: counted once per
+    /// dispatch, not once per frame of a v2 burst.
+    memo_hits: u64,
     /// The error kind of the first request that failed.
     failed: Option<String>,
 }
@@ -296,7 +304,7 @@ pub(crate) struct Shared {
     default_floor: Fidelity,
     /// The input-distribution memo of this server.
     dists: DistMemo,
-    /// The v2 estimate-reply memo of this server.
+    /// The estimate-reply memo of this server, for both protocols.
     replies: ReplyMemo,
     queue: Bounded<Job>,
     draining: AtomicBool,
@@ -387,31 +395,15 @@ impl Shared {
         let mut ctx = self.exec_ctx(arrived, &mut trace);
         for frame in frames {
             let raw = &data[frame.payload.0..frame.payload.1];
-            let memo = memo_key(proto, frame, raw);
-            if let Some(hit) = memo.and_then(|key| self.replies.get(&key)) {
-                let (result, late) = ctx.guarded(frame.deadline(), |_| {
-                    telemetry::counter_add("server.memo.hit", 1);
-                    Ok(())
-                });
-                let flags = if late { wire::FLAG_LATE } else { 0 };
-                let (code, payload) = match &result {
-                    Ok(()) => (wire::STATUS_OK, &hit[..]),
-                    Err((kind, message)) => (wire::status_of(*kind), message.as_bytes()),
-                };
-                wire::encode_frame(&mut answers.bytes, frame.id, code, flags, payload);
-                let status = result.err().map_or("ok", |(kind, _)| kind.as_str());
-                answers.note(frame.id, None, status);
-                continue;
-            }
-            let Some(unit) = ctx
-                .trace
-                .time(Stage::Decode, || decode(proto, frame, raw, memo))
-            else {
+            let Some(unit) = ctx.trace.time(Stage::Decode, || decode(proto, frame, raw)) else {
                 // A blank v1 line is owed no reply: release its place in
                 // the sequence.
                 out.reply(proto, frame.id, Vec::new(), None);
                 continue;
             };
+            if self.answer_memoized(&mut ctx, proto, &unit, &mut answers) {
+                continue;
+            }
             match unit.request.as_ref().ok().and_then(|r| ctx.resident(r)) {
                 Some(resident) => self.answer(&mut ctx, proto, &unit, Some(resident), &mut answers),
                 None => queued.push(unit),
@@ -431,8 +423,60 @@ impl Shared {
             return;
         }
         telemetry::counter_add("server.request.inline", answers.count);
+        telemetry::counter_add("server.memo.hit", answers.memo_hits);
         telemetry::record_duration_ns("server.request_ns", arrived.elapsed().as_nanos() as u64);
         self.reply(out, proto, &trace, answers);
+    }
+
+    /// Answer `unit` from the reply memo: a v2 frame at once, a v1 line
+    /// only while [`PowerEngine::resident`] finds the model. That lookup
+    /// counts the engine hit and touches its LRU as the request core
+    /// would, so the line's `memory` source and the `stats` counters stay
+    /// what `hdpm serve` gives. Whether it answered.
+    fn answer_memoized(
+        &self,
+        ctx: &mut ExecCtx<'_>,
+        proto: Proto,
+        unit: &Unit,
+        answers: &mut Answers,
+    ) -> bool {
+        let Some(key) = unit.request.as_ref().ok().and_then(ReplyKey::of) else {
+            return false;
+        };
+        // A v2 payload is copied out; a v1 body goes straight onto the
+        // replies, and is taken back when it does not answer after all.
+        let start = answers.bytes.len();
+        let mut v2 = [0u8; wire::ESTIMATE_REPLY_LEN];
+        let found = self.replies.with(&key, |memoized| match proto {
+            Proto::V1 => answers.bytes.extend_from_slice(&memoized.v1),
+            Proto::V2 => v2 = memoized.v2,
+        });
+        let hit = found.is_some()
+            && (proto == Proto::V2 || ctx.engine.resident(key.0, ctx.trace).is_some());
+        if !hit {
+            answers.bytes.truncate(start);
+            return false;
+        }
+        let (result, late) = ctx.guarded(unit.deadline_ms, |_| Ok(()));
+        if let Err((kind, message)) = result {
+            answers.bytes.truncate(start);
+            let response = Response::Error {
+                kind: kind.as_str().to_string(),
+                message,
+            };
+            self.encode(proto, unit, &Executed { response, late }, answers);
+            return true;
+        }
+        answers.note(unit.id, unit.request.as_ref().ok(), "ok");
+        answers.memo_hits += 1;
+        match proto {
+            Proto::V1 => protocol::close_reply(&mut answers.bytes, answers.trace_id),
+            Proto::V2 => {
+                let flags = if late { wire::FLAG_LATE } else { 0 };
+                wire::encode_frame(&mut answers.bytes, unit.id, wire::STATUS_OK, flags, &v2);
+            }
+        }
+        true
     }
 
     /// Run one decoded request through the request core and encode its
@@ -561,18 +605,17 @@ impl Shared {
     }
 
     /// Encode the reply to `unit` onto `answers` and count it: a v1 line
-    /// carrying the trace id, or a v2 frame, memoized when it is a
-    /// full-fidelity estimate.
+    /// carrying the trace id, or a v2 frame. A full-fidelity estimate
+    /// enters the reply memo, the one place it is filled.
     fn encode(&self, proto: Proto, unit: &Unit, done: &Executed, answers: &mut Answers) {
         let request = unit.request.as_ref().ok();
         answers.note(unit.id, request, done.status());
         let out = &mut answers.bytes;
-        let start = out.len();
         match proto {
             Proto::V1 => protocol::encode_reply(out, request, &done.response, answers.trace_id),
             Proto::V2 => wire::encode_reply(out, unit.id, done.late, &done.response),
         }
-        let (Some(key), Response::Estimate(answer)) = (unit.memo, &done.response) else {
+        let (Some(request), Response::Estimate(answer)) = (request, &done.response) else {
             return;
         };
         telemetry::counter_add("server.memo.miss", 1);
@@ -580,10 +623,7 @@ impl Shared {
         // this key is expected to improve once the background upgrade
         // lands, and a memo hit would pin the stale tier forever.
         if answer.fidelity == Fidelity::Full {
-            let mut memoized = [0u8; wire::ESTIMATE_REPLY_LEN];
-            memoized.copy_from_slice(&out[start + wire::HEADER_LEN..]);
-            memoized[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
-            self.replies.insert(key, memoized);
+            self.replies.memoize(request, answer);
         }
     }
 
@@ -760,8 +800,16 @@ impl Server {
         telemetry::set_recording(true);
         // Whether a request is answered on the reactor depends on timing
         // (a pipelined warm request read before its cold predecessor
-        // finished is queued), so the counter exists from the start.
-        telemetry::counter_declare("server.request.inline");
+        // finished is queued), and so does whether a repeat is a
+        // reply-memo hit or a distribution-memo hit: these counters exist
+        // from the start.
+        for counter in [
+            "server.request.inline",
+            "server.memo.hit",
+            "protocol.dist_cache.hit",
+        ] {
+            telemetry::counter_declare(counter);
+        }
         // The first clock read calibrates the TSC (a ~5 ms spin); pay it
         // here, not inside the first request's deadline.
         telemetry::clock::now_ns();
@@ -1055,7 +1103,7 @@ fn run_worker(shared: &Arc<Shared>) {
 
 /// Decode one framed request through its protocol's codec. `None` for a
 /// blank v1 line, which is owed no reply.
-fn decode(proto: Proto, frame: &FrameRef, raw: &[u8], memo: Option<MemoKey>) -> Option<Unit> {
+fn decode(proto: Proto, frame: &FrameRef, raw: &[u8]) -> Option<Unit> {
     let (request, deadline_ms) = match proto {
         Proto::V1 => {
             let decoded = protocol::decode_line(protocol::trim_line(raw))?;
@@ -1067,55 +1115,94 @@ fn decode(proto: Proto, frame: &FrameRef, raw: &[u8], memo: Option<MemoKey>) -> 
         id: frame.id,
         request,
         deadline_ms,
-        memo,
     })
 }
 
-type MemoKey = [u8; wire::ESTIMATE_REQ_LEN];
-type MemoReply = [u8; wire::ESTIMATE_REPLY_LEN];
+/// The reply-memo key of an estimate: spec, data type, cycles, seed. A
+/// full-fidelity answer is the same at every floor, so the floor is not
+/// in it, and a legacy 18-byte v2 payload keys as its 19-byte form.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct ReplyKey(ModuleSpec, DataType, u32, u64);
 
-/// The v2 estimate-reply memo of one server, keyed on raw payload bytes
-/// and shared by its reactors and workers. A warm v2 estimate is
-/// dominated by re-rendering an identical answer, so identical request
-/// payloads (the monitoring / design-sweep steady state) short-circuit
-/// to the cached reply bytes with the source rewritten to `memo`. Safe
-/// because estimates are pure functions of the request payload —
-/// characterization is deterministic, so even a re-characterized model
-/// yields the same numbers. Checked before decode.
-#[derive(Default)]
-struct ReplyMemo(Mutex<HashMap<MemoKey, MemoReply>>);
-
-impl ReplyMemo {
-    fn get(&self, key: &MemoKey) -> Option<MemoReply> {
-        self.0.lock().expect("reply memo").get(key).copied()
-    }
-
-    fn insert(&self, key: MemoKey, reply: MemoReply) {
-        let mut memo = self.0.lock().expect("reply memo");
-        // Blunt bound: distinct estimate payloads are rare (catalogue ×
-        // widths × data types).
-        if memo.len() >= 4096 {
-            memo.clear();
-        }
-        memo.insert(key, reply);
+impl ReplyKey {
+    fn of(request: &Request) -> Option<ReplyKey> {
+        let Request::Estimate {
+            spec,
+            data,
+            cycles,
+            seed,
+            ..
+        } = *request
+        else {
+            return None;
+        };
+        Some(ReplyKey(spec, data, cycles, seed))
     }
 }
 
-/// The memo key of a framed request: v2 estimates only, keyed on the raw
-/// payload. Legacy 18-byte payloads key as their 19-byte form with floor
-/// 0 ("server default"): the memo must not fork on encoding.
-fn memo_key(proto: Proto, frame: &FrameRef, payload: &[u8]) -> Option<MemoKey> {
-    if proto != Proto::V2 || frame.op != wire::Opcode::Estimate as u8 {
-        return None;
+impl Hash for ReplyKey {
+    /// Three words: the derived hash feeds each enum tag and field to the
+    /// hasher on its own, which doubles the cost of a lookup.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ReplyKey(spec, data, cycles, seed) = *self;
+        let (m1, m2) = spec.width.operand_widths();
+        state.write_u64(seed);
+        state.write_u64(u64::from(cycles) | ((spec.kind as u64) << 32) | ((data as u64) << 40));
+        state.write_u64(m1 as u64 ^ (m2 as u64).rotate_left(32));
     }
-    match payload.len() {
-        wire::ESTIMATE_REQ_LEN => payload.try_into().ok(),
-        wire::LEGACY_ESTIMATE_REQ_LEN => {
-            let mut padded = [0u8; wire::ESTIMATE_REQ_LEN];
-            padded[..wire::LEGACY_ESTIMATE_REQ_LEN].copy_from_slice(payload);
-            Some(padded)
+}
+
+/// One memoized full-fidelity estimate, encoded once for each protocol:
+/// the v2 reply payload with source `memo`, and the v1 reply line up to
+/// its trace id ([`protocol::close_reply`] ends it) with source `memory`,
+/// since a v1 hit answers only while the model is resident.
+struct Memoized {
+    v2: [u8; wire::ESTIMATE_REPLY_LEN],
+    v1: Box<[u8]>,
+}
+
+/// The estimate-reply memo of one server, for both protocols, shared by
+/// its reactors and workers. Identical estimates (the monitoring /
+/// design-sweep steady state) copy memoized reply bytes instead of
+/// running the request core and the encoder again. Safe because
+/// estimates are pure functions of the key — characterization is
+/// deterministic, so even a re-characterized model yields the same
+/// numbers.
+#[derive(Default)]
+struct ReplyMemo(Mutex<HashMap<ReplyKey, Memoized>>);
+
+impl ReplyMemo {
+    /// Blunt bound: distinct estimates are rare (catalogue × widths ×
+    /// data types), so a full memo is cleared, not kept in LRU order.
+    const CAPACITY: usize = 4096;
+
+    /// Run `read` on `key`'s entry under the memo lock, so hits share no
+    /// reference count between reactors; `None` when there is none.
+    fn with<T>(&self, key: &ReplyKey, read: impl FnOnce(&Memoized) -> T) -> Option<T> {
+        self.0.lock().expect("reply memo").get(key).map(read)
+    }
+
+    /// Memoize the full-fidelity `answer` to `request`, encoding it once.
+    fn memoize(&self, request: &Request, answer: &EstimateAnswer) {
+        let Some(key) = ReplyKey::of(request).filter(|key| self.with(key, |_| ()).is_none()) else {
+            return;
+        };
+        let mut frame = Vec::new();
+        wire::encode_reply(&mut frame, 0, false, &Response::Estimate(answer.clone()));
+        let mut v2 = [0u8; wire::ESTIMATE_REPLY_LEN];
+        v2.copy_from_slice(&frame[wire::HEADER_LEN..]);
+        v2[wire::ESTIMATE_REPLY_SOURCE_OFFSET] = wire::SOURCE_MEMO;
+        let resident = EstimateAnswer {
+            source: CacheSource::Memory.as_str().to_string(),
+            ..answer.clone()
+        };
+        let mut v1 = Vec::new();
+        protocol::encode_reply_body(&mut v1, Some(request), &Response::Estimate(resident));
+        let mut memo = self.0.lock().expect("reply memo");
+        if memo.len() >= Self::CAPACITY {
+            memo.clear();
         }
-        _ => None,
+        memo.entry(key).or_insert(Memoized { v2, v1: v1.into() });
     }
 }
 

@@ -1,8 +1,10 @@
-//! The per-server input-distribution memo vs its telemetry: hits, misses
-//! and evictions counted while real v1 requests flow through the reactor
-//! pool. Regression coverage for the §5 fix where a full memo was wiped
-//! (`clear()`) instead of evicting the one least-recently-used entry —
-//! the warm working set must survive the 129th distinct key.
+//! The per-server input-distribution memo vs its telemetry, while real
+//! v1 requests flow through the reactor pool, and its layering under the
+//! per-server reply memo: a repeated estimate is answered from the reply
+//! memo and never reaches the distribution memo, so these tests count
+//! repeats there. The memo's own LRU order (one miss, a hit, exactly one
+//! eviction past capacity, the evicted key missing again) is a unit test
+//! of `exec::DistMemo`, which a repeat over TCP can no longer reach.
 //!
 //! The memo is shared by the server's reactors and workers, so a key is
 //! built once per server however many workers and connections ask for
@@ -69,8 +71,11 @@ fn estimate(cycles: usize) -> String {
     )
 }
 
+/// Distinct estimates reach the distribution memo, which evicts one
+/// entry past its capacity, not the whole map; a repeat of any of them is
+/// a reply-memo hit that leaves the distribution memo's counters alone.
 #[test]
-fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
+fn repeats_are_answered_by_the_reply_memo_before_the_dist_cache() {
     let _state = fresh_state();
     let server = Server::start(
         ServerConfig::builder()
@@ -95,19 +100,22 @@ fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
         reply
     };
 
-    // Cold key: one miss; the identical request again: one hit.
+    // Cold key: one miss in each memo.
     exchange(&estimate(64));
     assert_eq!(counter("protocol.dist_cache.miss"), 1);
     assert_eq!(counter("protocol.dist_cache.hit"), 0);
+    assert_eq!(counter("server.memo.miss"), 1);
+    // The identical request again: one reply-memo hit, and the
+    // distribution memo is not asked.
     exchange(&estimate(64));
+    assert_eq!(counter("server.memo.hit"), 1);
     assert_eq!(counter("protocol.dist_cache.miss"), 1);
-    assert_eq!(counter("protocol.dist_cache.hit"), 1);
+    assert_eq!(counter("protocol.dist_cache.hit"), 0);
     assert_eq!(counter("protocol.dist_cache.evict"), 0);
 
-    // Fill the memo with distinct keys until one past capacity. The memo
-    // holds the cycles=64 entry plus CACHE_CAPACITY fresh ones, so
-    // exactly one eviction fires — and its victim is the least recently
-    // used key (cycles=64), not the whole map.
+    // Fill the distribution memo with distinct keys until one past
+    // capacity: it holds the cycles=64 entry plus CACHE_CAPACITY fresh
+    // ones, so exactly one eviction fires, not a wipe.
     for cycles in 200..200 + CACHE_CAPACITY {
         exchange(&estimate(cycles));
     }
@@ -121,16 +129,18 @@ fn dist_cache_counters_track_hits_misses_and_single_entry_eviction() {
         "one entry, not a wipe"
     );
 
-    // The warm working set survived the eviction: a recent key still hits…
-    let hits_before = counter("protocol.dist_cache.hit");
-    exchange(&estimate(200 + CACHE_CAPACITY - 1));
-    assert_eq!(counter("protocol.dist_cache.hit"), hits_before + 1);
-    // …while the evicted LRU key misses and is re-fitted.
-    exchange(&estimate(64));
-    assert_eq!(
-        counter("protocol.dist_cache.miss"),
-        2 + CACHE_CAPACITY as u64
-    );
+    // A recent key and the evicted one both repeat through the reply
+    // memo: neither reaches the distribution memo.
+    for cycles in [200 + CACHE_CAPACITY - 1, 64] {
+        let hits_before = counter("server.memo.hit");
+        exchange(&estimate(cycles));
+        assert_eq!(counter("server.memo.hit"), hits_before + 1);
+        assert_eq!(
+            counter("protocol.dist_cache.miss"),
+            1 + CACHE_CAPACITY as u64
+        );
+        assert_eq!(counter("protocol.dist_cache.hit"), 0);
+    }
 
     server.shutdown();
 }
@@ -173,8 +183,14 @@ fn identical_estimates_across_workers_and_connections_miss_once() {
             read_reply(reader);
         }
     }
+    // Every request but the one that built the distribution is a hit in
+    // exactly one memo: the distribution memo's until the first answer is
+    // memoized, the reply memo's after.
     let k = 2 * PER_CONNECTION as u64;
     assert_eq!(counter("protocol.dist_cache.miss"), 1);
-    assert_eq!(counter("protocol.dist_cache.hit"), k - 1);
+    assert_eq!(
+        counter("protocol.dist_cache.hit") + counter("server.memo.hit"),
+        k - 1
+    );
     server.shutdown();
 }

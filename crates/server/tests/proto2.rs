@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
@@ -34,6 +34,21 @@ fn slow_engine() -> EngineOptions {
             .build()
             .unwrap(),
         ..quick_engine()
+    }
+}
+
+/// Wait until the engine has one characterization in flight: the slow
+/// request has reached a worker. A poll, not a fixed sleep, because a
+/// release build can finish the characterization inside a sleep that a
+/// debug build outlasts.
+fn await_inflight(server: &Server) {
+    let patience = Instant::now() + Duration::from_secs(60);
+    while server.engine().stats().inflight != 1 {
+        assert!(
+            Instant::now() < patience,
+            "the slow request never reached a worker"
+        );
+        std::thread::sleep(Duration::from_micros(100));
     }
 }
 
@@ -320,9 +335,9 @@ fn v2_replies_complete_out_of_order_past_a_slow_request() {
         )
         .expect("send slow");
     client.flush().expect("flush");
-    // Give the reactor time to batch the slow frame alone and hand it to
-    // a worker before the pings arrive in a second batch.
-    std::thread::sleep(Duration::from_millis(50));
+    // The reactor batched the slow frame alone and handed it to a worker
+    // before the pings arrive in a second batch.
+    await_inflight(&server);
     let ping_ids: Vec<u64> = (0..3)
         .map(|_| client.send(&Request::Ping, None).expect("send ping"))
         .collect();
@@ -354,11 +369,24 @@ fn v2_warm_estimate_is_answered_inline_past_a_cold_characterize() {
             .unwrap(),
     )
     .expect("start");
-    // Warm over v1: the model and the distribution memo are the
-    // server's, so a v2 frame sees what a v1 request left there, while
-    // the v2 reply memo stays empty and the resident-model path answers.
+    // Warm over v1: the models and the distribution memo are the
+    // server's, so a v2 frame sees what v1 requests left there. The v1
+    // estimate memoizes its own reply; the v2 one names another adder of
+    // the same widths, resident through the characterize and sharing the
+    // estimate's input distribution, so the reply memo misses and the
+    // resident-model path answers.
+    let adder = ModuleSpec::new(ModuleKind::ClaAdder, 4usize);
     let mut v1 = Client::connect(server.local_addr(), Proto::V1).expect("connect v1");
     v1.call(&estimate(4), None).expect("warm-up");
+    v1.call(&Request::Characterize { spec: adder }, None)
+        .expect("warm-up");
+    let warm = Request::Estimate {
+        spec: adder,
+        data: hdpm_server::protocol::data_type("counter").expect("known type"),
+        cycles: 64,
+        seed: 7,
+        floor: None,
+    };
     let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
     let cold_id = client
         .send(
@@ -368,7 +396,7 @@ fn v2_warm_estimate_is_answered_inline_past_a_cold_characterize() {
             None,
         )
         .expect("send cold");
-    let warm_id = client.send(&estimate(4), None).expect("send warm");
+    let warm_id = client.send(&warm, None).expect("send warm");
     client.flush().expect("flush");
     let first = client.recv().expect("reply");
     assert_eq!(first.id, warm_id, "the warm estimate answers first");
@@ -404,7 +432,7 @@ fn v2_deadline_expiring_in_queue_earns_a_timeout_frame() {
         )
         .expect("send slow");
     client.flush().expect("flush");
-    std::thread::sleep(Duration::from_millis(50));
+    await_inflight(&server);
     let doomed = client.send(&Request::Ping, Some(1)).expect("send doomed");
     client.flush().expect("flush");
     let mut timed_out = false;
