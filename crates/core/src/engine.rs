@@ -12,7 +12,9 @@
 //! deduplication**: concurrent requests for the same key block on one
 //! characterization instead of racing N gate-level runs. The leader
 //! publishes its result (or failure) through a condvar-guarded flight
-//! slot; waiters receive the shared `Arc` with no recomputation.
+//! slot; waiters receive the shared `Arc` with no recomputation. With a
+//! disk tier, the leader publishes *before* the artifact is durable: a
+//! persist thread writes it afterwards, still under the artifact's lock.
 //!
 //! ```
 //! use hdpm_core::prelude::*;
@@ -36,6 +38,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, Weak};
+use std::time::{Duration, Instant};
 
 use hdpm_datamodel::HdDistribution;
 use hdpm_netlist::{ModuleKind, ModuleSpec};
@@ -47,7 +50,7 @@ use crate::cache::{config_fingerprint, LruCache, ModelKey};
 use crate::characterize::{characterize_sharded, Characterization, CharacterizationConfig};
 use crate::error::ModelError;
 use crate::fidelity::{self, Fidelity};
-use crate::library::{CorruptArtifactPolicy, LibrarySource, ModelLibrary};
+use crate::library::{CorruptArtifactPolicy, LibrarySource, ModelLibrary, PendingSave};
 use crate::model::HdModel;
 use crate::regress::{ParameterizableModel, Prototype};
 use crate::shard::{parallel_map_ordered, resolve_threads, ShardingConfig};
@@ -351,6 +354,64 @@ struct UpgradeState {
     worker_running: bool,
 }
 
+/// Saves of artifacts already published to the memory tier, shared
+/// between the engine and its persist thread (which holds no engine
+/// reference, so dropping the engine can wait for it).
+struct SaveShared {
+    state: Mutex<SaveState>,
+    /// Signals both a queued save and a finished one.
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct SaveState {
+    queue: VecDeque<SaveJob>,
+    /// Keys published to memory whose artifacts are not durable yet:
+    /// queued, or being written.
+    unsaved: HashSet<ModelKey>,
+    /// Callers blocked until saves land: while any wait, nothing is
+    /// held back for [`SAVE_DELAY`].
+    waiters: usize,
+    shutdown: bool,
+    /// Test hook: while set, the persist thread leaves the queue alone,
+    /// holding each published artifact in its not-yet-durable window.
+    #[cfg(test)]
+    paused: bool,
+}
+
+impl SaveState {
+    /// The save to write now, or else how long to sleep before asking
+    /// again (`None`: until woken).
+    fn next(&mut self) -> Result<SaveJob, Option<Duration>> {
+        #[cfg(test)]
+        if self.paused {
+            return Err(None);
+        }
+        let front = self.queue.front().ok_or(None)?;
+        let wait = (front.queued + SAVE_DELAY).saturating_duration_since(Instant::now());
+        if wait.is_zero() || self.waiters > 0 || self.shutdown {
+            Ok(self.queue.pop_front().expect("a queued save"))
+        } else {
+            Err(Some(wait))
+        }
+    }
+}
+
+/// How long a save waits after its answer went out. A caller usually
+/// sends its next request at once, and that request should not share
+/// the CPU with serialization and fsyncs; the save then overlaps the
+/// work that request starts (often the next characterization) instead.
+/// A caller that needs the artifact cuts the wait short.
+const SAVE_DELAY: Duration = Duration::from_millis(2);
+
+/// One published characterization and the save that makes it durable.
+struct SaveJob {
+    key: ModelKey,
+    characterization: Arc<Characterization>,
+    save: PendingSave,
+    queued: Instant,
+}
+
 /// What the upgrade worker runs per spec instead of the default local
 /// `fetch` — the server installs one that routes through cluster
 /// ownership first.
@@ -385,6 +446,8 @@ pub struct PowerEngine {
     upgrade: Arc<UpgradeShared>,
     upgrade_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
     upgrade_hook: RwLock<Option<UpgradeHook>>,
+    saves: Arc<SaveShared>,
+    save_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl std::fmt::Debug for PowerEngine {
@@ -438,6 +501,11 @@ impl PowerEngine {
             }),
             upgrade_worker: Mutex::new(None),
             upgrade_hook: RwLock::new(None),
+            saves: Arc::new(SaveShared {
+                state: Mutex::new(SaveState::default()),
+                cv: Condvar::new(),
+            }),
+            save_worker: Mutex::new(None),
         }
     }
 
@@ -496,6 +564,18 @@ impl PowerEngine {
         spec: ModuleSpec,
         trace: &mut TraceCtx,
     ) -> Result<(Arc<Characterization>, CacheSource), ModelError> {
+        self.fetch_counted(spec, trace, true)
+    }
+
+    /// [`PowerEngine::fetch_traced`], counting a memory-tier miss only
+    /// when `count_miss` — false for a request whose own lookup already
+    /// counted it.
+    fn fetch_counted(
+        &self,
+        spec: ModuleSpec,
+        trace: &mut TraceCtx,
+        count_miss: bool,
+    ) -> Result<(Arc<Characterization>, CacheSource), ModelError> {
         let key = self.key_for(spec);
         enum Role {
             Hit(Arc<Characterization>),
@@ -504,7 +584,7 @@ impl PowerEngine {
         }
         let role = trace.time(Stage::CacheLookup, || {
             let mut inner = self.inner.lock().expect("engine lock");
-            if let Some(cached) = inner.hit(&key, true) {
+            if let Some(cached) = inner.hit(&key, count_miss) {
                 Role::Hit(cached)
             } else if let Some(flight) = inner.inflight.get(&key) {
                 Role::Waiter(Arc::clone(flight))
@@ -536,7 +616,21 @@ impl PowerEngine {
                 };
                 telemetry::counter_add("engine.cache.miss", 1);
                 let _span = telemetry::span("engine.miss");
-                let outcome = trace.time(Stage::Characterize, || self.load_or_characterize(spec));
+                let outcome = trace
+                    .time(Stage::Characterize, || self.load_or_characterize(spec))
+                    .map(|(c, source, save)| {
+                        // Queue the save before publishing, so the key
+                        // counts as unsaved from the moment it is served.
+                        if let Some(save) = save {
+                            self.submit_save(SaveJob {
+                                key,
+                                characterization: Arc::clone(&c),
+                                save,
+                                queued: Instant::now(),
+                            });
+                        }
+                        (c, source)
+                    });
                 let mut inner = self.inner.lock().expect("engine lock");
                 inner.inflight.remove(&key);
                 match &outcome {
@@ -589,35 +683,85 @@ impl PowerEngine {
     }
 
     /// Resolve a miss below the memory tier: disk artifact if present,
-    /// fresh characterization otherwise (stored to disk when the engine
-    /// has a library tier).
+    /// fresh characterization otherwise — with, when the engine has a
+    /// library tier, the save that stores it once published.
     fn load_or_characterize(
         &self,
         spec: ModuleSpec,
-    ) -> Result<(Arc<Characterization>, CacheSource), ModelError> {
+    ) -> Result<(Arc<Characterization>, CacheSource, Option<PendingSave>), ModelError> {
         if let Some(library) = &self.library {
-            // get_traced reports which store path actually served the
+            // get_unsaved reports which store path actually served the
             // request, so attribution cannot race a concurrent writer the
             // way a separate contains()-then-get() check could.
-            let (result, source) = library.get_traced(spec)?;
-            return match source {
+            let (result, source, save) = library.get_unsaved(spec)?;
+            let source = match source {
                 LibrarySource::DiskValid => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter_add("engine.disk.hit", 1);
-                    Ok((Arc::new(result), CacheSource::Disk))
+                    CacheSource::Disk
                 }
                 LibrarySource::Characterized | LibrarySource::Recovered => {
                     self.characterizations.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter_add("engine.characterize", 1);
-                    Ok((Arc::new(result), CacheSource::Fresh))
+                    CacheSource::Fresh
                 }
             };
+            return Ok((Arc::new(result), source, save));
         }
         let netlist = spec.build()?.validate()?;
         let result = characterize_sharded(&netlist, &self.options.config, &self.sharding)?;
         self.characterizations.fetch_add(1, Ordering::Relaxed);
         telemetry::counter_add("engine.characterize", 1);
-        Ok((Arc::new(result), CacheSource::Fresh))
+        Ok((Arc::new(result), CacheSource::Fresh, None))
+    }
+
+    /// Hand a published characterization's save to the persist thread,
+    /// starting the thread on first use.
+    fn submit_save(&self, job: SaveJob) {
+        let mut worker = self.save_worker.lock().expect("save worker lock");
+        {
+            let mut state = self.saves.state.lock().expect("save lock");
+            state.unsaved.insert(job.key);
+            state.queue.push_back(job);
+        }
+        self.saves.cv.notify_all();
+        if worker.is_none() {
+            let shared = Arc::clone(&self.saves);
+            let handle = std::thread::Builder::new()
+                .name("hdpm-persist".into())
+                .spawn(move || save_worker(&shared))
+                .expect("spawn persist worker");
+            *worker = Some(handle);
+        }
+    }
+
+    /// Block until `spec`'s artifact is durable, if this engine published
+    /// it and its save is still queued or running. Returns at once
+    /// otherwise — including when the artifact was never this engine's
+    /// to write. A store reader (a peer's model fetch) calls this so it
+    /// never misses an artifact that is served but not yet on disk.
+    pub fn wait_saved(&self, spec: ModuleSpec) {
+        let key = self.key_for(spec);
+        self.wait_saves_until(|state| !state.unsaved.contains(&key));
+    }
+
+    /// Block until every artifact this engine has published is durable.
+    /// Server shutdown calls this; dropping the engine does too.
+    pub fn wait_all_saved(&self) {
+        self.wait_saves_until(|state| state.unsaved.is_empty());
+    }
+
+    fn wait_saves_until(&self, done: impl Fn(&SaveState) -> bool) {
+        let mut state = self.saves.state.lock().expect("save lock");
+        if done(&state) {
+            return;
+        }
+        state.waiters += 1;
+        self.saves.cv.notify_all();
+        while !done(&state) {
+            state = self.saves.cv.wait(state).expect("save lock");
+        }
+        state.waiters -= 1;
     }
 
     /// Analytic power estimate of `spec` under an Hd distribution: the
@@ -688,7 +832,9 @@ impl PowerEngine {
             return trace.time(Stage::Estimate, || Estimate::resident(&c, dist));
         }
         if self.library.as_ref().is_some_and(|l| l.contains(spec)) {
-            return self.estimate_full(spec, dist, trace);
+            // The lookup above already counted this request's miss.
+            let fetched = self.fetch_counted(spec, trace, false)?;
+            return full_estimate(fetched, dist, trace);
         }
         // Tier B: regression over characterized siblings, if the family
         // has enough of them.
@@ -730,10 +876,8 @@ impl PowerEngine {
         dist: &HdDistribution,
         trace: &mut TraceCtx,
     ) -> Result<Estimate, ModelError> {
-        let (characterization, source) = self.fetch_traced(spec, trace)?;
-        trace.time(Stage::Estimate, || {
-            model_estimate(&characterization.model, dist, (source, Fidelity::Full, 1.0))
-        })
+        let fetched = self.fetch_traced(spec, trace)?;
+        full_estimate(fetched, dist, trace)
     }
 
     /// The memoized tier-B fit of a family, refitted when a new
@@ -822,15 +966,20 @@ impl PowerEngine {
         *self.upgrade_hook.write().expect("upgrade hook lock") = Some(Arc::new(hook));
     }
 
-    /// Upgrade requests queued or running right now — a test/ops hook,
-    /// racy by nature.
+    /// Upgrade requests queued or running right now, plus published
+    /// artifacts whose saves have not made them durable yet — a test/ops
+    /// hook, racy by nature. Zero means every upgrade so far has landed
+    /// on disk (with a disk tier): an upgrade queues its save before it
+    /// leaves the upgrade set, and the two are read in that order.
     pub fn pending_upgrades(&self) -> usize {
-        self.upgrade
+        let upgrades = self
+            .upgrade
             .state
             .lock()
             .expect("upgrade lock")
             .pending
-            .len()
+            .len();
+        upgrades + self.saves.state.lock().expect("save lock").unsaved.len()
     }
 
     /// Queue a background fidelity upgrade for `spec`: bounded, and
@@ -965,10 +1114,12 @@ impl PowerEngine {
 }
 
 impl Drop for PowerEngine {
-    /// Stop the background upgrade worker. Joins unless the engine is
-    /// being dropped *on* the worker thread (the worker held the last
-    /// `Arc`), where a self-join would deadlock — the thread just
-    /// detaches and exits on the shutdown flag it already observed.
+    /// Stop the background upgrade worker, then the persist thread once
+    /// it has written every queued save. Joins the upgrade worker unless
+    /// the engine is being dropped *on* the worker thread (the worker
+    /// held the last `Arc`), where a self-join would deadlock — the
+    /// thread just detaches and exits on the shutdown flag it already
+    /// observed.
     fn drop(&mut self) {
         {
             let mut state = self.upgrade.state.lock().expect("upgrade lock");
@@ -985,7 +1136,24 @@ impl Drop for PowerEngine {
                 let _ = handle.join();
             }
         }
+        self.saves.state.lock().expect("save lock").shutdown = true;
+        self.saves.cv.notify_all();
+        let handle = self.save_worker.lock().expect("save worker lock").take();
+        if let Some(handle) = handle {
+            let _ = handle.join();
+        }
     }
+}
+
+/// The full-fidelity estimate from a fetched model.
+fn full_estimate(
+    (characterization, source): (Arc<Characterization>, CacheSource),
+    dist: &HdDistribution,
+    trace: &mut TraceCtx,
+) -> Result<Estimate, ModelError> {
+    trace.time(Stage::Estimate, || {
+        model_estimate(&characterization.model, dist, (source, Fidelity::Full, 1.0))
+    })
 }
 
 /// An estimate from one rung of the fidelity ladder, labeled with where
@@ -1057,9 +1225,52 @@ fn upgrade_worker(engine: &Weak<PowerEngine>, shared: &Arc<UpgradeShared>) {
     }
 }
 
+/// The persist loop: write each published characterization's artifact
+/// in queue order, [`SAVE_DELAY`] after its answer unless a caller is
+/// waiting, and exit once shut down with the queue drained. A
+/// failed save is counted and logged; the answers already served stand,
+/// and the key's next miss characterizes again.
+fn save_worker(shared: &SaveShared) {
+    loop {
+        let job = {
+            let mut state = shared.state.lock().expect("save lock");
+            loop {
+                state = match state.next() {
+                    Ok(job) => break job,
+                    // Shut down with nothing left to write.
+                    Err(_) if state.shutdown => return,
+                    Err(Some(wait)) => shared.cv.wait_timeout(state, wait).expect("save lock").0,
+                    Err(None) => shared.cv.wait(state).expect("save lock"),
+                };
+            }
+        };
+        let path = job.save.path().to_path_buf();
+        if let Err(e) = job.save.commit(&job.characterization) {
+            telemetry::counter_add("engine.save.failed", 1);
+            telemetry::event(
+                telemetry::Level::Warn,
+                "engine.save.failed",
+                &[
+                    ("key", job.key.to_string().into()),
+                    ("artifact", path.display().to_string().into()),
+                    ("error", e.to_string().into()),
+                ],
+            );
+        }
+        shared
+            .state
+            .lock()
+            .expect("save lock")
+            .unsaved
+            .remove(&job.key);
+        shared.cv.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist;
     use hdpm_netlist::ModuleKind;
 
     fn quick_options() -> EngineOptions {
@@ -1179,6 +1390,172 @@ mod tests {
         assert_eq!(c.model, first, "disk round-trip is exact");
         assert_eq!(engine.stats().disk_hits, 1);
         assert_eq!(engine.stats().characterizations, 0);
+    }
+
+    /// Hold (or let go of) every published artifact in its
+    /// not-yet-durable window.
+    fn pause_saves(engine: &PowerEngine, paused: bool) {
+        engine.saves.state.lock().unwrap().paused = paused;
+        engine.saves.cv.notify_all();
+    }
+
+    fn disk_options(root: &crate::test_support::TempDir) -> EngineOptions {
+        EngineOptions {
+            disk_root: Some(root.path().to_path_buf()),
+            ..quick_options()
+        }
+    }
+
+    fn artifact_path(engine: &PowerEngine, spec: ModuleSpec) -> PathBuf {
+        let root = engine.options().disk_root.as_ref().expect("disk tier");
+        root.join(engine.key_for(spec).artifact_file_name())
+    }
+
+    /// Poll `done` for up to 30 s.
+    fn await_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "never: {what}");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
+    /// The leader wakes its waiters before the save: a coalesced request
+    /// gets the full answer while the artifact is not on disk yet.
+    #[test]
+    fn coalesced_waiter_is_answered_before_the_artifact_is_durable() {
+        let root = crate::test_support::TempDir::new("engine_window");
+        let engine = Arc::new(PowerEngine::new(disk_options(&root)));
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let path = artifact_path(&engine, spec);
+        pause_saves(&engine, true);
+        // The leader waits on the held lock until the waiter has joined.
+        let held = crate::test_support::HeldStoreLock::hold(root.path(), &engine.key_for(spec));
+        let leader = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.fetch(spec).unwrap().1)
+        };
+        await_until("the leader registers", || engine.stats().inflight == 1);
+        let waiter = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.fetch(spec).unwrap())
+        };
+        await_until("the waiter coalesces", || engine.stats().coalesced == 1);
+        held.release();
+        let (waited, source) = waiter.join().unwrap();
+        assert_eq!(source, CacheSource::Coalesced);
+        assert_eq!(leader.join().unwrap(), CacheSource::Fresh);
+        assert!(!path.exists(), "answered before the save");
+        assert_eq!(engine.pending_upgrades(), 1, "the unsaved artifact counts");
+        pause_saves(&engine, false);
+        engine.wait_all_saved();
+        assert_eq!(engine.pending_upgrades(), 0);
+        let (stored, _) = persist::load_classified::<Characterization>(
+            &path,
+            &persist::EnvelopeMeta::for_key(&engine.key_for(spec)),
+        )
+        .unwrap();
+        assert_eq!(stored, *waited, "the saved artifact is the served one");
+    }
+
+    /// A background upgrade leaves the upgrade worker as soon as it is
+    /// published; `pending_upgrades` stays above zero until its artifact
+    /// is durable, and a restarted engine then loads it from disk.
+    #[test]
+    fn pending_upgrades_reach_zero_only_once_the_artifact_is_durable() {
+        let root = crate::test_support::TempDir::new("engine_durable");
+        let engine = Arc::new(PowerEngine::new(disk_options(&root)));
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let path = artifact_path(&engine, spec);
+        pause_saves(&engine, true);
+        engine
+            .estimate_at(
+                spec,
+                &flat_dist(8),
+                Fidelity::Analytic,
+                &mut TraceCtx::disabled(),
+            )
+            .unwrap();
+        await_upgrades(&engine, 1);
+        assert!(!path.exists());
+        assert_eq!(engine.pending_upgrades(), 1, "the save is still pending");
+        pause_saves(&engine, false);
+        await_until("the upgrade is durable", || engine.pending_upgrades() == 0);
+        assert!(path.exists(), "durable once nothing is pending");
+        drop(engine);
+        let restarted = PowerEngine::new(disk_options(&root));
+        assert_eq!(restarted.fetch(spec).unwrap().1, CacheSource::Disk);
+    }
+
+    /// A save that fails after the answer went out is counted and
+    /// logged; the answer stands, and the next engine characterizes
+    /// again.
+    #[test]
+    fn failed_save_after_publish_is_counted_not_fatal() {
+        hdpm_telemetry::set_recording(true);
+        let failed = || {
+            hdpm_telemetry::snapshot()
+                .counters
+                .get("engine.save.failed")
+                .copied()
+                .unwrap_or(0)
+        };
+        let before = failed();
+        let root = crate::test_support::TempDir::new("engine_save_fails");
+        let engine = PowerEngine::new(disk_options(&root));
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let path = artifact_path(&engine, spec);
+        pause_saves(&engine, true);
+        let (_, source) = engine.fetch(spec).unwrap();
+        assert_eq!(source, CacheSource::Fresh, "the answer does not wait");
+        // A directory where the artifact should go makes the rename fail.
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        pause_saves(&engine, false);
+        engine.wait_all_saved();
+        assert_eq!(engine.pending_upgrades(), 0);
+        assert!(failed() > before, "the failed save is counted");
+        assert_eq!(engine.fetch(spec).unwrap().1, CacheSource::Memory);
+        assert!(
+            !crate::store::lock_path(&path).exists(),
+            "the lock is released"
+        );
+        drop(engine);
+        std::fs::remove_dir_all(&path).unwrap();
+        let restarted = PowerEngine::new(disk_options(&root));
+        assert_eq!(restarted.fetch(spec).unwrap().1, CacheSource::Fresh);
+    }
+
+    /// A below-full request for a model on disk but not in memory is one
+    /// lookup: one miss, one disk hit.
+    #[test]
+    fn below_full_request_served_from_disk_counts_one_miss() {
+        let root = crate::test_support::TempDir::new("engine_one_miss");
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        PowerEngine::new(disk_options(&root)).fetch(spec).unwrap();
+        let engine = Arc::new(PowerEngine::new(disk_options(&root)));
+        let estimate = engine
+            .estimate_at(
+                spec,
+                &flat_dist(8),
+                Fidelity::Analytic,
+                &mut TraceCtx::disabled(),
+            )
+            .unwrap();
+        assert_eq!(
+            (estimate.source, estimate.fidelity),
+            (CacheSource::Disk, Fidelity::Full)
+        );
+        let stats = engine.stats();
+        assert_eq!(
+            (
+                stats.hits,
+                stats.misses,
+                stats.disk_hits,
+                stats.characterizations
+            ),
+            (0, 1, 1, 0),
+            "{stats:?}"
+        );
     }
 
     #[test]

@@ -50,6 +50,33 @@ pub enum LibrarySource {
     Recovered,
 }
 
+/// A fresh characterization whose artifact is not written yet. It holds
+/// the artifact's cross-process lock until [`PendingSave::commit`] has
+/// written it, so no other process characterizes the key meanwhile and
+/// a reader that waits on the lock finds the artifact. Dropped without a
+/// commit, it releases the lock and the store stays as it was: only the
+/// work is lost, as when a process dies mid-characterization.
+#[derive(Debug)]
+#[must_use = "the artifact is not durable until the save commits"]
+pub(crate) struct PendingSave {
+    path: PathBuf,
+    meta: EnvelopeMeta,
+    _lock: StoreLock,
+}
+
+impl PendingSave {
+    /// Write `characterization` atomically to the artifact path (temp
+    /// file, fsync, rename, directory fsync), then release the lock.
+    pub(crate) fn commit(self, characterization: &Characterization) -> Result<(), ModelError> {
+        persist::save_with_meta(characterization, &self.meta, &self.path)
+    }
+
+    /// The artifact path this save writes.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
 /// A directory-backed library of characterized models.
 ///
 /// Every [`ModuleSpec`] maps to one JSON artifact named by the same
@@ -181,6 +208,21 @@ impl ModelLibrary {
         &self,
         spec: ModuleSpec,
     ) -> Result<(Characterization, LibrarySource), ModelError> {
+        let (result, source, save) = self.get_unsaved(spec)?;
+        if let Some(save) = save {
+            save.commit(&result)?;
+        }
+        Ok((result, source))
+    }
+
+    /// [`ModelLibrary::get_traced`] up to, but not including, the save of
+    /// a fresh characterization: that comes back as a [`PendingSave`],
+    /// which still holds the artifact's lock, so a caller can publish the
+    /// result before it pays for the write and its fsyncs.
+    pub(crate) fn get_unsaved(
+        &self,
+        spec: ModuleSpec,
+    ) -> Result<(Characterization, LibrarySource, Option<PendingSave>), ModelError> {
         let path = self.path_for(spec);
         let expected = self.expected_meta(spec);
 
@@ -190,7 +232,7 @@ impl ModelLibrary {
         match persist::load_classified::<Characterization>(&path, &expected) {
             Ok((c, _)) => {
                 telemetry::counter_add("store.artifact.valid", 1);
-                return Ok((c, LibrarySource::DiskValid));
+                return Ok((c, LibrarySource::DiskValid, None));
             }
             Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(err @ ModelError::Artifact { .. }) => {
@@ -203,14 +245,14 @@ impl ModelLibrary {
 
         // Slow path: anything that writes (characterize, quarantine)
         // holds the artifact's cross-process advisory lock.
-        let _lock = StoreLock::acquire(&path, self.lock_timeout)?;
+        let lock = StoreLock::acquire(&path, self.lock_timeout)?;
         let mut recovered = false;
         // Re-check under the lock: another process may have resolved the
         // miss (or replaced a corrupt file) while we waited.
         match persist::load_classified::<Characterization>(&path, &expected) {
             Ok((c, _)) => {
                 telemetry::counter_add("store.artifact.valid", 1);
-                return Ok((c, LibrarySource::DiskValid));
+                return Ok((c, LibrarySource::DiskValid, None));
             }
             Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(err @ ModelError::Artifact { .. }) => match self.policy {
@@ -236,13 +278,17 @@ impl ModelLibrary {
         store::write_config_sidecar(&self.root, &self.config)?;
         let netlist = spec.build()?.validate()?;
         let result = characterize_sharded(&netlist, &self.config, &self.sharding)?;
-        persist::save_with_meta(&result, &expected, &path)?;
         let source = if recovered {
             LibrarySource::Recovered
         } else {
             LibrarySource::Characterized
         };
-        Ok((result, source))
+        let save = PendingSave {
+            path,
+            meta: expected,
+            _lock: lock,
+        };
+        Ok((result, source, Some(save)))
     }
 
     /// Whether the artifact for `spec` already exists on disk (in any

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth, ValidatedNetlist};
 
-use crate::CharacterizationConfig;
+use crate::{CharacterizationConfig, ModelKey};
 
 /// Every module family in the generator catalog, in catalog order — the
 /// full matrix the conformance suites sweep.
@@ -118,6 +118,45 @@ impl Drop for TempDir {
     }
 }
 
+/// A store's artifact lock held by this (live) process, as another
+/// writer would hold it: characterizing the key under that store root
+/// blocks in the lock wait until the guard is released or dropped. A test
+/// that needs a worker busy keeps it busy for exactly as long as it
+/// needs, however fast characterization gets.
+#[derive(Debug)]
+pub struct HeldStoreLock {
+    path: PathBuf,
+}
+
+impl HeldStoreLock {
+    /// Take `key`'s artifact lock under `root`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lock is already held or cannot be written.
+    pub fn hold(root: &Path, key: &ModelKey) -> Self {
+        let path = crate::store::lock_path(&root.join(key.artifact_file_name()));
+        std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .and_then(|mut file| {
+                std::io::Write::write_all(&mut file, std::process::id().to_string().as_bytes())
+            })
+            .unwrap_or_else(|e| panic!("cannot hold {}: {e}", path.display()));
+        HeldStoreLock { path }
+    }
+
+    /// Let the blocked writer proceed.
+    pub fn release(self) {}
+}
+
+impl Drop for HeldStoreLock {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,5 +172,24 @@ mod tests {
         drop(a);
         assert!(!kept.exists(), "dropping the guard removes the tree");
         assert!(b.path().is_dir(), "sibling guard unaffected");
+    }
+
+    #[test]
+    fn a_held_store_lock_blocks_writers_until_released() {
+        let dir = TempDir::new("held_lock");
+        let key = ModelKey::new(
+            ModuleSpec::new(ModuleKind::RippleAdder, 4usize),
+            &quick_config(200),
+            0,
+        );
+        let artifact = dir.join(&key.artifact_file_name());
+        let held = HeldStoreLock::hold(dir.path(), &key);
+        let timeout = std::time::Duration::from_millis(30);
+        assert!(matches!(
+            crate::store::StoreLock::acquire(&artifact, timeout),
+            Err(crate::ModelError::StoreLock { .. })
+        ));
+        held.release();
+        assert!(crate::store::StoreLock::acquire(&artifact, timeout).is_ok());
     }
 }

@@ -315,6 +315,8 @@ impl<'a> ExecCtx<'a> {
                 "this node has no disk store to fetch from".to_string(),
             ));
         };
+        // A model this node serves may still be on its way to disk.
+        self.engine.wait_saved(spec);
         let key = self.engine.key_for(spec);
         let path = root.join(key.artifact_file_name());
         match persist::read_envelope_bytes::<Characterization>(&path, &EnvelopeMeta::for_key(&key))

@@ -961,7 +961,8 @@ impl Server {
     /// Gracefully drain: stop accepting, stop reading, answer
     /// everything already queued, flush, join every pool, and report
     /// lifetime totals. In-flight characterizations run to completion —
-    /// their replies are on the wire before this returns. The admin
+    /// their replies are on the wire, and their artifacts on disk, before
+    /// this returns. The admin
     /// plane keeps serving through the drain (`/readyz` reports 503)
     /// and stops last.
     pub fn shutdown(mut self) -> DrainReport {
@@ -995,6 +996,8 @@ impl Server {
         for reactor in self.reactors.drain(..) {
             let _ = reactor.join();
         }
+        // Every model served is on disk before the drain reports.
+        self.shared.engine.wait_all_saved();
         if let Some(admin) = self.admin.take() {
             admin.stop();
         }

@@ -9,10 +9,11 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use hdpm_core::test_support::{HeldStoreLock, TempDir};
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 use hdpm_server::client::{Proto, Request, Response};
@@ -416,15 +417,12 @@ fn slow_cold_request_reconciles_stage_timings_with_wall_time() {
     server.shutdown();
 }
 
-/// A single-worker, depth-1 server whose worker a 12k-pattern
-/// characterization holds for hundreds of ms, so requests sent behind it
-/// are shed.
-fn saturable_server() -> Server {
+/// A one-worker, depth-1 server on the store at `root`, and the
+/// characterize request that holds its worker for as long as the
+/// returned guard holds the request's artifact lock.
+fn saturable_server(root: &Path) -> (Server, HeldStoreLock) {
     let engine = EngineOptions {
-        config: CharacterizationConfig::builder()
-            .max_patterns(12_000)
-            .build()
-            .unwrap(),
+        disk_root: Some(root.to_path_buf()),
         ..quick_engine()
     };
     let config = ServerConfig::builder()
@@ -434,7 +432,39 @@ fn saturable_server() -> Server {
         .engine(engine)
         .build()
         .unwrap();
-    Server::start(config).expect("start")
+    let server = Server::start(config).expect("start");
+    let held = HeldStoreLock::hold(root, &server.engine().key_for(slow_spec()));
+    (server, held)
+}
+
+/// The spec of [`SLOW_CHARACTERIZE`].
+fn slow_spec() -> ModuleSpec {
+    ModuleSpec::new(ModuleKind::CsaMultiplier, 8)
+}
+
+/// Wait until the engine has one characterization in flight: the slow
+/// request has reached the worker.
+fn await_inflight(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.engine().stats().inflight != 1 {
+        assert!(Instant::now() < deadline, "the slow request never started");
+        std::thread::sleep(Duration::from_micros(100));
+    }
+}
+
+/// Wait until the queue has refused a job.
+fn await_shed() {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let shed = || {
+        telemetry::snapshot()
+            .counters
+            .get("server.queue.shed_full")
+            .copied()
+    };
+    while shed().unwrap_or(0) == 0 {
+        assert!(Instant::now() < deadline, "the queue never shed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 /// The flight recorder's records with `status`.
@@ -452,7 +482,8 @@ fn recorded(status: &str) -> Vec<telemetry::trace::TraceRecord> {
 fn shed_jobs_file_named_overloaded_traces_on_both_protocols() {
     let _state = fresh_state();
 
-    let server = saturable_server();
+    let root = TempDir::new("admin_shed_v1");
+    let (server, held) = saturable_server(root.path());
     let stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -464,6 +495,12 @@ fn shed_jobs_file_named_overloaded_traces_on_both_protocols() {
     for _ in 0..FLOOD {
         writeln!(writer, "{STATS}").expect("send");
     }
+    // The characterization waits on the held lock, so the flood finds
+    // the worker busy and the queue full. v1 replies keep request order,
+    // and a shed line files its record as its reply goes out: release
+    // the worker once shedding has begun, then read them all.
+    await_shed();
+    held.release();
     let mut shed = 0;
     for _ in 0..=FLOOD {
         let mut reply = String::new();
@@ -477,17 +514,16 @@ fn shed_jobs_file_named_overloaded_traces_on_both_protocols() {
     assert!(v1.iter().all(|r| r.op == "stats"), "{v1:?}");
 
     telemetry::trace::recorder().clear();
-    let server = saturable_server();
+    let root = TempDir::new("admin_shed_v2");
+    let (server, held) = saturable_server(root.path());
     let mut client =
         hdpm_server::client::Client::connect(server.local_addr(), Proto::V2).expect("connect");
-    let slow = Request::Characterize {
-        spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8),
-    };
+    let slow = Request::Characterize { spec: slow_spec() };
     client.send(&slow, None).expect("send");
     client.flush().expect("flush");
-    // Let the worker take the slow frame, so the first burst below fills
-    // the queue and the rest are refused whole.
-    std::thread::sleep(Duration::from_millis(20));
+    // Wait until the worker has taken the slow frame, so the first burst
+    // below fills the queue and the rest are refused whole.
+    await_inflight(&server);
     const BURSTS: usize = 4;
     const FRAMES: usize = 3;
     for _ in 0..BURSTS {
@@ -497,6 +533,8 @@ fn shed_jobs_file_named_overloaded_traces_on_both_protocols() {
         client.flush().expect("flush");
         std::thread::sleep(Duration::from_millis(5));
     }
+    await_shed();
+    held.release();
     let shed = (0..=BURSTS * FRAMES)
         .map(|_| client.recv().expect("reply").response)
         .filter(|r| matches!(r, Response::Error { kind, .. } if kind == "overloaded"))

@@ -10,8 +10,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use hdpm_core::test_support::{HeldStoreLock, TempDir};
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 use hdpm_server::client::{self, Proto, Request, Response};
@@ -125,25 +126,36 @@ fn shed_counter_matches_overloaded_replies_on_the_wire() {
 #[test]
 fn v2_shed_counter_matches_overloaded_frames_on_the_wire() {
     let _state = fresh_state();
+    let root = TempDir::new("metrics_shed_v2");
     let server = Server::start(
         ServerConfig::builder()
             .workers(1)
             .queue_depth(1)
             .no_deadline()
-            .engine(slow_engine())
+            .engine(EngineOptions {
+                disk_root: Some(root.path().to_path_buf()),
+                ..slow_engine()
+            })
             .build()
             .unwrap(),
     )
     .expect("start");
+    let spec = ModuleSpec::new(ModuleKind::CsaMultiplier, 8);
+    // The characterization waits on the held artifact lock, so the
+    // worker stays busy until a batch below has met a full queue.
+    let held = HeldStoreLock::hold(root.path(), &server.engine().key_for(spec));
     let mut client = client::Client::connect(server.local_addr(), Proto::V2).expect("connect");
-    let slow = Request::Characterize {
-        spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8),
-    };
-    client.send(&slow, None).expect("send");
+    client
+        .send(&Request::Characterize { spec }, None)
+        .expect("send");
     client.flush().expect("flush");
-    // Let the worker take the slow frame, so the first batch below fills
-    // the queue and the rest are refused whole.
-    std::thread::sleep(Duration::from_millis(20));
+    // Wait until the worker has taken the slow frame, so the first batch
+    // below fills the queue and the rest are refused whole.
+    let patience = Instant::now() + Duration::from_secs(30);
+    while server.engine().stats().inflight != 1 {
+        assert!(Instant::now() < patience, "the slow request never started");
+        std::thread::sleep(Duration::from_micros(100));
+    }
     const BATCHES: usize = 6;
     const FRAMES: usize = 3;
     for _ in 0..BATCHES {
@@ -153,6 +165,12 @@ fn v2_shed_counter_matches_overloaded_frames_on_the_wire() {
         client.flush().expect("flush");
         std::thread::sleep(Duration::from_millis(5));
     }
+    // Release the worker once a whole batch has been refused.
+    while counter("server.queue.shed_full") < FRAMES as u64 {
+        assert!(Instant::now() < patience, "the batches were never shed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    held.release();
     let overloaded = (0..=BATCHES * FRAMES)
         .map(|_| client.recv().expect("reply").response)
         .filter(|r| matches!(r, Response::Error { kind, .. } if kind == "overloaded"))

@@ -7,6 +7,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use hdpm_core::test_support::HeldStoreLock;
 use hdpm_core::{CharacterizationConfig, EngineOptions, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 use hdpm_server::client::{Client, Proto, Request, Response};
@@ -185,6 +186,39 @@ fn v2_cluster_ops_answer_on_a_plain_node_with_a_store() {
         v1.send(&Request::HaveModel { spec }, None),
         Err(hdpm_server::client::ClientError::Unsupported(_))
     ));
+    server.shutdown();
+}
+
+/// A model is served before its artifact is durable. A peer's
+/// `FetchModel` that arrives in that window waits for the save and gets
+/// the envelope bytes, never "no artifact".
+#[test]
+fn v2_fetch_model_right_after_a_fresh_answer_gets_the_artifact() {
+    let root = hdpm_core::test_support::TempDir::new("proto2_fetch_window");
+    let engine = EngineOptions {
+        disk_root: Some(root.path().to_path_buf()),
+        ..quick_engine()
+    };
+    let server = Server::start(quick_config().engine(engine).build().unwrap()).expect("start");
+    let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
+    for width in 4..=9usize {
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, width);
+        let reply = client
+            .call(&Request::Characterize { spec }, None)
+            .expect("characterize");
+        assert!(matches!(reply.response, Response::Characterize(_)));
+        let reply = client
+            .call(&Request::FetchModel { spec }, None)
+            .expect("fetch");
+        let Response::Artifact(Some(bytes)) = reply.response else {
+            panic!("{spec}: a served model must be fetchable: {reply:?}");
+        };
+        let key = server.engine().key_for(spec);
+        assert_eq!(
+            bytes,
+            std::fs::read(root.join(&key.artifact_file_name())).unwrap()
+        );
+    }
     server.shutdown();
 }
 
@@ -464,26 +498,28 @@ fn v2_deadline_expiring_in_queue_earns_a_timeout_frame() {
 /// full answer labeled late, not a timeout and not an unlabeled success.
 #[test]
 fn v2_deadline_expiring_mid_characterization_is_late_but_labeled() {
-    let server = Server::start(
-        quick_config()
-            .workers(1)
-            .engine(slow_engine())
-            .build()
-            .unwrap(),
-    )
-    .expect("start");
+    let root = hdpm_core::test_support::TempDir::new("proto2_late");
+    let engine = EngineOptions {
+        disk_root: Some(root.path().to_path_buf()),
+        ..quick_engine()
+    };
+    let server =
+        Server::start(quick_config().workers(1).engine(engine).build().unwrap()).expect("start");
+    let spec = ModuleSpec::new(ModuleKind::CsaMultiplier, 8usize);
+    // The characterization waits on the held artifact lock. The 25 ms
+    // deadline is alive when the worker starts (nothing is queued
+    // ahead), and the lock outlives it, so it is dead when the work
+    // finishes.
+    let held = HeldStoreLock::hold(root.path(), &server.engine().key_for(spec));
     let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
-    // The characterization takes hundreds of ms with the 12k-pattern
-    // config; a 25 ms deadline is comfortably alive when the worker
-    // starts (nothing is queued ahead) and long dead when it finishes.
-    let reply = client
-        .call(
-            &Request::Characterize {
-                spec: ModuleSpec::new(ModuleKind::CsaMultiplier, 8usize),
-            },
-            Some(25),
-        )
-        .expect("characterize");
+    client
+        .send(&Request::Characterize { spec }, Some(25))
+        .expect("send");
+    client.flush().expect("flush");
+    await_inflight(&server);
+    std::thread::sleep(Duration::from_millis(50));
+    held.release();
+    let reply = client.recv().expect("characterize");
     assert!(
         reply.late,
         "mid-execution expiry must set FLAG_LATE: {reply:?}"

@@ -1,19 +1,20 @@
-//! Bit-parallel ("bit-plane") gate-level simulation: 64 independent input
-//! transitions per machine word.
+//! Bit-parallel ("bit-plane") gate-level simulation: 256 independent
+//! input transitions per block.
 //!
-//! Every net is represented by a `u64` *plane* whose lane `j` holds the
-//! net's logic value in an independent copy of the circuit simulating the
-//! `j`-th transition of a block. Gates evaluate with plain bitwise ops over
-//! whole planes — one `AND` settles 64 circuits at once — and per-net
-//! toggle activity is gathered with carry-save bit-sliced counters and
-//! `count_ones`-style extraction.
+//! Every net is represented by a *plane* — a fixed `[u64; 4]` block
+//! whose lane `j` holds the net's logic value in an independent copy of
+//! the circuit simulating the `j`-th transition of a block. Gates
+//! evaluate with plain bitwise ops over whole planes — one `AND` settles
+//! 256 circuits at once, in array loops the compiler vectorizes for the
+//! baseline target — and per-net toggle activity is gathered in
+//! carry-save bit-sliced counters, added to as each delta commits.
 //!
 //! The engine is *conformant by construction* with the event-driven
 //! [`crate::Simulator`] oracle under both delay models:
 //!
-//! * **Unit delay** — the block is settled for its 64 start states with one
-//!   topological pass, then wave-propagated with a level-windowed dense
-//!   sweep: wave `w` evaluates every gate at topological level ≥ `w`
+//! * **Unit delay** — the block is settled for its 256 start states with
+//!   one topological pass, then wave-propagated with a level-windowed
+//!   dense sweep: wave `w` evaluates every gate at topological level ≥ `w`
 //!   (deepest first, which preserves the oracle's simultaneous-commit
 //!   wave semantics without double buffering) — a superset of the
 //!   oracle's event front. A gate that the oracle would not have
@@ -28,7 +29,7 @@
 //! this across the full module-family matrix.
 //!
 //! Sequential circuits are out of scope: register state carries from one
-//! transition to the next, which is exactly the dependence the 64 lanes
+//! transition to the next, which is exactly the dependence the lanes
 //! must not have. [`BitplaneSimulator::supports`] reports this; callers
 //! (the characterization drivers of `hdpm-core`) fall back to the
 //! event-driven engine for register-bearing netlists.
@@ -40,86 +41,69 @@ use hdpm_netlist::{CellKind, NetDriver, ValidatedNetlist};
 use crate::engine::{CycleResult, DelayModel, SimStats, Simulator};
 use crate::pattern::BitPattern;
 
+/// 64-bit words per net plane.
+const LANE_WORDS: usize = 4;
+
 /// Number of independent transition lanes per block — the bit width of a
 /// net plane.
-pub const BLOCK_LANES: usize = 64;
+pub const BLOCK_LANES: usize = 64 * LANE_WORDS;
+
+/// One net's value (or toggle mask) in every lane of a block.
+type Plane = [u64; LANE_WORDS];
 
 /// Upper bound on bit-sliced counter slices — enough for any netlist
 /// whose depth fits in `u32` (a net at level `L` toggles ≤ `L` times per
 /// transition).
 const MAX_SLICES: usize = 32;
 
-/// Nets per dirty strip: the fold visits whole strips of pending deltas,
-/// so late, sparse waves touch only the few strips their gates wrote.
-const STRIP: usize = 8;
-
-/// Record that net `idx` has a pending delta, so the next fold visits its
-/// strip.
-#[inline]
-fn mark_dirty(dirty: &mut [u64], idx: usize) {
-    let strip = idx / STRIP;
-    dirty[strip / 64] |= 1 << (strip % 64);
+#[inline(always)]
+fn and(a: Plane, b: Plane) -> Plane {
+    std::array::from_fn(|k| a[k] & b[k])
 }
 
-/// Carry-save add of the pending toggle masks into `S` bit-sliced counter
-/// planes (slice-major: slice `s` occupies `words[s*n..(s+1)*n]`). Visits
-/// only the strips flagged in the `dirty` bitmap — work proportional to
-/// the wave's activity, not the netlist size — clearing both the deltas
-/// and the bitmap as it folds.
-fn fold_deltas<const S: usize>(delta: &mut [u64], words: &mut [u64], dirty: &mut [u64]) {
-    let n = delta.len();
-    assert_eq!(words.len(), S * n, "slice-major counter shape");
-    for (w, mask) in dirty.iter_mut().enumerate() {
-        let mut m = std::mem::take(mask);
-        while m != 0 {
-            let strip = w * 64 + m.trailing_zeros() as usize;
-            m &= m - 1;
-            let start = strip * STRIP;
-            let end = (start + STRIP).min(n);
-            for k in start..end {
-                let mut carry = delta[k];
-                delta[k] = 0;
-                for s in 0..S {
-                    let word = words[s * n + k];
-                    words[s * n + k] = word ^ carry;
-                    carry &= word;
-                }
-                debug_assert_eq!(carry, 0, "bit-sliced toggle counter overflow");
-            }
-        }
-    }
+#[inline(always)]
+fn or(a: Plane, b: Plane) -> Plane {
+    std::array::from_fn(|k| a[k] | b[k])
 }
 
-/// Runtime-`slices` fallback of [`fold_deltas`] for absurdly deep
-/// netlists (per-transition toggle counts needing more than 8 bits).
-fn fold_deltas_dyn(delta: &mut [u64], words: &mut [u64], dirty: &mut [u64], slices: usize) {
-    let n = delta.len();
-    assert_eq!(words.len(), slices * n, "slice-major counter shape");
-    for (w, mask) in dirty.iter_mut().enumerate() {
-        let mut m = std::mem::take(mask);
-        while m != 0 {
-            let strip = w * 64 + m.trailing_zeros() as usize;
-            m &= m - 1;
-            let start = strip * STRIP;
-            let end = (start + STRIP).min(n);
-            for k in start..end {
-                let mut carry = delta[k];
-                delta[k] = 0;
-                for s in 0..slices {
-                    let word = words[s * n + k];
-                    words[s * n + k] = word ^ carry;
-                    carry &= word;
-                }
-                debug_assert_eq!(carry, 0, "bit-sliced toggle counter overflow");
-            }
+#[inline(always)]
+fn xor(a: Plane, b: Plane) -> Plane {
+    std::array::from_fn(|k| a[k] ^ b[k])
+}
+
+#[inline(always)]
+fn not(a: Plane) -> Plane {
+    a.map(|w| !w)
+}
+
+#[inline(always)]
+fn is_zero(a: Plane) -> bool {
+    a.iter().fold(0, |acc, w| acc | w) == 0
+}
+
+/// Carry-save add of one toggle mask into a net's bit-sliced counter
+/// (`counter[s]` holds bit `s` of every lane's count): the carry stops at
+/// the first slice it leaves unchanged, so a first toggle costs one slice.
+#[inline(always)]
+fn count_toggles(counter: &mut [Plane], delta: Plane) {
+    let mut carry = delta;
+    for slice in counter {
+        let old = *slice;
+        *slice = xor(old, carry);
+        carry = and(old, carry);
+        if is_zero(carry) {
+            return;
         }
     }
+    debug_assert!(is_zero(carry), "bit-sliced toggle counter overflow");
 }
 
 /// In-place 64×64 bit-matrix transpose (six rounds of delta swaps): after
 /// the call, bit `j` of word `i` is bit `i` of the original word `j`.
-/// Turns 64 lane-major patterns into net-major input planes in one go.
-fn transpose64(a: &mut [u64; 64]) {
+/// Turns 64 lane-major patterns into one word of each net-major input
+/// plane.
+fn transpose64(a: &mut [u64]) {
+    debug_assert_eq!(a.len(), 64);
     let mut j = 32usize;
     let mut mask = 0x0000_0000_FFFF_FFFFu64;
     while j != 0 {
@@ -135,14 +119,26 @@ fn transpose64(a: &mut [u64; 64]) {
     }
 }
 
+/// Net-major input planes from one pattern per lane: `rows[j]` is lane
+/// `j`'s pattern, and plane `i` of the result holds input bit `i` of
+/// every lane. Transposes `rows` in place, one 64-lane word at a time.
+fn input_planes(rows: &mut [u64; BLOCK_LANES], inputs: usize) -> impl Iterator<Item = Plane> + '_ {
+    for word in rows.chunks_exact_mut(64) {
+        transpose64(word);
+    }
+    let rows = &*rows;
+    (0..inputs).map(move |i| std::array::from_fn(|k| rows[64 * k + i]))
+}
+
 /// Which simulation engine drives a characterization run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// The event-driven reference engine ([`Simulator`]) — one transition
     /// at a time, the differential oracle.
     Event,
-    /// The bit-parallel engine ([`BitplaneSimulator`]) — 64 transitions
-    /// per block, bit-identical to the oracle, much faster.
+    /// The bit-parallel engine ([`BitplaneSimulator`]) — up to
+    /// [`BLOCK_LANES`] transitions per block, bit-identical to the
+    /// oracle, much faster.
     #[default]
     Bitplane,
 }
@@ -206,51 +202,35 @@ impl PlaneGate {
     /// Evaluate the cell function over whole planes. Mirrors
     /// [`CellKind::eval`] bit for bit in every lane.
     #[inline]
-    fn eval(&self, planes: &[u64]) -> u64 {
-        let a = planes[self.inputs[0] as usize];
+    fn eval(&self, planes: &[Plane]) -> Plane {
+        let p = |k: usize| planes[self.inputs[k] as usize];
+        let a = p(0);
         match self.kind {
-            CellKind::Inv => !a,
+            CellKind::Inv => not(a),
             CellKind::Buf => a,
-            CellKind::Nand2 => !(a & planes[self.inputs[1] as usize]),
-            CellKind::Nand3 => {
-                !(a & planes[self.inputs[1] as usize] & planes[self.inputs[2] as usize])
-            }
-            CellKind::Nor2 => !(a | planes[self.inputs[1] as usize]),
-            CellKind::Nor3 => {
-                !(a | planes[self.inputs[1] as usize] | planes[self.inputs[2] as usize])
-            }
-            CellKind::And2 => a & planes[self.inputs[1] as usize],
-            CellKind::And3 => a & planes[self.inputs[1] as usize] & planes[self.inputs[2] as usize],
-            CellKind::And4 => {
-                a & planes[self.inputs[1] as usize]
-                    & planes[self.inputs[2] as usize]
-                    & planes[self.inputs[3] as usize]
-            }
-            CellKind::Or2 => a | planes[self.inputs[1] as usize],
-            CellKind::Or3 => a | planes[self.inputs[1] as usize] | planes[self.inputs[2] as usize],
-            CellKind::Or4 => {
-                a | planes[self.inputs[1] as usize]
-                    | planes[self.inputs[2] as usize]
-                    | planes[self.inputs[3] as usize]
-            }
-            CellKind::Xor2 => a ^ planes[self.inputs[1] as usize],
-            CellKind::Xnor2 => !(a ^ planes[self.inputs[1] as usize]),
-            CellKind::Aoi21 => {
-                !((a & planes[self.inputs[1] as usize]) | planes[self.inputs[2] as usize])
-            }
-            CellKind::Oai21 => {
-                !((a | planes[self.inputs[1] as usize]) & planes[self.inputs[2] as usize])
-            }
+            CellKind::Nand2 => not(and(a, p(1))),
+            CellKind::Nand3 => not(and(and(a, p(1)), p(2))),
+            CellKind::Nor2 => not(or(a, p(1))),
+            CellKind::Nor3 => not(or(or(a, p(1)), p(2))),
+            CellKind::And2 => and(a, p(1)),
+            CellKind::And3 => and(and(a, p(1)), p(2)),
+            CellKind::And4 => and(and(and(a, p(1)), p(2)), p(3)),
+            CellKind::Or2 => or(a, p(1)),
+            CellKind::Or3 => or(or(a, p(1)), p(2)),
+            CellKind::Or4 => or(or(or(a, p(1)), p(2)), p(3)),
+            CellKind::Xor2 => xor(a, p(1)),
+            CellKind::Xnor2 => not(xor(a, p(1))),
+            CellKind::Aoi21 => not(or(and(a, p(1)), p(2))),
+            CellKind::Oai21 => not(and(or(a, p(1)), p(2))),
             CellKind::Mux2 => {
-                let b = planes[self.inputs[1] as usize];
-                let sel = planes[self.inputs[2] as usize];
-                (sel & b) | (!sel & a)
+                let sel = p(2);
+                or(and(sel, p(1)), and(not(sel), a))
             }
         }
     }
 }
 
-/// The bit-parallel simulator. Owns one `u64` plane per net plus the
+/// The bit-parallel simulator. Owns one plane per net plus the
 /// bit-sliced per-net toggle counters of the block in flight.
 ///
 /// Unlike [`Simulator::apply`], the unit of work is a *block*:
@@ -285,14 +265,12 @@ impl PlaneGate {
 pub struct BitplaneSimulator<'a> {
     netlist: &'a ValidatedNetlist,
     delay_model: DelayModel,
-    /// Flattened gates in natural netlist order (indexable by `GateId`).
-    gates: Vec<PlaneGate>,
-    /// Gate indices in topological order (the settle program).
-    topo: Vec<u32>,
+    /// Flattened gates in topological order (the settle program).
+    topo_gates: Vec<PlaneGate>,
     /// Current value plane per net.
-    planes: Vec<u64>,
+    planes: Vec<Plane>,
     /// Plane every net resets to: constants broadcast, all else low.
-    reset_planes: Vec<u64>,
+    reset_planes: Vec<Plane>,
     /// Energy charged per toggle of each net (same table as the oracle).
     toggle_energy: Vec<f64>,
     /// Cumulative toggle count per net (diagnostics parity with
@@ -300,22 +278,14 @@ pub struct BitplaneSimulator<'a> {
     toggle_counts: Vec<u64>,
     /// Input-vector net indices in model bit order.
     input_nets: Vec<u32>,
-    /// Bit-sliced per-net toggle counters in *slice-major* layout: word
-    /// `s * nets + idx` holds bit `s` of every lane's toggle count for net
-    /// `idx` — unit-stride in `idx`, so the per-wave carry-save fold
-    /// vectorizes.
-    slice_words: Vec<u64>,
+    /// Bit-sliced per-net toggle counters of the block in flight,
+    /// net-major: planes `idx * slices .. (idx + 1) * slices` hold net
+    /// `idx`'s count, slice `s` carrying bit `s` of every lane's count.
+    counters: Vec<Plane>,
     /// Number of counter slices — enough bits for the deepest possible
     /// per-transition toggle count (a net at topo level `L` toggles at
     /// most `L` times under unit delay).
     slices: usize,
-    /// Per-net toggle mask of the wave in flight: written (pure stores,
-    /// no read-modify-write) as deltas commit, folded into `slice_words`
-    /// once per wave by [`BitplaneSimulator::accumulate_deltas`].
-    delta_plane: Vec<u64>,
-    /// Bitmap over net strips (groups of [`STRIP`] nets) holding pending
-    /// deltas — lets the fold skip the quiet bulk of a sparse wave.
-    dirty_strips: Vec<u64>,
     /// Gates sorted by topological level, *descending*: the wave-`w`
     /// evaluation window is the prefix of gates at level ≥ `w`.
     wave_gates: Vec<PlaneGate>,
@@ -355,7 +325,7 @@ impl<'a> BitplaneSimulator<'a> {
         );
         let nets = netlist.netlist().net_count();
         let mut toggle_energy = vec![0.0; nets];
-        let mut reset_planes = vec![0u64; nets];
+        let mut reset_planes = vec![[0u64; LANE_WORDS]; nets];
         for idx in 0..nets {
             let net = netlist.netlist().net_id(idx);
             let internal = match netlist.netlist().driver(net) {
@@ -364,17 +334,16 @@ impl<'a> BitplaneSimulator<'a> {
             };
             toggle_energy[idx] = netlist.net_load(net) + internal;
             if let NetDriver::Constant(true) = netlist.netlist().driver(net) {
-                reset_planes[idx] = u64::MAX;
+                reset_planes[idx] = [u64::MAX; LANE_WORDS];
             }
         }
 
-        // Flatten the gates in natural netlist order (wave fronts index by
-        // `GateId`), plus the topological evaluation sequence for settling.
-        let gates: Vec<PlaneGate> = netlist
-            .netlist()
-            .gates()
+        // Flatten the gates in topological order: the settle program.
+        let topo_gates: Vec<PlaneGate> = netlist
+            .topo_order()
             .iter()
-            .map(|gate| {
+            .map(|&gid| {
+                let gate = netlist.netlist().gate(gid);
                 let mut inputs = [0u32; 4];
                 for (k, &inp) in gate.inputs().iter().enumerate() {
                     inputs[k] = inp.index() as u32;
@@ -386,11 +355,6 @@ impl<'a> BitplaneSimulator<'a> {
                 }
             })
             .collect();
-        let topo: Vec<u32> = netlist
-            .topo_order()
-            .iter()
-            .map(|gid| gid.index() as u32)
-            .collect();
 
         // Topological level of every net: inputs/constants sit at level 0,
         // a gate output one above its deepest input. Under unit delay a
@@ -399,8 +363,7 @@ impl<'a> BitplaneSimulator<'a> {
         // slices can never overflow.
         let mut level = vec![0u32; nets];
         let mut max_level = 1u32;
-        for &gi in &topo {
-            let gate = &gates[gi as usize];
+        for gate in &topo_gates {
             let depth = 1
                 + (0..gate.kind.arity())
                     .map(|k| level[gate.inputs[k] as usize])
@@ -424,7 +387,7 @@ impl<'a> BitplaneSimulator<'a> {
         // Secondary sort by cell kind: gates at one level are independent
         // (inputs are strictly shallower), so batching kinds together
         // makes the evaluation dispatch branch-predictable.
-        let mut wave_gates: Vec<PlaneGate> = gates.clone();
+        let mut wave_gates = topo_gates.clone();
         wave_gates.sort_by_key(|g| (std::cmp::Reverse(level[g.output as usize]), g.kind as u8));
         // `level_prefix[w]` = #gates at level ≥ w: per-level counts, then a
         // suffix sum.
@@ -439,8 +402,7 @@ impl<'a> BitplaneSimulator<'a> {
         let mut sim = BitplaneSimulator {
             netlist,
             delay_model,
-            gates,
-            topo,
+            topo_gates,
             planes: reset_planes.clone(),
             reset_planes,
             toggle_energy,
@@ -451,10 +413,8 @@ impl<'a> BitplaneSimulator<'a> {
                 .iter()
                 .map(|n| n.index() as u32)
                 .collect(),
-            slice_words: vec![0; nets * slices],
+            counters: vec![[0; LANE_WORDS]; nets * slices],
             slices,
-            delta_plane: vec![0; nets],
-            dirty_strips: vec![0; nets.div_ceil(STRIP).div_ceil(64)],
             wave_gates,
             level_prefix,
             prev: None,
@@ -484,10 +444,28 @@ impl<'a> BitplaneSimulator<'a> {
     /// topological full pass, uncounted. After this, lane `j` of every
     /// plane holds the settled combinational value for lane `j`'s inputs.
     fn settle(&mut self) {
-        for &gi in &self.topo {
-            let gate = &self.gates[gi as usize];
+        for gate in &self.topo_gates {
             self.planes[gate.output as usize] = gate.eval(&self.planes);
         }
+    }
+
+    /// Commit `new` as net `idx`'s plane, counting the lanes it toggles.
+    /// Returns whether any lane toggled.
+    #[inline(always)]
+    fn commit(
+        planes: &mut [Plane],
+        counters: &mut [Plane],
+        slices: usize,
+        idx: usize,
+        new: Plane,
+    ) -> bool {
+        let delta = xor(planes[idx], new);
+        if is_zero(delta) {
+            return false;
+        }
+        planes[idx] = new;
+        count_toggles(&mut counters[idx * slices..(idx + 1) * slices], delta);
+        true
     }
 
     /// Apply a sequence of patterns and return one [`CycleResult`] per
@@ -547,7 +525,7 @@ impl<'a> BitplaneSimulator<'a> {
     }
 
     /// Simulate one block: transitions `prev → next[0] → … → next[n−1]`,
-    /// `n ≤ 64`. Lane `j` computes the `j`-th transition.
+    /// `n ≤ BLOCK_LANES`. Lane `j` computes the `j`-th transition.
     fn simulate_chunk(
         &mut self,
         prev: BitPattern,
@@ -556,64 +534,53 @@ impl<'a> BitplaneSimulator<'a> {
     ) {
         let lanes = next.len();
         debug_assert!((1..=BLOCK_LANES).contains(&lanes));
+        let inputs = self.input_nets.len();
 
         // Start-state planes: lane j = pattern j of the window
         // [prev, next[0], …, next[n−2]]; spare lanes replicate the last
-        // pattern so their transitions are no-ops. One 64×64 transpose
-        // turns the lane-major patterns into net-major planes.
-        {
-            let mut rows = [0u64; BLOCK_LANES];
-            rows[0] = prev.bits();
-            for (j, row) in rows.iter_mut().enumerate().skip(1) {
-                *row = next[(j - 1).min(lanes - 1)].bits();
-            }
-            transpose64(&mut rows);
-            for (i, &net) in self.input_nets.iter().enumerate() {
-                self.planes[net as usize] = rows[i];
-            }
+        // pattern so their transitions are no-ops.
+        let mut rows = [0u64; BLOCK_LANES];
+        rows[0] = prev.bits();
+        for (j, row) in rows.iter_mut().enumerate().skip(1) {
+            *row = next[(j - 1).min(lanes - 1)].bits();
         }
-        // One topological pass settles all 64 start states at once.
+        for (&net, plane) in self.input_nets.iter().zip(input_planes(&mut rows, inputs)) {
+            self.planes[net as usize] = plane;
+        }
+        // One topological pass settles every start state at once.
         self.settle();
-        self.stats.gate_evals += self.gates.len() as u64;
+        self.stats.gate_evals += self.topo_gates.len() as u64;
 
-        // End-state input planes: lane j = next[j], spare lanes replicated.
+        // End-state input planes: lane j = next[j], spare lanes
+        // replicated. Their deltas are the block's input toggles.
+        for (j, row) in rows.iter_mut().enumerate() {
+            *row = next[j.min(lanes - 1)].bits();
+        }
         let mut inputs_changed = false;
-        {
-            let mut rows = [0u64; BLOCK_LANES];
-            for (j, row) in rows.iter_mut().enumerate() {
-                *row = next[j.min(lanes - 1)].bits();
-            }
-            transpose64(&mut rows);
-            for (i, &row) in rows.iter().enumerate().take(self.input_nets.len()) {
-                let idx = self.input_nets[i] as usize;
-                let delta = self.planes[idx] ^ row;
-                if delta != 0 {
-                    self.planes[idx] = row;
-                    self.delta_plane[idx] = delta;
-                    mark_dirty(&mut self.dirty_strips, idx);
-                    inputs_changed = true;
-                }
-            }
+        for (&net, plane) in self.input_nets.iter().zip(input_planes(&mut rows, inputs)) {
+            inputs_changed |= Self::commit(
+                &mut self.planes,
+                &mut self.counters,
+                self.slices,
+                net as usize,
+                plane,
+            );
         }
 
         match self.delay_model {
-            DelayModel::Unit => {
-                // Quiet blocks (all lanes repeat their start pattern) are
-                // already settled.
-                if inputs_changed {
-                    self.accumulate_deltas();
-                    self.propagate_waves();
-                }
-            }
-            DelayModel::Zero => self.propagate_zero_delay(inputs_changed),
+            // Quiet blocks (all lanes repeat their start pattern) are
+            // already settled.
+            DelayModel::Unit if inputs_changed => self.propagate_waves(),
+            DelayModel::Unit => {}
+            DelayModel::Zero => self.propagate_zero_delay(),
         }
         self.extract_lanes(lanes, results);
         self.stats.cycles += lanes as u64;
     }
 
     /// Unit-delay wave propagation over planes: a level-windowed dense
-    /// sweep with the oracle's simultaneous-commit semantics, 64 lanes at
-    /// a time.
+    /// sweep with the oracle's simultaneous-commit semantics, a whole
+    /// block of lanes at a time.
     ///
     /// Wave `w` evaluates every gate at topological level ≥ `w` — a
     /// superset of the oracle's event front for that wave (a gate
@@ -623,79 +590,45 @@ impl<'a> BitplaneSimulator<'a> {
     /// window is evaluated deepest level first: a gate only reads nets at
     /// strictly lower levels, which a descending pass has not yet written,
     /// so every evaluation sees the pre-wave planes without double
-    /// buffering. Propagation stops at the first delta-free wave — from
-    /// then on nothing can change — or when the window empties at the
-    /// netlist's maximum depth.
+    /// buffering. Each delta goes into the counters as it commits.
+    /// Propagation stops at the first delta-free wave — from then on
+    /// nothing can change — or when the window empties at the netlist's
+    /// maximum depth.
     fn propagate_waves(&mut self) {
-        let wave_gates = std::mem::take(&mut self.wave_gates);
         for w in 1..self.level_prefix.len() {
             let window = self.level_prefix[w] as usize;
             self.stats.events_popped += window as u64;
             self.stats.gate_evals += window as u64;
-            let mut any_delta = 0u64;
-            for gate in &wave_gates[..window] {
+            let mut toggled = false;
+            for gate in &self.wave_gates[..window] {
                 let new = gate.eval(&self.planes);
-                let out = gate.output as usize;
-                let delta = self.planes[out] ^ new;
-                if delta != 0 {
-                    self.planes[out] = new;
-                    self.delta_plane[out] = delta;
-                    mark_dirty(&mut self.dirty_strips, out);
-                    any_delta |= delta;
-                }
+                toggled |= Self::commit(
+                    &mut self.planes,
+                    &mut self.counters,
+                    self.slices,
+                    gate.output as usize,
+                    new,
+                );
             }
-            if any_delta == 0 {
+            if !toggled {
                 break;
             }
-            self.accumulate_deltas();
         }
-        self.wave_gates = wave_gates;
     }
 
     /// Zero-delay propagation: one counted topological pass; only
     /// final-value transitions toggle.
-    fn propagate_zero_delay(&mut self, inputs_changed: bool) {
-        self.stats.gate_evals += self.topo.len() as u64;
-        let mut any_delta = false;
-        for t in 0..self.topo.len() {
-            let gate = self.gates[self.topo[t] as usize];
+    fn propagate_zero_delay(&mut self) {
+        self.stats.gate_evals += self.topo_gates.len() as u64;
+        for gate in &self.topo_gates {
             let new = gate.eval(&self.planes);
-            let out = gate.output as usize;
-            let delta = self.planes[out] ^ new;
-            if delta != 0 {
-                self.planes[out] = new;
-                self.delta_plane[out] = delta;
-                mark_dirty(&mut self.dirty_strips, out);
-                any_delta = true;
-            }
-        }
-        // Input nets are never gate outputs, so one fold covers both the
-        // input deltas and the pass's own.
-        if inputs_changed || any_delta {
-            self.accumulate_deltas();
-        }
-    }
-
-    /// Fold the pending per-net toggle masks (`delta_plane`) into the
-    /// bit-sliced counters and clear them — one carry-save add per dirty
-    /// net strip, covering all 64 lanes at once. The slice-major layout
-    /// makes every access unit-stride in the net index, so the loop
-    /// vectorizes; the slice count is dispatched to a monomorphized fold
-    /// so the carry chain fully unrolls.
-    fn accumulate_deltas(&mut self) {
-        let delta = &mut self.delta_plane;
-        let words = &mut self.slice_words;
-        let dirty = &mut self.dirty_strips;
-        match self.slices {
-            1 => fold_deltas::<1>(delta, words, dirty),
-            2 => fold_deltas::<2>(delta, words, dirty),
-            3 => fold_deltas::<3>(delta, words, dirty),
-            4 => fold_deltas::<4>(delta, words, dirty),
-            5 => fold_deltas::<5>(delta, words, dirty),
-            6 => fold_deltas::<6>(delta, words, dirty),
-            7 => fold_deltas::<7>(delta, words, dirty),
-            8 => fold_deltas::<8>(delta, words, dirty),
-            n => fold_deltas_dyn(delta, words, dirty, n),
+            Self::commit(
+                &mut self.planes,
+                &mut self.counters,
+                self.slices,
+                gate.output as usize,
+                new,
+            );
         }
     }
 
@@ -706,67 +639,60 @@ impl<'a> BitplaneSimulator<'a> {
     fn extract_lanes(&mut self, lanes: usize, results: &mut Vec<CycleResult>) {
         let mut charges = [0.0f64; BLOCK_LANES];
         let mut lane_toggles = [0u64; BLOCK_LANES];
+        // Scatter buffer for multi-toggle lanes of one 64-lane word,
+        // cleared lane-by-lane after use so it is not re-zeroed per net.
+        let mut counts = [0u32; 64];
         let slices = self.slices;
-        let nets = self.planes.len();
-        // Scatter buffer for multi-toggle lanes, cleared lane-by-lane
-        // after use so it is not re-zeroed for every net.
-        let mut counts = [0u32; BLOCK_LANES];
-        for idx in 0..nets {
-            // Pull the net's slices into a local block, clearing them for
-            // the next block as we go. `multi` marks lanes whose count has
-            // a bit above slice 0, i.e. counts ≥ 2.
-            let mut words = [0u64; MAX_SLICES];
-            let mut any = 0u64;
-            let mut multi = 0u64;
-            for (s, slot) in words.iter_mut().enumerate().take(slices) {
-                let w = self.slice_words[s * nets + idx];
-                if w != 0 {
-                    self.slice_words[s * nets + idx] = 0;
-                    *slot = w;
-                    any |= w;
-                    if s > 0 {
-                        multi |= w;
-                    }
-                }
-            }
-            if any == 0 {
+        for (idx, counter) in self.counters.chunks_exact_mut(slices).enumerate() {
+            let any = counter.iter().fold([0; LANE_WORDS], |acc, s| or(acc, *s));
+            if is_zero(any) {
                 continue; // quiet net this block
             }
             let energy = self.toggle_energy[idx];
             let mut total = 0u64;
-            // Fast path — lanes that toggled exactly once (the common case
-            // away from glitchy cones): `1 × energy` is exactly `energy`.
-            let mut singles = words[0] & !multi;
-            while singles != 0 {
-                let j = singles.trailing_zeros() as usize;
-                singles &= singles - 1;
-                charges[j] += energy;
-                lane_toggles[j] += 1;
-                total += 1;
-            }
-            // Remaining active lanes (counts ≥ 2): scatter the slice bits
-            // into per-lane counts — work proportional to set counter
-            // bits, not lanes × slices.
-            if multi != 0 {
-                for (s, word) in words[..slices].iter().enumerate() {
-                    let mut w = *word & multi;
+            for (k, &active) in any.iter().enumerate() {
+                if active == 0 {
+                    continue;
+                }
+                let base = 64 * k;
+                // `multi` marks lanes whose count has a bit above slice
+                // 0, i.e. counts ≥ 2.
+                let multi = counter[1..].iter().fold(0, |acc, s| acc | s[k]);
+                // Fast path — lanes that toggled exactly once (the common
+                // case away from glitchy cones): `1 × energy` is exactly
+                // `energy`.
+                let mut singles = counter[0][k] & !multi;
+                while singles != 0 {
+                    let j = base + singles.trailing_zeros() as usize;
+                    singles &= singles - 1;
+                    charges[j] += energy;
+                    lane_toggles[j] += 1;
+                    total += 1;
+                }
+                if multi == 0 {
+                    continue;
+                }
+                // Remaining active lanes (counts ≥ 2): scatter the slice
+                // bits into per-lane counts — work proportional to set
+                // counter bits, not lanes × slices.
+                for (s, slice) in counter.iter().enumerate() {
+                    let mut w = slice[k] & multi;
                     while w != 0 {
-                        let j = w.trailing_zeros() as usize;
+                        counts[w.trailing_zeros() as usize] |= 1 << s;
                         w &= w - 1;
-                        counts[j] |= 1 << s;
                     }
                 }
                 let mut remaining = multi;
                 while remaining != 0 {
-                    let j = remaining.trailing_zeros() as usize;
+                    let bit = remaining.trailing_zeros() as usize;
                     remaining &= remaining - 1;
-                    let count = counts[j];
-                    counts[j] = 0;
-                    charges[j] += f64::from(count) * energy;
-                    lane_toggles[j] += u64::from(count);
+                    let count = std::mem::take(&mut counts[bit]);
+                    charges[base + bit] += f64::from(count) * energy;
+                    lane_toggles[base + bit] += u64::from(count);
                     total += u64::from(count);
                 }
             }
+            counter.fill([0; LANE_WORDS]);
             self.toggle_counts[idx] += total;
         }
         for j in 0..lanes {
@@ -786,8 +712,8 @@ impl<'a> BitplaneSimulator<'a> {
     /// pattern included, like the oracle) and `net_toggles` counts
     /// per-lane work, while `gate_evals`
     /// and `events_popped` count *plane* operations (each covering up to
-    /// 64 lanes) — the ratio of the two engines' `gate_evals` is the
-    /// measured evaluation parallelism.
+    /// [`BLOCK_LANES`] lanes) — the ratio of the two engines'
+    /// `gate_evals` is the measured evaluation parallelism.
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -885,6 +811,15 @@ mod tests {
     use crate::harness::random_patterns;
     use hdpm_netlist::modules;
 
+    /// Pattern counts around the block size `L`: the tiny runs, `L−1` and
+    /// `L` (a ragged single block), `L+1` (one full block, the first
+    /// pattern initializing), `L+2` (one lane into a second block), and
+    /// `2L+1`, `3L+1` (whole multi-block runs).
+    fn block_edges() -> [usize; 9] {
+        let l = BLOCK_LANES;
+        [1, 2, 3, l - 1, l, l + 1, l + 2, 2 * l + 1, 3 * l + 1]
+    }
+
     #[test]
     fn backend_parses_and_displays() {
         assert_eq!("event".parse::<SimBackend>().unwrap(), SimBackend::Event);
@@ -922,21 +857,22 @@ mod tests {
     #[test]
     fn ragged_tails_and_tiny_blocks_match() {
         let adder = modules::cla_adder(4).unwrap().validate().unwrap();
-        for n in [1usize, 2, 3, 63, 64, 65, 66, 129] {
+        for n in block_edges() {
             let patterns = random_patterns(8, n, n as u64);
             assert_backends_agree(&adder, &patterns, DelayModel::Unit);
+            assert_backends_agree(&adder, &patterns, DelayModel::Zero);
         }
     }
 
     #[test]
     fn incremental_blocks_equal_one_big_block() {
         let adder = modules::ripple_adder(4).unwrap().validate().unwrap();
-        let patterns = random_patterns(8, 200, 5);
+        let patterns = random_patterns(8, 3 * BLOCK_LANES + 2, 5);
         let mut whole = BitplaneSimulator::new(&adder, DelayModel::Unit);
         let expected = whole.apply_block(&patterns);
         let mut chunked = BitplaneSimulator::new(&adder, DelayModel::Unit);
         let mut observed = Vec::new();
-        for piece in patterns.chunks(17) {
+        for piece in patterns.chunks(BLOCK_LANES / 4 + 17) {
             observed.extend(chunked.apply_block(piece));
         }
         assert_eq!(observed, expected);

@@ -25,7 +25,9 @@ use hdpm_suite::core::{
     SimBackend, StimulusKind,
 };
 use hdpm_suite::netlist::ModuleKind;
-use hdpm_suite::sim::{assert_backends_agree, random_patterns, BitPattern, DelayModel, Simulator};
+use hdpm_suite::sim::{
+    assert_backends_agree, random_patterns, BitPattern, DelayModel, Simulator, BLOCK_LANES,
+};
 use proptest::prelude::*;
 
 // --- Cycle-level conformance: raw engine output, both delay models. ---
@@ -46,13 +48,18 @@ fn cycle_results_agree_for_every_combinational_family() {
 
 #[test]
 fn ragged_tail_budgets_agree() {
-    // Pattern counts straddling the 64-lane block size: tails occupy only
-    // the low lanes and the spare lanes must charge nothing.
+    // Pattern counts straddling the block size L, under both delay
+    // models: tails occupy only the low lanes and the spare lanes must
+    // charge nothing. The first pattern initializes, so L+1 patterns
+    // fill exactly one block and L+2 spill one lane into a second.
     let netlist = build_module(ModuleKind::CsaMultiplier, 4);
     let m = netlist.netlist().input_bit_count();
-    for n in [1usize, 2, 3, 63, 64, 65, 66, 127, 128, 129, 193] {
+    let l = BLOCK_LANES;
+    for n in [1, 2, 3, l - 1, l, l + 1, l + 2, 2 * l + 1, 3 * l + 1] {
         let patterns = random_patterns(m, n, n as u64);
-        assert_backends_agree(&netlist, &patterns, DelayModel::Unit);
+        for delay in [DelayModel::Unit, DelayModel::Zero] {
+            assert_backends_agree(&netlist, &patterns, delay);
+        }
     }
 }
 
@@ -121,7 +128,7 @@ proptest! {
     fn charge_tables_are_bit_identical_sequentially(
         kind in any_family(),
         width in 2usize..=6,
-        budget in 2usize..=400,
+        budget in 2usize..=3 * BLOCK_LANES,
         seed in any::<u64>(),
     ) {
         let netlist = build_module(kind, width);
@@ -144,7 +151,7 @@ proptest! {
     #[test]
     fn charge_tables_are_bit_identical_when_sharded(
         kind in any_family(),
-        budget in 64usize..=600,
+        budget in 64usize..=3 * BLOCK_LANES,
         seed in any::<u64>(),
         shards in 1usize..=6,
     ) {
