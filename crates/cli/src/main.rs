@@ -25,7 +25,7 @@ use hdpm_core::{
     characterize_with_backend, evaluate, persist, threads_from_env, CharacterizationConfig,
     HdModel, ShardingConfig, SimBackend, StimulusKind,
 };
-use hdpm_datamodel::{breakpoints, region_model, HdDistribution, WordModel};
+use hdpm_datamodel::{breakpoints, operand_distribution, region_model, HdDistribution, WordModel};
 use hdpm_netlist::{emit_verilog, ModuleKind, ModuleSpec, ModuleWidth, NetlistStats};
 use hdpm_sim::{dump_vcd, patterns_from_words, run_words, DelayModel, PowerReport};
 use hdpm_streams::{bit_stats, word_stats};
@@ -78,11 +78,10 @@ CHARACTERIZE OPTIONS:
                  HDPM_THREADS when set; 0 = all cores). The thread count
                  never changes the resulting coefficient tables — results
                  are bit-identical for any <t>; see docs/parallelism.md.
-  --sim-backend  reference simulator: `bitplane` (default) packs 64
-                 stimulus transitions per machine word; `event` forces
+  --sim-backend  reference simulator: `bitplane` (default) packs 256
+                 stimulus transitions per block; `event` forces
                  the event-driven oracle. Both produce bit-identical
-                 models (see docs/simulation.md); HDPM_SIM_BACKEND sets
-                 the default when the flag is absent.
+                 models (see docs/simulation.md).
 
 SERVE:
   a JSON-lines request/response loop on stdin/stdout over a cached
@@ -301,14 +300,14 @@ fn cmd_characterize(args: &ParsedArgs) -> CliResult {
         Some(_) => args.get_or("threads", 0usize)?,
         None => threads_from_env(),
     };
-    let backend = SimBackend::resolve(match args.option("sim-backend") {
-        Some(raw) => Some(raw.parse().map_err(|_| args::ArgsError::InvalidValue {
+    let backend = match args.option("sim-backend") {
+        Some(raw) => raw.parse().map_err(|_| args::ArgsError::InvalidValue {
             option: "sim-backend".to_string(),
             value: raw.to_string(),
             expected: "`event` or `bitplane`",
-        })?),
-        None => None,
-    });
+        })?,
+        None => SimBackend::default(),
+    };
     let netlist = spec.build()?.validate()?;
     eprintln!(
         "characterizing {} ({} gates, {} input bits)...",
@@ -411,14 +410,11 @@ fn cmd_estimate(args: &ParsedArgs) -> CliResult {
         .or_else(|_| persist::load::<hdpm_core::Characterization>(model_path).map(|c| c.model))?;
 
     let (m1, _) = spec.width.operand_widths();
-    let streams = dt.generate_operands(spec.kind.operand_count(), m1, cycles, seed);
+    let operands = spec.kind.operand_count();
 
-    // Simulation-free estimate via the analytic Hd distribution.
-    let dists: Vec<HdDistribution> = streams
-        .iter()
-        .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
-        .collect();
-    let dist = HdDistribution::convolve_all(&dists);
+    // Simulation-free estimate via the analytic Hd distribution — the
+    // same one a server evaluates for this request.
+    let dist = operand_distribution(dt, operands, m1, cycles, seed);
     let json_mode = telemetry::mode() == telemetry::Mode::Json;
     if dist.width() == model.input_bits() {
         let estimate = model.estimate_distribution(&dist)?;
@@ -450,6 +446,7 @@ fn cmd_estimate(args: &ParsedArgs) -> CliResult {
 
     if args.flag("simulate") {
         let netlist = spec.build()?.validate()?;
+        let streams = dt.generate_operands(operands, m1, cycles, seed);
         let trace = run_words(&netlist, &streams, DelayModel::Unit);
         let report = evaluate(&model, &trace)?;
         if json_mode {

@@ -72,13 +72,34 @@ impl ModelKey {
     }
 
     /// The on-disk artifact file name of this key: the [`Display`] form
-    /// plus `.json`. [`crate::ModelLibrary::path_for`] joins this under
-    /// its root, so the disk tier is keyed by exactly the same
-    /// (spec, fingerprint, shards) triple as the memory tier.
+    /// plus `.json`, read back by [`ModelKey::from_file_name`].
+    /// [`crate::ModelLibrary::path_for`] joins this under its root, so the
+    /// disk tier is keyed by exactly the same (spec, fingerprint, shards)
+    /// triple as the memory tier.
     ///
     /// [`Display`]: std::fmt::Display
     pub fn artifact_file_name(&self) -> String {
         format!("{self}.json")
+    }
+
+    /// The key an artifact file name `{spec}_cfg{16 hex}_sh{N}.json`
+    /// stands for: the inverse of [`ModelKey::artifact_file_name`], and
+    /// the store's only parser of that format. `None` for anything else
+    /// (foreign files, locks, temps, legacy pre-fingerprint names).
+    pub fn from_file_name(name: &str) -> Option<ModelKey> {
+        let stem = name.strip_suffix(".json")?;
+        // `_sh` and `_cfg` cannot appear inside the 16-hex fingerprint, and
+        // a rightmost split keeps underscores in module-kind ids intact.
+        let (rest, shards) = stem.rsplit_once("_sh")?;
+        let (spec, hex) = rest.rsplit_once("_cfg")?;
+        if hex.len() != 16 {
+            return None;
+        }
+        Some(ModelKey {
+            spec: ModuleSpec::parse(spec)?,
+            config_hash: u64::from_str_radix(hex, 16).ok()?,
+            shards: shards.parse().ok()?,
+        })
     }
 }
 

@@ -21,7 +21,7 @@
 //!
 //! Both shapes run on either reference-simulator backend (see
 //! [`SimBackend`] and `docs/simulation.md`): the event-driven oracle or
-//! the bit-parallel engine, which packs 64 transitions of the stimulus
+//! the bit-parallel engine, which packs 256 transitions of the stimulus
 //! stream into one block and is **bit-identical** to the oracle — the
 //! backend choice never changes a bit of any coefficient table, which is
 //! why it is *not* part of [`CharacterizationConfig`] (and therefore not
@@ -529,7 +529,7 @@ pub fn characterize(
 }
 
 /// Characterize a module prototype in the run shape `sharding` describes,
-/// on the [`SimBackend::resolve`]d default backend. `shards: 0` is the
+/// on the default backend ([`SimBackend::Bitplane`]). `shards: 0` is the
 /// sequential stream of [`characterize`].
 ///
 /// With `shards: S ≥ 1`, every shard owns an RNG stream seeded by
@@ -579,16 +579,16 @@ pub fn characterize_sharded(
     config: &CharacterizationConfig,
     sharding: &ShardingConfig,
 ) -> Result<Characterization, ModelError> {
-    characterize_with_backend(netlist, config, sharding, SimBackend::resolve(None))
+    characterize_with_backend(netlist, config, sharding, SimBackend::default())
 }
 
 /// [`characterize_sharded`] with an explicit simulator backend instead of
-/// the [`SimBackend::resolve`]d default. The backend never changes a bit
-/// of the result (that contract is enforced by `tests/sim_conformance.rs`);
-/// passing [`SimBackend::Event`] forces the slower oracle, which is what
-/// the differential harness and `--sim-backend event` do. Lane packing
+/// the default. The backend never changes a bit of the result (that
+/// contract is enforced by `tests/sim_conformance.rs`); passing
+/// [`SimBackend::Event`] forces the slower oracle, which is what the
+/// differential harness and `--sim-backend event` do. Lane packing
 /// composes with the per-shard RNG streams: each stream is packed into
-/// 64-lane blocks of its *own*, so bit-plane runs stay bit-identical to
+/// [`BLOCK_LANES`]-lane blocks of its *own*, so bit-plane runs stay bit-identical to
 /// the oracle in either shape and at every thread count.
 ///
 /// # Errors

@@ -229,49 +229,39 @@ impl ModelLibrary {
         // Fast path: a verified current artifact needs no lock (reads
         // are safe against concurrent atomic writers by construction).
         // The stated identity means only a current envelope loads.
-        match persist::load_classified::<Characterization>(&path, &expected) {
-            Ok((c, _)) => {
-                telemetry::counter_add("store.artifact.valid", 1);
-                return Ok((c, LibrarySource::DiskValid, None));
-            }
-            Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err @ ModelError::Artifact { .. }) => {
-                if self.policy == CorruptArtifactPolicy::Report {
-                    return Err(err);
-                } // else: quarantine under lock
-            }
+        match load_verified(&path, &expected) {
+            Ok(Some(c)) => return Ok((c, LibrarySource::DiskValid, None)),
+            Ok(None) => {}
+            // Quarantined below, under the lock.
+            Err(ModelError::Artifact { .. })
+                if self.policy == CorruptArtifactPolicy::Quarantine => {}
             Err(e) => return Err(e),
         }
 
         // Slow path: anything that writes (characterize, quarantine)
         // holds the artifact's cross-process advisory lock.
         let lock = StoreLock::acquire(&path, self.lock_timeout)?;
-        let mut recovered = false;
         // Re-check under the lock: another process may have resolved the
         // miss (or replaced a corrupt file) while we waited.
-        match persist::load_classified::<Characterization>(&path, &expected) {
-            Ok((c, _)) => {
-                telemetry::counter_add("store.artifact.valid", 1);
-                return Ok((c, LibrarySource::DiskValid, None));
+        let recovered = match load_verified(&path, &expected) {
+            Ok(Some(c)) => return Ok((c, LibrarySource::DiskValid, None)),
+            Ok(None) => false,
+            Err(ModelError::Artifact { .. })
+                if self.policy == CorruptArtifactPolicy::Quarantine =>
+            {
+                let quarantined = store::quarantine_file(&self.root, &path)?;
+                telemetry::event(
+                    telemetry::Level::Warn,
+                    "store.quarantine",
+                    &[
+                        ("artifact", path.display().to_string().into()),
+                        ("moved_to", quarantined.display().to_string().into()),
+                    ],
+                );
+                true
             }
-            Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err @ ModelError::Artifact { .. }) => match self.policy {
-                CorruptArtifactPolicy::Report => return Err(err),
-                CorruptArtifactPolicy::Quarantine => {
-                    let quarantined = store::quarantine_file(&self.root, &path)?;
-                    telemetry::event(
-                        telemetry::Level::Warn,
-                        "store.quarantine",
-                        &[
-                            ("artifact", path.display().to_string().into()),
-                            ("moved_to", quarantined.display().to_string().into()),
-                        ],
-                    );
-                    recovered = true;
-                }
-            },
             Err(e) => return Err(e),
-        }
+        };
 
         // The sidecar records the full configuration behind the
         // fingerprint so `hdpm fsck --repair` can rebuild this artifact.
@@ -320,8 +310,8 @@ impl ModelLibrary {
     }
 
     /// Every spec with an artifact on disk under **this** library's
-    /// configuration and shard count, recovered from the artifact file
-    /// names ([`ModelKey`] display form). Artifacts written by other
+    /// configuration and shard count, read back from the artifact file
+    /// names with [`ModelKey::from_file_name`]. Artifacts written by other
     /// configurations are skipped — their fingerprint suffix differs.
     /// Order is deterministic (sorted by spec name); a missing or
     /// unreadable root yields an empty list.
@@ -329,17 +319,11 @@ impl ModelLibrary {
         let Ok(entries) = std::fs::read_dir(&self.root) else {
             return Vec::new();
         };
-        let suffix = format!(
-            "_cfg{:016x}_sh{}.json",
-            self.config_hash, self.sharding.shards
-        );
         let mut specs: Vec<ModuleSpec> = entries
             .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name();
-                let spec_text = name.to_str()?.strip_suffix(&suffix)?;
-                ModuleSpec::parse(spec_text)
-            })
+            .filter_map(|entry| ModelKey::from_file_name(entry.file_name().to_str()?))
+            .filter(|key| *key == self.key_for(key.spec))
+            .map(|key| key.spec)
             .collect();
         specs.sort_by_key(|spec| spec.to_string());
         specs
@@ -350,16 +334,31 @@ impl ModelLibrary {
     /// read-only probe for opportunistic consumers (the engine's tier-B
     /// sibling harvest) that must not pay or mutate anything on a miss.
     pub fn load_if_present(&self, spec: ModuleSpec) -> Option<Characterization> {
-        let path = self.path_for(spec);
-        let expected = self.expected_meta(spec);
-        persist::load_classified::<Characterization>(&path, &expected)
+        load_verified(&self.path_for(spec), &self.expected_meta(spec))
             .ok()
-            .map(|(c, _)| c)
+            .flatten()
     }
 
     /// The library root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+}
+
+/// The library's one verified read of an artifact: the characterization
+/// when a current envelope for `expected` verifies, `None` when no
+/// artifact exists, the typed fault otherwise.
+fn load_verified(
+    path: &Path,
+    expected: &EnvelopeMeta,
+) -> Result<Option<Characterization>, ModelError> {
+    match persist::load_classified::<Characterization>(path, expected) {
+        Ok((c, _)) => {
+            telemetry::counter_add("store.artifact.valid", 1);
+            Ok(Some(c))
+        }
+        Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
     }
 }
 

@@ -30,6 +30,15 @@
 //! classifies it as [`ArtifactFaultKind::StaleVersion`], because there is
 //! nothing to verify that identity against. See `docs/persistence.md`.
 //!
+//! # Admission
+//!
+//! Every reader — [`load`], [`load_classified`], [`read_envelope_bytes`],
+//! [`admit_envelope_bytes`], and through them the library and
+//! `hdpm fsck` — admits an artifact through one routine: one read of the
+//! text and one classification into a value or a typed fault. A change of
+//! the format touches that routine and the artifact-name codec
+//! ([`crate::ModelKey::from_file_name`]) only.
+//!
 //! # Fault injection
 //!
 //! The `fault` module exposes a **test-only**, thread-local hook that
@@ -256,27 +265,7 @@ pub fn load_classified<T: DeserializeOwned>(
     expected: &EnvelopeMeta,
 ) -> Result<(T, EnvelopeStatus), ModelError> {
     let path = path.as_ref();
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        // Corruption can destroy UTF-8 validity; that is an artifact
-        // fault, not an environment error like a missing file.
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return Err(ModelError::Artifact {
-                path: path.to_path_buf(),
-                kind: ArtifactFaultKind::Truncated,
-                detail: format!("not readable as UTF-8 text: {e}"),
-            })
-        }
-        Err(e) => return Err(ModelError::Io(e)),
-    };
-    match classify_text::<T>(&text, expected) {
-        Classified::Valid { value, status } => Ok((value, status)),
-        Classified::Fault { kind, detail } => Err(ModelError::Artifact {
-            path: path.to_path_buf(),
-            kind,
-            detail,
-        }),
-    }
+    classify_text(&read_text(path)?, expected).map_err(|fault| artifact_error(path, fault))
 }
 
 /// Read an artifact's raw envelope bytes for verbatim wire transfer,
@@ -297,37 +286,14 @@ pub fn read_envelope_bytes<T: DeserializeOwned>(
     expected: &EnvelopeMeta,
 ) -> Result<Vec<u8>, ModelError> {
     let path = path.as_ref();
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return Err(ModelError::Artifact {
-                path: path.to_path_buf(),
-                kind: ArtifactFaultKind::Truncated,
-                detail: format!("not readable as UTF-8 text: {e}"),
-            })
-        }
-        Err(e) => return Err(ModelError::Io(e)),
-    };
-    match classify_text::<T>(&text, expected) {
-        Classified::Valid {
-            status: EnvelopeStatus::Current,
-            ..
-        } => Ok(text.into_bytes()),
-        Classified::Valid {
-            status: EnvelopeStatus::LegacyPayload,
-            ..
-        } => Err(ModelError::Artifact {
-            path: path.to_path_buf(),
-            kind: ArtifactFaultKind::StaleVersion,
-            detail: "bare payload without an envelope cannot be shipped verbatim (no checksum)"
-                .to_string(),
-        }),
-        Classified::Fault { kind, detail } => Err(ModelError::Artifact {
-            path: path.to_path_buf(),
-            kind,
-            detail,
-        }),
-    }
+    let text = read_text(path)?;
+    classify_current::<T>(
+        &text,
+        expected,
+        "bare payload without an envelope cannot be shipped verbatim (no checksum)",
+    )
+    .map_err(|fault| artifact_error(path, fault))?;
+    Ok(text.into_bytes())
 }
 
 /// Admit envelope bytes received from a peer into the local store at
@@ -351,123 +317,111 @@ pub fn admit_envelope_bytes<T: DeserializeOwned>(
     path: impl AsRef<Path>,
 ) -> Result<(), ModelError> {
     let path = path.as_ref();
-    let artifact_fault = |kind, detail: String| ModelError::Artifact {
+    std::str::from_utf8(bytes)
+        .map_err(|e| {
+            let detail = format!("received bytes are not UTF-8 text: {e}");
+            (ArtifactFaultKind::Truncated, detail)
+        })
+        .and_then(|text| {
+            classify_current::<T>(
+                text,
+                expected,
+                "bare pre-envelope payload is not admissible over the wire (no checksum)",
+            )
+        })
+        .map_err(|fault| artifact_error(path, fault))?;
+    write_atomic(path, bytes)
+}
+
+/// A typed artifact fault before it is tied to a path: its kind and a
+/// human-readable detail.
+type Rejection = (ArtifactFaultKind, String);
+
+fn artifact_error(path: &Path, (kind, detail): Rejection) -> ModelError {
+    ModelError::Artifact {
         path: path.to_path_buf(),
         kind,
         detail,
-    };
-    let text = std::str::from_utf8(bytes).map_err(|e| {
-        artifact_fault(
-            ArtifactFaultKind::Truncated,
-            format!("received bytes are not UTF-8 text: {e}"),
-        )
-    })?;
-    match classify_text::<T>(text, expected) {
-        Classified::Valid {
-            status: EnvelopeStatus::Current,
-            ..
-        } => write_atomic(path, bytes),
-        Classified::Valid {
-            status: EnvelopeStatus::LegacyPayload,
-            ..
-        } => Err(artifact_fault(
-            ArtifactFaultKind::StaleVersion,
-            "bare pre-envelope payload is not admissible over the wire (no checksum)".to_string(),
-        )),
-        Classified::Fault { kind, detail } => Err(artifact_fault(kind, detail)),
     }
 }
 
-/// How a present artifact file classified: its [`EnvelopeStatus`] when it
-/// loads, or the typed fault (kind plus detail) when it does not.
-pub(crate) type FileClass = Result<EnvelopeStatus, (ArtifactFaultKind, String)>;
-
-/// Classify an artifact file without keeping the payload: `Ok(None)` when
-/// the file does not exist, otherwise its [`FileClass`]. Only unexpected
-/// I/O failures error.
-pub(crate) fn classify_file<T: DeserializeOwned>(
-    path: &Path,
-    expected: &EnvelopeMeta,
-) -> Result<Option<FileClass>, ModelError> {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-            return Ok(Some(Err((
+/// The one read of an artifact file. Corruption can destroy UTF-8
+/// validity, so text that does not decode is a
+/// [`ArtifactFaultKind::Truncated`] fault; every other failure, a
+/// missing file included, is an environment error ([`ModelError::Io`]).
+fn read_text(path: &Path) -> Result<String, ModelError> {
+    fs::read_to_string(path).map_err(|e| match e.kind() {
+        std::io::ErrorKind::InvalidData => artifact_error(
+            path,
+            (
                 ArtifactFaultKind::Truncated,
                 format!("not readable as UTF-8 text: {e}"),
-            ))))
+            ),
+        ),
+        _ => ModelError::Io(e),
+    })
+}
+
+/// [`classify_text`] for the wire, which takes current envelopes only: a
+/// bare payload is [`ArtifactFaultKind::StaleVersion`] with the caller's
+/// `legacy` detail, since it carries no checksum the peer could verify.
+fn classify_current<T: DeserializeOwned>(
+    text: &str,
+    expected: &EnvelopeMeta,
+    legacy: &str,
+) -> Result<T, Rejection> {
+    match classify_text(text, expected)? {
+        (value, EnvelopeStatus::Current) => Ok(value),
+        (_, EnvelopeStatus::LegacyPayload) => {
+            Err((ArtifactFaultKind::StaleVersion, legacy.to_string()))
         }
-        Err(e) => return Err(ModelError::Io(e)),
-    };
-    Ok(Some(match classify_text::<T>(&text, expected) {
-        Classified::Valid { status, .. } => Ok(status),
-        Classified::Fault { kind, detail } => Err((kind, detail)),
-    }))
-}
-
-enum Classified<T> {
-    Valid {
-        value: T,
-        status: EnvelopeStatus,
-    },
-    Fault {
-        kind: ArtifactFaultKind,
-        detail: String,
-    },
-}
-
-fn fault<T>(kind: ArtifactFaultKind, detail: impl Into<String>) -> Classified<T> {
-    Classified::Fault {
-        kind,
-        detail: detail.into(),
     }
 }
 
-/// The single classification routine behind [`load_classified`] and
+/// The single classification routine behind every reader here and
 /// `hdpm fsck`: map artifact text to a value or a typed fault.
-fn classify_text<T: DeserializeOwned>(text: &str, expected: &EnvelopeMeta) -> Classified<T> {
+fn classify_text<T: DeserializeOwned>(
+    text: &str,
+    expected: &EnvelopeMeta,
+) -> Result<(T, EnvelopeStatus), Rejection> {
     let value: Value = match serde_json::from_str(text) {
         Ok(v) => v,
         Err(e) => {
-            return fault(
+            return Err((
                 ArtifactFaultKind::Truncated,
                 format!("not parseable as JSON (torn or truncated write?): {e}"),
-            )
+            ))
         }
     };
     if value.as_object().is_none() {
-        return fault(ArtifactFaultKind::Foreign, "not a JSON object");
+        return Err((ArtifactFaultKind::Foreign, "not a JSON object".into()));
     }
     let Some(version_field) = value.get("hdpm_envelope") else {
         // A bare payload: acceptable to an anonymous load, but a stated
         // identity has no envelope to be checked against.
         return match T::from_value(&value) {
-            Ok(_) if *expected != EnvelopeMeta::default() => fault(
+            Ok(_) if *expected != EnvelopeMeta::default() => Err((
                 ArtifactFaultKind::StaleVersion,
-                "bare payload without an envelope: no checksum or identity to verify",
-            ),
-            Ok(payload) => Classified::Valid {
-                value: payload,
-                status: EnvelopeStatus::LegacyPayload,
-            },
-            Err(e) => fault(
+                "bare payload without an envelope: no checksum or identity to verify".into(),
+            )),
+            Ok(payload) => Ok((payload, EnvelopeStatus::LegacyPayload)),
+            Err(e) => Err((
                 ArtifactFaultKind::Foreign,
                 format!("neither an hdpm envelope nor a bare model payload: {e}"),
-            ),
+            )),
         };
     };
     let Some(version) = version_field.as_u64() else {
-        return fault(
+        return Err((
             ArtifactFaultKind::Foreign,
-            "envelope version is not an integer",
-        );
+            "envelope version is not an integer".into(),
+        ));
     };
     if version != ENVELOPE_VERSION {
-        return fault(
+        return Err((
             ArtifactFaultKind::StaleVersion,
             format!("envelope version {version}, this build reads version {ENVELOPE_VERSION}"),
-        );
+        ));
     }
     let Some(declared) = value
         .get("checksum")
@@ -475,47 +429,42 @@ fn classify_text<T: DeserializeOwned>(text: &str, expected: &EnvelopeMeta) -> Cl
         .and_then(|s| s.strip_prefix("fnv1a64:"))
         .and_then(|hex| u64::from_str_radix(hex, 16).ok())
     else {
-        return fault(
+        return Err((
             ArtifactFaultKind::Truncated,
-            "envelope is missing a well-formed `checksum` field",
-        );
+            "envelope is missing a well-formed `checksum` field".into(),
+        ));
     };
     let Some(payload) = value.get("payload") else {
-        return fault(
+        return Err((
             ArtifactFaultKind::Truncated,
-            "envelope is missing its `payload` field",
-        );
+            "envelope is missing its `payload` field".into(),
+        ));
     };
-    let canonical = match serde_json::to_string(payload) {
-        Ok(text) => text,
-        Err(e) => return fault(ArtifactFaultKind::Foreign, e.to_string()),
-    };
+    let canonical =
+        serde_json::to_string(payload).map_err(|e| (ArtifactFaultKind::Foreign, e.to_string()))?;
     let actual = fnv1a64(canonical.as_bytes());
     if actual != declared {
-        return fault(
+        return Err((
             ArtifactFaultKind::ChecksumMismatch,
             format!("payload checksum {actual:016x} does not match recorded {declared:016x}"),
-        );
+        ));
     }
     let found = value
         .get("meta")
         .map(EnvelopeMeta::from_value)
         .unwrap_or_default();
     if let Some(mismatch) = expected.mismatch_against(&found) {
-        return fault(
+        return Err((
             ArtifactFaultKind::Foreign,
             format!("artifact belongs to a different key: {mismatch}"),
-        );
+        ));
     }
     match T::from_value(payload) {
-        Ok(payload) => Classified::Valid {
-            value: payload,
-            status: EnvelopeStatus::Current,
-        },
-        Err(e) => fault(
+        Ok(payload) => Ok((payload, EnvelopeStatus::Current)),
+        Err(e) => Err((
             ArtifactFaultKind::Foreign,
             format!("payload has the wrong shape for the requested model type: {e}"),
-        ),
+        )),
     }
 }
 

@@ -19,10 +19,10 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use hdpm_netlist::ModuleSpec;
 use hdpm_telemetry as telemetry;
+use serde::de::DeserializeOwned;
 
-use crate::cache::config_fingerprint;
+use crate::cache::{config_fingerprint, ModelKey};
 use crate::characterize::{Characterization, CharacterizationConfig};
 use crate::error::{ArtifactFaultKind, ModelError};
 use crate::library::ModelLibrary;
@@ -188,23 +188,6 @@ fn proc_start_time(_pid: u32) -> Option<u64> {
 // ---------------------------------------------------------------------------
 // Artifact names and sidecars
 // ---------------------------------------------------------------------------
-
-/// Parse a store artifact file name `{spec}_cfg{16 hex}_sh{N}.json` back
-/// into its key triple. Returns `None` for anything else (foreign files,
-/// locks, temps, legacy pre-fingerprint names).
-pub(crate) fn parse_artifact_name(name: &str) -> Option<(ModuleSpec, u64, usize)> {
-    let stem = name.strip_suffix(".json")?;
-    // `_sh` and `_cfg` cannot appear inside the 16-hex fingerprint, and a
-    // rightmost split keeps underscores in module-kind ids intact.
-    let (rest, shards) = stem.rsplit_once("_sh")?;
-    let shards: usize = shards.parse().ok()?;
-    let (spec, hex) = rest.rsplit_once("_cfg")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    let fingerprint = u64::from_str_radix(hex, 16).ok()?;
-    Some((ModuleSpec::parse(spec)?, fingerprint, shards))
-}
 
 /// The sidecar path recording the full configuration behind a
 /// fingerprint.
@@ -459,30 +442,12 @@ fn classify_entry(path: &Path, file_name: &str, in_meta: bool) -> (FsckStatus, S
     if in_meta {
         return classify_sidecar(path, file_name);
     }
-    let expected = match parse_artifact_name(file_name) {
-        Some((spec, fingerprint, shards)) => EnvelopeMeta {
-            spec: Some(spec.to_string()),
-            config_fingerprint: Some(fingerprint),
-            shards: Some(shards),
-        },
-        None => {
-            return (
-                FsckStatus::Fault(ArtifactFaultKind::Foreign),
-                "file name is not a store key".to_string(),
-            )
-        }
+    let Some(key) = ModelKey::from_file_name(file_name) else {
+        return foreign("file name is not a store key");
     };
-    match persist::classify_file::<Characterization>(path, &expected) {
-        Ok(Some(Ok(_))) => (FsckStatus::Valid, String::new()),
-        Ok(Some(Err((kind, detail)))) => (FsckStatus::Fault(kind), detail),
-        Ok(None) => (
-            FsckStatus::Fault(ArtifactFaultKind::Truncated),
-            "vanished during the scan".to_string(),
-        ),
-        Err(e) => (
-            FsckStatus::Fault(ArtifactFaultKind::Truncated),
-            e.to_string(),
-        ),
+    match admitted::<Characterization>(path, &EnvelopeMeta::for_key(&key)) {
+        Ok(_) => (FsckStatus::Valid, String::new()),
+        Err(verdict) => verdict,
     }
 }
 
@@ -493,43 +458,47 @@ fn classify_sidecar(path: &Path, file_name: &str) -> (FsckStatus, String) {
         .filter(|hex| hex.len() == 16)
         .and_then(|hex| u64::from_str_radix(hex, 16).ok());
     let Some(fingerprint) = fingerprint else {
-        return (
-            FsckStatus::Fault(ArtifactFaultKind::Foreign),
-            "file name is not a sidecar key".to_string(),
-        );
+        return foreign("file name is not a sidecar key");
     };
     let expected = EnvelopeMeta {
         config_fingerprint: Some(fingerprint),
         ..EnvelopeMeta::default()
     };
-    match persist::classify_file::<CharacterizationConfig>(path, &expected) {
-        Ok(Some(Ok(_))) => {
-            // Deep check: the recorded configuration must actually hash to
-            // the fingerprint in the file name.
-            match persist::load::<CharacterizationConfig>(path) {
-                Ok(config) if config_fingerprint(&config) == fingerprint => {
-                    (FsckStatus::Valid, String::new())
-                }
-                Ok(_) => (
-                    FsckStatus::Fault(ArtifactFaultKind::Foreign),
-                    "recorded configuration does not hash to the sidecar name".to_string(),
-                ),
-                Err(e) => (
-                    FsckStatus::Fault(ArtifactFaultKind::Truncated),
-                    e.to_string(),
-                ),
-            }
+    match admitted::<CharacterizationConfig>(path, &expected) {
+        // Deep check: the recorded configuration must actually hash to
+        // the fingerprint in the file name.
+        Ok(config) if config_fingerprint(&config) == fingerprint => {
+            (FsckStatus::Valid, String::new())
         }
-        Ok(Some(Err((kind, detail)))) => (FsckStatus::Fault(kind), detail),
-        Ok(None) => (
-            FsckStatus::Fault(ArtifactFaultKind::Truncated),
-            "vanished during the scan".to_string(),
-        ),
-        Err(e) => (
-            FsckStatus::Fault(ArtifactFaultKind::Truncated),
-            e.to_string(),
-        ),
+        Ok(_) => foreign("recorded configuration does not hash to the sidecar name"),
+        Err(verdict) => verdict,
     }
+}
+
+/// fsck's reading of one artifact or sidecar through the store's one
+/// admission routine ([`persist::load_classified`]): the decoded value,
+/// or the status and detail to report. A file that vanished since the
+/// directory listing, or that cannot be read, is reported truncated.
+fn admitted<T: DeserializeOwned>(
+    path: &Path,
+    expected: &EnvelopeMeta,
+) -> Result<T, (FsckStatus, String)> {
+    let truncated = |detail: String| (FsckStatus::Fault(ArtifactFaultKind::Truncated), detail);
+    match persist::load_classified::<T>(path, expected) {
+        Ok((value, _)) => Ok(value),
+        Err(ModelError::Artifact { kind, detail, .. }) => Err((FsckStatus::Fault(kind), detail)),
+        Err(ModelError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            Err(truncated("vanished during the scan".to_string()))
+        }
+        Err(e) => Err(truncated(e.to_string())),
+    }
+}
+
+fn foreign(detail: &str) -> (FsckStatus, String) {
+    (
+        FsckStatus::Fault(ArtifactFaultKind::Foreign),
+        detail.to_string(),
+    )
 }
 
 fn repair_entry(
@@ -562,15 +531,19 @@ fn repair_entry(
 /// Returns `Ok(false)` when the name does not parse or no (valid) sidecar
 /// exists — the artifact stays quarantined and the caller reports that.
 fn recharacterize(root: &Path, file_name: &str) -> Result<bool, ModelError> {
-    let Some((spec, fingerprint, shards)) = parse_artifact_name(file_name) else {
+    let Some(key) = ModelKey::from_file_name(file_name) else {
         return Ok(false);
     };
-    let sidecar = sidecar_path(root, fingerprint);
+    let sidecar = sidecar_path(root, key.config_hash);
     let config = match persist::load::<CharacterizationConfig>(&sidecar) {
-        Ok(config) if config_fingerprint(&config) == fingerprint => config,
+        Ok(config) if config_fingerprint(&config) == key.config_hash => config,
         _ => return Ok(false),
     };
-    ModelLibrary::with_sharding(root, config, ShardingConfig { shards, threads: 0 }).get(spec)?;
+    let sharding = ShardingConfig {
+        shards: key.shards,
+        threads: 0,
+    };
+    ModelLibrary::with_sharding(root, config, sharding).get(key.spec)?;
     Ok(true)
 }
 
@@ -578,18 +551,62 @@ fn recharacterize(root: &Path, file_name: &str) -> Result<bool, ModelError> {
 mod tests {
     use super::*;
     use crate::test_support::TempDir;
-    use hdpm_netlist::ModuleKind;
+    use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
 
     #[test]
     fn artifact_names_round_trip_through_the_parser() {
-        let config = CharacterizationConfig::default();
-        let spec = ModuleSpec::new(ModuleKind::BarrelShifter, 8usize);
-        let key = crate::cache::ModelKey::new(spec, &config, 4);
-        let (parsed_spec, fingerprint, shards) =
-            parse_artifact_name(&key.artifact_file_name()).expect("parses");
-        assert_eq!(parsed_spec, spec);
-        assert_eq!(fingerprint, key.config_hash);
-        assert_eq!(shards, 4);
+        let configs = [
+            CharacterizationConfig::default(),
+            CharacterizationConfig {
+                max_patterns: 1500,
+                ..CharacterizationConfig::default()
+            },
+        ];
+        let shard_counts = [0usize, 1, 8];
+        let specs: Vec<ModuleSpec> = ModuleKind::ALL
+            .iter()
+            .flat_map(|&kind| {
+                [
+                    ModuleSpec::new(kind, 8usize),
+                    ModuleSpec::new(kind, ModuleWidth::Rect(12, 6)),
+                ]
+            })
+            .collect();
+        let dir = TempDir::new("store_names");
+        let mut libraries = Vec::new();
+        for config in configs {
+            for &shards in &shard_counts {
+                // Each library stores every spec but a different one, so a
+                // listing that strays into another library's keys shows.
+                let skip = libraries.len();
+                let mut own = Vec::new();
+                for (j, &spec) in specs.iter().enumerate() {
+                    let key = ModelKey::new(spec, &config, shards);
+                    let name = key.artifact_file_name();
+                    assert_eq!(ModelKey::from_file_name(&name), Some(key), "{name}");
+                    if j != skip {
+                        std::fs::write(dir.join(&name), "").unwrap();
+                        own.push(spec);
+                    }
+                }
+                own.sort_by_key(|spec| spec.to_string());
+                let sharding = ShardingConfig { shards, threads: 1 };
+                libraries.push((
+                    ModelLibrary::with_sharding(dir.path(), config, sharding),
+                    own,
+                ));
+            }
+        }
+        // Each library lists exactly the keys of its own config and shard
+        // count from the shared root, and nothing else.
+        for (library, own) in &libraries {
+            assert_eq!(
+                &library.stored_specs(),
+                own,
+                "{:?}",
+                library.key_for(own[0])
+            );
+        }
         for bad in [
             "ripple_adder_4.json",
             "ripple_adder_4_cfg12_sh4.json",
@@ -597,7 +614,7 @@ mod tests {
             "notes.json",
             "x_cfg0123456789abcdef_shfour.json",
         ] {
-            assert!(parse_artifact_name(bad).is_none(), "{bad}");
+            assert!(ModelKey::from_file_name(bad).is_none(), "{bad}");
         }
     }
 

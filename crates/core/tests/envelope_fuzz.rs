@@ -2,14 +2,18 @@
 //! peer sends or a disk holds, `admit_envelope_bytes` and
 //! `load_classified` admit only an intact envelope for the stated key.
 //! Anything else is a typed `ModelError::Artifact`, leaves nothing at the
-//! destination, and never panics.
+//! destination, and never panics. Every reader of the store, `hdpm fsck`
+//! included, gives a damaged artifact the same fault kind.
 
 use std::path::Path;
 use std::sync::OnceLock;
 
 use hdpm_core::persist::{self, EnvelopeMeta, EnvelopeStatus};
 use hdpm_core::test_support::{build_module, quick_config, TempDir};
-use hdpm_core::{characterize, ArtifactFaultKind, Characterization, ModelError, ModelKey};
+use hdpm_core::{
+    characterize, fsck, ArtifactFaultKind, Characterization, FsckOptions, FsckStatus, ModelError,
+    ModelKey,
+};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 use proptest::prelude::*;
 use serde::Value;
@@ -18,6 +22,8 @@ use serde::Value;
 struct Fixture {
     model: Characterization,
     meta: EnvelopeMeta,
+    /// The artifact file name of the fixture's key.
+    name: String,
     envelope: Vec<u8>,
 }
 
@@ -29,12 +35,14 @@ fn fixture() -> &'static Fixture {
         let key = ModelKey::new(ModuleSpec::new(ModuleKind::RippleAdder, 3), &config, 0);
         let meta = EnvelopeMeta::for_key(&key);
         let dir = TempDir::new("envelope_fuzz_fixture");
-        let path = dir.join(&key.artifact_file_name());
+        let name = key.artifact_file_name();
+        let path = dir.join(&name);
         persist::save_with_meta(&model, &meta, &path).unwrap();
         let envelope = std::fs::read(&path).unwrap();
         Fixture {
             model,
             meta,
+            name,
             envelope,
         }
     })
@@ -271,5 +279,68 @@ fn deeply_nested_bytes_are_a_typed_fault() {
             other => panic!("expected a truncated fault, got {other:?}"),
         }
         assert!(!check(bytes.as_bytes(), dir.path()));
+    }
+}
+
+/// What one reader made of some bytes: `None` when it admitted them,
+/// otherwise the fault kind it reported.
+fn verdict<T>(result: Result<T, ModelError>) -> Option<ArtifactFaultKind> {
+    match result {
+        Ok(_) => None,
+        Err(ModelError::Artifact { kind, .. }) => Some(kind),
+        Err(other) => panic!("untyped error: {other}"),
+    }
+}
+
+/// Store `bytes` as the fixture's artifact under `root` and run every
+/// reader over them: the library's load, the peer-fetch read, the peer
+/// admission and fsck. All four must reach the same verdict.
+fn every_reader_agrees(bytes: &[u8], root: &Path, what: &str) {
+    let f = fixture();
+    let file = root.join(&f.name);
+    std::fs::write(&file, bytes).unwrap();
+    let load = verdict(persist::load_classified::<Characterization>(&file, &f.meta));
+    let read = verdict(persist::read_envelope_bytes::<Characterization>(
+        &file, &f.meta,
+    ));
+    // fsck skips subdirectories, so the admission target stays unscanned.
+    let dest = root.join("admitted").join(&f.name);
+    let admit = verdict(persist::admit_envelope_bytes::<Characterization>(
+        bytes, &f.meta, &dest,
+    ));
+    let _ = std::fs::remove_file(&dest);
+    let report = fsck(root, &FsckOptions::default()).unwrap();
+    let entry = report
+        .entries
+        .iter()
+        .find(|e| e.name == f.name)
+        .expect("fsck lists the artifact");
+    let scanned = match entry.status {
+        FsckStatus::Valid => None,
+        FsckStatus::Fault(kind) => Some(kind),
+        ref other => panic!("{what}: an artifact classified as {other:?}"),
+    };
+    assert_eq!(
+        [read, admit, scanned],
+        [load; 3],
+        "{what}: read_envelope_bytes, admit_envelope_bytes and fsck disagree with load_classified"
+    );
+}
+
+/// One loop over the fixture envelope: at every byte, a flipped bit and
+/// a cut there reach every reader, which must agree on each.
+#[test]
+fn every_reader_classifies_damage_alike() {
+    let envelope = &fixture().envelope;
+    let root = TempDir::new("envelope_fuzz_readers");
+    for at in 0..envelope.len() {
+        let mut flipped = envelope.clone();
+        flipped[at] ^= 1 << (at % 8);
+        every_reader_agrees(
+            &flipped,
+            root.path(),
+            &format!("bit {} of byte {at}", at % 8),
+        );
+        every_reader_agrees(&envelope[..at], root.path(), &format!("cut at {at}"));
     }
 }

@@ -7,9 +7,45 @@
 //! their independent combination, written in the paper as the unified
 //! formula eq. 18 with region indicators δ.
 
+use hdpm_streams::DataType;
 use serde::{Deserialize, Serialize};
 
-use crate::dbt::RegionModel;
+use crate::dbt::{region_model, RegionModel, WordModel};
+
+/// The analytic input distribution of a module fed synthetic data: one
+/// `cycles`-word stream of `data` per operand
+/// ([`DataType::generate_operands`]), a two-region model fitted to each
+/// (eq. 11–18), and the per-operand distributions convolved. This is the
+/// distribution a served estimate and `hdpm estimate` evaluate a model
+/// on, so both read the same bits for the same request.
+///
+/// # Panics
+///
+/// Panics if `operands == 0` or `width` is not in `2..=32`.
+///
+/// # Examples
+///
+/// ```
+/// use hdpm_datamodel::operand_distribution;
+/// use hdpm_streams::DataType;
+///
+/// let dist = operand_distribution(DataType::Speech, 2, 8, 2000, 7);
+/// assert_eq!(dist.width(), 16);
+/// ```
+pub fn operand_distribution(
+    data: DataType,
+    operands: usize,
+    width: usize,
+    cycles: usize,
+    seed: u64,
+) -> HdDistribution {
+    let dists: Vec<HdDistribution> = data
+        .generate_operands(operands, width, cycles, seed)
+        .iter()
+        .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, width))))
+        .collect();
+    HdDistribution::convolve_all(&dists)
+}
 
 /// A discrete probability distribution over Hamming distances `0..=width`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

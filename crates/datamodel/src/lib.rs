@@ -45,7 +45,7 @@ pub use dbt::{
     breakpoints, empirical_region_model, region_model, three_region_model, Breakpoints,
     RegionModel, ThreeRegionModel, WordModel,
 };
-pub use hd_dist::HdDistribution;
+pub use hd_dist::{operand_distribution, HdDistribution};
 pub use joint::JointHdZeroDistribution;
 pub use normal::{erf, negative_probability, normal_cdf, normal_pdf, sign_change_probability};
 pub use propagate::{

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use hdpm_core::persist::{self, EnvelopeMeta};
 use hdpm_core::{Characterization, Estimate, Fidelity, LruCache, ModelError, PowerEngine};
-use hdpm_datamodel::{region_model, HdDistribution, WordModel};
+use hdpm_datamodel::{operand_distribution, HdDistribution};
 use hdpm_netlist::ModuleSpec;
 use hdpm_streams::DataType;
 use hdpm_telemetry as telemetry;
@@ -381,11 +381,10 @@ impl DistMemo {
         memo.get(key)?.get().map(Arc::clone)
     }
 
-    /// The memoized distribution, or a fresh one — the named operand
-    /// streams generated, a region model fitted per operand, the two
-    /// convolved — built with no lock held. Of the callers that miss one
-    /// key at once, one builds and counts the miss; the rest wait for
-    /// its result and count hits.
+    /// The memoized distribution, or a fresh one from
+    /// [`operand_distribution`], built with no lock held. Of the callers
+    /// that miss one key at once, one builds and counts the miss; the
+    /// rest wait for its result and count hits.
     fn get_or_build(&self, key: DistKey) -> Arc<HdDistribution> {
         let slot = {
             let memo = &mut *self.0.lock().expect("dist memo");
@@ -403,7 +402,14 @@ impl DistMemo {
         let mut built = false;
         let dist = slot.get_or_init(|| {
             built = true;
-            build_distribution(key)
+            let (data, operands, m1, cycles, seed) = key;
+            Arc::new(operand_distribution(
+                data,
+                operands,
+                m1,
+                cycles as usize,
+                seed,
+            ))
         });
         if built {
             telemetry::counter_add("protocol.dist_cache.miss", 1);
@@ -412,19 +418,6 @@ impl DistMemo {
         }
         Arc::clone(dist)
     }
-}
-
-/// The analytic input distribution of a memo key: the named operand
-/// streams generated, a region model fitted per operand, the two
-/// convolved.
-fn build_distribution(key: DistKey) -> Arc<HdDistribution> {
-    let (data, operands, m1, cycles, seed) = key;
-    let streams = data.generate_operands(operands, m1, cycles as usize, seed);
-    let dists: Vec<HdDistribution> = streams
-        .iter()
-        .map(|w| HdDistribution::from_regions(&region_model(&WordModel::from_words(w, m1))))
-        .collect();
-    Arc::new(HdDistribution::convolve_all(&dists))
 }
 
 /// A request's op name and `module/width` detail, for trace records and

@@ -144,22 +144,6 @@ pub enum SimBackend {
 }
 
 impl SimBackend {
-    /// Backend requested through the `HDPM_SIM_BACKEND` environment
-    /// variable, if set to a recognized value (`event` or `bitplane`).
-    /// Unset, empty or unrecognized values yield `None`.
-    pub fn from_env() -> Option<SimBackend> {
-        match std::env::var("HDPM_SIM_BACKEND") {
-            Ok(value) => value.parse().ok(),
-            Err(_) => None,
-        }
-    }
-
-    /// Resolve the effective backend: an explicit choice wins, then
-    /// `HDPM_SIM_BACKEND`, then the default ([`SimBackend::Bitplane`]).
-    pub fn resolve(explicit: Option<SimBackend>) -> SimBackend {
-        explicit.or_else(SimBackend::from_env).unwrap_or_default()
-    }
-
     /// Stable lower-case identifier (`"event"` / `"bitplane"`).
     pub fn id(self) -> &'static str {
         match self {
@@ -833,10 +817,7 @@ mod tests {
         );
         assert!("spice".parse::<SimBackend>().is_err());
         assert_eq!(SimBackend::Event.to_string(), "event");
-        assert_eq!(
-            SimBackend::resolve(Some(SimBackend::Event)),
-            SimBackend::Event
-        );
+        assert_eq!(SimBackend::default(), SimBackend::Bitplane);
     }
 
     #[test]
