@@ -1,9 +1,11 @@
 //! Cluster-mode integration tests against the real `hdpm server`
 //! binary: a three-node fleet stormed from every side must characterize
 //! a cold spec exactly once cluster-wide and end up with byte-identical
-//! artifacts everywhere, and every cluster failure mode — dead owner,
-//! peer serving corrupt bytes — must degrade to a bounded local
-//! characterization, never to a client-visible error.
+//! artifacts everywhere, a miss on a non-owner reaches the owner at any
+//! fidelity floor and from the background upgrade alike, and every
+//! cluster failure mode — dead owner, peer serving corrupt bytes — must
+//! degrade to a bounded local characterization, never to a
+//! client-visible error.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -12,7 +14,7 @@ use std::process::{Child, ChildStderr, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use hdpm_cluster::Ring;
-use hdpm_core::{CharacterizationConfig, EngineOptions, PowerEngine, ShardingConfig};
+use hdpm_core::{CharacterizationConfig, EngineOptions, ModelKey, PowerEngine, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 use hdpm_server::client::Response;
 use hdpm_server::wire;
@@ -221,52 +223,110 @@ fn characterizations(addr: &str) -> u64 {
         .expect("counter digits")
 }
 
-/// The tentpole end-to-end proof: a cold spec stormed by eight clients
-/// on each of three nodes at once is characterized exactly once in the
-/// whole fleet — the node-local gates coalesce each node's storm, the
-/// non-owners forward to the owner instead of burning their own CPU,
-/// and the artifact every node ends up serving is the owner's, byte for
-/// byte.
-#[test]
-fn storm_on_three_nodes_characterizes_exactly_once_cluster_wide() {
-    const CLIENTS_PER_NODE: usize = 8;
-    let root = temp_dir("storm");
-    let ports = reserve_ports(3);
-    let ids = ["node1", "node2", "node3"];
-    let peers = |me: usize| -> String {
-        (0..3)
-            .filter(|i| *i != me)
-            .map(|i| format!("{}=127.0.0.1:{}", ids[i], ports[i]))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
+/// A fleet of `node1`..`nodeN` on one host, each listing every other
+/// member as a peer, each with its own model store under one temp root.
+struct Fleet {
+    root: PathBuf,
+    ids: Vec<String>,
+    models: Vec<PathBuf>,
+    nodes: Vec<Node>,
+}
+
+fn spawn_fleet(label: &str, size: usize) -> Fleet {
+    let root = temp_dir(label);
+    let ports = reserve_ports(size);
+    let ids: Vec<String> = (1..=size).map(|i| format!("node{i}")).collect();
     let models: Vec<PathBuf> = ids.iter().map(|id| root.join(id)).collect();
-    for dir in &models {
-        // The readiness store probe wants an existing root.
-        std::fs::create_dir_all(dir).expect("models dir");
-    }
-    let nodes: Vec<Node> = (0..3)
+    let nodes = (0..size)
         .map(|i| {
+            // The readiness store probe wants an existing root.
+            std::fs::create_dir_all(&models[i]).expect("models dir");
+            let peers = (0..size)
+                .filter(|j| *j != i)
+                .map(|j| format!("{}=127.0.0.1:{}", ids[j], ports[j]))
+                .collect::<Vec<_>>()
+                .join(",");
             spawn_node(
                 ports[i],
                 &models[i],
-                ids[i],
-                &peers(i),
+                &ids[i],
+                &peers,
                 &["--gossip-ms", "200"],
             )
         })
         .collect();
+    Fleet {
+        root,
+        ids,
+        models,
+        nodes,
+    }
+}
+
+impl Fleet {
+    fn member_ids(&self) -> Vec<&str> {
+        self.ids.iter().map(String::as_str).collect()
+    }
+
+    /// Each node's `characterizations` counter, in member order.
+    fn characterizations(&self) -> Vec<u64> {
+        self.nodes
+            .iter()
+            .map(|n| characterizations(&n.addr))
+            .collect()
+    }
+
+    /// Each node's stored artifact of `key`, `None` where it is absent.
+    fn artifacts(&self, key: &ModelKey) -> Vec<Option<Vec<u8>>> {
+        self.models
+            .iter()
+            .map(|dir| std::fs::read(dir.join(key.artifact_file_name())).ok())
+            .collect()
+    }
+
+    fn shutdown(self) {
+        for node in self.nodes {
+            node.shutdown();
+        }
+        let _ = std::fs::remove_dir_all(&self.root);
+    }
+}
+
+/// The ring key of a ripple adder of `width`, as every node computes it.
+fn ripple_key(width: usize) -> ModelKey {
+    twin_engine().key_for(ModuleSpec::new(ModuleKind::RippleAdder, width))
+}
+
+/// A v1 estimate of a ripple adder of `width` under `floor`.
+fn estimate_at(width: usize, floor: &str) -> String {
+    format!(
+        "{{\"op\":\"estimate\",\"module\":\"ripple_adder\",\"width\":{width},\
+         \"data\":\"counter\",\"cycles\":64,\"fidelity_floor\":\"{floor}\"}}"
+    )
+}
+
+/// The tentpole end-to-end proof: a cold spec stormed by eight clients
+/// on each of three nodes at once is characterized exactly once in the
+/// whole fleet — each node's engine single-flight coalesces its own
+/// storm, the non-owners forward to the owner instead of burning their
+/// own CPU, and the artifact every node ends up serving is the owner's,
+/// byte for byte.
+#[test]
+fn storm_on_three_nodes_characterizes_exactly_once_cluster_wide() {
+    const CLIENTS_PER_NODE: usize = 8;
+    let fleet = spawn_fleet("storm", 3);
 
     // The warm gate opens on the first gossip round that reaches a
     // peer; with the whole fleet up that is one gossip interval away.
-    for node in &nodes {
+    for node in &fleet.nodes {
         await_ready(&node.admin, Duration::from_secs(20));
     }
 
     // The storm: every client asks for the same cold spec at once.
     let request = "{\"op\":\"characterize\",\"module\":\"ripple_adder\",\"width\":10}";
     std::thread::scope(|scope| {
-        let handles: Vec<_> = nodes
+        let handles: Vec<_> = fleet
+            .nodes
             .iter()
             .flat_map(|node| {
                 (0..CLIENTS_PER_NODE).map(|_| {
@@ -282,7 +342,7 @@ fn storm_on_three_nodes_characterizes_exactly_once_cluster_wide() {
     });
 
     // Exactly one fresh characterization across the fleet.
-    let per_node: Vec<u64> = nodes.iter().map(|n| characterizations(&n.addr)).collect();
+    let per_node = fleet.characterizations();
     assert_eq!(
         per_node.iter().sum::<u64>(),
         1,
@@ -292,21 +352,19 @@ fn storm_on_three_nodes_characterizes_exactly_once_cluster_wide() {
     // Every node holds the artifact, and all three copies are the
     // owner's bytes verbatim (checksummed envelopes, admitted only
     // after verification).
-    let key = twin_engine().key_for(ModuleSpec::new(ModuleKind::RippleAdder, 10usize));
-    let copies: Vec<Vec<u8>> = models
-        .iter()
-        .map(|dir| {
-            let path = dir.join(key.artifact_file_name());
-            std::fs::read(&path)
-                .unwrap_or_else(|e| panic!("artifact missing at {}: {e}", path.display()))
-        })
+    let key = ripple_key(10);
+    let copies: Vec<Vec<u8>> = fleet
+        .artifacts(&key)
+        .into_iter()
+        .zip(&fleet.ids)
+        .map(|(copy, id)| copy.unwrap_or_else(|| panic!("artifact missing on {id}")))
         .collect();
     assert!(!copies[0].is_empty());
     assert!(
         copies.iter().all(|c| *c == copies[0]),
         "fleet artifacts diverged"
     );
-    for dir in &models {
+    for dir in &fleet.models {
         assert!(
             !dir.join("quarantine").exists(),
             "healthy fleet quarantined something"
@@ -314,15 +372,61 @@ fn storm_on_three_nodes_characterizes_exactly_once_cluster_wide() {
     }
 
     // The cluster view reflects the fleet.
-    let clusterz = http_get(&nodes[0].admin, "/clusterz");
-    for id in ids {
-        assert!(clusterz.contains(id), "missing {id} in {clusterz}");
+    let clusterz = http_get(&fleet.nodes[0].admin, "/clusterz");
+    for id in &fleet.ids {
+        assert!(clusterz.contains(id.as_str()), "missing {id} in {clusterz}");
     }
 
-    for node in nodes {
-        node.shutdown();
-    }
-    let _ = std::fs::remove_dir_all(&root);
+    fleet.shutdown();
+}
+
+/// A `regressed`-floor estimate whose family has no characterized
+/// sibling anywhere cannot be met instantly, so it takes the full miss
+/// path — and on a non-owner that path goes through the owner, as a
+/// `full`-floor request's does: the answer comes from the owner's
+/// admitted artifact (`disk`), and only the owner characterizes.
+#[test]
+fn regressed_floor_miss_on_a_non_owner_is_characterized_by_the_owner() {
+    let fleet = spawn_fleet("regressed", 3);
+    let width = width_owned_by(&fleet.member_ids(), "node1");
+    let reply = call(&fleet.nodes[1].addr, &estimate_at(width, "regressed"));
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    assert!(reply.contains("\"fidelity\":\"full\""), "{reply}");
+    assert!(
+        reply.contains("\"source\":\"disk\""),
+        "the non-owner must take the owner's artifact: {reply}"
+    );
+    assert_eq!(fleet.characterizations(), [1, 0, 0]);
+    fleet.shutdown();
+}
+
+/// A below-full answer on a non-owner is instant, and its background
+/// upgrade reaches the owner: the owner characterizes once, the
+/// non-owner admits the owner's bytes.
+#[test]
+fn analytic_floor_upgrade_on_a_non_owner_goes_through_the_owner() {
+    let fleet = spawn_fleet("upgrade", 2);
+    let width = width_owned_by(&fleet.member_ids(), "node1");
+    let reply = call(&fleet.nodes[1].addr, &estimate_at(width, "analytic"));
+    assert!(reply.contains("\"ok\":true"), "{reply}");
+    assert!(reply.contains("\"source\":\"analytic\""), "{reply}");
+
+    let key = ripple_key(width);
+    let started = Instant::now();
+    let copies = loop {
+        let copies = fleet.artifacts(&key);
+        if copies.iter().all(Option::is_some) {
+            break copies;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "the upgrade never reached every store"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(copies[0], copies[1], "fleet artifacts diverged");
+    assert_eq!(fleet.characterizations(), [1, 0]);
+    fleet.shutdown();
 }
 
 /// Owner down: a request for a key owned by an unreachable peer must be

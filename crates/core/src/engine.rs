@@ -37,7 +37,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use hdpm_datamodel::HdDistribution;
@@ -146,9 +146,8 @@ pub struct EngineStats {
     /// Estimates answered by a tier-B sibling regression (fidelity
     /// ladder).
     pub regressed_served: u64,
-    /// Background fidelity upgrades completed (each one characterizes —
-    /// or, under a server upgrade hook, cluster-fetches — one spec that
-    /// was served below full fidelity).
+    /// Background fidelity upgrades completed (each one fetches one spec
+    /// that was served below full fidelity, as a request would).
     pub upgrades_done: u64,
 }
 
@@ -412,10 +411,10 @@ struct SaveJob {
     queued: Instant,
 }
 
-/// What the upgrade worker runs per spec instead of the default local
-/// `fetch` — the server installs one that routes through cluster
-/// ownership first.
-type UpgradeHook = Arc<dyn Fn(&PowerEngine, ModuleSpec) + Send + Sync>;
+/// The remote tier: what a disk-backed engine's single-flight leader
+/// asks when memory and disk both miss, before it characterizes. See
+/// [`PowerEngine::with_remote_tier`].
+type RemoteTier = Box<dyn Fn(&ModelKey) + Send + Sync>;
 
 /// The long-lived estimation facade: a thread-safe, two-tier
 /// content-addressed cache of characterized models with single-flight
@@ -445,7 +444,7 @@ pub struct PowerEngine {
     upgrades_done: AtomicU64,
     upgrade: Arc<UpgradeShared>,
     upgrade_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
-    upgrade_hook: RwLock<Option<UpgradeHook>>,
+    remote_tier: Option<RemoteTier>,
     saves: Arc<SaveShared>,
     save_worker: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -500,13 +499,27 @@ impl PowerEngine {
                 cv: Condvar::new(),
             }),
             upgrade_worker: Mutex::new(None),
-            upgrade_hook: RwLock::new(None),
+            remote_tier: None,
             saves: Arc::new(SaveShared {
                 state: Mutex::new(SaveState::default()),
                 cv: Condvar::new(),
             }),
             save_worker: Mutex::new(None),
         }
+    }
+
+    /// This engine with `remote` as its remote tier: the one hook a
+    /// key's single-flight leader calls when the key is in neither
+    /// memory nor the disk tier, before it characterizes — so once per
+    /// flight, on every miss path, never on a hit, and never without a
+    /// disk tier. `remote` may admit a verified artifact for the key
+    /// into the disk tier, which the leader then loads as a disk hit;
+    /// otherwise the leader characterizes. `docs/engine.md` states the
+    /// full contract (trace stages, panics). The server installs cluster
+    /// routing here.
+    pub fn with_remote_tier(mut self, remote: impl Fn(&ModelKey) + Send + Sync + 'static) -> Self {
+        self.remote_tier = Some(Box::new(remote));
+        self
     }
 
     /// An engine with [`EngineOptions::default`].
@@ -553,8 +566,9 @@ impl PowerEngine {
     /// under the engine lock, [`Stage::SingleFlightWait`] the time
     /// blocked on another request's characterization, and
     /// [`Stage::Characterize`] the leader's own characterization —
-    /// including disk-tier loads, which are attributed here because the
-    /// artifact read replaces the characterization work.
+    /// including disk-tier loads and the remote tier's peer fetch, which
+    /// are attributed here because they replace the characterization
+    /// work.
     ///
     /// # Errors
     ///
@@ -617,7 +631,7 @@ impl PowerEngine {
                 telemetry::counter_add("engine.cache.miss", 1);
                 let _span = telemetry::span("engine.miss");
                 let outcome = trace
-                    .time(Stage::Characterize, || self.load_or_characterize(spec))
+                    .time(Stage::Characterize, || self.load_or_characterize(key))
                     .map(|(c, source, save)| {
                         // Queue the save before publishing, so the key
                         // counts as unsaved from the moment it is served.
@@ -683,13 +697,20 @@ impl PowerEngine {
     }
 
     /// Resolve a miss below the memory tier: disk artifact if present,
-    /// fresh characterization otherwise — with, when the engine has a
-    /// library tier, the save that stores it once published.
+    /// else whatever the remote tier admits, fresh characterization
+    /// otherwise — with, when the engine has a library tier, the save
+    /// that stores it once published.
     fn load_or_characterize(
         &self,
-        spec: ModuleSpec,
+        key: ModelKey,
     ) -> Result<(Arc<Characterization>, CacheSource, Option<PendingSave>), ModelError> {
+        let spec = key.spec;
         if let Some(library) = &self.library {
+            if let Some(remote) = &self.remote_tier {
+                if !library.contains(spec) {
+                    remote(&key);
+                }
+            }
             // get_unsaved reports which store path actually served the
             // request, so attribution cannot race a concurrent writer the
             // way a separate contains()-then-get() check could.
@@ -798,15 +819,17 @@ impl PowerEngine {
     ///   [`fidelity::analytic_model`] answers at [`Fidelity::Analytic`]
     ///   in nanoseconds-to-microseconds.
     /// * Only when the floor cannot be met instantly does the call block
-    ///   on a characterization (`floor == Full` always does; `floor ==
-    ///   Regressed` does when the family has too few siblings).
+    ///   on the miss path, remote tier first (`floor == Full` always
+    ///   does; `floor == Regressed` does when the family has too few
+    ///   siblings).
     ///
     /// After any below-full answer the spec is queued for a **background
     /// upgrade** (bounded, deduplicated by cache key): a worker thread
-    /// characterizes it — or runs the server-installed
-    /// [`PowerEngine::set_upgrade_hook`] — so the next request for the
-    /// same key answers at full fidelity. Requires `Arc<Self>` because
-    /// the worker holds a weak reference to the engine.
+    /// fetches it through the same single-flight path as a request
+    /// (remote tier included, see [`PowerEngine::with_remote_tier`]), so
+    /// the next request for the same key answers at full fidelity.
+    /// Requires `Arc<Self>` because the worker holds a weak reference to
+    /// the engine.
     ///
     /// # Errors
     ///
@@ -864,7 +887,7 @@ impl PowerEngine {
             return Ok(estimate);
         }
         // floor == Regressed with no family fit: the floor cannot be met
-        // instantly, so pay the full characterization.
+        // instantly, so take the full miss path.
         self.estimate_full(spec, dist, trace)
     }
 
@@ -955,17 +978,6 @@ impl PowerEngine {
         Ok(model)
     }
 
-    /// Install the action the background upgrade worker runs per spec in
-    /// place of the default local [`PowerEngine::fetch`]. The server uses
-    /// this to route upgrades through cluster ownership (peer fetch /
-    /// forward to owner) before characterizing locally.
-    pub fn set_upgrade_hook<F>(&self, hook: F)
-    where
-        F: Fn(&PowerEngine, ModuleSpec) + Send + Sync + 'static,
-    {
-        *self.upgrade_hook.write().expect("upgrade hook lock") = Some(Arc::new(hook));
-    }
-
     /// Upgrade requests queued or running right now, plus published
     /// artifacts whose saves have not made them durable yet — a test/ops
     /// hook, racy by nature. Zero means every upgrade so far has landed
@@ -1013,25 +1025,19 @@ impl PowerEngine {
         }
     }
 
-    /// One background upgrade: the installed hook, or a plain local
-    /// fetch (which characterizes, caches and — with a disk tier —
-    /// persists the spec).
+    /// One background upgrade: a plain fetch, which loads, takes from
+    /// the remote tier or characterizes the spec, caches it and — with a
+    /// disk tier — persists it.
     fn run_upgrade(&self, spec: ModuleSpec) {
-        let hook = self.upgrade_hook.read().expect("upgrade hook lock").clone();
-        match hook {
-            Some(hook) => hook(self, spec),
-            None => {
-                if let Err(e) = self.fetch(spec) {
-                    telemetry::event(
-                        telemetry::Level::Warn,
-                        "engine.upgrade.failed",
-                        &[
-                            ("spec", spec.to_string().into()),
-                            ("error", e.to_string().into()),
-                        ],
-                    );
-                }
-            }
+        if let Err(e) = self.fetch(spec) {
+            telemetry::event(
+                telemetry::Level::Warn,
+                "engine.upgrade.failed",
+                &[
+                    ("spec", spec.to_string().into()),
+                    ("error", e.to_string().into()),
+                ],
+            );
         }
         self.upgrades_done.fetch_add(1, Ordering::Relaxed);
         telemetry::counter_add("engine.upgrade.done", 1);
@@ -1889,6 +1895,196 @@ mod tests {
         let (got, source) = zero.fetch(spec).unwrap();
         assert_eq!(source, CacheSource::Fresh);
         assert_eq!(got, expected);
+    }
+
+    /// A remote tier that counts its calls and, while `hold` is set,
+    /// parks in them — so a test can line waiters up behind a leader.
+    #[derive(Clone, Default)]
+    struct Remote {
+        calls: Arc<AtomicU64>,
+        hold: Arc<std::sync::atomic::AtomicBool>,
+        threads: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Remote {
+        fn holding() -> Remote {
+            let remote = Remote::default();
+            remote.hold.store(true, Ordering::SeqCst);
+            remote
+        }
+
+        fn calls(&self) -> u64 {
+            self.calls.load(Ordering::SeqCst)
+        }
+
+        fn release(&self) {
+            self.hold.store(false, Ordering::SeqCst);
+        }
+
+        /// Count the call, record its thread, and wait out `hold`.
+        fn enter(&self) -> u64 {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            self.threads.lock().unwrap().push(name);
+            let call = self.calls.fetch_add(1, Ordering::SeqCst);
+            while self.hold.load(Ordering::SeqCst) {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            call
+        }
+
+        /// An engine on `root` whose remote tier does nothing but
+        /// [`Remote::enter`].
+        fn engine(&self, root: &crate::test_support::TempDir) -> Arc<PowerEngine> {
+            let remote = self.clone();
+            Arc::new(
+                PowerEngine::new(disk_options(root)).with_remote_tier(move |_| {
+                    remote.enter();
+                }),
+            )
+        }
+    }
+
+    /// Concurrent misses on one cold key ask the remote tier once: the
+    /// leader asks, every waiter coalesces behind it.
+    #[test]
+    fn remote_tier_runs_once_per_flight() {
+        const CALLERS: u64 = 6;
+        let root = crate::test_support::TempDir::new("engine_remote_once");
+        let remote = Remote::holding();
+        let engine = remote.engine(&root);
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|_| {
+                let engine = Arc::clone(&engine);
+                std::thread::spawn(move || engine.fetch(spec).unwrap().1)
+            })
+            .collect();
+        await_until("every caller joins the flight", || {
+            engine.stats().coalesced == CALLERS - 1
+        });
+        remote.release();
+        let fresh = callers
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .filter(|source| *source == CacheSource::Fresh)
+            .count();
+        assert_eq!((remote.calls(), fresh), (1, 1));
+        assert_eq!(engine.stats().characterizations, 1);
+    }
+
+    /// Memory and disk hits never reach the remote tier.
+    #[test]
+    fn remote_tier_is_skipped_on_memory_and_disk_hits() {
+        let root = crate::test_support::TempDir::new("engine_remote_hits");
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let remote = Remote::default();
+        let engine = remote.engine(&root);
+        assert_eq!(engine.fetch(spec).unwrap().1, CacheSource::Fresh);
+        assert_eq!(remote.calls(), 1, "a cold miss asks once");
+        assert_eq!(engine.fetch(spec).unwrap().1, CacheSource::Memory);
+        engine.wait_all_saved();
+        drop(engine);
+        let remote = Remote::default();
+        let restarted = remote.engine(&root);
+        assert_eq!(restarted.fetch(spec).unwrap().1, CacheSource::Disk);
+        let estimate = restarted
+            .estimate_at(
+                spec,
+                &flat_dist(8),
+                Fidelity::Analytic,
+                &mut TraceCtx::disabled(),
+            )
+            .unwrap();
+        assert_eq!(estimate.source, CacheSource::Memory);
+        assert_eq!(remote.calls(), 0, "hits never ask");
+    }
+
+    /// An artifact the remote tier admits is served as a disk hit: no
+    /// characterization, byte-for-byte the admitted model.
+    #[test]
+    fn remote_tier_admission_serves_as_a_disk_hit() {
+        let origin = crate::test_support::TempDir::new("engine_remote_origin");
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let (expected, _) = PowerEngine::new(disk_options(&origin)).fetch(spec).unwrap();
+        let root = crate::test_support::TempDir::new("engine_remote_admit");
+        let origin_root = origin.path().to_path_buf();
+        let dest_root = root.path().to_path_buf();
+        let engine = PowerEngine::new(disk_options(&root)).with_remote_tier(move |key| {
+            let name = key.artifact_file_name();
+            let bytes = std::fs::read(origin_root.join(&name)).unwrap();
+            let meta = persist::EnvelopeMeta::for_key(key);
+            persist::admit_envelope_bytes::<Characterization>(&bytes, &meta, dest_root.join(&name))
+                .unwrap();
+        });
+        let (served, source) = engine.fetch(spec).unwrap();
+        assert_eq!(source, CacheSource::Disk);
+        assert_eq!(*served, *expected);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.characterizations),
+            (1, 0),
+            "{stats:?}"
+        );
+    }
+
+    /// A below-full estimate answers at once; only its background
+    /// upgrade asks the remote tier.
+    #[test]
+    fn below_full_estimates_ask_the_remote_tier_only_from_the_upgrade() {
+        let root = crate::test_support::TempDir::new("engine_remote_upgrade");
+        let remote = Remote::default();
+        let engine = remote.engine(&root);
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let estimate = engine
+            .estimate_at(
+                spec,
+                &flat_dist(8),
+                Fidelity::Analytic,
+                &mut TraceCtx::disabled(),
+            )
+            .unwrap();
+        assert_eq!(estimate.source, CacheSource::Analytic);
+        await_upgrades(&engine, 1);
+        assert_eq!(*remote.threads.lock().unwrap(), ["hdpm-upgrade"]);
+        assert_eq!(engine.stats().characterizations, 1);
+    }
+
+    /// A remote tier that panics fails the flight's waiters and frees
+    /// the key: the next request leads afresh.
+    #[test]
+    fn panicking_remote_tier_fails_waiters_and_frees_the_key() {
+        let root = crate::test_support::TempDir::new("engine_remote_panic");
+        let remote = Remote::holding();
+        let engine = {
+            let remote = remote.clone();
+            Arc::new(
+                PowerEngine::new(disk_options(&root)).with_remote_tier(move |_| {
+                    if remote.enter() == 0 {
+                        panic!("remote tier failed");
+                    }
+                }),
+            )
+        };
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let leader = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.fetch(spec))
+        };
+        await_until("the leader asks the remote tier", || remote.calls() == 1);
+        let waiter = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.fetch(spec))
+        };
+        await_until("the waiter coalesces", || engine.stats().coalesced == 1);
+        remote.release();
+        assert!(leader.join().is_err(), "the leader unwinds");
+        assert!(matches!(
+            waiter.join().unwrap(),
+            Err(ModelError::SingleFlight { .. })
+        ));
+        assert_eq!(engine.stats().inflight, 0, "the key is unregistered");
+        assert_eq!(engine.fetch(spec).unwrap().1, CacheSource::Fresh);
+        assert_eq!(remote.calls(), 2, "the next leader asks again");
     }
 
     #[test]

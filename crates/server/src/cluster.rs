@@ -1,7 +1,7 @@
 //! Cluster-mode glue on the server side: peer calls through the typed
-//! [`Client`], the one admission routine for peer bytes, the per-key
-//! ensure gate that makes peer fetching single-flight on this node, and
-//! the warm-key gossip loop.
+//! [`Client`], the one admission routine for peer bytes, the engine's
+//! remote tier that routes a miss through the key's owner, and the
+//! warm-key gossip loop.
 //!
 //! The design keeps every cluster interaction *advisory*: any peer
 //! failure — connect refused, timeout, refused op, corrupt bytes —
@@ -10,75 +10,18 @@
 //! are additionally quarantined so an operator can inspect what a peer
 //! actually sent. The full failure-modes table is in `docs/cluster.md`.
 
-use std::collections::HashSet;
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hdpm_cluster::{ClusterConfig, ClusterState, Peer};
+use hdpm_cluster::{ClusterState, Peer};
 use hdpm_core::persist::{self, EnvelopeMeta};
 use hdpm_core::{Characterization, ModelError, ModelKey, PowerEngine};
 use hdpm_netlist::ModuleSpec;
 use hdpm_telemetry as telemetry;
 
 use crate::client::{Client, ClientError, Proto, Request, Response};
-
-/// Everything the request path needs for cluster mode: the shared
-/// [`ClusterState`] plus this node's ensure gate.
-pub(crate) struct ClusterRuntime {
-    /// The node's ring, counters, peer health and warm gate.
-    pub(crate) state: Arc<ClusterState>,
-    gate: EnsureGate,
-}
-
-impl ClusterRuntime {
-    /// Validate `config` into a runtime.
-    ///
-    /// # Errors
-    ///
-    /// The [`ClusterState::new`] validation error, verbatim.
-    pub(crate) fn new(config: ClusterConfig) -> Result<ClusterRuntime, String> {
-        Ok(ClusterRuntime {
-            state: Arc::new(ClusterState::new(config)?),
-            gate: EnsureGate::default(),
-        })
-    }
-}
-
-/// Node-local single-flight for [`ensure_model`]: the first thread in
-/// per key leads the peer interaction, every concurrent thread for the
-/// same key blocks until the leader is done and then proceeds straight
-/// to the engine (where the artifact now is, or the engine's own
-/// single-flight coalesces the fallback characterization).
-#[derive(Default)]
-struct EnsureGate {
-    inflight: Mutex<HashSet<String>>,
-    done: Condvar,
-}
-
-impl EnsureGate {
-    /// Returns `true` when the caller is the leader for `key` (and must
-    /// call [`EnsureGate::release`]); `false` when it waited a leader
-    /// out.
-    fn lead(&self, key: &str) -> bool {
-        let mut inflight = self.inflight.lock().expect("ensure gate lock");
-        if inflight.insert(key.to_string()) {
-            return true;
-        }
-        while inflight.contains(key) {
-            inflight = self.done.wait(inflight).expect("ensure gate lock");
-        }
-        false
-    }
-
-    fn release(&self, key: &str) {
-        let mut inflight = self.inflight.lock().expect("ensure gate lock");
-        inflight.remove(key);
-        drop(inflight);
-        self.done.notify_all();
-    }
-}
 
 // --- peer calls --------------------------------------------------------
 
@@ -165,18 +108,12 @@ fn exchange_warm_keys(
 
 // --- admit / quarantine ------------------------------------------------
 
-/// Fetch `spec`'s artifact from `peer` and admit it through
+/// Fetch `key`'s artifact from `peer` and admit it through
 /// [`admit_or_quarantine`], the one gate for peer bytes. Returns `true`
 /// when the artifact was admitted; a miss or a failed call is counted
 /// here.
-fn fetch_and_admit(
-    state: &ClusterState,
-    store_root: &Path,
-    key: &ModelKey,
-    peer: &Peer,
-    spec: ModuleSpec,
-) -> bool {
-    match fetch_model(peer.addr, spec, state.config().peer_timeout) {
+fn fetch_and_admit(state: &ClusterState, store_root: &Path, key: &ModelKey, peer: &Peer) -> bool {
+    match fetch_model(peer.addr, key.spec, state.config().peer_timeout) {
         Ok(Some(bytes)) => admit_or_quarantine(state, store_root, key, peer, &bytes),
         Ok(None) => {
             state.stats().record_fetch_miss();
@@ -258,60 +195,42 @@ fn quarantine_bytes(store_root: &Path, key: &ModelKey, bytes: &[u8]) -> Option<P
     Some(path)
 }
 
-// --- ensure-model (the request-path hook) ------------------------------
+// --- the remote tier ---------------------------------------------------
 
-/// Make sure `spec`'s model exists locally before the engine looks for
-/// it, *without* characterizing here when another node owns the key:
+/// The engine's remote tier in cluster mode
+/// ([`PowerEngine::with_remote_tier`]). The engine's single-flight leader
+/// calls it for a key in neither memory nor disk, so it runs once per
+/// key on this node, whichever request, floor or upgrade missed:
 ///
-/// 1. model already in memory or on disk → nothing to do;
-/// 2. this node owns the key → fall through to the engine, whose
-///    single-flight characterizes exactly once on this node;
-/// 3. otherwise, the first thread in (per key) probes the remote
-///    holders in ring order: a holder that has the artifact streams its
-///    envelope bytes, which are checksum-verified before admission; a
-///    holder that does not is asked to characterize (the cluster-wide
-///    single-flight — every non-owner converges on the owner, whose
-///    engine coalesces) and then fetched from.
+/// 1. this node owns the key → nothing to do: the leader characterizes,
+///    and its single-flight is the fleet's;
+/// 2. otherwise it probes the remote holders in ring order: a holder
+///    that has the artifact streams its envelope bytes, which are
+///    checksum-verified before admission; a holder that does not is
+///    asked to characterize (the cluster-wide single-flight — every
+///    non-owner converges on the owner, whose engine coalesces) and then
+///    fetched from.
 ///
-/// Every failure path returns with nothing admitted, and the caller's
-/// normal engine path characterizes locally — slower, never wrong.
-pub(crate) fn ensure_model(
-    rt: &ClusterRuntime,
-    engine: &PowerEngine,
-    store_root: &Path,
-    spec: ModuleSpec,
-) {
-    if engine.has_model(spec) {
-        return;
-    }
-    let key = engine.key_for(spec);
-    let key_str = key.to_string();
-    if rt.state.owns(&key_str) {
-        return;
-    }
-    if !rt.gate.lead(&key_str) {
-        // A leader just finished for this key; whatever it achieved
-        // (artifact admitted, or nothing) the engine path takes over.
-        return;
-    }
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if !engine.has_model(spec) {
-            ensure_from_peers(rt, store_root, &key, spec);
+/// Every failure path returns with nothing admitted, and the leader
+/// characterizes locally — slower, never wrong.
+pub(crate) fn remote_tier(
+    state: Arc<ClusterState>,
+    store_root: PathBuf,
+) -> impl Fn(&ModelKey) + Send + Sync + 'static {
+    move |key| {
+        let name = key.to_string();
+        if !state.owns(&name) {
+            ensure_from_peers(&state, &store_root, key, &name);
         }
-    }));
-    rt.gate.release(&key_str);
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
     }
 }
 
-fn ensure_from_peers(rt: &ClusterRuntime, store_root: &Path, key: &ModelKey, spec: ModuleSpec) {
-    let state = &rt.state;
+fn ensure_from_peers(state: &ClusterState, store_root: &Path, key: &ModelKey, name: &str) {
     let config = state.config();
-    for peer in state.holder_peers(&key.to_string()) {
-        match have_model(peer.addr, spec, config.peer_timeout) {
+    for peer in state.holder_peers(name) {
+        match have_model(peer.addr, key.spec, config.peer_timeout) {
             Ok(true) => {
-                if fetch_and_admit(state, store_root, key, peer, spec) {
+                if fetch_and_admit(state, store_root, key, peer) {
                     return;
                 }
             }
@@ -319,9 +238,9 @@ fn ensure_from_peers(rt: &ClusterRuntime, store_root: &Path, key: &ModelKey, spe
                 // The holder has not characterized yet: ask it to (the
                 // cluster-wide single-flight), then fetch the artifact.
                 state.stats().record_forward();
-                match forward_characterize(peer.addr, spec, config.forward_timeout) {
+                match forward_characterize(peer.addr, key.spec, config.forward_timeout) {
                     Ok(()) => {
-                        if fetch_and_admit(state, store_root, key, peer, spec) {
+                        if fetch_and_admit(state, store_root, key, peer) {
                             return;
                         }
                         state.stats().record_forward_fallback();
@@ -338,8 +257,8 @@ fn ensure_from_peers(rt: &ClusterRuntime, store_root: &Path, key: &ModelKey, spe
             }
         }
     }
-    // Every holder failed us: the caller's engine path characterizes
-    // locally. Correctness never depends on the fleet.
+    // Every holder failed us: the leader characterizes locally.
+    // Correctness never depends on the fleet.
 }
 
 // --- warm-key gossip ---------------------------------------------------
@@ -413,8 +332,10 @@ pub(crate) fn run_gossip(
 }
 
 /// Pre-warm one learned key: fetch the peer's artifact and admit it
-/// through the same gate as the request path, then pull it through the
+/// through the same gate as the remote tier, then pull it through the
 /// engine so the LRU (not just the disk) is warm before `/readyz` flips.
+/// Only from the advertising peer: gossip never forwards a
+/// characterization.
 fn prewarm_one(
     state: &ClusterState,
     engine: &PowerEngine,
@@ -424,12 +345,12 @@ fn prewarm_one(
 ) {
     let key = engine.key_for(spec);
     if !store_root.join(key.artifact_file_name()).exists()
-        && !fetch_and_admit(state, store_root, &key, peer, spec)
+        && !fetch_and_admit(state, store_root, &key, peer)
     {
         return;
     }
     // Disk hit only: the artifact was just admitted (or already there),
-    // so this load never characterizes.
+    // so this load never characterizes or asks the remote tier.
     if engine.fetch(spec).is_ok() {
         state.warm().record_prewarmed(1);
     }
@@ -438,29 +359,6 @@ fn prewarm_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ensure_gate_serializes_leaders_per_key() {
-        let gate = Arc::new(EnsureGate::default());
-        assert!(gate.lead("k1"), "first thread in leads");
-        assert!(gate.lead("k2"), "distinct keys do not contend");
-        let contender = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.lead("k1"))
-        };
-        // The contender blocks on k1 until the leader releases, then
-        // reports it waited instead of leading.
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            !contender.is_finished(),
-            "contender parks behind the leader"
-        );
-        gate.release("k1");
-        assert!(!contender.join().unwrap(), "waiter never becomes a leader");
-        gate.release("k2");
-        assert!(gate.lead("k1"), "a released key can be led again");
-        gate.release("k1");
-    }
 
     #[test]
     fn quarantine_never_overwrites_prior_captures() {

@@ -5,11 +5,13 @@
 //! `hdpm serve` stdio loop decode v1 lines and v2 frames into the typed
 //! [`Request`] and hand it to [`ExecCtx::execute`], which owns every
 //! request-level policy: the deadline (one limit rule, one message), the
-//! default fidelity floor, cluster routing after every field has
-//! resolved, the ok/error/timeout totals and counters, and the
-//! per-stage trace. Only the framing around it differs: the codecs turn
-//! bytes into requests and responses back into bytes. The cluster peer
-//! ops (v2-only) are requests like any other and are answered here too.
+//! default fidelity floor, the ok/error/timeout totals and counters, and
+//! the per-stage trace. Cluster routing is not among them: a miss
+//! reaches the peers through the engine's single-flight leader (its
+//! remote tier), after every field has resolved. Only the framing
+//! around it differs: the codecs turn bytes into requests and responses
+//! back into bytes. The cluster peer ops (v2-only) are requests like any
+//! other and are answered here too.
 //!
 //! Error precedence, the same on both protocols: `malformed` /
 //! `invalid_utf8` (v1 framing) first, then `timeout`, then
@@ -29,6 +31,7 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use hdpm_cluster::ClusterState;
 use hdpm_core::persist::{self, EnvelopeMeta};
 use hdpm_core::{Characterization, Estimate, Fidelity, LruCache, ModelError, PowerEngine};
 use hdpm_datamodel::{operand_distribution, HdDistribution};
@@ -38,7 +41,6 @@ use hdpm_telemetry as telemetry;
 use hdpm_telemetry::{Stage, TraceCtx};
 
 use crate::client::{CharacterizeAnswer, EstimateAnswer, Request, Response, StatsAnswer};
-use crate::cluster::{self, ClusterRuntime};
 use crate::protocol::{ErrorKind, RequestError};
 use crate::server::Totals;
 use crate::wire;
@@ -59,8 +61,8 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) dists: &'a DistMemo,
     /// The engine's disk tier root, which fetch-model reads from.
     pub(crate) store_root: Option<&'a Path>,
-    /// Cluster mode: the ring, peer health and this node's ensure gate.
-    pub(crate) cluster: Option<&'a ClusterRuntime>,
+    /// Cluster mode: the ring, counters and peer health.
+    pub(crate) cluster: Option<&'a ClusterState>,
     /// Server totals; `None` on stdio, which counts nothing.
     pub(crate) totals: Option<&'a Totals>,
     pub(crate) trace: &'a mut TraceCtx,
@@ -230,18 +232,12 @@ impl<'a> ExecCtx<'a> {
             } => {
                 let estimate = match resident {
                     // A resident model answers at full fidelity whatever
-                    // the floor, and needs no cluster ensure.
+                    // the floor.
                     Some(Resident { model, dist }) => self
                         .trace
                         .time(Stage::Estimate, || Estimate::resident(&model, &dist)),
                     None => {
                         let floor = floor.unwrap_or(self.default_floor);
-                        // Below-full floors answer from the local ladder at
-                        // once; the upgrade hook routes cluster ownership
-                        // afterwards.
-                        if floor == Fidelity::Full {
-                            self.ensure(spec);
-                        }
                         // The input distribution is estimation math, so its
                         // time (≈20–380 µs on a memo miss, mostly stream
                         // synthesis) lands in the estimate stage.
@@ -263,7 +259,6 @@ impl<'a> ExecCtx<'a> {
                 }))
             }
             &Request::Characterize { spec } => {
-                self.ensure(spec);
                 let (characterization, source) = self
                     .engine
                     .fetch_traced(spec, self.trace)
@@ -289,19 +284,11 @@ impl<'a> ExecCtx<'a> {
                     .iter()
                     .map(|key| key.spec)
                     .collect();
-                if let Some(rt) = self.cluster {
-                    rt.state.stats().record_warm_keys_sent(specs.len() as u64);
+                if let Some(state) = self.cluster {
+                    state.stats().record_warm_keys_sent(specs.len() as u64);
                 }
                 Ok(Response::WarmKeys(specs))
             }
-        }
-    }
-
-    /// Cluster mode: make the model local through its owner before the
-    /// engine would characterize it here.
-    fn ensure(&self, spec: ModuleSpec) {
-        if let (Some(rt), Some(root)) = (self.cluster, self.store_root) {
-            cluster::ensure_model(rt, self.engine, root, spec);
         }
     }
 

@@ -75,6 +75,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use hdpm_cluster::ClusterState;
 use hdpm_core::{resolve_threads, CacheSource, Fidelity, PowerEngine};
 use hdpm_netlist::ModuleSpec;
 use hdpm_streams::DataType;
@@ -85,7 +86,7 @@ use serde::{Serialize, Value};
 
 use crate::admin::AdminServer;
 use crate::client::{EstimateAnswer, Proto, Request, Response};
-use crate::cluster::{self, ClusterRuntime};
+use crate::cluster;
 use crate::config::ServerConfig;
 use crate::exec::{self, DistMemo, ExecCtx, Executed, Resident};
 use crate::protocol::{self, ErrorKind, RequestError};
@@ -322,9 +323,9 @@ pub(crate) struct Shared {
     slow_threshold: Duration,
     /// The engine's disk tier root, probed by `/readyz`.
     store_root: Option<PathBuf>,
-    /// Cluster mode, when configured: the ring, peer health, counters
-    /// and this node's ensure gate.
-    cluster: Option<ClusterRuntime>,
+    /// Cluster mode, when configured: the ring, peer health and
+    /// counters. The engine's remote tier holds it too.
+    cluster: Option<Arc<ClusterState>>,
 }
 
 impl Shared {
@@ -371,7 +372,7 @@ impl Shared {
             arrived,
             dists: &self.dists,
             store_root: self.store_root.as_deref(),
-            cluster: self.cluster.as_ref(),
+            cluster: self.cluster.as_deref(),
             totals: Some(&self.totals),
             trace,
         }
@@ -643,8 +644,7 @@ impl Shared {
                 return Err(format!("store root missing: {}", root.display()));
             }
         }
-        if let Some(rt) = &self.cluster {
-            let state = &rt.state;
+        if let Some(state) = &self.cluster {
             if !state.warm().ready(state.config().warm_timeout) {
                 return Err(format!(
                     "warming: gossip pre-warm in progress ({} models pre-warmed)",
@@ -660,8 +660,7 @@ impl Shared {
     /// warm-gate status, cluster counters and per-peer health. `None`
     /// when the server is not in cluster mode.
     pub(crate) fn clusterz_text(&self) -> Option<String> {
-        let rt = self.cluster.as_ref()?;
-        let state = &rt.state;
+        let state = self.cluster.as_ref()?;
         let config = state.config();
         let stats = state.stats().snapshot();
         let ring = Value::Object(vec![
@@ -825,11 +824,16 @@ impl Server {
         let cluster = config
             .cluster
             .clone()
-            .map(ClusterRuntime::new)
+            .map(|c| ClusterState::new(c).map(Arc::new))
             .transpose()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let mut engine = PowerEngine::new(config.engine);
+        if let (Some(state), Some(root)) = (&cluster, &store_root) {
+            // A miss this node does not own goes to the fleet first.
+            engine = engine.with_remote_tier(cluster::remote_tier(Arc::clone(state), root.clone()));
+        }
         let shared = Arc::new(Shared {
-            engine: Arc::new(PowerEngine::new(config.engine)),
+            engine: Arc::new(engine),
             default_floor: config.fidelity_floor,
             dists: DistMemo::new(),
             replies: ReplyMemo::default(),
@@ -848,34 +852,18 @@ impl Server {
             store_root,
             cluster,
         });
-        if shared.cluster.is_some() {
-            // Background fidelity upgrades must respect cluster
-            // ownership: route through ensure_model (peer fetch /
-            // forward to the owner) and only then make the model
-            // locally resident. `Weak` so the hook never keeps a
-            // dropped server's Shared alive through the engine.
-            let weak = Arc::downgrade(&shared);
-            shared.engine.set_upgrade_hook(move |engine, spec| {
-                if let Some(shared) = weak.upgrade() {
-                    if let (Some(rt), Some(root)) = (&shared.cluster, &shared.store_root) {
-                        cluster::ensure_model(rt, engine, root, spec);
-                    }
-                }
-                let _ = engine.fetch(spec);
-            });
-        }
         let gossip = if shared.cluster.is_some() {
             let shared = Arc::clone(&shared);
             Some(
                 std::thread::Builder::new()
                     .name("hdpm-gossip".into())
                     .spawn(move || {
-                        let rt = shared.cluster.as_ref().expect("cluster configured");
+                        let state = shared.cluster.as_ref().expect("cluster configured");
                         let root = shared
                             .store_root
                             .as_ref()
                             .expect("cluster mode requires a disk store");
-                        cluster::run_gossip(&rt.state, &shared.engine, root, &|| shared.draining());
+                        cluster::run_gossip(state, &shared.engine, root, &|| shared.draining());
                     })?,
             )
         } else {
