@@ -35,6 +35,7 @@
 //! ```
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
@@ -170,25 +171,6 @@ pub struct Estimate {
     /// tier B, and the fixed [`fidelity::ANALYTIC_CONFIDENCE`] prior for
     /// tier A.
     pub confidence: f64,
-}
-
-impl Estimate {
-    /// The full-fidelity answer from a characterization already in the
-    /// memory tier, as [`PowerEngine::estimate_at`] gives at any floor
-    /// on a memory hit. For callers that took the model with
-    /// [`PowerEngine::resident`] and must not look it up again.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::WidthMismatch`] if the distribution width differs
-    /// from the model's input width.
-    pub fn resident(
-        characterization: &Characterization,
-        dist: &HdDistribution,
-    ) -> Result<Estimate, ModelError> {
-        let tier = (CacheSource::Memory, Fidelity::Full, 1.0);
-        model_estimate(&characterization.model, dist, tier)
-    }
 }
 
 /// Outcome of [`PowerEngine::warm`]: how each requested spec was served.
@@ -706,15 +688,22 @@ impl PowerEngine {
     ) -> Result<(Arc<Characterization>, CacheSource, Option<PendingSave>), ModelError> {
         let spec = key.spec;
         if let Some(library) = &self.library {
-            if let Some(remote) = &self.remote_tier {
-                if !library.contains(spec) {
+            // The remote tier is asked whenever the store holds no valid
+            // artifact: none, or a corrupt one, now quarantined. A valid
+            // artifact is read once, here.
+            let stored = library.load_or_quarantine(spec)?;
+            if stored.is_none() {
+                if let Some(remote) = &self.remote_tier {
                     remote(&key);
                 }
             }
             // get_unsaved reports which store path actually served the
             // request, so attribution cannot race a concurrent writer the
             // way a separate contains()-then-get() check could.
-            let (result, source, save) = library.get_unsaved(spec)?;
+            let (result, source, save) = match stored {
+                Some(c) => (c, LibrarySource::DiskValid, None),
+                None => library.get_unsaved(spec)?,
+            };
             let source = match source {
                 LibrarySource::DiskValid => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -846,49 +835,50 @@ impl PowerEngine {
             return self.estimate_full(spec, dist, trace);
         }
         // Full fidelity already local? Serve it — better than any floor
-        // and still instant (memory lookup / one artifact read).
+        // and still instant (memory lookup / one artifact read). This
+        // lookup counts the request's one miss; the fetch below counts
+        // none.
         let key = self.key_for(spec);
         let cached = trace.time(Stage::CacheLookup, || {
             self.inner.lock().expect("engine lock").hit(&key, true)
         });
         if let Some(c) = cached {
-            return trace.time(Stage::Estimate, || Estimate::resident(&c, dist));
+            return full_estimate((c, CacheSource::Memory), dist, trace);
         }
-        if self.library.as_ref().is_some_and(|l| l.contains(spec)) {
-            // The lookup above already counted this request's miss.
-            let fetched = self.fetch_counted(spec, trace, false)?;
-            return full_estimate(fetched, dist, trace);
+        if !self.library.as_ref().is_some_and(|l| l.contains(spec)) {
+            // Tier B: regression over characterized siblings, if the
+            // family has enough of them.
+            if let Some((family, confidence)) = self.family_fit(spec.kind) {
+                let estimate = trace.time(Stage::Estimate, || {
+                    let predicted = family.predict_model(spec.width);
+                    let tier = (CacheSource::Regressed, Fidelity::Regressed, confidence);
+                    model_estimate(&predicted, dist, tier)
+                })?;
+                self.regressed_served.fetch_add(1, Ordering::Relaxed);
+                telemetry::counter_add("engine.fidelity.regressed", 1);
+                self.enqueue_upgrade(spec);
+                return Ok(estimate);
+            }
+            // Tier A: the closed-form structural estimate, floor permitting.
+            if floor == Fidelity::Analytic {
+                let model = self.analytic_model_for(spec)?;
+                let tier = (
+                    CacheSource::Analytic,
+                    Fidelity::Analytic,
+                    fidelity::ANALYTIC_CONFIDENCE,
+                );
+                let estimate =
+                    trace.time(Stage::Estimate, || model_estimate(&model, dist, tier))?;
+                self.analytic_served.fetch_add(1, Ordering::Relaxed);
+                telemetry::counter_add("engine.fidelity.analytic", 1);
+                self.enqueue_upgrade(spec);
+                return Ok(estimate);
+            }
         }
-        // Tier B: regression over characterized siblings, if the family
-        // has enough of them.
-        if let Some((family, confidence)) = self.family_fit(spec.kind) {
-            let estimate = trace.time(Stage::Estimate, || {
-                let predicted = family.predict_model(spec.width);
-                let tier = (CacheSource::Regressed, Fidelity::Regressed, confidence);
-                model_estimate(&predicted, dist, tier)
-            })?;
-            self.regressed_served.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("engine.fidelity.regressed", 1);
-            self.enqueue_upgrade(spec);
-            return Ok(estimate);
-        }
-        // Tier A: the closed-form structural estimate, floor permitting.
-        if floor == Fidelity::Analytic {
-            let model = self.analytic_model_for(spec)?;
-            let tier = (
-                CacheSource::Analytic,
-                Fidelity::Analytic,
-                fidelity::ANALYTIC_CONFIDENCE,
-            );
-            let estimate = trace.time(Stage::Estimate, || model_estimate(&model, dist, tier))?;
-            self.analytic_served.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter_add("engine.fidelity.analytic", 1);
-            self.enqueue_upgrade(spec);
-            return Ok(estimate);
-        }
-        // floor == Regressed with no family fit: the floor cannot be met
-        // instantly, so take the full miss path.
-        self.estimate_full(spec, dist, trace)
+        // On disk, or floor == Regressed with no family fit (the floor
+        // cannot be met instantly): take the full miss path.
+        let fetched = self.fetch_counted(spec, trace, false)?;
+        full_estimate(fetched, dist, trace)
     }
 
     /// The full-fidelity path: fetch (or characterize) the model, then
@@ -1027,16 +1017,23 @@ impl PowerEngine {
 
     /// One background upgrade: a plain fetch, which loads, takes from
     /// the remote tier or characterizes the spec, caches it and — with a
-    /// disk tier — persists it.
+    /// disk tier — persists it. A failure, a panic included, is logged
+    /// and the upgrade counted done, so the one upgrade thread lives on.
     fn run_upgrade(&self, spec: ModuleSpec) {
-        if let Err(e) = self.fetch(spec) {
+        let error = match panic::catch_unwind(AssertUnwindSafe(|| self.fetch(spec))) {
+            Ok(Ok(_)) => None,
+            Ok(Err(e)) => Some(e.to_string()),
+            Err(panic) => {
+                let message = (panic.downcast_ref::<&str>().map(|m| m.to_string()))
+                    .or_else(|| panic.downcast_ref::<String>().cloned());
+                Some(format!("panicked: {}", message.unwrap_or_default()))
+            }
+        };
+        if let Some(error) = error {
             telemetry::event(
                 telemetry::Level::Warn,
                 "engine.upgrade.failed",
-                &[
-                    ("spec", spec.to_string().into()),
-                    ("error", e.to_string().into()),
-                ],
+                &[("spec", spec.to_string().into()), ("error", error.into())],
             );
         }
         self.upgrades_done.fetch_add(1, Ordering::Relaxed);
@@ -1790,7 +1787,9 @@ mod tests {
             .unwrap();
         assert_eq!(estimate.fidelity, Fidelity::Full);
         assert_eq!(estimate.source, CacheSource::Fresh);
-        assert_eq!(engine.stats().characterizations, 1);
+        let stats = engine.stats();
+        assert_eq!(stats.characterizations, 1);
+        assert_eq!((stats.hits, stats.misses), (0, 1), "one lookup: {stats:?}");
     }
 
     #[test]
@@ -1899,11 +1898,14 @@ mod tests {
 
     /// A remote tier that counts its calls and, while `hold` is set,
     /// parks in them — so a test can line waiters up behind a leader.
+    /// With an `origin` store, each call then admits the origin's
+    /// artifact, as a peer fetch would.
     #[derive(Clone, Default)]
     struct Remote {
         calls: Arc<AtomicU64>,
         hold: Arc<std::sync::atomic::AtomicBool>,
         threads: Arc<Mutex<Vec<String>>>,
+        origin: Option<PathBuf>,
     }
 
     impl Remote {
@@ -1933,12 +1935,24 @@ mod tests {
         }
 
         /// An engine on `root` whose remote tier does nothing but
-        /// [`Remote::enter`].
+        /// [`Remote::enter`] and, with an origin, admit its artifact.
         fn engine(&self, root: &crate::test_support::TempDir) -> Arc<PowerEngine> {
             let remote = self.clone();
+            let dest = root.path().to_path_buf();
             Arc::new(
-                PowerEngine::new(disk_options(root)).with_remote_tier(move |_| {
+                PowerEngine::new(disk_options(root)).with_remote_tier(move |key| {
                     remote.enter();
+                    if let Some(origin) = &remote.origin {
+                        let name = key.artifact_file_name();
+                        let bytes = std::fs::read(origin.join(&name)).unwrap();
+                        let meta = persist::EnvelopeMeta::for_key(key);
+                        persist::admit_envelope_bytes::<Characterization>(
+                            &bytes,
+                            &meta,
+                            dest.join(&name),
+                        )
+                        .unwrap();
+                    }
                 }),
             )
         }
@@ -1999,23 +2013,29 @@ mod tests {
         assert_eq!(remote.calls(), 0, "hits never ask");
     }
 
+    /// A remote tier admitting the artifact of `spec` from a store that
+    /// characterized it, and the model it admits.
+    fn admitting_remote(
+        origin: &crate::test_support::TempDir,
+        spec: ModuleSpec,
+    ) -> (Remote, Arc<Characterization>) {
+        let (expected, _) = PowerEngine::new(disk_options(origin)).fetch(spec).unwrap();
+        let remote = Remote {
+            origin: Some(origin.path().to_path_buf()),
+            ..Remote::default()
+        };
+        (remote, expected)
+    }
+
     /// An artifact the remote tier admits is served as a disk hit: no
     /// characterization, byte-for-byte the admitted model.
     #[test]
     fn remote_tier_admission_serves_as_a_disk_hit() {
         let origin = crate::test_support::TempDir::new("engine_remote_origin");
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
-        let (expected, _) = PowerEngine::new(disk_options(&origin)).fetch(spec).unwrap();
+        let (remote, expected) = admitting_remote(&origin, spec);
         let root = crate::test_support::TempDir::new("engine_remote_admit");
-        let origin_root = origin.path().to_path_buf();
-        let dest_root = root.path().to_path_buf();
-        let engine = PowerEngine::new(disk_options(&root)).with_remote_tier(move |key| {
-            let name = key.artifact_file_name();
-            let bytes = std::fs::read(origin_root.join(&name)).unwrap();
-            let meta = persist::EnvelopeMeta::for_key(key);
-            persist::admit_envelope_bytes::<Characterization>(&bytes, &meta, dest_root.join(&name))
-                .unwrap();
-        });
+        let engine = remote.engine(&root);
         let (served, source) = engine.fetch(spec).unwrap();
         assert_eq!(source, CacheSource::Disk);
         assert_eq!(*served, *expected);
@@ -2025,6 +2045,24 @@ mod tests {
             (1, 0),
             "{stats:?}"
         );
+    }
+
+    /// A torn local artifact is no artifact: it is quarantined and the
+    /// remote tier asked, whose admission is served as a disk hit.
+    #[test]
+    fn torn_artifact_is_quarantined_and_fetched_from_the_remote_tier() {
+        let origin = crate::test_support::TempDir::new("engine_torn_origin");
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let (remote, expected) = admitting_remote(&origin, spec);
+        let root = crate::test_support::TempDir::new("engine_torn");
+        let engine = remote.engine(&root);
+        std::fs::write(artifact_path(&engine, spec), "{torn").unwrap();
+        let (served, source) = engine.fetch(spec).unwrap();
+        assert_eq!((source, remote.calls()), (CacheSource::Disk, 1));
+        assert_eq!(*served, *expected);
+        assert_eq!(engine.stats().characterizations, 0);
+        let quarantined = std::fs::read_dir(root.path().join("quarantine")).unwrap();
+        assert_eq!(quarantined.count(), 1, "the torn file moved aside");
     }
 
     /// A below-full estimate answers at once; only its background
@@ -2085,6 +2123,39 @@ mod tests {
         assert_eq!(engine.stats().inflight, 0, "the key is unregistered");
         assert_eq!(engine.fetch(spec).unwrap().1, CacheSource::Fresh);
         assert_eq!(remote.calls(), 2, "the next leader asks again");
+    }
+
+    /// A panicking upgrade leaves the upgrade thread running: its key
+    /// leaves the pending set, and the next spec is still upgraded.
+    #[test]
+    fn a_panicking_upgrade_does_not_stop_later_upgrades() {
+        let root = crate::test_support::TempDir::new("engine_upgrade_panic");
+        let remote = Remote::default();
+        let engine = {
+            let remote = remote.clone();
+            Arc::new(
+                PowerEngine::new(disk_options(&root)).with_remote_tier(move |_| {
+                    if remote.enter() == 0 {
+                        panic!("remote tier failed");
+                    }
+                }),
+            )
+        };
+        let specs = [4usize, 5].map(|w| ModuleSpec::new(ModuleKind::RippleAdder, w));
+        for (spec, bits) in specs.into_iter().zip([8, 10]) {
+            let estimate = engine
+                .estimate_at(
+                    spec,
+                    &flat_dist(bits),
+                    Fidelity::Analytic,
+                    &mut TraceCtx::disabled(),
+                )
+                .unwrap();
+            assert_eq!(estimate.source, CacheSource::Analytic);
+        }
+        await_until("every upgrade settles", || engine.pending_upgrades() == 0);
+        assert_eq!(engine.fetch(specs[1]).unwrap().1, CacheSource::Memory);
+        assert_eq!(engine.stats().upgrades_done, 2);
     }
 
     #[test]

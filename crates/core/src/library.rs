@@ -249,15 +249,7 @@ impl ModelLibrary {
             Err(ModelError::Artifact { .. })
                 if self.policy == CorruptArtifactPolicy::Quarantine =>
             {
-                let quarantined = store::quarantine_file(&self.root, &path)?;
-                telemetry::event(
-                    telemetry::Level::Warn,
-                    "store.quarantine",
-                    &[
-                        ("artifact", path.display().to_string().into()),
-                        ("moved_to", quarantined.display().to_string().into()),
-                    ],
-                );
+                self.quarantine(&path)?;
                 true
             }
             Err(e) => return Err(e),
@@ -279,6 +271,45 @@ impl ModelLibrary {
             _lock: lock,
         };
         Ok((result, source, Some(save)))
+    }
+
+    /// The verified artifact of `spec`, or `None` when the store holds
+    /// no valid one: absent, or corrupt and now quarantined (under
+    /// [`CorruptArtifactPolicy::Quarantine`]; the default policy reports
+    /// it). Never characterizes.
+    pub(crate) fn load_or_quarantine(
+        &self,
+        spec: ModuleSpec,
+    ) -> Result<Option<Characterization>, ModelError> {
+        let path = self.path_for(spec);
+        let expected = self.expected_meta(spec);
+        match load_verified(&path, &expected) {
+            Err(ModelError::Artifact { .. })
+                if self.policy == CorruptArtifactPolicy::Quarantine =>
+            {
+                // Re-check under the lock, as `get_unsaved` does.
+                let _lock = StoreLock::acquire(&path, self.lock_timeout)?;
+                match load_verified(&path, &expected) {
+                    Err(ModelError::Artifact { .. }) => self.quarantine(&path).map(|()| None),
+                    other => other,
+                }
+            }
+            other => other,
+        }
+    }
+
+    /// Move the corrupt artifact at `path` to `<root>/quarantine/`.
+    fn quarantine(&self, path: &Path) -> Result<(), ModelError> {
+        let quarantined = store::quarantine_file(&self.root, path)?;
+        telemetry::event(
+            telemetry::Level::Warn,
+            "store.quarantine",
+            &[
+                ("artifact", path.display().to_string().into()),
+                ("moved_to", quarantined.display().to_string().into()),
+            ],
+        );
+        Ok(())
     }
 
     /// Whether the artifact for `spec` already exists on disk (in any

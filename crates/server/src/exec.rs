@@ -17,13 +17,8 @@
 //! `invalid_utf8` (v1 framing) first, then `timeout`, then
 //! `bad_request`, then `engine`.
 //!
-//! The TCP server runs requests in two places, whatever the protocol. A
-//! reactor answers an estimate itself when [`ExecCtx::resident`] finds
-//! every input already in memory; everything else goes through the queue
-//! to a worker. Both call [`ExecCtx::execute`], so the policies above
-//! hold on either path. A repeated estimate that the server's reply memo
-//! answers skips the request core but not its deadline rule and totals:
-//! it runs through [`ExecCtx::guarded`].
+//! On the TCP server a reactor answers only reply-memo hits, through
+//! [`ExecCtx::guarded`], and every other request runs here on a worker.
 
 use std::io;
 use std::path::Path;
@@ -33,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use hdpm_cluster::ClusterState;
 use hdpm_core::persist::{self, EnvelopeMeta};
-use hdpm_core::{Characterization, Estimate, Fidelity, LruCache, ModelError, PowerEngine};
+use hdpm_core::{Characterization, Fidelity, LruCache, ModelError, PowerEngine};
 use hdpm_datamodel::{operand_distribution, HdDistribution};
 use hdpm_netlist::ModuleSpec;
 use hdpm_streams::DataType;
@@ -87,15 +82,6 @@ impl Executed {
     }
 }
 
-/// An estimate's inputs, both already in memory: the resident model and
-/// the memoized input distribution. Taken once, when the reactor decides
-/// to answer inline, so an eviction before the answer cannot send the
-/// reactor back to the engine.
-pub(crate) struct Resident {
-    model: Arc<Characterization>,
-    dist: Arc<HdDistribution>,
-}
-
 impl<'a> ExecCtx<'a> {
     /// The stdio transport's context: no deadline, no cluster, no
     /// counters.
@@ -118,37 +104,12 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// The inputs of `request` when it can be answered without blocking:
-    /// an estimate whose model is resident in the engine's memory tier
-    /// and whose input distribution is memoized. `None` for anything
-    /// else, counting no miss: the request then goes to a worker, which
-    /// looks both up again and counts there.
-    pub(crate) fn resident(&mut self, request: &Request) -> Option<Resident> {
-        let &Request::Estimate {
-            spec,
-            data,
-            cycles,
-            seed,
-            ..
-        } = request
-        else {
-            return None;
-        };
-        let key = dist_key(spec, data, cycles, seed);
-        let dist = self.dists.peek(&key)?;
-        let model = self.engine.resident(spec, self.trace)?;
-        telemetry::counter_add("protocol.dist_cache.hit", 1);
-        Some(Resident { model, dist })
-    }
-
     /// Execute one decoded request. `request` is the codec's outcome:
-    /// the typed request or the error its bytes earned; `resident` holds
-    /// its inputs when [`ExecCtx::resident`] found them.
+    /// the typed request or the error its bytes earned.
     pub(crate) fn execute(
         &mut self,
         request: Result<&Request, &RequestError>,
         deadline_ms: Option<u64>,
-        resident: Option<Resident>,
     ) -> Executed {
         let (result, late) = match request {
             // A line that is not JSON has no deadline to honour.
@@ -157,7 +118,7 @@ impl<'a> ExecCtx<'a> {
                 (Err((*kind, message.clone())), false)
             }
             Err(e) => self.guarded(deadline_ms, |_| Err(e.clone())),
-            Ok(request) => self.guarded(deadline_ms, |ctx| ctx.answer(request, resident)),
+            Ok(request) => self.guarded(deadline_ms, |ctx| ctx.answer(request)),
         };
         Executed {
             response: result.unwrap_or_else(|(kind, message)| Response::Error {
@@ -214,13 +175,8 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Run a resolved request against the engine, or against the
-    /// inputs the reactor already took for it.
-    fn answer(
-        &mut self,
-        request: &Request,
-        resident: Option<Resident>,
-    ) -> Result<Response, RequestError> {
+    /// Run a resolved request against the engine.
+    fn answer(&mut self, request: &Request) -> Result<Response, RequestError> {
         let engine_error = |e: ModelError| (ErrorKind::Engine, e.to_string());
         match request {
             &Request::Estimate {
@@ -230,25 +186,18 @@ impl<'a> ExecCtx<'a> {
                 seed,
                 floor,
             } => {
-                let estimate = match resident {
-                    // A resident model answers at full fidelity whatever
-                    // the floor.
-                    Some(Resident { model, dist }) => self
-                        .trace
-                        .time(Stage::Estimate, || Estimate::resident(&model, &dist)),
-                    None => {
-                        let floor = floor.unwrap_or(self.default_floor);
-                        // The input distribution is estimation math, so its
-                        // time (≈20–380 µs on a memo miss, mostly stream
-                        // synthesis) lands in the estimate stage.
-                        let dists = self.dists;
-                        let dist = self.trace.time(Stage::Estimate, || {
-                            dists.get_or_build(dist_key(spec, data, cycles, seed))
-                        });
-                        self.engine.estimate_at(spec, &dist, floor, self.trace)
-                    }
-                }
-                .map_err(engine_error)?;
+                let floor = floor.unwrap_or(self.default_floor);
+                // The input distribution is estimation math, so its time
+                // (≈20–380 µs on a memo miss, mostly stream synthesis)
+                // lands in the estimate stage.
+                let dists = self.dists;
+                let dist = self.trace.time(Stage::Estimate, || {
+                    dists.get_or_build(dist_key(spec, data, cycles, seed))
+                });
+                let estimate = self
+                    .engine
+                    .estimate_at(spec, &dist, floor, self.trace)
+                    .map_err(engine_error)?;
                 Ok(Response::Estimate(EstimateAnswer {
                     charge_per_cycle: estimate.charge_per_cycle,
                     via_average: estimate.via_average,
@@ -359,15 +308,6 @@ impl DistMemo {
         DistMemo(Mutex::new(LruCache::new(Self::CAPACITY)))
     }
 
-    /// The memoized distribution, touched as most recently used; `None`
-    /// while absent or still being built, so the caller never waits.
-    /// Counts nothing, so a lookup that the caller abandons leaves the
-    /// hit and miss counters to the one that follows.
-    fn peek(&self, key: &DistKey) -> Option<Arc<HdDistribution>> {
-        let memo = &mut *self.0.lock().expect("dist memo");
-        memo.get(key)?.get().map(Arc::clone)
-    }
-
     /// The memoized distribution, or a fresh one from
     /// [`operand_distribution`], built with no lock held. Of the callers
     /// that miss one key at once, one builds and counts the miss; the
@@ -466,7 +406,7 @@ mod tests {
             totals: Some(&totals),
             trace: &mut trace,
         };
-        ctx.execute(request, deadline_ms, None).status().to_string()
+        ctx.execute(request, deadline_ms).status().to_string()
     }
 
     /// Error precedence is one rule in one place: framing, then
@@ -547,7 +487,7 @@ mod tests {
             Ok(())
         });
         assert_eq!(done, (Ok(()), true), "finished past the limit: late");
-        let timed_out = ctx.execute(Ok(&Request::Stats), None, None);
+        let timed_out = ctx.execute(Ok(&Request::Stats), None);
         assert_eq!(timed_out.status(), "timeout");
         assert!(!timed_out.late);
         let report = totals.report();
@@ -595,7 +535,7 @@ mod tests {
     }
 
     /// Callers that miss one cold key together share one build: every
-    /// one of them gets the very same `Arc`, and `peek` finds it after.
+    /// one of them gets the very same `Arc`, and a later lookup finds it.
     #[test]
     fn concurrent_misses_on_one_key_share_one_build() {
         let dists = DistMemo::new();
@@ -616,6 +556,6 @@ mod tests {
         for dist in &built[1..] {
             assert!(Arc::ptr_eq(dist, &built[0]), "one build per key");
         }
-        assert!(Arc::ptr_eq(&dists.peek(&key).unwrap(), &built[0]));
+        assert!(Arc::ptr_eq(&dists.get_or_build(key), &built[0]));
     }
 }

@@ -810,7 +810,7 @@ pub fn handle(engine: &Arc<PowerEngine>, decoded: &Decoded) -> Result<Value, Req
     let request = decoded.request.as_ref().map_err(Clone::clone)?;
     let mut trace = TraceCtx::disabled();
     let done = DISTS.with(|dists| {
-        ExecCtx::stdio(engine, Fidelity::Full, dists, &mut trace).execute(Ok(request), None, None)
+        ExecCtx::stdio(engine, Fidelity::Full, dists, &mut trace).execute(Ok(request), None)
     });
     match done.response {
         Response::Error { kind, message } => Err((
@@ -852,7 +852,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
             continue;
         };
         let request = decoded.request.as_ref();
-        let done = ExecCtx::stdio(engine, floor, &dists, &mut trace).execute(request, None, None);
+        let done = ExecCtx::stdio(engine, floor, &dists, &mut trace).execute(request, None);
         reply.clear();
         encode_reply(&mut reply, request.ok(), &done.response, None);
         output.write_all(&reply)?;

@@ -16,8 +16,8 @@
 //!   bytes, each numbered in the connection's reply sequence, and v2
 //!   bytes into frames, in bursts of up to [`MAX_BATCH`]. Each line, or
 //!   each burst, goes to the one request pipeline ([`Shared::dispatch`],
-//!   see [`crate::server`]), which answers on this thread only what
-//!   needs nothing but memory; nothing a reactor runs can block;
+//!   see [`crate::server`]), which answers on this thread only
+//!   reply-memo hits; nothing a reactor runs can block;
 //! * **reply order and write-side drainage** — whichever thread answered
 //!   hands its replies to [`ConnOut::reply`]: v1 replies pass the
 //!   per-connection sequencer so they leave in request order, v2 replies

@@ -21,12 +21,11 @@
 //!
 //! v1 lines and v2 frames differ only in codec. A reactor hands each v1
 //! line, or each read burst of v2 frames, to [`Shared::dispatch`], which
-//! per request (1) decodes through the codec (the `decode` stage), (2)
-//! answers a reply-memo hit, (3) answers on the reactor through the
-//! request core ([`crate::exec`]) when [`ExecCtx::resident`] finds the
-//! inputs in memory, skipping the queue hop that is most of a warm
-//! request's latency, or (4) collects it into the one [`Job`] it queues.
-//! [`Shared::run`] answers a job on a worker; [`Shared::shed`] answers a
+//! per request (1) decodes through the codec (the `decode` stage), then
+//! (2) answers a reply-memo hit on the reactor, skipping the queue hop
+//! that is most of a warm request's latency, or (3) collects it into the
+//! one [`Job`] it queues. [`Shared::run`] answers a job on a worker
+//! through the request core ([`crate::exec`]); [`Shared::shed`] answers a
 //! refused job `overloaded`. Replies are encoded by the codec (a v1 line
 //! with the trace id; a v2 frame) and leave in the protocol's order: v1
 //! in request order through the connection's sequencer ([`ConnOut`]), v2
@@ -88,7 +87,7 @@ use crate::admin::AdminServer;
 use crate::client::{EstimateAnswer, Proto, Request, Response};
 use crate::cluster;
 use crate::config::ServerConfig;
-use crate::exec::{self, DistMemo, ExecCtx, Executed, Resident};
+use crate::exec::{self, DistMemo, ExecCtx, Executed};
 use crate::protocol::{self, ErrorKind, RequestError};
 use crate::queue::{Bounded, PushError};
 use crate::reactor::{self, ConnOut, Mail, ReactorHandle};
@@ -171,8 +170,8 @@ struct Unit {
     deadline_ms: Option<u64>,
 }
 
-/// Queued work: the requests of one dispatch that the reactor could not
-/// answer in memory (one v1 line, or the rest of one v2 read burst), with
+/// Queued work: the requests of one dispatch that the reply memo could
+/// not answer (one v1 line, or the rest of one v2 read burst), with
 /// the connection they answer on, their arrival time and their trace.
 /// Batching a burst amortizes the queue handoff and the reply write
 /// across every frame the socket delivered together.
@@ -379,9 +378,9 @@ impl Shared {
     }
 
     /// Take framed requests off the reactor (one v1 line, or one read
-    /// burst of v2 frames) and answer each here when its inputs are in
-    /// memory, or collect it into one queued job. The answers given here
-    /// leave with one write and one trace.
+    /// burst of v2 frames) and answer each here from the reply memo, or
+    /// collect it into one queued job. The answers given here leave with
+    /// one write and one trace.
     pub(crate) fn dispatch(
         &self,
         out: &Arc<ConnOut>,
@@ -402,12 +401,8 @@ impl Shared {
                 out.reply(proto, frame.id, Vec::new(), None);
                 continue;
             };
-            if self.answer_memoized(&mut ctx, proto, &unit, &mut answers) {
-                continue;
-            }
-            match unit.request.as_ref().ok().and_then(|r| ctx.resident(r)) {
-                Some(resident) => self.answer(&mut ctx, proto, &unit, Some(resident), &mut answers),
-                None => queued.push(unit),
+            if !self.answer_memoized(&mut ctx, proto, &unit, &mut answers) {
+                queued.push(unit);
             }
         }
         if !queued.is_empty() {
@@ -478,23 +473,6 @@ impl Shared {
             }
         }
         true
-    }
-
-    /// Run one decoded request through the request core and encode its
-    /// reply onto `answers`; `resident` holds its inputs when the reactor
-    /// found them in memory.
-    fn answer(
-        &self,
-        ctx: &mut ExecCtx<'_>,
-        proto: Proto,
-        unit: &Unit,
-        resident: Option<Resident>,
-        answers: &mut Answers,
-    ) {
-        let done = ctx.execute(unit.request.as_ref(), unit.deadline_ms, resident);
-        ctx.trace.time(Stage::Serialize, || {
-            self.encode(proto, unit, &done, answers);
-        });
     }
 
     /// Queue `units` as one job, or shed them all when the queue refuses
@@ -570,7 +548,10 @@ impl Shared {
         if job.out.is_alive() {
             let mut ctx = self.exec_ctx(job.arrived, &mut job.trace);
             for unit in &job.units {
-                self.answer(&mut ctx, job.proto, unit, None, &mut answers);
+                let done = ctx.execute(unit.request.as_ref(), unit.deadline_ms);
+                ctx.trace.time(Stage::Serialize, || {
+                    self.encode(job.proto, unit, &done, &mut answers);
+                });
             }
             let processing = job.arrived.elapsed().saturating_sub(waited);
             telemetry::record_duration_ns("server.request_ns", processing.as_nanos() as u64);

@@ -239,10 +239,14 @@ fn timeout_counter_matches_timeout_replies_on_the_wire() {
 
 /// Requests answered on the reactor are counted per request by
 /// `server.request.inline`, and only those record no queue wait. A
-/// capacity-1 engine evicts a model between requests: that key's next
-/// estimate goes to the queue and is answered correctly by a worker.
+/// reactor answers only reply-memo hits, so the counter equals
+/// `server.memo.hit` over the whole sequence. A capacity-1 engine evicts
+/// a model between requests: that key's next estimate goes to the queue
+/// and is answered correctly by a worker. So does a resident model whose
+/// input distribution another spec memoized, but whose reply is not
+/// memoized yet.
 #[test]
-fn inline_counter_covers_resident_estimates_and_not_evicted_ones() {
+fn inline_counter_counts_only_reply_memo_hits() {
     let _state = fresh_state();
     let server = Server::start(
         ServerConfig::builder()
@@ -261,14 +265,15 @@ fn inline_counter_covers_resident_estimates_and_not_evicted_ones() {
     )
     .expect("start");
     let mut client = client::Client::connect(server.local_addr(), Proto::V1).expect("connect");
-    let estimate = |width: usize| Request::Estimate {
-        spec: ModuleSpec::new(ModuleKind::RippleAdder, width),
+    let estimate = |kind: ModuleKind, width: usize| Request::Estimate {
+        spec: ModuleSpec::new(kind, width),
         data: hdpm_server::protocol::data_type("counter").expect("known type"),
         cycles: 64,
         seed: 7,
         floor: None,
     };
-    let mut call = |request: &Request| match client.call(request, None).expect("reply").response {
+    let mut call = |request: &Request| client.call(request, None).expect("reply").response;
+    let estimated = |response: Response| match response {
         Response::Estimate(e) => e,
         other => panic!("unexpected reply {other:?}"),
     };
@@ -279,22 +284,42 @@ fn inline_counter_covers_resident_estimates_and_not_evicted_ones() {
             .map_or(0, |h| h.count)
     };
 
-    let cold = call(&estimate(4));
+    let ripple = ModuleKind::RippleAdder;
+    let cold = estimated(call(&estimate(ripple, 4)));
     assert_eq!(cold.source, "fresh");
     assert_eq!((counter("server.request.inline"), waits()), (0, 1));
 
-    let warm = call(&estimate(4));
+    let warm = estimated(call(&estimate(ripple, 4)));
     assert_eq!(warm.source, "memory");
     assert_eq!(warm.charge_per_cycle, cold.charge_per_cycle);
     assert_eq!((counter("server.request.inline"), waits()), (1, 1));
 
     // Width 5 takes the only slot; width 4's distribution stays memoized
     // but its model is gone, so its estimate is not inline.
-    call(&estimate(5));
-    let evicted = call(&estimate(4));
+    estimated(call(&estimate(ripple, 5)));
+    let evicted = estimated(call(&estimate(ripple, 4)));
     assert_eq!(evicted.source, "fresh", "re-characterized by a worker");
     assert_eq!(evicted.charge_per_cycle, cold.charge_per_cycle);
     assert_eq!((counter("server.request.inline"), waits()), (1, 3));
     assert_eq!(counter("protocol.dist_cache.miss"), 2);
+
+    // A 4-bit carry-lookahead adder, resident through a characterize,
+    // asked with the distribution the 4-bit ripple adder memoized: its
+    // own reply is not memoized, so a worker answers it.
+    let cla = ModuleSpec::new(ModuleKind::ClaAdder, 4usize);
+    assert!(matches!(
+        call(&Request::Characterize { spec: cla }),
+        Response::Characterize(_)
+    ));
+    assert_eq!(waits(), 4);
+    let cross = estimated(call(&estimate(ModuleKind::ClaAdder, 4)));
+    assert_eq!(cross.source, "memory");
+    assert_eq!((counter("server.request.inline"), waits()), (1, 5));
+    assert_eq!(
+        counter("protocol.dist_cache.miss"),
+        2,
+        "shared distribution"
+    );
+    assert_eq!(counter("server.request.inline"), counter("server.memo.hit"));
     server.shutdown();
 }

@@ -390,9 +390,10 @@ fn v2_replies_complete_out_of_order_past_a_slow_request() {
     server.shutdown();
 }
 
-/// A reactor answers a warm estimate itself: pipelined behind a cold
+/// A reactor answers a reply-memo hit itself: pipelined behind a cold
 /// characterization on a one-worker server, whose only worker is busy
-/// with that characterization, the estimate's reply still comes first.
+/// with that characterization, the memoized estimate's reply still comes
+/// first.
 #[test]
 fn v2_warm_estimate_is_answered_inline_past_a_cold_characterize() {
     let server = Server::start(
@@ -403,24 +404,11 @@ fn v2_warm_estimate_is_answered_inline_past_a_cold_characterize() {
             .unwrap(),
     )
     .expect("start");
-    // Warm over v1: the models and the distribution memo are the
-    // server's, so a v2 frame sees what v1 requests left there. The v1
-    // estimate memoizes its own reply; the v2 one names another adder of
-    // the same widths, resident through the characterize and sharing the
-    // estimate's input distribution, so the reply memo misses and the
-    // resident-model path answers.
-    let adder = ModuleSpec::new(ModuleKind::ClaAdder, 4usize);
+    // Warm over v1: the reply memo is the server's, so the v1 estimate
+    // memoizes the reply that the v2 frame for the same key then hits.
+    let warm = estimate(4);
     let mut v1 = Client::connect(server.local_addr(), Proto::V1).expect("connect v1");
-    v1.call(&estimate(4), None).expect("warm-up");
-    v1.call(&Request::Characterize { spec: adder }, None)
-        .expect("warm-up");
-    let warm = Request::Estimate {
-        spec: adder,
-        data: hdpm_server::protocol::data_type("counter").expect("known type"),
-        cycles: 64,
-        seed: 7,
-        floor: None,
-    };
+    v1.call(&warm, None).expect("warm-up");
     let mut client = Client::connect(server.local_addr(), Proto::V2).expect("connect");
     let cold_id = client
         .send(
@@ -435,7 +423,7 @@ fn v2_warm_estimate_is_answered_inline_past_a_cold_characterize() {
     let first = client.recv().expect("reply");
     assert_eq!(first.id, warm_id, "the warm estimate answers first");
     match first.response {
-        Response::Estimate(e) => assert_eq!(e.source, "memory"),
+        Response::Estimate(e) => assert_eq!(e.source, "memo"),
         other => panic!("unexpected reply {other:?}"),
     }
     let second = client.recv().expect("reply");

@@ -230,8 +230,8 @@ fn a_v1_memo_hit_past_its_deadline_times_out() {
         replies[2]
     );
     assert!(replies[2].contains("deadline exceeded"), "{}", replies[2]);
-    // Answered through the memo, not the request core: the core's inline
-    // path would have taken a distribution-memo hit.
+    // Answered through the memo, not the request core: a worker running
+    // the core would have taken a distribution-memo hit.
     assert_eq!(
         counter("server.memo.hit"),
         1,

@@ -334,7 +334,7 @@ fn replies_arrive_in_request_order_despite_the_worker_pool() {
     server.shutdown();
 }
 
-/// A reactor answers a warm estimate itself, at once, but the v1
+/// A reactor answers a reply-memo hit itself, at once, but the v1
 /// sequencer still holds its reply until the cold estimate ahead of it
 /// on the connection has been answered by a worker.
 #[test]
@@ -345,7 +345,7 @@ fn pipelined_cold_then_warm_estimates_reply_in_request_order() {
     let cold =
         "{\"op\":\"estimate\",\"module\":\"csa_multiplier\",\"width\":8,\"data\":\"counter\",\"cycles\":64}";
     let mut client = Client::connect(&server);
-    // Model resident and distribution memoized: the next one is inline.
+    // Reply memoized and model resident: the next one is inline.
     let first = client.round_trip(warm);
     assert!(first.contains("\"ok\":true"), "{first}");
     client.send(cold);
