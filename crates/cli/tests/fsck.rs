@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use hdpm_core::{CharacterizationConfig, ModelLibrary};
+use hdpm_core::{CacheSource, CharacterizationConfig, EngineOptions, ModelKey, PowerEngine};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
 
 fn hdpm(args: &[&str]) -> Output {
@@ -75,18 +75,26 @@ fn fsck_scan_repair_rescan_transcript() {
         .max_patterns(1500)
         .build()
         .expect("valid config");
-    let library = ModelLibrary::new(root.path(), config);
+    // A disk-backed engine on the root; dropping it makes its artifacts
+    // durable.
+    let engine = || {
+        PowerEngine::new(EngineOptions {
+            config,
+            sharding: None,
+            disk_root: Some(root.path().to_path_buf()),
+            ..EngineOptions::default()
+        })
+    };
     let spec = |width: usize| ModuleSpec::new(ModuleKind::RippleAdder, width);
+    let name_of = |width: usize| ModelKey::new(spec(width), &config, 0).artifact_file_name();
+    let path_of = |width: usize| root.path().join(name_of(width));
 
-    // One valid artifact (plus its config sidecar under meta/).
-    library.get(spec(4)).expect("characterizes");
-    let name_of = |width: usize| {
-        library
-            .path_for(spec(width))
-            .file_name()
-            .expect("file name")
-            .to_string_lossy()
-            .into_owned()
+    // One valid artifact (plus its config sidecar under meta/), and the
+    // model of the bare-payload artifact below.
+    let legacy = {
+        let engine = engine();
+        engine.model(spec(4)).expect("characterizes");
+        engine.model(spec(5)).expect("characterizes")
     };
     let sidecar = {
         let fingerprint = hdpm_core::config_fingerprint(&config);
@@ -95,12 +103,11 @@ fn fsck_scan_repair_rescan_transcript() {
 
     // A torn artifact at a well-formed key path (same config, so the
     // surviving sidecar lets --repair re-characterize it).
-    std::fs::write(library.path_for(spec(3)), "{torn").expect("plant torn artifact");
+    std::fs::write(path_of(3), "{torn").expect("plant torn artifact");
     // A bare-payload artifact: the model JSON without an envelope, which
     // cannot be verified against its key.
-    let legacy = library.get(spec(5)).expect("characterizes");
-    let payload = hdpm_core::persist::to_json(&legacy).expect("serializes");
-    std::fs::write(library.path_for(spec(5)), payload).expect("plant legacy artifact");
+    let payload = hdpm_core::persist::to_json(&*legacy).expect("serializes");
+    std::fs::write(path_of(5), payload).expect("plant legacy artifact");
     // A foreign file, an orphan temp and a stale lock.
     std::fs::write(root.path().join("notes.json"), "{\"hello\":1}").expect("plant foreign");
     std::fs::write(root.path().join("stale.json.tmp.1234.0"), "x").expect("plant temp");
@@ -137,10 +144,7 @@ fn fsck_scan_repair_rescan_transcript() {
     );
     assert_eq!(stdout(&out), expected);
     assert!(stderr(&out).contains("store is dirty"));
-    assert!(
-        library.path_for(spec(3)).exists(),
-        "scan-only moves nothing"
-    );
+    assert!(path_of(3).exists(), "scan-only moves nothing");
 
     // Repair: quarantine + re-characterize the torn and the bare
     // artifacts, quarantine the foreign file, drop temp and stale lock.
@@ -181,12 +185,15 @@ fn fsck_scan_repair_rescan_transcript() {
     let expected = transcript(&rows, &[&rescan_summary, "store is clean"]);
     assert_eq!(stdout(&out), expected);
     // And the repaired artifacts actually load back as models.
-    library
-        .get(spec(3))
+    let engine = engine();
+    let (_, source) = engine
+        .fetch(spec(3))
         .expect("re-characterized artifact loads");
-    let rebuilt = library
-        .get(spec(5))
+    assert_eq!(source, CacheSource::Disk);
+    let (rebuilt, source) = engine
+        .fetch(spec(5))
         .expect("re-characterized artifact loads");
+    assert_eq!(source, CacheSource::Disk);
     assert_eq!(rebuilt.model, legacy.model, "repair is bit-exact");
 }
 

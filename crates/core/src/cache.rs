@@ -4,8 +4,8 @@
 //! A cached characterization is identified by a [`ModelKey`]: the module
 //! spec, a content hash of the [`CharacterizationConfig`] and the shard
 //! count. Two engines configured differently can therefore never collide
-//! on a key even for the same module — the same rule the on-disk
-//! [`crate::ModelLibrary`] encodes in its artifact file names.
+//! on a key even for the same module — the same rule the engine's
+//! on-disk tier encodes in its artifact file names.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -37,9 +37,9 @@ pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
 /// fingerprint, so configurations address disjoint cache entries.
 ///
 /// This is the **canonical key fingerprint of the whole store**: the
-/// in-memory [`ModelKey`] and the on-disk artifact file names of
-/// [`crate::ModelLibrary`] both derive from it, so the two tiers can never
-/// disagree about which configuration an artifact belongs to.
+/// in-memory [`ModelKey`] and the on-disk artifact file names both derive
+/// from it, so the two tiers can never disagree about which configuration
+/// an artifact belongs to.
 pub fn config_fingerprint(config: &CharacterizationConfig) -> u64 {
     let json = serde_json::to_string(config).expect("config serializes");
     fnv1a64(json.as_bytes())
@@ -73,9 +73,8 @@ impl ModelKey {
 
     /// The on-disk artifact file name of this key: the [`Display`] form
     /// plus `.json`, read back by [`ModelKey::from_file_name`].
-    /// [`crate::ModelLibrary::path_for`] joins this under its root, so the
-    /// disk tier is keyed by exactly the same (spec, fingerprint, shards)
-    /// triple as the memory tier.
+    /// The disk tier joins this under its root, so it is keyed by exactly
+    /// the same (spec, fingerprint, shards) triple as the memory tier.
     ///
     /// [`Display`]: std::fmt::Display
     pub fn artifact_file_name(&self) -> String {
@@ -285,11 +284,18 @@ mod tests {
     use super::*;
     use hdpm_netlist::ModuleKind;
 
+    /// Every configuration field separates the fingerprint, and with it
+    /// the key and the artifact name. The headline regression: an older
+    /// key dropped delay_model, convergence_tol, check_interval,
+    /// min_class_samples and clustering, silently colliding different
+    /// configurations onto one artifact.
     #[test]
-    fn fingerprint_separates_configurations() {
+    fn every_config_field_separates_the_key_and_artifact_name() {
         let base = CharacterizationConfig::default();
         let a = config_fingerprint(&base);
         assert_eq!(a, config_fingerprint(&base), "fingerprint is pure");
+        let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
+        let name = ModelKey::new(spec, &base, 0).artifact_file_name();
         for changed in [
             CharacterizationConfig {
                 max_patterns: base.max_patterns + 1,
@@ -304,11 +310,29 @@ mod tests {
                 ..base
             },
             CharacterizationConfig {
+                delay_model: hdpm_sim::DelayModel::Zero,
+                ..base
+            },
+            CharacterizationConfig {
                 convergence_tol: base.convergence_tol * 2.0,
+                ..base
+            },
+            CharacterizationConfig {
+                check_interval: base.check_interval + 1,
+                ..base
+            },
+            CharacterizationConfig {
+                min_class_samples: base.min_class_samples + 1,
+                ..base
+            },
+            CharacterizationConfig {
+                clustering: crate::ZeroClustering::Clustered(2),
                 ..base
             },
         ] {
             assert_ne!(a, config_fingerprint(&changed), "{changed:?}");
+            let changed_name = ModelKey::new(spec, &changed, 0).artifact_file_name();
+            assert_ne!(name, changed_name, "{changed:?}");
         }
     }
 

@@ -18,7 +18,8 @@
 //!   [`Estimator`] trait, with the §4.2 error metrics: [`evaluate`],
 //!   [`distribution_vs_average`];
 //! * **model serving**: [`PowerEngine`], a thread-safe facade with a
-//!   two-tier content-addressed cache and single-flight characterization;
+//!   two-tier content-addressed cache and single-flight characterization,
+//!   and the one way into an on-disk model store;
 //! * **LMS coefficient adaptation** (the §4.2 pointer to Bogliolo et al.):
 //!   [`AdaptiveHdModel`];
 //! * JSON **persistence** of every model type: [`persist`].
@@ -84,7 +85,6 @@ pub use fidelity::{analytic_model, Fidelity, ANALYTIC_CONFIDENCE};
 /// The per-request trace [`PowerEngine::estimate_at`] and
 /// [`PowerEngine::fetch_traced`] record stage timings into.
 pub use hdpm_telemetry::TraceCtx;
-pub use library::{CorruptArtifactPolicy, LibrarySource, ModelLibrary, DEFAULT_LOCK_TIMEOUT};
 pub use model::{EnhancedHdModel, HdModel, ZeroClustering};
 pub use regress::{ParameterizableModel, Prototype, PrototypeSet};
 pub use shard::{
@@ -110,6 +110,6 @@ pub mod prelude {
     pub use crate::{
         characterize, evaluate, evaluate_batch, AccuracyReport, CacheSource, Characterization,
         CharacterizationConfig, EngineOptions, EnhancedHdModel, Estimate, Estimator, Fidelity,
-        HdModel, ModelError, ModelLibrary, PowerEngine,
+        HdModel, ModelError, PowerEngine,
     };
 }

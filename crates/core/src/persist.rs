@@ -65,8 +65,8 @@ pub const ENVELOPE_VERSION: u64 = 1;
 ///
 /// All fields are optional: a plain [`save`] writes an anonymous envelope,
 /// and fields absent from the expected meta are never checked on load
-/// (a stated one must be in the envelope). [`crate::ModelLibrary`]
-/// fills every field from its [`crate::ModelKey`].
+/// (a stated one must be in the envelope). The model store fills every
+/// field from the artifact's [`crate::ModelKey`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnvelopeMeta {
     /// The module spec the payload was characterized for (`Display` form).

@@ -196,14 +196,15 @@ pub(crate) fn sidecar_path(root: &Path, fingerprint: u64) -> PathBuf {
         .join(format!("cfg_{fingerprint:016x}.json"))
 }
 
-/// Record `config` under its fingerprint in `<root>/meta/`, once. The
-/// sidecar is what lets `hdpm fsck --repair` re-characterize a
-/// quarantined artifact whose own payload is unreadable.
+/// Record `config` under its `fingerprint` in `<root>/meta/` unless a
+/// sidecar is there already. The sidecar is what lets `hdpm fsck
+/// --repair` re-characterize a quarantined artifact whose own payload is
+/// unreadable.
 pub(crate) fn write_config_sidecar(
     root: &Path,
+    fingerprint: u64,
     config: &CharacterizationConfig,
 ) -> Result<(), ModelError> {
-    let fingerprint = config_fingerprint(config);
     let path = sidecar_path(root, fingerprint);
     if path.exists() {
         return Ok(());
@@ -527,9 +528,11 @@ fn repair_entry(
     }
 }
 
-/// Rebuild a quarantined artifact from its file name and config sidecar.
-/// Returns `Ok(false)` when the name does not parse or no (valid) sidecar
-/// exists — the artifact stays quarantined and the caller reports that.
+/// Rebuild a quarantined artifact from its file name and config sidecar,
+/// through the library's locked routine, and write it before reporting
+/// success. Returns `Ok(false)` when the name does not parse or no
+/// (valid) sidecar exists — the artifact stays quarantined and the
+/// caller reports that.
 fn recharacterize(root: &Path, file_name: &str) -> Result<bool, ModelError> {
     let Some(key) = ModelKey::from_file_name(file_name) else {
         return Ok(false);
@@ -543,7 +546,10 @@ fn recharacterize(root: &Path, file_name: &str) -> Result<bool, ModelError> {
         shards: key.shards,
         threads: 0,
     };
-    ModelLibrary::with_sharding(root, config, sharding).get(key.spec)?;
+    let library = ModelLibrary::new(root.to_path_buf(), config, sharding);
+    if let (c, Some(save)) = library.load_or_characterize(&key)? {
+        save.commit(&c)?;
+    }
     Ok(true)
 }
 
@@ -573,12 +579,12 @@ mod tests {
             })
             .collect();
         let dir = TempDir::new("store_names");
-        let mut libraries = Vec::new();
+        let mut stores = Vec::new();
         for config in configs {
             for &shards in &shard_counts {
-                // Each library stores every spec but a different one, so a
-                // listing that strays into another library's keys shows.
-                let skip = libraries.len();
+                // Each store holds every spec but a different one, so a
+                // listing that strays into another store's keys shows.
+                let skip = stores.len();
                 let mut own = Vec::new();
                 for (j, &spec) in specs.iter().enumerate() {
                     let key = ModelKey::new(spec, &config, shards);
@@ -590,22 +596,22 @@ mod tests {
                     }
                 }
                 own.sort_by_key(|spec| spec.to_string());
-                let sharding = ShardingConfig { shards, threads: 1 };
-                libraries.push((
-                    ModelLibrary::with_sharding(dir.path(), config, sharding),
-                    own,
-                ));
+                stores.push((config_fingerprint(&config), shards, own));
             }
         }
-        // Each library lists exactly the keys of its own config and shard
-        // count from the shared root, and nothing else.
-        for (library, own) in &libraries {
-            assert_eq!(
-                &library.stored_specs(),
-                own,
-                "{:?}",
-                library.key_for(own[0])
-            );
+        // The listing of the shared root, narrowed to one config and
+        // shard count as the engine narrows it, is exactly that store's
+        // keys, in spec-name order.
+        let sharding = ShardingConfig::SEQUENTIAL;
+        let library = ModelLibrary::new(dir.path().to_path_buf(), configs[0], sharding);
+        let listed = library.stored_keys();
+        for (config_hash, shards, own) in &stores {
+            let specs: Vec<ModuleSpec> = listed
+                .iter()
+                .filter(|key| key.config_hash == *config_hash && key.shards == *shards)
+                .map(|key| key.spec)
+                .collect();
+            assert_eq!(&specs, own, "cfg {config_hash:016x} sh{shards}");
         }
         for bad in [
             "ripple_adder_4.json",
@@ -696,7 +702,7 @@ mod tests {
     fn fsck_classifies_a_mixed_root() {
         let dir = TempDir::new("store_fsck");
         let config = CharacterizationConfig::default();
-        write_config_sidecar(dir.path(), &config).unwrap();
+        write_config_sidecar(dir.path(), config_fingerprint(&config), &config).unwrap();
         let spec = ModuleSpec::new(ModuleKind::RippleAdder, 4usize);
         let key = crate::cache::ModelKey::new(spec, &config, 0);
         // A truncated artifact at a well-formed key path.
