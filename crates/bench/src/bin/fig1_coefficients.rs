@@ -25,7 +25,7 @@ fn main() {
         "Figure 1",
         "coefficients p_i (± ε_i) for 16-input-bit prototypes",
     );
-    let config = standard_config();
+    let engine = hdpm_bench::experiment_engine(&standard_config());
     // 16 model input bits: width 8 for two-operand modules, 16 for absval.
     let cases = [
         (ModuleKind::RippleAdder, ModuleWidth::Uniform(8)),
@@ -37,7 +37,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for (kind, width) in cases {
-        let result = characterize_cached(kind, width, &config);
+        let result = characterize_cached(&engine, kind, width);
         let model = &result.model;
         println!(
             "\n{kind} ({width}-bit operands, m = {} input bits, mean ε = {:.1}%)",

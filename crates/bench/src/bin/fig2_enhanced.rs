@@ -27,9 +27,9 @@ fn main() {
         "basic vs enhanced Hd-model coefficients, 8x8-bit csa-multiplier",
     );
     let result = characterize_cached(
+        &hdpm_bench::experiment_engine(&standard_config()),
         ModuleKind::CsaMultiplier,
         ModuleWidth::Uniform(8),
-        &standard_config(),
     );
     let basic = &result.model;
     let enhanced = &result.enhanced;

@@ -37,7 +37,8 @@ fn main() {
     config.stimulus = StimulusKind::SignalProbSweep;
     config.max_patterns = 24_000;
     config.seed ^= 0x5EED;
-    let characterization = characterize_cached(kind, width, &config);
+    let characterization =
+        characterize_cached(&hdpm_bench::experiment_engine(&config), kind, width);
 
     println!(
         "\n{:>10} | {:>12} {:>12} | {:>12} {:>12}",

@@ -31,7 +31,7 @@ fn main() {
         "Table 3",
         "coefficient and estimation errors for regression prototype sets",
     );
-    let config = standard_config();
+    let engine = hdpm_bench::experiment_engine(&standard_config());
     let mut rows = Vec::new();
 
     println!(
@@ -42,7 +42,7 @@ fn main() {
     for kind in [ModuleKind::CsaMultiplier, ModuleKind::RippleAdder] {
         let eval_width = ModuleWidth::Uniform(8);
         let eval_spec = ModuleSpec::new(kind, eval_width);
-        let instance = characterize_cached(kind, eval_width, &config).model;
+        let instance = characterize_cached(&engine, kind, eval_width).model;
 
         // Reference traces for the estimation columns.
         let traces: Vec<_> = EVAL_TYPES
@@ -56,7 +56,7 @@ fn main() {
                 let width = ModuleWidth::Uniform(w);
                 Prototype {
                     spec: ModuleSpec::new(kind, width),
-                    model: characterize_cached(kind, width, &config).model,
+                    model: characterize_cached(&engine, kind, width).model,
                 }
             })
             .collect();
