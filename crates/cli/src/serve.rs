@@ -13,6 +13,8 @@
 //! For serving over TCP (worker pool, backpressure, deadlines), use
 //! `hdpm server` instead.
 
+use std::error::Error;
+
 use hdpm_core::{CharacterizationConfig, EngineOptions, Fidelity, PowerEngine, ShardingConfig};
 use hdpm_server::protocol;
 use hdpm_telemetry as telemetry;
@@ -32,9 +34,7 @@ pub(crate) const ENGINE_OPTIONS: &[&str] = &[
 
 /// Parse `--fidelity-floor` (default `full`, the historical blocking
 /// behavior).
-pub(crate) fn fidelity_floor_from(
-    args: &ParsedArgs,
-) -> Result<Fidelity, Box<dyn std::error::Error>> {
+pub(crate) fn fidelity_floor_from(args: &ParsedArgs) -> Result<Fidelity, Box<dyn Error>> {
     match args.option("fidelity-floor") {
         None => Ok(Fidelity::Full),
         Some(text) => text
@@ -44,7 +44,7 @@ pub(crate) fn fidelity_floor_from(
 }
 
 /// Run the serve loop over real stdin/stdout.
-pub fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
+pub fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     // `serve` is stdio-only: network-shaped flags such as `--addr` or
     // `--workers` belong to `hdpm server`, and silently ignoring them
     // would serve on the wrong transport.
@@ -55,7 +55,7 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
         "networked serving is `hdpm server`",
     )?;
     let floor = fidelity_floor_from(args)?;
-    let engine = std::sync::Arc::new(engine_from(args)?);
+    let engine = std::sync::Arc::new(PowerEngine::new(engine_options_from(args)?));
     eprintln!(
         "hdpm serve: engine ready (capacity {}, {} patterns/model, fidelity floor {floor}); one JSON request per line",
         engine.options().capacity,
@@ -68,9 +68,9 @@ pub fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Build the engine from `--patterns/--seed/--shards/--threads/--capacity`
+/// The engine options of `--patterns/--seed/--shards/--threads/--capacity`
 /// and an optional `--models` disk tier.
-pub(crate) fn engine_from(args: &ParsedArgs) -> Result<PowerEngine, Box<dyn std::error::Error>> {
+pub(crate) fn engine_options_from(args: &ParsedArgs) -> Result<EngineOptions, Box<dyn Error>> {
     let defaults = CharacterizationConfig::default();
     let config = CharacterizationConfig::builder()
         .max_patterns(args.get_or("patterns", defaults.max_patterns)?)
@@ -78,12 +78,12 @@ pub(crate) fn engine_from(args: &ParsedArgs) -> Result<PowerEngine, Box<dyn std:
         .build()?;
     let shards = args.get_or("shards", 8usize)?;
     let threads = args.get_or("threads", 0usize)?;
-    Ok(PowerEngine::new(EngineOptions {
+    Ok(EngineOptions {
         config,
         sharding: Some(ShardingConfig { shards, threads }),
         disk_root: args.option("models").map(Into::into),
         capacity: args.get_or("capacity", 64usize)?,
-    }))
+    })
 }
 
 #[cfg(test)]

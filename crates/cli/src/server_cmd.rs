@@ -16,7 +16,7 @@ use hdpm_server::{Server, ServerConfig};
 use hdpm_telemetry as telemetry;
 
 use crate::args::ParsedArgs;
-use crate::serve::{engine_from, fidelity_floor_from, ENGINE_OPTIONS};
+use crate::serve::{engine_options_from, fidelity_floor_from, ENGINE_OPTIONS};
 
 const SERVER_OPTIONS: &[&str] = &[
     "addr",
@@ -93,7 +93,7 @@ fn options_from(args: &ParsedArgs) -> Result<ServerConfig, Box<dyn std::error::E
             defaults.write_timeout.as_millis() as u64,
         )?))
         .max_connections(args.get_or("max-conns", defaults.max_connections)?)
-        .engine(engine_from(args)?.options().clone())
+        .engine(engine_options_from(args)?)
         .fidelity_floor(fidelity_floor_from(args)?)
         .tracing(tracing)
         .slow_threshold(Duration::from_millis(

@@ -2,22 +2,24 @@
 //! binary: a three-node fleet stormed from every side must characterize
 //! a cold spec exactly once cluster-wide and end up with byte-identical
 //! artifacts everywhere, a miss on a non-owner reaches the owner at any
-//! fidelity floor and from the background upgrade alike, and every
-//! cluster failure mode — dead owner, peer serving corrupt bytes — must
-//! degrade to a bounded local characterization, never to a
-//! client-visible error.
+//! fidelity floor and from the background upgrade alike, a hit costs
+//! one peer call and a cold key three, and every cluster failure mode —
+//! dead owner, peer serving corrupt bytes — must degrade to a bounded
+//! local characterization, never to a client-visible error.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStderr, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use hdpm_cluster::Ring;
 use hdpm_core::{CharacterizationConfig, EngineOptions, ModelKey, PowerEngine, ShardingConfig};
 use hdpm_netlist::{ModuleKind, ModuleSpec};
-use hdpm_server::client::Response;
-use hdpm_server::wire;
+use hdpm_server::client::{CharacterizeAnswer, Response};
+use hdpm_server::wire::{self, Opcode};
 
 /// The engine flags every node in these tests runs with; the in-process
 /// twin below must match so ring keys computed here agree with the
@@ -466,7 +468,7 @@ fn dead_owner_degrades_to_bounded_local_characterization() {
     }
     await_ready(&node.admin, Duration::from_secs(20));
 
-    // A spec the dead peer owns: the probe fails fast and the node
+    // A spec the dead peer owns: the fetch fails fast and the node
     // characterizes locally — slower, never wrong, never an error.
     let width = width_owned_by(&["live", "dead"], "dead");
     let started = Instant::now();
@@ -487,8 +489,8 @@ fn dead_owner_degrades_to_bounded_local_characterization() {
 
 /// Fields resolve before cluster routing: an estimate the node will
 /// reject (unknown `data`, unknown `fidelity_floor`) for a key a peer
-/// owns answers `bad_request` without probing, fetching from or
-/// forwarding to that peer.
+/// owns answers `bad_request` without fetching from or forwarding to
+/// that peer.
 #[test]
 fn rejected_requests_do_no_cluster_work() {
     let root = temp_dir("rejected");
@@ -536,15 +538,13 @@ fn rejected_requests_do_no_cluster_work() {
 fn corrupt_peer_bytes_are_quarantined_and_recharacterized_locally() {
     let root = temp_dir("rogue");
     let ports = reserve_ports(1);
-    let rogue = TcpListener::bind("127.0.0.1:0").expect("rogue binds");
-    let rogue_addr = rogue.local_addr().expect("addr");
-    // One thread per connection: the node opens a fresh connection per
-    // peer call, and the gossip loop may overlap a request-path fetch.
-    let rogue_thread = std::thread::spawn(move || {
-        for stream in rogue.incoming() {
-            let Ok(stream) = stream else { break };
-            std::thread::spawn(move || serve_rogue(stream));
+    // Serve garbage bytes for every fetch, answer gossip with an empty
+    // warm list.
+    let rogue_addr = spawn_fake_peer(|op| match op {
+        Some(Opcode::FetchModel) => {
+            Response::Artifact(Some(b"these bytes are not a model envelope".to_vec()))
         }
+        _ => Response::WarmKeys(vec![]),
     });
 
     let node = spawn_node(
@@ -585,14 +585,30 @@ fn corrupt_peer_bytes_are_quarantined_and_recharacterized_locally() {
     );
 
     node.shutdown();
-    drop(TcpStream::connect(rogue_addr));
-    drop(rogue_thread);
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The rogue peer's protocol: claim to hold every model, serve garbage
-/// bytes for every fetch, answer gossip with an empty warm list.
-fn serve_rogue(mut stream: TcpStream) {
+/// A fake fleet member on an ephemeral port. One thread per
+/// connection: the node opens a fresh connection per peer call, and the
+/// gossip loop may overlap a request-path fetch. Each connection gets
+/// one v2 request, answered with `answer(opcode)`.
+fn spawn_fake_peer(
+    answer: impl Fn(Option<Opcode>) -> Response + Send + Sync + 'static,
+) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("fake peer binds");
+    let addr = listener.local_addr().expect("addr");
+    let answer = Arc::new(answer);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let answer = Arc::clone(&answer);
+            std::thread::spawn(move || serve_fake(stream, &*answer));
+        }
+    });
+    addr
+}
+
+fn serve_fake(mut stream: TcpStream, answer: &dyn Fn(Option<Opcode>) -> Response) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let mut magic = [0u8; wire::MAGIC.len()];
     if stream.read_exact(&mut magic).is_err() || magic != wire::MAGIC {
@@ -607,14 +623,113 @@ fn serve_rogue(mut stream: TcpStream) {
     if stream.read_exact(&mut payload).is_err() {
         return;
     }
-    let response = match wire::Opcode::from_u8(header.op) {
-        Some(wire::Opcode::HaveModel) => Response::HaveModel(true),
-        Some(wire::Opcode::FetchModel) => {
-            Response::Artifact(Some(b"these bytes are not a model envelope".to_vec()))
-        }
-        _ => Response::WarmKeys(vec![]),
-    };
     let mut reply = Vec::new();
-    wire::encode_reply(&mut reply, header.id, false, &response);
+    wire::encode_reply(
+        &mut reply,
+        header.id,
+        false,
+        &answer(Opcode::from_u8(header.op)),
+    );
     let _ = stream.write_all(&reply);
+}
+
+/// What a node asked of a recording fake owner of `spec`, and what it
+/// answered: the fake logs every op it receives (gossip aside) and
+/// serves a valid envelope — from the start when `warm`, otherwise only
+/// once it has been asked to characterize. Returns the node's
+/// `characterize` reply, the logged ops and the node's own
+/// characterization count.
+fn ask_through_recording_peer(label: &str, warm: bool) -> (String, Vec<Option<Opcode>>, u64) {
+    let root = temp_dir(label);
+    let width = width_owned_by(&["live", "fake"], "fake");
+    let spec = ModuleSpec::new(ModuleKind::RippleAdder, width);
+    // A disk-backed twin of the nodes' engine writes the envelope.
+    let twin_root = root.join("twin");
+    let twin = PowerEngine::new(EngineOptions {
+        disk_root: Some(twin_root.clone()),
+        ..twin_engine().options().clone()
+    });
+    twin.fetch(spec).expect("twin characterizes");
+    twin.wait_saved(spec);
+    let envelope =
+        std::fs::read(twin_root.join(twin.key_for(spec).artifact_file_name())).expect("envelope");
+    drop(twin);
+
+    let ops = Arc::new(Mutex::new(Vec::new()));
+    let holds = Arc::new(AtomicBool::new(warm));
+    let fake_addr = spawn_fake_peer({
+        let ops = Arc::clone(&ops);
+        move |op| {
+            if op != Some(Opcode::WarmKeys) {
+                ops.lock().unwrap().push(op);
+            }
+            match op {
+                Some(Opcode::FetchModel) => {
+                    Response::Artifact(holds.load(Ordering::SeqCst).then(|| envelope.clone()))
+                }
+                Some(Opcode::Characterize) => {
+                    holds.store(true, Ordering::SeqCst);
+                    Response::Characterize(CharacterizeAnswer {
+                        input_bits: 2 * width as u32,
+                        transitions: 0,
+                        converged_after: None,
+                        source: "fresh".to_string(),
+                    })
+                }
+                Some(Opcode::WarmKeys) => Response::WarmKeys(vec![]),
+                _ => Response::Error {
+                    kind: "bad_request".to_string(),
+                    message: "the fake peer answers no other op".to_string(),
+                },
+            }
+        }
+    });
+
+    let models = root.join("live");
+    std::fs::create_dir_all(&models).expect("models dir");
+    let node = spawn_node(
+        reserve_ports(1)[0],
+        &models,
+        "live",
+        &format!("fake={fake_addr}"),
+        &["--replicas", "0", "--gossip-ms", "200"],
+    );
+    await_ready(&node.admin, Duration::from_secs(20));
+    let reply = call(
+        &node.addr,
+        &format!("{{\"op\":\"characterize\",\"module\":\"ripple_adder\",\"width\":{width}}}"),
+    );
+    let characterized = characterizations(&node.addr);
+    node.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+    let ops = ops.lock().unwrap().clone();
+    (reply, ops, characterized)
+}
+
+/// A hit costs one peer call: the holder's first answer to
+/// `fetch_model` is the envelope, and the node serves it from disk.
+#[test]
+fn a_cluster_hit_is_one_fetch() {
+    let (reply, ops, characterized) = ask_through_recording_peer("hit", true);
+    assert!(reply.contains("\"source\":\"disk\""), "{reply}");
+    assert_eq!(ops, [Some(Opcode::FetchModel)]);
+    assert_eq!(characterized, 0);
+}
+
+/// A cold key costs three: an empty fetch, the forwarded
+/// `characterize`, and the fetch of the artifact it wrote. The node
+/// characterizes nothing itself.
+#[test]
+fn a_cold_key_is_fetched_after_a_forwarded_characterization() {
+    let (reply, ops, characterized) = ask_through_recording_peer("cold", false);
+    assert!(reply.contains("\"source\":\"disk\""), "{reply}");
+    assert_eq!(
+        ops,
+        [
+            Some(Opcode::FetchModel),
+            Some(Opcode::Characterize),
+            Some(Opcode::FetchModel)
+        ]
+    );
+    assert_eq!(characterized, 0);
 }

@@ -30,19 +30,13 @@ pub struct ClusterConfig {
     /// How long `/readyz` may report `warming` before the node serves
     /// anyway; the gossip pre-warm gate gives up at this deadline.
     pub warm_timeout: Duration,
-    /// Per-operation budget for peer fetch/probe/gossip calls (connect
-    /// plus read/write).
-    pub peer_timeout: Duration,
-    /// Budget for a characterization forwarded to the owner; generous,
-    /// because the owner may be running the gate-level characterization
-    /// this call exists to avoid duplicating.
-    pub forward_timeout: Duration,
 }
 
 impl ClusterConfig {
     /// A configuration with default timings: gossip every 2 s, 10 s warm
-    /// budget, 1 s per peer operation, 30 s forwarded-characterization
-    /// budget, 1 replica.
+    /// budget, 1 replica. The peer-call budgets are not configuration:
+    /// the server fixes them (1 s per fetch or gossip call, 30 s per
+    /// forwarded characterization).
     pub fn new(node_id: impl Into<String>, peers: Vec<Peer>) -> ClusterConfig {
         ClusterConfig {
             node_id: node_id.into(),
@@ -50,8 +44,6 @@ impl ClusterConfig {
             replicas: 1,
             gossip_interval: Duration::from_millis(2000),
             warm_timeout: Duration::from_millis(10_000),
-            peer_timeout: Duration::from_millis(1000),
-            forward_timeout: Duration::from_millis(30_000),
         }
     }
 

@@ -109,11 +109,6 @@ pub enum Request {
         /// Module kind and operand widths.
         spec: ModuleSpec,
     },
-    /// Cluster presence probe: is the model in memory or on disk?
-    HaveModel {
-        /// Module kind and operand widths.
-        spec: ModuleSpec,
-    },
     /// Cluster warm-key gossip: advertise the sender's hottest specs.
     WarmKeys {
         /// Hottest first; encoders keep the first
@@ -131,7 +126,6 @@ impl Request {
             Request::Stats => wire::Opcode::Stats,
             Request::Ping => wire::Opcode::Ping,
             Request::FetchModel { .. } => wire::Opcode::FetchModel,
-            Request::HaveModel { .. } => wire::Opcode::HaveModel,
             Request::WarmKeys { .. } => wire::Opcode::WarmKeys,
         }
     }
@@ -254,8 +248,6 @@ pub enum Response {
     /// A fetch-model answer: the envelope bytes, or `None` when the
     /// artifact is not on disk.
     Artifact(Option<Vec<u8>>),
-    /// A have-model answer: whether the model is in memory or on disk.
-    HaveModel(bool),
     /// A warm-keys answer: the replier's hottest specs.
     WarmKeys(Vec<ModuleSpec>),
     /// A structured server-side error (`timeout`, `overloaded`, …) —

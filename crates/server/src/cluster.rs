@@ -23,6 +23,16 @@ use hdpm_telemetry as telemetry;
 
 use crate::client::{Client, ClientError, Proto, Request, Response};
 
+/// Budget of one short peer call — fetch or gossip exchange — covering
+/// the connect and each read/write. It also cuts off a hung holder
+/// before the remote tier would forward it a characterization.
+const PEER_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Budget of a characterization forwarded to a holder; generous,
+/// because the holder may be running the gate-level characterization
+/// this call exists to avoid duplicating.
+const FORWARD_TIMEOUT: Duration = Duration::from_secs(30);
+
 // --- peer calls --------------------------------------------------------
 
 /// One blocking v2 call to a peer through the typed [`Client`], on a
@@ -58,22 +68,10 @@ fn unexpected(addr: SocketAddr, response: &Response) -> String {
     format!("{addr} answered with an unexpected {response:?}")
 }
 
-/// Probe whether a peer holds a model (memory or disk).
-fn have_model(addr: SocketAddr, spec: ModuleSpec, timeout: Duration) -> Result<bool, String> {
-    match ask(addr, &Request::HaveModel { spec }, timeout)? {
-        Response::HaveModel(present) => Ok(present),
-        other => Err(unexpected(addr, &other)),
-    }
-}
-
 /// Fetch a model's raw envelope bytes from a peer. `Ok(None)` means the
 /// peer answered but has no artifact on disk.
-fn fetch_model(
-    addr: SocketAddr,
-    spec: ModuleSpec,
-    timeout: Duration,
-) -> Result<Option<Vec<u8>>, String> {
-    match ask(addr, &Request::FetchModel { spec }, timeout)? {
+fn fetch_model(addr: SocketAddr, spec: ModuleSpec) -> Result<Option<Vec<u8>>, String> {
+    match ask(addr, &Request::FetchModel { spec }, PEER_TIMEOUT)? {
         Response::Artifact(bytes) => Ok(bytes),
         other => Err(unexpected(addr, &other)),
     }
@@ -82,25 +80,17 @@ fn fetch_model(
 /// Ask a peer (the key's owner) to characterize a model into its own
 /// store, so this node can fetch the artifact instead of duplicating
 /// the work.
-fn forward_characterize(
-    addr: SocketAddr,
-    spec: ModuleSpec,
-    timeout: Duration,
-) -> Result<(), String> {
-    ask(addr, &Request::Characterize { spec }, timeout).map(drop)
+fn forward_characterize(addr: SocketAddr, spec: ModuleSpec) -> Result<(), String> {
+    ask(addr, &Request::Characterize { spec }, FORWARD_TIMEOUT).map(drop)
 }
 
 /// One warm-key gossip exchange: advertise `ours`, learn the peer's
 /// hottest specs.
-fn exchange_warm_keys(
-    addr: SocketAddr,
-    ours: &[ModuleSpec],
-    timeout: Duration,
-) -> Result<Vec<ModuleSpec>, String> {
+fn exchange_warm_keys(addr: SocketAddr, ours: &[ModuleSpec]) -> Result<Vec<ModuleSpec>, String> {
     let request = Request::WarmKeys {
         specs: ours.to_vec(),
     };
-    match ask(addr, &request, timeout)? {
+    match ask(addr, &request, PEER_TIMEOUT)? {
         Response::WarmKeys(specs) => Ok(specs),
         other => Err(unexpected(addr, &other)),
     }
@@ -108,21 +98,39 @@ fn exchange_warm_keys(
 
 // --- admit / quarantine ------------------------------------------------
 
+/// What one fetch from a peer came to.
+#[derive(PartialEq)]
+enum Fetched {
+    /// The artifact is verified and in the local store.
+    Admitted,
+    /// The peer answered but has no artifact on disk.
+    Empty,
+    /// The call failed or the bytes were refused (already counted).
+    Failed,
+}
+
 /// Fetch `key`'s artifact from `peer` and admit it through
-/// [`admit_or_quarantine`], the one gate for peer bytes. Returns `true`
-/// when the artifact was admitted; a miss or a failed call is counted
-/// here.
-fn fetch_and_admit(state: &ClusterState, store_root: &Path, key: &ModelKey, peer: &Peer) -> bool {
-    match fetch_model(peer.addr, key.spec, state.config().peer_timeout) {
-        Ok(Some(bytes)) => admit_or_quarantine(state, store_root, key, peer, &bytes),
+/// [`admit_or_quarantine`], the one gate for peer bytes. A miss or a
+/// failed call is counted here.
+fn fetch_and_admit(
+    state: &ClusterState,
+    store_root: &Path,
+    key: &ModelKey,
+    peer: &Peer,
+) -> Fetched {
+    match fetch_model(peer.addr, key.spec) {
+        Ok(Some(bytes)) if admit_or_quarantine(state, store_root, key, peer, &bytes) => {
+            Fetched::Admitted
+        }
+        Ok(Some(_)) => Fetched::Failed,
         Ok(None) => {
             state.stats().record_fetch_miss();
-            false
+            Fetched::Empty
         }
         Err(e) => {
             state.stats().record_fetch_error();
             state.health().record_error(&peer.id, e);
-            false
+            Fetched::Failed
         }
     }
 }
@@ -204,12 +212,12 @@ fn quarantine_bytes(store_root: &Path, key: &ModelKey, bytes: &[u8]) -> Option<P
 ///
 /// 1. this node owns the key → nothing to do: the leader characterizes,
 ///    and its single-flight is the fleet's;
-/// 2. otherwise it probes the remote holders in ring order: a holder
-///    that has the artifact streams its envelope bytes, which are
-///    checksum-verified before admission; a holder that does not is
-///    asked to characterize (the cluster-wide single-flight — every
-///    non-owner converges on the owner, whose engine coalesces) and then
-///    fetched from.
+/// 2. otherwise it asks the remote holders in ring order, owner first,
+///    for the artifact: envelope bytes are checksum-verified before
+///    admission; an empty answer means the key is cold there, so that
+///    holder is asked to characterize (the cluster-wide single-flight —
+///    every non-owner converges on the owner, whose engine coalesces)
+///    and then fetched from again.
 ///
 /// Every failure path returns with nothing admitted, and the leader
 /// characterizes locally — slower, never wrong.
@@ -226,21 +234,17 @@ pub(crate) fn remote_tier(
 }
 
 fn ensure_from_peers(state: &ClusterState, store_root: &Path, key: &ModelKey, name: &str) {
-    let config = state.config();
     for peer in state.holder_peers(name) {
-        match have_model(peer.addr, key.spec, config.peer_timeout) {
-            Ok(true) => {
-                if fetch_and_admit(state, store_root, key, peer) {
-                    return;
-                }
-            }
-            Ok(false) => {
+        match fetch_and_admit(state, store_root, key, peer) {
+            Fetched::Admitted => return,
+            Fetched::Failed => {}
+            Fetched::Empty => {
                 // The holder has not characterized yet: ask it to (the
                 // cluster-wide single-flight), then fetch the artifact.
                 state.stats().record_forward();
-                match forward_characterize(peer.addr, key.spec, config.forward_timeout) {
+                match forward_characterize(peer.addr, key.spec) {
                     Ok(()) => {
-                        if fetch_and_admit(state, store_root, key, peer) {
+                        if fetch_and_admit(state, store_root, key, peer) == Fetched::Admitted {
                             return;
                         }
                         state.stats().record_forward_fallback();
@@ -250,10 +254,6 @@ fn ensure_from_peers(state: &ClusterState, store_root: &Path, key: &ModelKey, na
                         state.health().record_error(&peer.id, e);
                     }
                 }
-            }
-            Err(e) => {
-                state.stats().record_fetch_error();
-                state.health().record_error(&peer.id, e);
             }
         }
     }
@@ -296,7 +296,7 @@ pub(crate) fn run_gossip(
             if stop() {
                 return;
             }
-            match exchange_warm_keys(peer.addr, &ours, config.peer_timeout) {
+            match exchange_warm_keys(peer.addr, &ours) {
                 Ok(learned) => {
                     reached_any = true;
                     state.health().record_ok(&peer.id);
@@ -345,7 +345,7 @@ fn prewarm_one(
 ) {
     let key = engine.key_for(spec);
     if !store_root.join(key.artifact_file_name()).exists()
-        && !fetch_and_admit(state, store_root, &key, peer)
+        && fetch_and_admit(state, store_root, &key, peer) != Fetched::Admitted
     {
         return;
     }

@@ -222,7 +222,6 @@ impl<'a> ExecCtx<'a> {
             Request::Stats => Ok(Response::Stats(StatsAnswer::from(self.engine.stats()))),
             Request::Ping => Ok(Response::Pong),
             &Request::FetchModel { spec } => self.fetch_model(spec).map(Response::Artifact),
-            &Request::HaveModel { spec } => Ok(Response::HaveModel(self.engine.has_model(spec))),
             // The sender's side of the gossip does the learning; the
             // replier validated the list in decode and answers with its
             // own hottest keys.
@@ -356,8 +355,7 @@ pub(crate) fn describe(request: Option<&Request>) -> (String, String) {
     let detail = match request {
         Request::Estimate { spec, .. }
         | Request::Characterize { spec }
-        | Request::FetchModel { spec }
-        | Request::HaveModel { spec } => format!("{}/{}", spec.kind, spec.width),
+        | Request::FetchModel { spec } => format!("{}/{}", spec.kind, spec.width),
         Request::Stats | Request::Ping | Request::WarmKeys { .. } => String::new(),
     };
     (request.opcode().as_str().to_string(), detail)

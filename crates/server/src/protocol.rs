@@ -391,10 +391,7 @@ pub(crate) fn write_request(
             write_deadline(out, deadline_ms);
             return true;
         }
-        Request::Ping
-        | Request::FetchModel { .. }
-        | Request::HaveModel { .. }
-        | Request::WarmKeys { .. } => return false,
+        Request::Ping | Request::FetchModel { .. } | Request::WarmKeys { .. } => return false,
     };
     write!(
         out,

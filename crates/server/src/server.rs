@@ -271,7 +271,7 @@ impl TraceFinish {
                 telemetry::clock::now_ns().saturating_sub(self.submitted_ns),
             );
         }
-        let record = self.trace.finish_owned(self.op, self.detail, self.status);
+        let record = self.trace.finish(self.op, self.detail, self.status);
         // Flush every nonzero stage under one registry lock, with keys
         // resolved at compile time: the warm path allocates nothing here.
         let mut pairs = [("", 0u64); trace_mod::STAGE_COUNT];

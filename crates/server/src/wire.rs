@@ -40,8 +40,8 @@
 //! [`decode_reply`] map frames to and from the typed
 //! [`crate::client::Request`] and [`crate::client::Response`], the form
 //! the server's request core and the client share with the v1 codec.
-//! The cluster ops (fetch-model, have-model, warm-keys) travel the same
-//! way; only v2 can express them.
+//! The cluster ops (fetch-model, warm-keys) travel the same way; only
+//! v2 can express them.
 
 use hdpm_core::{CacheSource, Estimate, Fidelity};
 use hdpm_netlist::{ModuleKind, ModuleSpec, ModuleWidth};
@@ -85,22 +85,19 @@ pub enum Opcode {
     /// verbatim (payload: 5-byte spec; ok reply: the envelope, or empty
     /// when the artifact is not on disk).
     FetchModel = 5,
-    /// Cluster presence probe (payload: 5-byte spec; ok reply: one byte,
-    /// `1` present, `0` absent).
-    HaveModel = 6,
+    // 6 is unassigned: decoding it answers `bad_request`.
     /// Cluster warm-key gossip: exchange hottest specs (payload and ok
     /// reply: a `u16` count and that many 5-byte specs).
     WarmKeys = 7,
 }
 
 impl Opcode {
-    const ALL: [Opcode; 7] = [
+    const ALL: [Opcode; 6] = [
         Opcode::Estimate,
         Opcode::Characterize,
         Opcode::Stats,
         Opcode::Ping,
         Opcode::FetchModel,
-        Opcode::HaveModel,
         Opcode::WarmKeys,
     ];
 
@@ -118,7 +115,6 @@ impl Opcode {
             Opcode::Stats => "stats",
             Opcode::Ping => "ping",
             Opcode::FetchModel => "fetch-model",
-            Opcode::HaveModel => "have-model",
             Opcode::WarmKeys => "warm-keys",
         }
     }
@@ -404,9 +400,7 @@ pub fn encode_request(out: &mut Vec<u8>, id: u64, request: &Request, deadline_ms
             };
             encode_frame(out, id, op, deadline_ms, &encode_estimate_request(&params));
         }
-        Request::Characterize { spec }
-        | Request::FetchModel { spec }
-        | Request::HaveModel { spec } => {
+        Request::Characterize { spec } | Request::FetchModel { spec } => {
             encode_frame(out, id, op, deadline_ms, &spec_bytes(*spec));
         }
         Request::Stats | Request::Ping => encode_frame(out, id, op, deadline_ms, &[]),
@@ -439,9 +433,6 @@ pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, RequestError> {
         Some(Opcode::Stats) => Ok(Request::Stats),
         Some(Opcode::Ping) => Ok(Request::Ping),
         Some(Opcode::FetchModel) => Ok(Request::FetchModel {
-            spec: spec_payload(payload, "spec").map_err(bad)?,
-        }),
-        Some(Opcode::HaveModel) => Ok(Request::HaveModel {
             spec: spec_payload(payload, "spec").map_err(bad)?,
         }),
         Some(Opcode::WarmKeys) => Ok(Request::WarmKeys {
@@ -490,9 +481,6 @@ pub fn encode_reply(out: &mut Vec<u8>, id: u64, late: bool, response: &Response)
                 bytes.as_deref().unwrap_or_default(),
             );
         }
-        Response::HaveModel(present) => {
-            encode_frame(out, id, STATUS_OK, flags, &[u8::from(*present)]);
-        }
         Response::WarmKeys(specs) => encode_frame(out, id, STATUS_OK, flags, &warm_keys(specs)),
         Response::Error { kind, message } => {
             let status = ErrorKind::parse(kind).map_or(status_of(ErrorKind::Engine), status_of);
@@ -509,8 +497,7 @@ pub fn encode_reply(out: &mut Vec<u8>, id: u64, late: bool, response: &Response)
 /// # Errors
 ///
 /// A message naming what violates the protocol: wrong payload length,
-/// unassigned fidelity, source or presence code, a malformed warm-keys
-/// list.
+/// unassigned fidelity or source code, a malformed warm-keys list.
 pub fn decode_reply(op: Opcode, status: u8, payload: &[u8]) -> Result<Response, String> {
     if status != STATUS_OK {
         return Ok(Response::Error {
@@ -574,22 +561,13 @@ pub fn decode_reply(op: Opcode, status: u8, payload: &[u8]) -> Result<Response, 
         Opcode::FetchModel => Ok(Response::Artifact(
             (!payload.is_empty()).then(|| payload.to_vec()),
         )),
-        Opcode::HaveModel => match payload {
-            [0] => Ok(Response::HaveModel(false)),
-            [1] => Ok(Response::HaveModel(true)),
-            [b] => Err(format!("unknown have-model byte {b}")),
-            _ => Err(format!(
-                "have-model reply must be 1 byte, got {}",
-                payload.len()
-            )),
-        },
         Opcode::WarmKeys => decode_warm_keys(payload).map(Response::WarmKeys),
     }
 }
 
-// --- cluster: fetch-model / have-model / warm-keys ---------------------
+// --- cluster: fetch-model / warm-keys ----------------------------------
 
-/// Wire size of a spec payload (characterize, fetch-model, have-model).
+/// Wire size of a spec payload (characterize, fetch-model).
 pub const SPEC_REQ_LEN: usize = 5;
 
 fn spec_payload(payload: &[u8], what: &str) -> Result<ModuleSpec, String> {
@@ -883,22 +861,15 @@ mod tests {
     #[test]
     fn cluster_op_payloads_round_trip() {
         let spec = ModuleSpec::new(ModuleKind::BarrelShifter, ModuleWidth::Uniform(12));
-        for request in [Request::FetchModel { spec }, Request::HaveModel { spec }] {
-            let mut frame = Vec::new();
-            encode_request(&mut frame, 5, &request, 0);
-            assert_eq!(frame.len(), HEADER_LEN + SPEC_REQ_LEN);
-            assert_eq!(decode_request(frame[12], &frame[HEADER_LEN..]), Ok(request));
-        }
+        let request = Request::FetchModel { spec };
+        let mut frame = Vec::new();
+        encode_request(&mut frame, 5, &request, 0);
+        assert_eq!(frame.len(), HEADER_LEN + SPEC_REQ_LEN);
+        assert_eq!(decode_request(frame[12], &frame[HEADER_LEN..]), Ok(request));
         assert!(decode_request(Opcode::FetchModel as u8, &[0u8; 2])
             .unwrap_err()
             .1
             .contains("5 bytes"));
-        for present in [false, true] {
-            let reply = Response::HaveModel(present);
-            assert_eq!(reply_round_trip(Opcode::HaveModel, &reply), reply);
-        }
-        assert!(decode_reply(Opcode::HaveModel, STATUS_OK, &[7]).is_err());
-        assert!(decode_reply(Opcode::HaveModel, STATUS_OK, &[]).is_err());
         for artifact in [Some(b"{\"hdpm_envelope\":1}".to_vec()), None] {
             let reply = Response::Artifact(artifact);
             assert_eq!(reply_round_trip(Opcode::FetchModel, &reply), reply);
@@ -978,7 +949,7 @@ mod tests {
                 Some(Opcode::Stats),
                 Some(Opcode::Ping),
                 Some(Opcode::FetchModel),
-                Some(Opcode::HaveModel),
+                None,
                 Some(Opcode::WarmKeys),
                 None,
             ]

@@ -100,7 +100,7 @@ impl Words {
 
 fn request_from(raw: Vec<u64>) -> (Request, Option<u32>) {
     let mut w = Words(raw.into_iter());
-    let request = match w.below(7) {
+    let request = match w.below(6) {
         0 => Request::Estimate {
             spec: w.spec(),
             data: ALL_DATA_TYPES[w.below(ALL_DATA_TYPES.len() as u64) as usize],
@@ -112,7 +112,6 @@ fn request_from(raw: Vec<u64>) -> (Request, Option<u32>) {
         2 => Request::Stats,
         3 => Request::Ping,
         4 => Request::FetchModel { spec: w.spec() },
-        5 => Request::HaveModel { spec: w.spec() },
         _ => Request::WarmKeys { specs: w.specs() },
     };
     // v2 spells "no deadline" as 0, so generated deadlines start at 1.
@@ -132,7 +131,7 @@ fn response_from(raw: Vec<u64>) -> (Request, Response) {
         seed: 7,
         floor: None,
     };
-    match w.below(8) {
+    match w.below(7) {
         0 => (
             estimate,
             Response::Estimate(EstimateAnswer {
@@ -176,10 +175,6 @@ fn response_from(raw: Vec<u64>) -> (Request, Response) {
             Response::Artifact(w.artifact()),
         ),
         5 => (
-            Request::HaveModel { spec },
-            Response::HaveModel(w.below(2) == 0),
-        ),
-        6 => (
             Request::WarmKeys { specs: vec![] },
             Response::WarmKeys(w.specs()),
         ),
@@ -211,17 +206,13 @@ fn opcode_of(request: &Request) -> wire::Opcode {
         Request::Stats => wire::Opcode::Stats,
         Request::Ping => wire::Opcode::Ping,
         Request::FetchModel { .. } => wire::Opcode::FetchModel,
-        Request::HaveModel { .. } => wire::Opcode::HaveModel,
         Request::WarmKeys { .. } => wire::Opcode::WarmKeys,
     }
 }
 
 /// Answers only v2 can carry: the cluster ops have no v1 spelling.
 fn v2_only(response: &Response) -> bool {
-    matches!(
-        response,
-        Response::Artifact(_) | Response::HaveModel(_) | Response::WarmKeys(_)
-    )
+    matches!(response, Response::Artifact(_) | Response::WarmKeys(_))
 }
 
 fn v1_reply(request: &Request, response: &Response) -> Response {
@@ -294,10 +285,7 @@ proptest! {
             None => prop_assert!(
                 matches!(
                     request,
-                    Request::Ping
-                        | Request::FetchModel { .. }
-                        | Request::HaveModel { .. }
-                        | Request::WarmKeys { .. }
+                    Request::Ping | Request::FetchModel { .. } | Request::WarmKeys { .. }
                 ),
                 "{:?} has a v1 spelling",
                 request
@@ -525,13 +513,8 @@ fn decoders_name_what_is_wrong() {
             .unwrap_err()
             .contains("at least 2 bytes")
     );
-    assert!(
-        wire::decode_reply(wire::Opcode::HaveModel, wire::STATUS_OK, &[2])
-            .unwrap_err()
-            .contains("unknown have-model byte 2")
-    );
     assert_eq!(
-        wire::decode_request(wire::Opcode::HaveModel as u8, &[0; 4]),
+        wire::decode_request(wire::Opcode::FetchModel as u8, &[0; 4]),
         Err((
             protocol::ErrorKind::BadRequest,
             "spec payload must be 5 bytes, got 4".into()
@@ -543,8 +526,8 @@ fn decoders_name_what_is_wrong() {
 /// docs/protocol.md lays out: a 17-byte header (`len` u32, `id` u64,
 /// `op`/status u8, `extra` u32, all little-endian), then a 5-byte spec
 /// (module code u8, m1 u16, m2 u16 with 0 = uniform), a warm-key list
-/// (count u16, then 5-byte specs), a presence byte or the envelope bytes
-/// verbatim.
+/// (count u16, then 5-byte specs) or the envelope bytes verbatim.
+/// Opcode 6 is unassigned: a frame carrying it is a bad request.
 #[test]
 fn cluster_ops_keep_their_documented_bytes() {
     const ID: u64 = 0x0102_0304_0506_0708;
@@ -573,7 +556,7 @@ fn cluster_ops_keep_their_documented_bytes() {
             5u8,
             adder_bytes.to_vec(),
         ),
-        (Request::HaveModel { spec: mult }, 6, mult_bytes.to_vec()),
+        (Request::FetchModel { spec: mult }, 5, mult_bytes.to_vec()),
         (
             Request::WarmKeys {
                 specs: vec![adder, mult],
@@ -587,6 +570,11 @@ fn cluster_ops_keep_their_documented_bytes() {
         assert_eq!(request_frame(&request, 250), expected, "{request:?}");
         assert_eq!(wire::decode_request(op, &payload), Ok(request));
     }
+    assert_eq!(wire::Opcode::from_u8(6), None);
+    assert_eq!(
+        wire::decode_request(6, &mult_bytes),
+        Err((protocol::ErrorKind::BadRequest, "unknown opcode 6".into()))
+    );
 
     let reply_frame = |response: &Response, late: bool| {
         let mut frame = Vec::new();
@@ -601,8 +589,6 @@ fn cluster_ops_keep_their_documented_bytes() {
             envelope,
         ),
         (wire::Opcode::FetchModel, Response::Artifact(None), vec![]),
-        (wire::Opcode::HaveModel, Response::HaveModel(true), vec![1]),
-        (wire::Opcode::HaveModel, Response::HaveModel(false), vec![0]),
         (
             wire::Opcode::WarmKeys,
             Response::WarmKeys(vec![adder, mult]),
@@ -629,4 +615,35 @@ fn cluster_ops_keep_their_documented_bytes() {
             Ok(response)
         );
     }
+}
+
+/// The `### Request opcodes` table of docs/protocol.md lists exactly the
+/// opcodes the decoder accepts, by number and name (`as_str` spells
+/// names with `-`, the table with `_`).
+#[test]
+fn the_documented_opcode_table_matches_the_decoder() {
+    let doc = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../docs/protocol.md"
+    ))
+    .expect("docs/protocol.md");
+    let table = doc
+        .split("### Request opcodes")
+        .nth(1)
+        .expect("a Request opcodes section");
+    let documented: Vec<(u8, String)> = table
+        .lines()
+        .skip_while(|line| !line.starts_with('|'))
+        .take_while(|line| line.starts_with('|'))
+        .skip(2) // header and separator rows
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let number = cells[1].parse().unwrap_or_else(|e| panic!("{row}: {e}"));
+            (number, cells[2].trim_matches('`').to_string())
+        })
+        .collect();
+    let decoded: Vec<(u8, String)> = (0..=u8::MAX)
+        .filter_map(|op| wire::Opcode::from_u8(op).map(|o| (op, o.as_str().replace('-', "_"))))
+        .collect();
+    assert_eq!(documented, decoded);
 }

@@ -142,16 +142,11 @@ fn v2_cluster_ops_answer_on_a_plain_node_with_a_store() {
     let spec = ModuleSpec::new(ModuleKind::RippleAdder, 5usize);
     let mut call = |request: Request| client.call(&request, None).expect("call").response;
 
-    assert_eq!(
-        call(Request::HaveModel { spec }),
-        Response::HaveModel(false)
-    );
     assert_eq!(call(Request::FetchModel { spec }), Response::Artifact(None));
     assert!(matches!(
         call(Request::Characterize { spec }),
         Response::Characterize(_)
     ));
-    assert_eq!(call(Request::HaveModel { spec }), Response::HaveModel(true));
     let Response::Artifact(Some(bytes)) = call(Request::FetchModel { spec }) else {
         panic!("a stored artifact is fetchable");
     };
@@ -183,7 +178,7 @@ fn v2_cluster_ops_answer_on_a_plain_node_with_a_store() {
     }
     let mut v1 = Client::connect(server.local_addr(), Proto::V1).expect("connect v1");
     assert!(matches!(
-        v1.send(&Request::HaveModel { spec }, None),
+        v1.send(&Request::FetchModel { spec }, None),
         Err(hdpm_server::client::ClientError::Unsupported(_))
     ));
     server.shutdown();
@@ -534,6 +529,8 @@ fn v2_unknown_opcode_and_bad_payload_answer_structured_errors() {
     wire::encode_frame(&mut frame, 7, 99, 0, b"");
     // Estimate with a truncated payload.
     wire::encode_frame(&mut frame, 8, wire::Opcode::Estimate as u8, 0, &[1, 2, 3]);
+    // Opcode 6 is unassigned, whatever its payload.
+    wire::encode_frame(&mut frame, 10, 6, 0, &[0, 5, 0, 0, 0]);
     stream.write_all(&frame).expect("send");
     fn read_reply(stream: &mut TcpStream, expect_id: u64) -> (u8, String) {
         let mut header = [0u8; wire::HEADER_LEN];
@@ -556,7 +553,13 @@ fn v2_unknown_opcode_and_bad_payload_answer_structured_errors() {
         Some("bad_request")
     );
     assert!(message.contains("estimate payload"), "{message}");
-    // The connection survives both.
+    let (status, message) = read_reply(&mut stream, 10);
+    assert_eq!(
+        wire::kind_of(status).map(|k| k.as_str()),
+        Some("bad_request")
+    );
+    assert!(message.contains("unknown opcode 6"), "{message}");
+    // The connection survives all three.
     let mut probe = Vec::new();
     wire::encode_frame(&mut probe, 9, wire::Opcode::Ping as u8, 0, b"");
     stream.write_all(&probe).expect("send");

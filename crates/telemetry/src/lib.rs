@@ -1,7 +1,8 @@
 //! `hdpm-telemetry` — tracing, metrics and profiling for the hdpm suite.
 //!
-//! Dependency-free (std + serde) observability shared by the simulator,
-//! characterization and estimation layers:
+//! Observability on std plus the vendored `serde` and `serde_json`
+//! (whose writers quote every JSON line emitted here), shared by the
+//! simulator, characterization and estimation layers:
 //!
 //! * **events** — leveled, structured log records ([`event`]) filtered by
 //!   the `HDPM_LOG` environment variable;
@@ -39,11 +40,13 @@ pub mod trace;
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use serde_json::{write_f64, write_str};
+
 pub use manifest::RunManifest;
 pub use metrics::{
-    counter_add, counter_add_labeled, counter_declare, gauge_add, gauge_set, gauge_set_labeled,
-    metric_key, record_duration_ns, record_duration_ns_labeled, record_durations_ns, reset,
-    set_recording, snapshot, Histogram, HistogramSummary, MetricsSnapshot,
+    counter_add, counter_declare, gauge_add, gauge_set, metric_key, record_duration_ns,
+    record_durations_ns, reset, set_recording, snapshot, Histogram, HistogramSummary,
+    MetricsSnapshot,
 };
 pub use span::{span, Span};
 pub use trace::{FlightRecorder, Stage, TraceCtx, TraceRecord};
@@ -232,9 +235,9 @@ impl FieldValue {
         match self {
             FieldValue::U64(v) => out.push_str(&v.to_string()),
             FieldValue::I64(v) => out.push_str(&v.to_string()),
-            FieldValue::F64(v) => write_json_f64(out, *v),
+            FieldValue::F64(v) => write_f64(out, *v),
             FieldValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            FieldValue::Str(s) => write_json_string(out, s),
+            FieldValue::Str(s) => write_str(out, s),
         }
     }
 
@@ -280,52 +283,19 @@ pub fn event(level: Level, name: &str, fields: &[(&str, FieldValue)]) {
             let mut line = String::from("{\"type\":\"event\",\"level\":\"");
             line.push_str(level.as_str());
             line.push_str("\",\"name\":");
-            write_json_string(&mut line, name);
+            write_str(&mut line, name);
             line.push_str(",\"fields\":{");
             for (i, (key, value)) in fields.iter().enumerate() {
                 if i > 0 {
                     line.push(',');
                 }
-                write_json_string(&mut line, key);
+                write_str(&mut line, key);
                 line.push(':');
                 value.write_json(&mut line);
             }
             line.push_str("}}");
             println!("{line}");
         }
-    }
-}
-
-/// Write `s` as a JSON string literal (with escaping) into `out`.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Write an `f64` as a JSON number (`null` for non-finite values).
-pub(crate) fn write_json_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let text = format!("{v}");
-    out.push_str(&text);
-    // Bare integral floats need a fractional part to read back as floats.
-    if !text.contains(['.', 'e', 'E']) {
-        out.push_str(".0");
     }
 }
 
@@ -365,18 +335,23 @@ mod tests {
 
     #[test]
     fn json_string_escaping() {
-        let mut out = String::new();
-        write_json_string(&mut out, "a\"b\\c\nd\u{1}");
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+        let record = TraceCtx::new().finish("a\"b\\c\nd\u{1}".into(), String::new(), "ok".into());
+        assert!(
+            record
+                .to_json()
+                .contains(",\"op\":\"a\\\"b\\\\c\\nd\\u0001\","),
+            "{}",
+            record.to_json()
+        );
     }
 
     #[test]
     fn json_floats_keep_fractional_part() {
         let mut out = String::new();
-        write_json_f64(&mut out, 3.0);
+        FieldValue::F64(3.0).write_json(&mut out);
         assert_eq!(out, "3.0");
         out.clear();
-        write_json_f64(&mut out, f64::NAN);
+        FieldValue::F64(f64::NAN).write_json(&mut out);
         assert_eq!(out, "null");
     }
 

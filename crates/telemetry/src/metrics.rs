@@ -23,8 +23,9 @@
 //!
 //! ## Labels
 //!
-//! The `*_labeled` entry points attach `key="value"` labels; labels are
-//! sorted into the canonical metric key `name{k1="v1",k2="v2"}`, which is
+//! A labeled series is recorded under its canonical metric key
+//! `name{k1="v1",k2="v2"}` (labels sorted by key), rendered once with
+//! [`metric_key`] and passed as the name to any recorder. The key is
 //! also the Prometheus-compatible identity used by
 //! [`crate::prometheus::render`].
 //!
@@ -44,7 +45,9 @@ use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use crate::{enabled, write_json_f64, write_json_string, Mode};
+use serde_json::{write_f64, write_str};
+
+use crate::{enabled, Mode};
 
 /// Number of power-of-two latency buckets: bucket `b` holds values in
 /// `[2^(b-1), 2^b)` nanoseconds, bucket 0 holds zero.
@@ -317,30 +320,20 @@ pub fn metric_key(name: &str, labels: &[(&str, &str)]) -> String {
     key
 }
 
-/// Add `delta` to the named monotonic counter. No-op when disabled.
+/// Add `delta` to the named monotonic counter (`name` may be a labeled
+/// [`metric_key`]). No-op when disabled.
 pub fn counter_add(name: &str, delta: u64) {
-    counter_add_labeled(name, &[], delta);
-}
-
-/// [`counter_add`] with labels attached to the series identity.
-pub fn counter_add_labeled(name: &str, labels: &[(&str, &str)], delta: u64) {
     if !should_record() || delta == 0 {
         return;
     }
     let mut shard = lock(&registry().shards[thread_shard()]);
     // Warm path: the series already exists in this thread's shard, so no
-    // key string is allocated (callers may also pass a pre-rendered
-    // labeled key as `name` — see `metric_key` — to stay on this path).
-    if labels.is_empty() {
-        if let Some(counter) = shard.counters.get_mut(name) {
-            *counter += delta;
-            return;
-        }
-        shard.counters.insert(name.to_string(), delta);
+    // key string is allocated.
+    if let Some(counter) = shard.counters.get_mut(name) {
+        *counter += delta;
         return;
     }
-    let key = metric_key(name, labels);
-    *shard.counters.entry(key).or_insert(0) += delta;
+    shard.counters.insert(name.to_string(), delta);
 }
 
 /// Create the named counter at zero unless it exists, so it is exported
@@ -357,28 +350,18 @@ pub fn counter_declare(name: &str) {
     }
 }
 
-/// Set the named gauge to `value`. No-op when disabled.
+/// Set the named gauge to `value` (`name` may be a labeled
+/// [`metric_key`]). No-op when disabled.
 pub fn gauge_set(name: &str, value: f64) {
-    gauge_set_labeled(name, &[], value);
-}
-
-/// [`gauge_set`] with labels attached to the series identity.
-pub fn gauge_set_labeled(name: &str, labels: &[(&str, &str)], value: f64) {
     if !should_record() {
         return;
     }
-    if labels.is_empty() {
-        let mut shard = lock(&registry().gauges[gauge_shard(name)]);
-        if let Some(slot) = shard.get_mut(name) {
-            *slot = value;
-            return;
-        }
-        shard.insert(name.to_string(), value);
+    let mut shard = lock(&registry().gauges[gauge_shard(name)]);
+    if let Some(slot) = shard.get_mut(name) {
+        *slot = value;
         return;
     }
-    let key = metric_key(name, labels);
-    let mut shard = lock(&registry().gauges[gauge_shard(&key)]);
-    shard.insert(key, value);
+    shard.insert(name.to_string(), value);
 }
 
 /// Add `delta` to the named gauge (creating it at 0). No-op when
@@ -387,28 +370,17 @@ pub fn gauge_add(name: &str, delta: f64) {
     if !should_record() {
         return;
     }
-    let key = metric_key(name, &[]);
-    let mut shard = lock(&registry().gauges[gauge_shard(&key)]);
-    *shard.entry(key).or_insert(0.0) += delta;
+    let mut shard = lock(&registry().gauges[gauge_shard(name)]);
+    *shard.entry(name.to_string()).or_insert(0.0) += delta;
 }
 
-/// Record a duration in the named latency histogram. No-op when disabled.
+/// Record a duration in the named latency histogram (`name` may be a
+/// labeled [`metric_key`]). No-op when disabled.
 pub fn record_duration_ns(name: &str, ns: u64) {
-    record_duration_ns_labeled(name, &[], ns);
-}
-
-/// [`record_duration_ns`] with labels attached to the series identity.
-pub fn record_duration_ns_labeled(name: &str, labels: &[(&str, &str)], ns: u64) {
     if !should_record() {
         return;
     }
-    let mut shard = lock(&registry().shards[thread_shard()]);
-    if labels.is_empty() {
-        record_histogram_in(&mut shard, name, ns);
-        return;
-    }
-    let key = metric_key(name, labels);
-    shard.histograms.entry(key).or_default().record(ns);
+    record_histogram_in(&mut lock(&registry().shards[thread_shard()]), name, ns);
 }
 
 /// Record several durations under **one** shard lock. `keys` are
@@ -512,7 +484,7 @@ pub(crate) fn emit_snapshot_in_mode(mode: Mode) {
         Mode::Json => {
             for (name, value) in &snap.counters {
                 let mut line = String::from("{\"type\":\"counter\",\"name\":");
-                write_json_string(&mut line, name);
+                write_str(&mut line, name);
                 line.push_str(",\"value\":");
                 line.push_str(&value.to_string());
                 line.push('}');
@@ -520,24 +492,24 @@ pub(crate) fn emit_snapshot_in_mode(mode: Mode) {
             }
             for (name, value) in &snap.gauges {
                 let mut line = String::from("{\"type\":\"gauge\",\"name\":");
-                write_json_string(&mut line, name);
+                write_str(&mut line, name);
                 line.push_str(",\"value\":");
-                write_json_f64(&mut line, *value);
+                write_f64(&mut line, *value);
                 line.push('}');
                 println!("{line}");
             }
             for (name, h) in &snap.histograms {
                 let mut line = String::from("{\"type\":\"histogram\",\"name\":");
-                write_json_string(&mut line, name);
+                write_str(&mut line, name);
                 line.push_str(&format!(",\"count\":{}", h.count));
                 line.push_str(",\"mean_ns\":");
-                write_json_f64(&mut line, h.mean_ns);
+                write_f64(&mut line, h.mean_ns);
                 line.push_str(",\"p50_ns\":");
-                write_json_f64(&mut line, h.p50_ns);
+                write_f64(&mut line, h.p50_ns);
                 line.push_str(",\"p95_ns\":");
-                write_json_f64(&mut line, h.p95_ns);
+                write_f64(&mut line, h.p95_ns);
                 line.push_str(",\"p99_ns\":");
-                write_json_f64(&mut line, h.p99_ns);
+                write_f64(&mut line, h.p99_ns);
                 line.push_str(&format!(",\"max_ns\":{}}}", h.max_ns));
                 println!("{line}");
             }
@@ -711,7 +683,7 @@ mod tests {
             ("test.batch{stage=\"b\"}", 200),
             ("test.batch{stage=\"a\"}", 300),
         ]);
-        record_duration_ns_labeled("test.batch", &[("stage", "a")], 400);
+        record_duration_ns(&metric_key("test.batch", &[("stage", "a")]), 400);
         let snap = snapshot();
         assert_eq!(
             snap.histograms
@@ -746,9 +718,9 @@ mod tests {
         let _guard = super::test_lock();
         reset();
         set_recording(true);
-        counter_add_labeled("test.stage", &[("stage", "decode")], 3);
-        counter_add_labeled("test.stage", &[("stage", "write")], 4);
-        counter_add_labeled("test.stage", &[("stage", "decode")], 1);
+        counter_add(&metric_key("test.stage", &[("stage", "decode")]), 3);
+        counter_add(&metric_key("test.stage", &[("stage", "write")]), 4);
+        counter_add(&metric_key("test.stage", &[("stage", "decode")]), 1);
         let snap = snapshot();
         assert_eq!(snap.counters.get("test.stage{stage=\"decode\"}"), Some(&4));
         assert_eq!(snap.counters.get("test.stage{stage=\"write\"}"), Some(&4));

@@ -1,8 +1,9 @@
 //! Prometheus text exposition (format 0.0.4) of a [`MetricsSnapshot`].
 //!
 //! Dotted hdpm metric names become underscore-separated Prometheus
-//! names (`server.request_ns` → `server_request_ns`); labels recorded
-//! via the `*_labeled` registry API pass through as-is. Counters map to
+//! names (`server.request_ns` → `server_request_ns`); labels rendered
+//! into the series key by [`crate::metric_key`] pass through as-is.
+//! Counters map to
 //! `counter`, gauges to `gauge`, and latency histograms to `summary`
 //! series (`_count`, `_sum` approximated as `mean × count`, plus
 //! `quantile` series for p50/p95/p99) — the registry keeps log-scale

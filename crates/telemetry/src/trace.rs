@@ -20,8 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use serde_json::write_str;
+
 use crate::clock;
-use crate::write_json_string;
 
 /// Pipeline stages a request passes through, in order. Used as a dense
 /// array index in [`TraceCtx`]; keep `COUNT` in sync.
@@ -216,15 +217,10 @@ impl TraceCtx {
         clock::now_ns().saturating_sub(self.started_ns)
     }
 
-    /// Finish this trace into an immutable [`TraceRecord`].
-    pub fn finish(&self, op: &str, detail: &str, status: &str) -> TraceRecord {
-        self.finish_owned(op.to_string(), detail.to_string(), status.to_string())
-    }
-
-    /// [`TraceCtx::finish`] taking ownership of the strings — the server's
-    /// per-request completion path uses this to avoid re-allocating op,
-    /// detail and status it already owns.
-    pub fn finish_owned(&self, op: String, detail: String, status: String) -> TraceRecord {
+    /// Finish this trace into an immutable [`TraceRecord`], taking
+    /// ownership of op, detail and status (the server's completion path
+    /// already owns them).
+    pub fn finish(&self, op: String, detail: String, status: String) -> TraceRecord {
         // One clock read supplies both the wall total and the completion
         // timestamp.
         let now = clock::now_ns();
@@ -276,13 +272,13 @@ impl TraceRecord {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\"trace\":");
-        write_json_string(&mut out, &format_trace_id(self.id));
+        write_str(&mut out, &format_trace_id(self.id));
         out.push_str(",\"op\":");
-        write_json_string(&mut out, &self.op);
+        write_str(&mut out, &self.op);
         out.push_str(",\"detail\":");
-        write_json_string(&mut out, &self.detail);
+        write_str(&mut out, &self.detail);
         out.push_str(",\"status\":");
-        write_json_string(&mut out, &self.status);
+        write_str(&mut out, &self.status);
         out.push_str(&format!(",\"unix_ms\":{}", self.unix_ms));
         out.push_str(&format!(",\"total_ns\":{}", self.total_ns));
         out.push_str(",\"stages\":{");
@@ -296,7 +292,7 @@ impl TraceRecord {
                 out.push(',');
             }
             first = false;
-            write_json_string(&mut out, stage.as_str());
+            write_str(&mut out, stage.as_str());
             out.push_str(&format!(":{ns}"));
         }
         out.push_str("}}");
@@ -436,7 +432,7 @@ mod tests {
         ctx.add(Stage::Estimate, 200);
         assert_eq!(ctx.stage_ns(Stage::Decode), 150);
         assert_eq!(ctx.stage_ns(Stage::Estimate), 200);
-        let record = ctx.finish("estimate", "ripple_adder/8", "ok");
+        let record = ctx.finish("estimate".into(), "ripple_adder/8".into(), "ok".into());
         assert_eq!(record.stage_sum_ns(), 350);
         assert_eq!(record.id, ctx.id());
     }
@@ -466,7 +462,9 @@ mod tests {
     fn record_json_skips_zero_stages() {
         let mut ctx = TraceCtx::new();
         ctx.add(Stage::QueueWait, 42);
-        let json = ctx.finish("estimate", "mod/4", "ok").to_json();
+        let json = ctx
+            .finish("estimate".into(), "mod/4".into(), "ok".into())
+            .to_json();
         assert!(json.contains("\"queue_wait\":42"), "{json}");
         assert!(!json.contains("decode"), "{json}");
         assert!(json.contains(&format!("\"trace\":\"{}\"", ctx.id_string())));
@@ -479,7 +477,7 @@ mod tests {
         for i in 0..6u64 {
             let mut ctx = TraceCtx::new();
             ctx.add(Stage::Decode, i);
-            ring.push(ctx.finish("estimate", &format!("m/{i}"), "ok"));
+            ring.push(ctx.finish("estimate".into(), format!("m/{i}"), "ok".into()));
         }
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 4);
@@ -492,7 +490,7 @@ mod tests {
     fn ring_partial_fill_snapshot() {
         let ring = FlightRecorder::new(8);
         assert!(ring.snapshot().is_empty());
-        ring.push(TraceCtx::new().finish("stats", "", "ok"));
+        ring.push(TraceCtx::new().finish("stats".into(), String::new(), "ok".into()));
         assert_eq!(ring.snapshot().len(), 1);
         ring.clear();
         assert!(ring.snapshot().is_empty());
@@ -507,7 +505,11 @@ mod tests {
                 let ring = ring.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        ring.push(TraceCtx::new().finish("estimate", "x/1", "ok"));
+                        ring.push(TraceCtx::new().finish(
+                            "estimate".into(),
+                            "x/1".into(),
+                            "ok".into(),
+                        ));
                     }
                 })
             })
